@@ -66,7 +66,6 @@ from .metric import (
     MetricBall,
     ball,
     completeness_probe,
-    cutoff,
     cutoff_property_check,
     default_budget,
     distance,
@@ -83,7 +82,6 @@ from .criteria import (
 )
 from .estimates import (
     EnergyBreakdown,
-    anchor,
     energy_bound_check,
     gradient_energy_inequality,
     minorant_weighted_energy,

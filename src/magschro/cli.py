@@ -11,7 +11,8 @@ Subcommands:
 * ``reproduce``         run the built-in reference scenario end to end
 
 Exit codes: 0 on success, 1 when a requested check fails or a query does not
-resolve, 2 on input errors.
+resolve within its budget (including :class:`BudgetExhaustedError`), 2 on
+every other error.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from .estimates import energy_bound_check, tapered_defect_bound
 from .families import FamilySpec, make_family
 from .graphio import load_graph
 from .metric import WITH_Q, UNIT_Q, AnchorFunction, ball, distance
-from .randomgraphs import random_vertex_function
+from .randomgraphs import random_function
 from .reference import run_reference_scenario
 from .spectral import spectral_trend
 from .suites import identity_suite, square_average_suite
-from .functions import VertexFunction
 
 
 def _add_graph_source(parser: argparse.ArgumentParser):
@@ -201,17 +201,12 @@ def _cmd_estimate(args) -> int:
     x0 = _resolve_vertex(g, args.x0)
     rng = np.random.default_rng(args.seed)
     if g.is_finite:
-        ids = g.vertices()
+        ids, cap = g.vertices(), None
     else:
-        ids = list(range(1, args.window + 1))
+        ids, cap = list(range(1, args.window + 1)), 12
 
     def draw():
-        if g.is_finite:
-            return random_vertex_function(rng, g)
-        size = int(rng.integers(1, min(12, len(ids)) + 1))
-        chosen = rng.choice(len(ids), size=size, replace=False)
-        return VertexFunction({ids[int(i)]: complex(rng.normal(0, 2), rng.normal(0, 2))
-                               for i in chosen})
+        return random_function(rng, ids, max_support=cap)
 
     energy_failures = 0
     worst_slack = float("inf")
@@ -344,15 +339,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MagschroError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BudgetExhaustedError) else 2
 
 
 if __name__ == "__main__":

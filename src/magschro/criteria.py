@@ -16,7 +16,9 @@ from typing import Optional
 
 from .errors import UnknownVertexError
 from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
-from .metric import CompletenessReport, completeness_probe, default_budget, shortest_paths, WITH_Q
+from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
+                     default_budget, shortest_paths)
+from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
 from .operators import rayleigh_quotient
 from .functions import VertexFunction
 from .spectral import assemble_truncation, eigen_extremes
@@ -111,22 +113,22 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
                              window=None) -> CriteriaReport:
     """Aggregate all four sufficient conditions over an explored window.
 
-    The window defaults to the region the completeness probe settles.  The
-    overall verdict is "pass" when every condition holds and the
-    completeness verdict is exact, "fail" when any condition is violated
-    (including an exact incompleteness verdict), and "partial" when the
-    conditions hold but completeness rests on windowed evidence only.
+    One search serves both the completeness probe and the window, which
+    defaults to the region that search settles.  The overall verdict is
+    "pass" when every condition holds and the completeness verdict is
+    exact, "fail" when any condition is violated (including an exact
+    incompleteness verdict), and "partial" when the conditions hold but
+    completeness rests on windowed evidence only.
     """
     if budget is None:
         budget = default_budget()
     if not g.has_vertex(x0):
         raise UnknownVertexError(x0)
-    completeness = completeness_probe(g, x0, budget)
-    if window is None:
-        explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget)
-        window = sorted(explored.distances, key=vertex_sort_key)
-    else:
-        window = sorted(set(window), key=vertex_sort_key)
+    explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
+                              trail_every=_probe_trail_every(budget))
+    completeness = _completeness_report(g, x0, budget, explored)
+    window = explored.distances if window is None else set(window)
+    window = sorted(window, key=vertex_sort_key)
 
     degree = degree_bound_check(g, window)
     minorant = minorant_check(g, window)

@@ -49,6 +49,16 @@ def _require_minorant(g, region, context):
             f"{bad[0][0]!r} by {-bad[0][1]}", violations=bad)
 
 
+def _degree_bound(g, degree_bound):
+    """The given degree bound, else the graph's declared or (finite) observed one."""
+    if degree_bound is None:
+        degree_bound = g.degree_bound if g.degree_bound is not None else (
+            max(g.degree(x) for x in g.vertices()) if g.is_finite else None)
+    if degree_bound is None:
+        raise InputError("a degree bound is required for graphs without a declared one")
+    return degree_bound
+
+
 def minorant_weighted_energy(g, u: VertexFunction):
     """The squared energy and its per-edge contributions.
 
@@ -164,11 +174,7 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
     region = _one_hop_closure(g, [u.support])
     _require_minorant(g, region, "energy bound")
 
-    if degree_bound is None:
-        degree_bound = g.degree_bound if g.degree_bound is not None else (
-            max(g.degree(x) for x in g.vertices()) if g.is_finite else None)
-    if degree_bound is None:
-        raise InputError("a degree bound is required for graphs without a declared one")
+    degree_bound = _degree_bound(g, degree_bound)
     if lipschitz_constant is None:
         if not g.is_finite:
             raise InputError("a Lipschitz constant is required on infinite graphs")
@@ -189,11 +195,6 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
         slack=slack,
         passed=slack >= -SLACK_TOL * scale,
     )
-
-
-def anchor(g, x0, x, *, budget=None) -> float:
-    """Weighted-metric distance from the base vertex x0 (the anchor profile)."""
-    return AnchorFunction(g, x0, q_mode=WITH_Q, budget=budget)(x)
 
 
 def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
@@ -237,11 +238,7 @@ def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *,
                          budget=None, degree_bound=None,
                          anchor_fn: Optional[AnchorFunction] = None) -> TaperedDefectReport:
     """Check the tapered defect against its energy bound at radius s."""
-    if degree_bound is None:
-        degree_bound = g.degree_bound if g.degree_bound is not None else (
-            max(g.degree(x) for x in g.vertices()) if g.is_finite else None)
-    if degree_bound is None:
-        raise InputError("a degree bound is required for graphs without a declared one")
+    degree_bound = _degree_bound(g, degree_bound)
     value = tapered_symmetry_defect(g, u, v, x0, s, budget=budget, anchor_fn=anchor_fn)
     eu = math.sqrt(minorant_weighted_energy(g, u)[0])
     ev = math.sqrt(minorant_weighted_energy(g, v)[0])

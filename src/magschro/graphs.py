@@ -233,18 +233,6 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
     return report
 
 
-def neighbors(g: WeightedGraph, x):
-    return g.neighbors(x)
-
-
-def degree(g: WeightedGraph, x) -> int:
-    return g.degree(x)
-
-
-def star_edges(g: WeightedGraph, x):
-    return g.star_edges(x)
-
-
 class ExplicitGraph(WeightedGraph):
     """Finite graph with explicitly stored vertex and edge data.
 

@@ -2,7 +2,7 @@
 
 The length of an edge combines all three weight layers:
 
-    len(e) = min(w(o), w(t))**0.5 * min(q(o), q(t))**-0.5 / a(e)**0.5
+    len(e) = min(w(o), w(t))**0.5 * max(q(o), q(t))**-0.5 / a(e)**0.5
 
 and the distance between two vertices is the infimum of summed edge lengths
 over connecting paths.  ``unit-q`` mode substitutes q = 1, which is the
@@ -289,6 +289,11 @@ class CompletenessReport:
         return self.verdict.endswith("(exact)")
 
 
+def _probe_trail_every(budget) -> int:
+    """Trail cadence of the completeness probe: 64 checkpoints over the budget."""
+    return max(1, budget // 64)
+
+
 def completeness_probe(g, x0, budget=None) -> CompletenessReport:
     """Gather evidence for or against completeness of the weighted metric.
 
@@ -302,7 +307,16 @@ def completeness_probe(g, x0, budget=None) -> CompletenessReport:
     if budget is None:
         budget = default_budget()
     result = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
-                            trail_every=max(1, budget // 64))
+                            trail_every=_probe_trail_every(budget))
+    return _completeness_report(g, x0, budget, result)
+
+
+def _completeness_report(g, x0, budget, result) -> CompletenessReport:
+    """The probe's verdict on a finished with-q search from ``x0``.
+
+    ``result`` must come from :func:`shortest_paths` with ``budget`` and the
+    trail cadence :func:`_probe_trail_every`.
+    """
     dists = result.distances
     radius = result.settled_radius if result.budget_hit else (
         max(dists.values()) if dists else 0.0)
@@ -350,6 +364,11 @@ def completeness_probe(g, x0, budget=None) -> CompletenessReport:
 
 # -- cut-off functions -------------------------------------------------------
 
+def _ramp(n, d) -> float:
+    """The cut-off profile clamp((2n - d) / n, 0, 1) at distance d."""
+    return min(max((2.0 * n - d) / n, 0.0), 1.0)
+
+
 class CutoffFunction:
     """Piecewise-linear bump: 1 on the n-ball around x0, 0 outside the 2n-ball.
 
@@ -378,7 +397,7 @@ class CutoffFunction:
         d = self._distances.get(x)
         if d is None:
             return 0.0  # outside the settled 2n-ball, where the ramp has hit zero
-        return min(max((2.0 * self.n - d) / self.n, 0.0), 1.0)
+        return _ramp(self.n, d)
 
     __call__ = value
 
@@ -394,11 +413,6 @@ class CutoffFunction:
         g = self.graph
         return VertexFunction(
             {x: self.value(x) / math.sqrt(g.vertex(x).minorant) for x in self.support()})
-
-
-def cutoff(g, x0, n, x, *, budget=None) -> float:
-    """Evaluate the cut-off bump at a single vertex."""
-    return CutoffFunction(g, x0, n, budget=budget).value(x)
 
 
 @dataclass
@@ -439,11 +453,8 @@ def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckR
     chi = CutoffFunction(g, x0, n, budget=budget)
     dists = result.distances
 
-    def ramp(m, d):
-        return min(max((2.0 * m - d) / m, 0.0), 1.0)
-
     for x, d in dists.items():
-        val = chi.value(x) if d <= 2.0 * n else ramp(n, d)
+        val = chi.value(x) if d <= 2.0 * n else _ramp(n, d)
         if not (0.0 <= val <= 1.0):
             violations.append(("range", x, val))
         if d <= n and val != 1.0:
@@ -451,14 +462,14 @@ def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckR
         if d >= 2.0 * n and val != 0.0:
             violations.append(("support", x, val))
         for m in (n + 1, 2 * n, 4 * n):
-            if ramp(m, d) < val - slack:
-                violations.append(("monotone", x, ramp(m, d) - val))
+            if _ramp(m, d) < val - slack:
+                violations.append(("monotone", x, _ramp(m, d) - val))
 
     # convergence: once m exceeds every settled distance the bump is flat 1
     m_limit = int(math.ceil(max(dists.values()))) + 1 if dists else 1
     for x, d in dists.items():
-        if ramp(m_limit, d) != 1.0:
-            violations.append(("limit", x, ramp(m_limit, d)))
+        if _ramp(m_limit, d) != 1.0:
+            violations.append(("limit", x, _ramp(m_limit, d)))
 
     support = chi.support()
     seen = set()

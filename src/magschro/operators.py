@@ -132,30 +132,26 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
     star sum of a(e) Y(e) (du with conjugated phases)(e).
     """
     dY = codifferential(g, Y)
-    ykeys = [k for k, _ in Y.items()]
-    verts = sorted({k.origin for k in ykeys} | {k.terminus for k in ykeys}, key=vertex_sort_key)
+    # one pass over the sorted keys; each vertex sums its edges in key order
+    lhs_acc = {}
+    corr_acc = {}
+    for k, _ in Y.items():
+        c = g.canonical(k)
+        data = g.edge_data(c)
+        yc = Y.value(c)
+        flow = data.weight * (((data.phase * u(c.terminus) + u(c.origin)) / 2) * yc)
+        corr = data.weight * yc * (data.phase * u(c.terminus) - u(c.origin))
+        lhs_acc[c.terminus] = lhs_acc.get(c.terminus, 0) + flow
+        lhs_acc[c.origin] = lhs_acc.get(c.origin, 0) - flow
+        corr_acc[c.terminus] = corr_acc.get(c.terminus, 0) + corr
+        corr_acc[c.origin] = corr_acc.get(c.origin, 0) + corr
     dev = 0.0
     scale = 0.0
-    for x in verts:
+    for x in sorted(lhs_acc, key=vertex_sort_key):
         wx = g.vertex(x).weight
-        lhs_acc = 0
-        corr_acc = 0
-        for k in ykeys:
-            c = g.canonical(k)
-            if c.origin != x and c.terminus != x:
-                continue
-            data = g.edge_data(c)
-            yc = Y.value(c)
-            product = ((data.phase * u(c.terminus) + u(c.origin)) / 2) * yc
-            if c.terminus == x:
-                lhs_acc = lhs_acc + data.weight * product
-            else:
-                lhs_acc = lhs_acc - data.weight * product
-            dconj = data.phase * u(c.terminus) - u(c.origin)
-            corr_acc = corr_acc + data.weight * yc * dconj
-        lhs = lhs_acc / wx
+        lhs = lhs_acc[x] / wx
         first = u(x) * dY(x)
-        second = corr_acc / (2 * wx)
+        second = corr_acc[x] / (2 * wx)
         dev = max(dev, abs(lhs - (first - second)))
         scale = max(scale, abs(lhs) + abs(first) + abs(second))
     return _rel(dev, scale) if relative else dev

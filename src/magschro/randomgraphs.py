@@ -61,19 +61,21 @@ def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vert
     return ExplicitGraph(vertices, edges)
 
 
-def random_vertex_function(rng: np.random.Generator, g, *, max_support=None,
-                           real=False) -> VertexFunction:
-    ids = list(g.vertices())
+def random_function(rng: np.random.Generator, ids, *, max_support=None,
+                    real=False) -> VertexFunction:
+    """Normal(0, 2) values, complex unless ``real``, on a random subset of ``ids``."""
     cap = len(ids) if max_support is None else min(max_support, len(ids))
     size = int(rng.integers(1, cap + 1))
     chosen = rng.choice(len(ids), size=size, replace=False)
-    values = {}
-    for i in chosen:
-        if real:
-            values[ids[int(i)]] = float(rng.normal(0.0, 2.0))
-        else:
-            values[ids[int(i)]] = complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
-    return VertexFunction(values)
+    if real:
+        return VertexFunction({ids[int(i)]: float(rng.normal(0.0, 2.0)) for i in chosen})
+    return VertexFunction({ids[int(i)]: complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
+                           for i in chosen})
+
+
+def random_vertex_function(rng: np.random.Generator, g, *, max_support=None,
+                           real=False) -> VertexFunction:
+    return random_function(rng, list(g.vertices()), max_support=max_support, real=real)
 
 
 def random_edge_function(rng: np.random.Generator, g, *, max_support=None,

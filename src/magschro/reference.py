@@ -25,12 +25,14 @@ from .families import quadratic_well_ray
 from .functions import VertexFunction
 from .metric import WITH_Q, AnchorFunction, CutoffFunction, cutoff_property_check, shortest_paths
 from .operators import schrodinger_apply
+from .randomgraphs import random_function
 from .spectral import spectral_trend
 from .suites import identity_suite, square_average_suite
 
 METRIC_TARGET = 1_000_000
 ORACLE_LADDER = 10_000
 DEFECT_TOL = 1e-10
+MAX_SUPPORT = 12  # support cap of the seeded random test functions
 
 
 @dataclass
@@ -38,13 +40,6 @@ class Step:
     name: str
     ok: bool
     detail: str
-
-
-def _random_function(rng, ids, *, max_support=12) -> VertexFunction:
-    size = int(rng.integers(1, min(max_support, len(ids)) + 1))
-    chosen = rng.choice(len(ids), size=size, replace=False)
-    return VertexFunction({ids[int(i)]: complex(rng.normal(0, 2), rng.normal(0, 2))
-                           for i in chosen})
 
 
 def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_TARGET):
@@ -114,7 +109,7 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
     window_ids = list(range(1, 201))
     failures = 0
     for _ in range(100):
-        u = _random_function(rng, window_ids)
+        u = random_function(rng, window_ids, max_support=MAX_SUPPORT)
         if not energy_bound_check(g, u, lipschitz_constant=1.0, degree_bound=2).passed:
             failures += 1
     ok = ok and failures == 0
@@ -129,7 +124,7 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
     for n in (1, 2, 4, 8):
         phi = CutoffFunction(g, 1, n).tapered_profile()
         for _ in range(25):
-            u = _random_function(rng, list(range(1, 51)))
+            u = random_function(rng, list(range(1, 51)), max_support=MAX_SUPPORT)
             if not gradient_energy_inequality(g, u, phi).passed:
                 failures += 1
             trials += 1
@@ -149,8 +144,8 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
     limit_failures = 0
     pairs = 0
     for _ in range(50):
-        u = _random_function(rng, list(range(1, 41)))
-        v = _random_function(rng, list(range(1, 41)))
+        u = random_function(rng, list(range(1, 41)), max_support=MAX_SUPPORT)
+        v = random_function(rng, list(range(1, 41)), max_support=MAX_SUPPORT)
         pairs += 1
         for s in (1, 2, 4, 8, 16, 32, 64, 128):
             if not tapered_defect_bound(g, u, v, 1, s, degree_bound=2,

@@ -141,6 +141,13 @@ def test_estimate_infinite_family_needs_constant(capsys):
     assert "Lipschitz" in capsys.readouterr().err
 
 
+def test_estimate_budget_exhausted_exits_1(capsys):
+    code = main(["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)",
+                 "--lipschitz-c", "1", "--trials", "2", "--window", "30", "--budget", "3"])
+    assert code == 1
+    assert "unresolved within budget 3" in capsys.readouterr().err
+
+
 def test_identity_suite_seed_reproducible():
     from magschro.suites import identity_suite
 

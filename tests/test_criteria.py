@@ -1,5 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+from magschro import criteria, metric
 from magschro.criteria import (
     degree_bound_check,
     lipschitz_best_constant,
@@ -84,6 +88,34 @@ def test_selfadjointness_criteria_finite_graph(rng):
     report = selfadjointness_criteria(g, g.vertices()[0])
     assert report.overall == "pass"  # finite spaces are complete
     assert report.completeness.verdict == "complete (exact)"
+
+
+@pytest.mark.parametrize("build, budget", [
+    (quadratic_well_ray, 5000),
+    (lambda: make_family({"family": "path-nat", "q": "n^4", "W": "-(n^4)"}), 3000),
+    (lambda: random_connected_graph(np.random.default_rng(11), max_vertices=15,
+                                    ensure_minorant=True), 1000),
+], ids=["quadratic-well", "convergent-ray", "random-finite"])
+def test_selfadjointness_criteria_single_search(monkeypatch, build, budget):
+    g = build()
+    x0 = 1
+    searches = []
+    search = metric.shortest_paths
+
+    def counting(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "shortest_paths", counting)
+    monkeypatch.setattr(criteria, "shortest_paths", counting)
+    report = selfadjointness_criteria(g, x0, budget=budget)
+    assert searches == [x0]
+
+    probe = metric.completeness_probe(g, x0, budget)
+    explored = search(g, x0, budget=budget)
+    assert report.window_size == len(explored.distances)
+    for field in dataclasses.fields(probe):
+        assert getattr(report.completeness, field.name) == getattr(probe, field.name), field.name
 
 
 def test_selfadjointness_criteria_lipschitz_budget_failure():

@@ -5,7 +5,6 @@ import pytest
 from magschro.criteria import lipschitz_best_constant
 from magschro.errors import InputError, MinorantViolationError
 from magschro.estimates import (
-    anchor,
     energy_bound_check,
     gradient_energy_inequality,
     minorant_weighted_energy,
@@ -173,8 +172,8 @@ def test_finite_taper_energy_chain(rng):
 
 def test_anchor_reference_values():
     g = quadratic_well_ray()
-    assert anchor(g, 1, 1) == 0.0
-    assert anchor(g, 1, 4) == pytest.approx(13.0 / 12.0, rel=1e-15)
+    assert AnchorFunction(g, 1)(1) == 0.0
+    assert AnchorFunction(g, 1)(4) == pytest.approx(13.0 / 12.0, rel=1e-15)
 
 
 def test_anchor_edge_bound(rng):

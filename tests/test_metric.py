@@ -12,7 +12,6 @@ from magschro.metric import (
     CutoffFunction,
     ball,
     completeness_probe,
-    cutoff,
     cutoff_property_check,
     distance,
     edge_length,
@@ -161,10 +160,10 @@ def test_completeness_probe_finite_graph():
 
 def test_cutoff_values():
     g = unit_path(12)
-    assert cutoff(g, 1, 2, 1) == 1.0  # at the base point
-    assert cutoff(g, 1, 2, 4) == 0.5  # distance 3 = 1.5 n
-    assert cutoff(g, 1, 2, 5) == 0.0  # distance 4 = 2 n
-    assert cutoff(g, 1, 2, 9) == 0.0  # far outside
+    assert CutoffFunction(g, 1, 2).value(1) == 1.0  # at the base point
+    assert CutoffFunction(g, 1, 2).value(4) == 0.5  # distance 3 = 1.5 n
+    assert CutoffFunction(g, 1, 2).value(5) == 0.0  # distance 4 = 2 n
+    assert CutoffFunction(g, 1, 2).value(9) == 0.0  # far outside
 
 
 def test_cutoff_function_support_and_profile():
