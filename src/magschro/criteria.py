@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import UnknownVertexError
 from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
-                     default_budget, shortest_paths)
+                     _resolve_budget, shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
 from .operators import rayleigh_quotient
 from .functions import VertexFunction
@@ -40,15 +40,7 @@ class MinorantCheck:
 
 def minorant_check(g, window) -> MinorantCheck:
     """Largest positive part of -q(x) - W(x) over the window; passes iff zero."""
-    worst = 0.0
-    witness = None
-    for x in sorted(window, key=vertex_sort_key):
-        rec = g.vertex(x)
-        gap = positive_part(-rec.minorant - rec.potential)
-        if gap > worst:
-            worst = gap
-            witness = x
-    return MinorantCheck(worst_violation=float(worst), witness=witness, passed=worst == 0)
+    return _window_scan(g, set(window))[1]
 
 
 @dataclass
@@ -63,23 +55,7 @@ def lipschitz_best_constant(g, window) -> LipschitzCheck:
     The bound is measured against (min(w(t), w(o)) / a(e))**0.5 on every edge
     incident to the window, and the witness is an edge attaining it.
     """
-    best = 0.0
-    witness = None
-    seen = set()
-    for x in sorted(window, key=vertex_sort_key):
-        for e, data in g.neighbors(x):
-            key = tuple(normalize_edge(e))
-            if key in seen:
-                continue
-            seen.add(key)
-            ro = g.vertex(key[0])
-            rt = g.vertex(key[1])
-            gap = abs(rt.minorant ** -0.5 - ro.minorant ** -0.5)
-            ratio = gap / (min(ro.weight, rt.weight) / data.weight) ** 0.5
-            if ratio > best:
-                best = ratio
-                witness = OrientedEdge(*key)
-    return LipschitzCheck(constant=best, witness=witness)
+    return _window_scan(g, set(window))[2]
 
 
 @dataclass
@@ -90,10 +66,44 @@ class DegreeCheck:
 
 
 def degree_bound_check(g, window) -> DegreeCheck:
-    observed = max((g.degree(x) for x in window), default=0)
+    return _window_scan(g, set(window))[0]
+
+
+def _window_scan(g, window):
+    """Degree, minorant and Lipschitz checks in one vertex-ordered pass over a window set.
+
+    Each edge is taken where the walk first meets it: at its smaller endpoint,
+    or at its window endpoint when the other one lies outside the window.
+    """
+    observed = 0
+    worst = 0.0
+    vertex_witness = None
+    best = 0.0
+    edge_witness = None
+    for x in sorted(window, key=vertex_sort_key):
+        rx = g.vertex(x)
+        gap = positive_part(-rx.minorant - rx.potential)
+        if gap > worst:
+            worst = gap
+            vertex_witness = x
+        nbrs = g.neighbors(x)
+        observed = max(observed, len(nbrs))
+        for e, data in nbrs:
+            key = normalize_edge(e)
+            if key != e and key.origin in window:
+                continue
+            ry = g.vertex(e.terminus)
+            ro, rt = (rx, ry) if key == e else (ry, rx)
+            gap = abs(rt.minorant ** -0.5 - ro.minorant ** -0.5)
+            ratio = gap / (min(ro.weight, rt.weight) / data.weight) ** 0.5
+            if ratio > best:
+                best = ratio
+                edge_witness = key
     declared = g.degree_bound
-    return DegreeCheck(observed=observed, declared=declared,
-                       passed=declared is None or observed <= declared)
+    return (DegreeCheck(observed=observed, declared=declared,
+                        passed=declared is None or observed <= declared),
+            MinorantCheck(worst_violation=float(worst), witness=vertex_witness, passed=worst == 0),
+            LipschitzCheck(constant=best, witness=edge_witness))
 
 
 @dataclass
@@ -120,19 +130,14 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
     incompleteness verdict), and "partial" when the conditions hold but
     completeness rests on windowed evidence only.
     """
-    if budget is None:
-        budget = default_budget()
+    budget = _resolve_budget(budget)
     if not g.has_vertex(x0):
         raise UnknownVertexError(x0)
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
                               trail_every=_probe_trail_every(budget))
     completeness = _completeness_report(g, x0, budget, explored)
     window = explored.distances if window is None else set(window)
-    window = sorted(window, key=vertex_sort_key)
-
-    degree = degree_bound_check(g, window)
-    minorant = minorant_check(g, window)
-    lipschitz = lipschitz_best_constant(g, window)
+    degree, minorant, lipschitz = _window_scan(g, window)
     lipschitz_passed = None
     if lipschitz_budget is not None:
         lipschitz_passed = lipschitz.constant <= lipschitz_budget + LIPSCHITZ_TOL

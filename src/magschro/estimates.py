@@ -20,10 +20,10 @@ from typing import Optional
 
 from .criteria import lipschitz_best_constant, positive_part
 from .errors import InputError, MinorantViolationError
-from .functions import VertexFunction, norm_w
-from .graphs import vertex_sort_key
+from .functions import VertexFunction, norm_w, support_union
+from .graphs import incident_edges
 from .metric import AnchorFunction, WITH_Q
-from .operators import differential, schrodinger_apply, _incident_edge_keys, _one_hop_closure
+from .operators import differential, schrodinger_apply, _one_hop_closure
 
 SLACK_TOL = 1e-10
 
@@ -119,7 +119,7 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     Hu = schrodinger_apply(g, u)
     op_term = 0
     minorant_term = 0.0
-    for x in sorted(set(Hu.support) | set(u.support) | set(phi.support), key=vertex_sort_key):
+    for x in support_union(Hu, u, phi):
         rec = g.vertex(x)
         phi2 = phi(x) ** 2
         if phi2 == 0:
@@ -129,7 +129,7 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     op_term = abs(op_term)
 
     cross = 0.0
-    for k in _incident_edge_keys(g, [phi.support]):
+    for k in incident_edges(g, phi.support):
         data = g.edge_data(k)
         dphi = phi(k[1]) - phi(k[0])
         if dphi == 0:
@@ -212,10 +212,8 @@ def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
         anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q, budget=budget)
     Hu = schrodinger_apply(g, u)
     Hv = schrodinger_apply(g, v)
-    region = sorted(set(Hu.support) | set(u.support) | set(Hv.support) | set(v.support),
-                    key=vertex_sort_key)
     total = 0
-    for x in region:
+    for x in support_union(Hu, u, Hv, v):
         defect = Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()
         if defect == 0:
             continue

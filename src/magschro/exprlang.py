@@ -172,16 +172,27 @@ def parse_expr(text: str) -> ExprAst:
 
 
 def eval_expr(node: ExprAst, n) -> float:
-    """Evaluate an expression tree at the integer ``n``."""
+    """Evaluate an expression tree at the integer ``n``.
+
+    Intermediate values may overflow to inf (``*`` does not raise), but a
+    non-finite result raises :class:`ExprEvalError`.
+    """
+    value = _eval(node, n)
+    if not math.isfinite(value):
+        raise ExprEvalError(f"non-finite result {value}", n)
+    return value
+
+
+def _eval(node: ExprAst, n) -> float:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return float(n)
     if isinstance(node, Neg):
-        return -eval_expr(node.operand, n)
+        return -_eval(node.operand, n)
     if isinstance(node, BinOp):
-        a = eval_expr(node.left, n)
-        b = eval_expr(node.right, n)
+        a = _eval(node.left, n)
+        b = _eval(node.right, n)
         try:
             if node.op == "+":
                 return a + b
@@ -197,7 +208,7 @@ def eval_expr(node: ExprAst, n) -> float:
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(str(exc), n) from None
     if isinstance(node, Call):
-        args = [eval_expr(a, n) for a in node.args]
+        args = [_eval(a, n) for a in node.args]
         try:
             if node.func == "sqrt":
                 return math.sqrt(args[0])
@@ -216,7 +227,8 @@ def compile_expr(node: ExprAst):
 
     Equivalent to ``eval_expr`` (tested against it) but avoids the dispatch
     cost, which matters when a lazy graph family evaluates its weight
-    expressions once per visited vertex.
+    expressions once per visited vertex.  The closure does not check that
+    its result is finite; :func:`compile_text` does.
     """
     if isinstance(node, Num):
         c = node.value
@@ -254,15 +266,22 @@ def compile_expr(node: ExprAst):
 
 
 def compile_text(text: str):
-    """Parse and compile in one step, wrapping runtime errors uniformly."""
+    """Parse and compile in one step, wrapping runtime errors uniformly.
+
+    Like :func:`eval_expr`, the evaluator rejects a non-finite result.
+    """
     fn = compile_expr(parse_expr(text))
+    isfinite = math.isfinite
 
     def evaluate(n):
         try:
-            return fn(n)
+            value = fn(n)
         except ZeroDivisionError:
             raise ExprEvalError(f"division by zero in {text!r}", n) from None
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(f"{exc} in {text!r}", n) from None
+        if not isfinite(value):
+            raise ExprEvalError(f"non-finite result {value} in {text!r}", n)
+        return value
 
     return evaluate

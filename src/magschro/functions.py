@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
-from .graphs import OrientedEdge, as_edge, normalize_edge, vertex_sort_key
+from .graphs import OrientedEdge, as_edge, edge_sort_key, normalize_edge, vertex_sort_key
 
 
 def _check_finite(value):
@@ -92,10 +92,6 @@ class VertexFunction:
         return f"VertexFunction({dict(self.items())!r})"
 
 
-def _edge_key_sort(key):
-    return (vertex_sort_key(key[0]), vertex_sort_key(key[1]))
-
-
 class EdgeFunction:
     """Function on oriented edges, stored on id-ordered representatives.
 
@@ -132,9 +128,9 @@ class EdgeFunction:
                     if key != e:
                         # translate the supplied value to the stored representative
                         v = -self._reversal_phase(key).conjugate() * v if twist else -v
-                if tuple(key) in vals:
+                if key in vals:
                     raise InputError(f"conflicting values for edge {key!r}")
-                vals[tuple(key)] = v
+                vals[key] = v
         self._values = vals
 
     def _reversal_phase(self, key: OrientedEdge):
@@ -147,7 +143,7 @@ class EdgeFunction:
     def value(self, e):
         e = as_edge(e)
         key = normalize_edge(e)
-        v = self._values.get(tuple(key))
+        v = self._values.get(key)
         if v is None:
             return 0
         if e == key:
@@ -161,10 +157,10 @@ class EdgeFunction:
     @property
     def support(self):
         """The id-ordered representatives carrying nonzero values, sorted."""
-        return [OrientedEdge(*k) for k in sorted(self._values, key=_edge_key_sort)]
+        return sorted(self._values, key=edge_sort_key)
 
     def items(self):
-        return [(OrientedEdge(*k), self._values[k]) for k in sorted(self._values, key=_edge_key_sort)]
+        return [(k, self._values[k]) for k in self.support]
 
     def __len__(self):
         return len(self._values)
@@ -179,11 +175,15 @@ class EdgeFunction:
         return f"EdgeFunction({dict(self.items())!r}, twist={self.twist})"
 
 
+def support_union(*fs):
+    """The union of the supports of vertex functions, in vertex order."""
+    return sorted(set().union(*(f._values for f in fs)), key=vertex_sort_key)
+
+
 def inner_w(g, f: VertexFunction, h: VertexFunction):
     """Weighted vertex inner product: sum of w(x) f(x) conj(h(x))."""
-    keys = sorted(set(f.support) | set(h.support), key=vertex_sort_key)
     total = 0
-    for x in keys:
+    for x in support_union(f, h):
         total = total + g.vertex(x).weight * f(x) * h(x).conjugate()
     return total
 
@@ -197,11 +197,9 @@ def norm_w(g, f: VertexFunction) -> float:
 
 def inner_a(g, F: EdgeFunction, G: EdgeFunction):
     """Weighted edge inner product, summed over canonical representatives."""
-    keys = sorted({tuple(k) for k in F.support} | {tuple(k) for k in G.support},
-                  key=_edge_key_sort)
     total = 0
-    for k in keys:
-        c = g.canonical(OrientedEdge(*k))
+    for k in sorted({*F.support, *G.support}, key=edge_sort_key):
+        c = g.canonical(k)
         total = total + g.edge_data(c).weight * F.value(c) * G.value(c).conjugate()
     return total
 

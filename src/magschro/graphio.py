@@ -22,6 +22,7 @@ byte-stable after one canonicalization pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -67,7 +68,13 @@ def _require(obj, kind, path):
 def _number(obj, path) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"expected a number, got {type(obj).__name__}", path)
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"expected a finite number, got {value}", path)
+    return value
 
 
 def _identifier(obj, path) -> str:

@@ -77,6 +77,11 @@ def normalize_edge(e) -> OrientedEdge:
     return e.reverse()
 
 
+def edge_sort_key(e):
+    """Total order on normalized edges: by origin, then by terminus."""
+    return (vertex_sort_key(e[0]), vertex_sort_key(e[1]))
+
+
 class Violation(NamedTuple):
     kind: str
     location: object  # vertex id or oriented edge
@@ -146,8 +151,7 @@ class WeightedGraph:
     def is_canonical(self, e) -> bool:
         e = as_edge(e)
         norm = normalize_edge(e)
-        flipped = (norm.origin, norm.terminus) in self._flipped
-        return (e == norm) != flipped
+        return (e == norm) != (norm in self._flipped)
 
     def canonical(self, e) -> OrientedEdge:
         """The canonical representative of the unoriented edge under ``e``."""
@@ -160,7 +164,7 @@ class WeightedGraph:
         Flipping twice restores the original choice.  The underlying data is
         shared; only the orientation rule changes.
         """
-        flips = frozenset(tuple(normalize_edge(e)) for e in edges)
+        flips = frozenset(normalize_edge(e) for e in edges)
         clone = copy.copy(self)
         clone._flipped = self._flipped ^ flips
         return clone
@@ -170,19 +174,20 @@ class WeightedGraph:
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
         stars = [self.canonical(e) for e, _ in self.neighbors(x)]
-        return sorted(stars, key=lambda e: (vertex_sort_key(normalize_edge(e).origin),
-                                            vertex_sort_key(normalize_edge(e).terminus)))
+        return sorted(stars, key=lambda e: edge_sort_key(normalize_edge(e)))
 
     def edges(self):
         """All normalized edges of a finite graph, sorted."""
-        seen = set()
-        for x in self.vertices():
-            for e, _ in self.neighbors(x):
-                seen.add(normalize_edge(e))
-        return sorted(seen, key=lambda e: (vertex_sort_key(e.origin), vertex_sort_key(e.terminus)))
+        return incident_edges(self, self.vertices())
 
-    def validate(self, window) -> ValidationReport:
-        return validate(self, window)
+
+def incident_edges(g: WeightedGraph, vertices):
+    """The normalized edges meeting any of ``vertices``, sorted."""
+    keys = set()
+    for x in vertices:
+        for e, _ in g.neighbors(x):
+            keys.add(normalize_edge(e))
+    return sorted(keys, key=edge_sort_key)
 
 
 def validate(g: WeightedGraph, window) -> ValidationReport:

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import BudgetExhaustedError, InputError, UnknownVertexError
 from .functions import VertexFunction
-from .graphs import OrientedEdge, as_edge, vertex_sort_key
+from .graphs import OrientedEdge, as_edge, normalize_edge, vertex_sort_key
 
 WITH_Q = "with-q"
 UNIT_Q = "unit-q"
@@ -46,6 +46,15 @@ def default_budget() -> int:
     if value <= 0:
         raise InputError(f"{_BUDGET_ENV} must be positive, got {value}")
     return value
+
+
+def _resolve_budget(budget) -> int:
+    """A caller's settlement budget: None means :func:`default_budget`."""
+    if budget is None:
+        return default_budget()
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise InputError(f"budget must be a positive integer, got {budget!r}")
+    return budget
 
 
 def _check_q_mode(q_mode):
@@ -141,8 +150,7 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=Non
     when ``budget`` vertices have been settled, whichever comes first.
     """
     _check_q_mode(q_mode)
-    if budget is None:
-        budget = default_budget()
+    budget = _resolve_budget(budget)
     frontier = _Frontier(g, x0, q_mode)
     trail = []
     while True:
@@ -209,7 +217,7 @@ class AnchorFunction:
     def __init__(self, g, x0, *, q_mode=WITH_Q, budget=None):
         _check_q_mode(q_mode)
         self.x0 = x0
-        self.budget = budget if budget is not None else default_budget()
+        self.budget = _resolve_budget(budget)
         self._frontier = _Frontier(g, x0, q_mode)
         self._exhausted = False
 
@@ -304,8 +312,7 @@ def completeness_probe(g, x0, budget=None) -> CompletenessReport:
     growth is evidence of completeness, a stalling radius with an open
     frontier is evidence of incompleteness.
     """
-    if budget is None:
-        budget = default_budget()
+    budget = _resolve_budget(budget)
     result = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
                             trail_every=_probe_trail_every(budget))
     return _completeness_report(g, x0, budget, result)
@@ -475,7 +482,7 @@ def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckR
     seen = set()
     for x in support:
         for e, _ in g.neighbors(x):
-            key = tuple(sorted((e.origin, e.terminus), key=vertex_sort_key))
+            key = normalize_edge(e)
             if key in seen:
                 continue
             seen.add(key)

@@ -10,8 +10,8 @@ the right yardstick for accumulated floating-point error.
 
 from __future__ import annotations
 
-from .functions import EdgeFunction, VertexFunction, inner_w
-from .graphs import normalize_edge, vertex_sort_key
+from .functions import EdgeFunction, VertexFunction, inner_w, support_union
+from .graphs import edge_sort_key, incident_edges, vertex_sort_key
 
 _TINY = 1e-300
 
@@ -20,16 +20,6 @@ def _rel(dev: float, scale: float) -> float:
     if dev == 0.0:
         return 0.0
     return dev / max(scale, _TINY)
-
-
-def _incident_edge_keys(g, supports):
-    """Normalized keys of all edges meeting any vertex in ``supports``."""
-    keys = set()
-    for sup in supports:
-        for x in sup:
-            for e, _ in g.neighbors(x):
-                keys.add(tuple(normalize_edge(e)))
-    return [k for k in sorted(keys, key=lambda k: (vertex_sort_key(k[0]), vertex_sort_key(k[1])))]
 
 
 def _one_hop_closure(g, supports):
@@ -49,7 +39,7 @@ def differential(g, u: VertexFunction, *, conjugate_phase=False) -> EdgeFunction
     side of the Leibniz rule.
     """
     values = {}
-    for k in _incident_edge_keys(g, [u.support]):
+    for k in incident_edges(g, u.support):
         data = g.edge_data(k)
         phase = data.phase if conjugate_phase else data.phase.conjugate()
         values[k] = phase * u(k[1]) - u(k[0])
@@ -97,7 +87,7 @@ def schrodinger_apply(g, u: VertexFunction) -> VertexFunction:
     """Apply H = laplacian + potential to a finitely supported function."""
     lap = laplacian(g, u)
     out = {}
-    for x in sorted(set(lap.support) | set(u.support), key=vertex_sort_key):
+    for x in support_union(lap, u):
         out[x] = lap(x) + g.vertex(x).potential * u(x)
     return VertexFunction(out)
 
@@ -111,7 +101,7 @@ def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False)
     uv = u.pointwise(v)
     dev = 0.0
     scale = 0.0
-    for k in _incident_edge_keys(g, [u.support, v.support]):
+    for k in incident_edges(g, support_union(u, v)):
         c = g.canonical(k)
         phase = g.edge_data(c).phase
         ut, uo = u(c.terminus), u(c.origin)
@@ -160,18 +150,16 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
 def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False) -> float:
     """Deviation between (du, Y) in the edge product and (u, codiff Y) in the vertex product."""
     F = differential(g, u)
-    keys = sorted({tuple(k) for k, _ in F.items()} | {tuple(k) for k, _ in Y.items()},
-                  key=lambda k: (vertex_sort_key(k[0]), vertex_sort_key(k[1])))
     lhs = 0
     scale = 0.0
-    for k in keys:
+    for k in sorted({*F.support, *Y.support}, key=edge_sort_key):
         c = g.canonical(k)
         term = g.edge_data(c).weight * F.value(c) * Y.value(c).conjugate()
         lhs = lhs + term
         scale += abs(term)
     dY = codifferential(g, Y)
     rhs = 0
-    for x in sorted(set(u.support) | set(dY.support), key=vertex_sort_key):
+    for x in support_union(u, dY):
         term = g.vertex(x).weight * u(x) * dY(x).conjugate()
         rhs = rhs + term
         scale += abs(term)
@@ -185,7 +173,7 @@ def composition_residual(g, u: VertexFunction, *, relative=False) -> float:
     right = laplacian(g, u)
     dev = 0.0
     scale = 0.0
-    for x in sorted(set(left.support) | set(right.support), key=vertex_sort_key):
+    for x in support_union(left, right):
         dev = max(dev, abs(left(x) - right(x)))
         scale = max(scale, abs(left(x)) + abs(right(x)))
     return _rel(dev, scale) if relative else dev
@@ -197,12 +185,12 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     Hv = schrodinger_apply(g, v)
     lhs = 0
     scale = 0.0
-    for x in sorted(set(Hu.support) | set(v.support), key=vertex_sort_key):
+    for x in support_union(Hu, v):
         term = g.vertex(x).weight * Hu(x) * v(x).conjugate()
         lhs = lhs + term
         scale += abs(term)
     rhs = 0
-    for x in sorted(set(u.support) | set(Hv.support), key=vertex_sort_key):
+    for x in support_union(u, Hv):
         term = g.vertex(x).weight * u(x) * Hv(x).conjugate()
         rhs = rhs + term
         scale += abs(term)

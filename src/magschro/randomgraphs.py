@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .functions import EdgeFunction, VertexFunction
-from .graphs import EdgeData, ExplicitGraph, VertexData
+from .graphs import EdgeData, ExplicitGraph, VertexData, normalize_edge
 
 
 def _log_uniform(rng, low=0.1, high=10.0):
@@ -20,7 +20,7 @@ def _log_uniform(rng, low=0.1, high=10.0):
 
 
 def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vertices=40,
-                           phases=True, ensure_minorant=False) -> ExplicitGraph:
+                           ensure_minorant=False) -> ExplicitGraph:
     """A random connected weighted graph on integer vertices 1..n.
 
     Vertex and edge weights are log-uniform in [0.1, 10] and phases are
@@ -39,8 +39,7 @@ def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vert
         v = int(rng.integers(1, n + 1))
         if u == v:
             continue
-        pair = (min(u, v), max(u, v))
-        pairs.add(pair)
+        pairs.add(normalize_edge((u, v)))
 
     vertices = {}
     for x in range(1, n + 1):
@@ -56,7 +55,7 @@ def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vert
     edges = {}
     for pair in sorted(pairs):
         a = _log_uniform(rng)
-        sigma = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if phases else 1.0 + 0.0j
+        sigma = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         edges[pair] = EdgeData(a, sigma)
     return ExplicitGraph(vertices, edges)
 

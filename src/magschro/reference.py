@@ -22,7 +22,7 @@ from .estimates import (
     tapered_symmetry_defect,
 )
 from .families import quadratic_well_ray
-from .functions import VertexFunction
+from .functions import VertexFunction, support_union
 from .metric import WITH_Q, AnchorFunction, CutoffFunction, cutoff_property_check, shortest_paths
 from .operators import schrodinger_apply
 from .randomgraphs import random_function
@@ -153,14 +153,13 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
                 sweep_failures += 1
         Hu = schrodinger_apply(g, u)
         Hv = schrodinger_apply(g, v)
+        region = support_union(Hu, u, Hv, v)
         # scale of the terms entering the defect sum, before their cancellation
         scale = sum((abs(Hu(x) * v(x).conjugate()) + abs(u(x) * Hv(x).conjugate()))
-                    * g.vertex(x).weight
-                    for x in set(Hu.support) | set(u.support) | set(Hv.support) | set(v.support))
+                    * g.vertex(x).weight for x in region)
         far = tapered_symmetry_defect(g, u, v, 1, 1e12, anchor_fn=anchor_fn)
         plain = sum((Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()) * g.vertex(x).weight
-                    for x in sorted(set(Hu.support) | set(u.support)
-                                    | set(Hv.support) | set(v.support)))
+                    for x in region)
         if abs(far) > DEFECT_TOL * scale or abs(plain) > DEFECT_TOL * scale:
             limit_failures += 1
     ok = sweep_failures == 0 and limit_failures == 0

@@ -129,43 +129,52 @@ def _polish_pair(herm, S, lam, vec, target):
     return lam, vec
 
 
-def eigen_extremes(trunc: TruncatedOperator, *, seed=0,
-                   dense_cutoff=DENSE_CUTOFF) -> EigenExtremes:
-    """Extreme eigenvalues of the truncation with a residual certificate."""
+def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
+    """Extreme eigenvalues of the truncation with a residual certificate.
+
+    Windows of up to ``DENSE_CUTOFF`` vertices are solved densely, larger
+    ones by shift-invert Lanczos.  A solver failure, or a pair whose
+    residual is not within ``RESIDUAL_CONTRACT`` (NaN included), raises
+    :class:`EigensolveError`.
+    """
     S = trunc.symmetrized()
     n = trunc.size
-    if n <= dense_cutoff:
-        dense = S.toarray()
-        herm = (dense + dense.conjugate().T) / 2
-        vals, vecs = np.linalg.eigh(herm)
-        pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
-        method = "dense"
-    else:
-        herm = ((S + S.conjugate().transpose()) / 2).tocsr()
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        # shift-invert from just outside the Gershgorin interval: the factored
-        # operator is definite and the extreme eigenvalue is the one nearest
-        # the shift, so convergence does not suffer from the spectral spread
-        diag = herm.diagonal()
-        offdiag = np.asarray(np.abs(herm).sum(axis=1)).ravel() - np.abs(diag)
-        g_lo = float(np.min(diag.real - offdiag))
-        g_hi = float(np.max(diag.real + offdiag))
-        margin = 1e-3 * max(g_hi - g_lo, 1.0)
-        lo_val, lo_vec = spla.eigsh(herm, k=1, sigma=g_lo - margin, which="LM", v0=v0)
-        hi_val, hi_vec = spla.eigsh(herm, k=1, sigma=g_hi + margin, which="LM", v0=v0)
-        pairs = [_polish_pair(herm, S, lo_val[0], lo_vec[:, 0], RESIDUAL_CONTRACT / 2),
-                 _polish_pair(herm, S, hi_val[0], hi_vec[:, 0], RESIDUAL_CONTRACT / 2)]
-        method = "lanczos"
+    try:
+        if n <= DENSE_CUTOFF:
+            dense = S.toarray()
+            herm = (dense + dense.conjugate().T) / 2
+            vals, vecs = np.linalg.eigh(herm)
+            pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
+            method = "dense"
+        else:
+            herm = ((S + S.conjugate().transpose()) / 2).tocsr()
+            rng = np.random.default_rng(seed)
+            v0 = rng.standard_normal(n)
+            # shift-invert from just outside the Gershgorin interval: the factored
+            # operator is definite and the extreme eigenvalue is the one nearest
+            # the shift, so convergence does not suffer from the spectral spread
+            diag = herm.diagonal()
+            offdiag = np.asarray(np.abs(herm).sum(axis=1)).ravel() - np.abs(diag)
+            g_lo = float(np.min(diag.real - offdiag))
+            g_hi = float(np.max(diag.real + offdiag))
+            margin = 1e-3 * max(g_hi - g_lo, 1.0)
+            lo_val, lo_vec = spla.eigsh(herm, k=1, sigma=g_lo - margin, which="LM", v0=v0)
+            hi_val, hi_vec = spla.eigsh(herm, k=1, sigma=g_hi + margin, which="LM", v0=v0)
+            pairs = [_polish_pair(herm, S, lo_val[0], lo_vec[:, 0], RESIDUAL_CONTRACT / 2),
+                     _polish_pair(herm, S, hi_val[0], hi_vec[:, 0], RESIDUAL_CONTRACT / 2)]
+            method = "lanczos"
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # RuntimeError covers ARPACK errors and a singular shift-invert factor
+        raise EigensolveError(f"eigensolver failed (n={n}): {exc}") from exc
 
     residual = 0.0
     for lam, vec in pairs:
-        r = np.linalg.norm(S @ vec - lam * vec) / np.linalg.norm(vec)
-        residual = max(residual, float(r))
-    if residual > RESIDUAL_CONTRACT:
-        raise EigensolveError(
-            f"eigenpair residual {residual:.3e} exceeds the contract {RESIDUAL_CONTRACT:.0e} "
-            f"({method}, n={n})")
+        r = float(np.linalg.norm(S @ vec - lam * vec) / np.linalg.norm(vec))
+        if not r <= RESIDUAL_CONTRACT:
+            raise EigensolveError(
+                f"eigenpair residual {r:.3e} exceeds the contract {RESIDUAL_CONTRACT:.0e} "
+                f"({method}, n={n})")
+        residual = max(residual, r)
     return EigenExtremes(float(pairs[0][0]), float(pairs[1][0]), residual, method)
 
 

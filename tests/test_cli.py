@@ -154,3 +154,40 @@ def test_identity_suite_seed_reproducible():
     a = identity_suite(seed=5, graphs=8)
     b = identity_suite(seed=5, graphs=8)
     assert a.residuals == b.residuals
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "path-nat", "--W=-(n^2)", "--q", "n^2", "--budget", "0"],
+    ["check", "--family", "path-nat", "--W=-(n^2)", "--q", "n^2", "--budget", "-3"],
+    ["ball", "--family", "path-nat", "--q", "n^2", "--radius", "1", "--budget", "0"],
+    ["distance", "--family", "path-nat", "--from", "1", "--to", "5", "--budget", "0"],
+], ids=["check-0", "check-negative", "ball-0", "distance-0"])
+def test_budget_below_one_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "budget must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "path", "--size", "30",
+     "--W", "n^150*n^150 - n^150*n^150", "--windows", "30"],
+    ["check", "--family", "path", "--size", "30", "--q", "n^150*n^150"],
+    ["check", "--family", "path-nat", "--q", "n^150*n^150"],
+], ids=["spectrum-nan-potential", "check-inf-minorant", "check-ray-inf-minorant"])
+def test_non_finite_expression_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "non-finite result" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, options", [("check", ["--x0", "a"]),
+                                             ("spectrum", ["--windows", "2"])],
+                         ids=["check", "spectrum"])
+def test_non_finite_graph_file_exits_2(tmp_path, capsys, command, options):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": "a", "q": NaN}, {"id": "b", "w": Infinity}],'
+                    ' "edges": [{"u": "a", "v": "b", "a": Infinity}]}')
+    assert main([command, "--graph-file", str(path), *options]) == 2
+    assert "$.vertices[0].q: expected a finite number" in capsys.readouterr().err

@@ -171,3 +171,29 @@ def test_lipschitz_constant_monotone_in_window():
         constant = lipschitz_best_constant(g, range(1, upper + 1)).constant
         assert constant >= previous
         previous = constant
+
+
+def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
+    g = quadratic_well_ray()
+    calls = {"vertex": 0, "neighbors": 0}
+    for name in calls:
+        def counting(x, _oracle=getattr(g, name), _name=name):
+            calls[_name] += 1
+            return _oracle(x)
+        monkeypatch.setattr(g, name, counting)
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "sorted", counting_sorted, raising=False)
+    report = selfadjointness_criteria(g, 1, budget=2000, lipschitz_budget=1.0)
+    assert report.window_size == 2000 and report.overall == "pass"
+    # neighbors: once per settled vertex in the search, once per window vertex in the scan
+    assert calls["neighbors"] == 2 * 2000
+    # vertex: the search reads both endpoints of each of its 2000 settle steps and the
+    # series classifier 38 edges; the scan reads each window vertex and the far end
+    # of each of the 2000 edges it takes
+    assert calls["vertex"] == 2 * 2000 + 2 * 38 + 2000 + 2000
+    assert len(sorts) == 1

@@ -123,3 +123,22 @@ def test_fuzz_against_python_eval():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert compile_text(ours)(n) == got
         checked += 1
+
+
+def test_evaluators_agree_on_non_finite_values():
+    cases = [
+        ("n^150*n^150", None),  # `*` overflows to inf without raising
+        ("n^150*n^150 - n^150*n^150", None),  # inf - inf is NaN
+        ("0 * (n^150*n^150)", None),
+        ("1" + "0" * 400, None),  # a literal beyond the float range
+        ("min(n^150*n^150, 1)", 1.0),  # only the result has to be finite
+        ("1 / (n^150*n^150)", 0.0),
+    ]
+    for text, expected in cases:
+        for evaluate in (lambda n: eval_expr(parse_expr(text), n), compile_text(text)):
+            if expected is None:
+                with pytest.raises(ExprEvalError, match="non-finite result") as exc:
+                    evaluate(30)
+                assert exc.value.n == 30
+            else:
+                assert evaluate(30) == expected

@@ -103,3 +103,21 @@ def test_graphfile_full_precision_round_trip():
     back = parse_graph(serialize_graph(gf))
     assert back.vertices[0].w == 1 / 3
     assert back.edges[0].a == 2 / 3
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+@pytest.mark.parametrize("field,path", [
+    ("w", "$.vertices[1].w"), ("W", "$.vertices[1].W"), ("q", "$.vertices[1].q"),
+    ("a", "$.edges[0].a"), ("re", "$.edges[0].sigma.re"), ("im", "$.edges[0].sigma.im"),
+])
+def test_parse_rejects_non_finite_numbers_with_path(field, path, literal):
+    vertex = {"id": "b"}
+    edge = {"u": "a", "v": "b", "sigma": {"re": 1.0, "im": 0.0}}
+    owner = vertex if path.startswith("$.vertices") else edge if field == "a" else edge["sigma"]
+    owner[field] = "@"
+    text = json.dumps({"vertices": [{"id": "a"}, vertex], "edges": [edge]})
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text.replace('"@"', literal))
+    assert exc.value.path == path
+    assert "expected a finite number" in str(exc.value)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import two_vertex_graph
+from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.metric import (
@@ -253,3 +254,20 @@ def test_completeness_probe_numeric_evidence_paths(monkeypatch):
     convergent = make_family({"family": "path-nat", "q": "n^4", "W": "-(n^4)"})
     report = completeness_probe(convergent, 1, budget=20000)
     assert report.verdict == "evidence-of-incompleteness"
+
+
+def test_budget_must_be_a_positive_integer():
+    g = quadratic_well_ray()
+    for budget in (0, -1, 2.5, True, "10"):
+        with pytest.raises(InputError, match="budget must be a positive integer"):
+            shortest_paths(g, 1, budget=budget)
+        with pytest.raises(InputError):
+            AnchorFunction(g, 1, budget=budget)
+        with pytest.raises(InputError):
+            completeness_probe(g, 1, budget=budget)
+        with pytest.raises(InputError):
+            selfadjointness_criteria(g, 1, budget=budget)
+    res = shortest_paths(g, 1, budget=1)
+    assert res.distances == {1: 0.0}
+    assert res.budget_hit and not res.complete
+    assert AnchorFunction(g, 1, budget=1)(1) == 0.0

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from magschro.errors import InputError
+from magschro import spectral
+from magschro.errors import EigensolveError, InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import VertexFunction
+from magschro.graphs import ExplicitGraph
 from magschro.operators import schrodinger_apply
 from magschro.randomgraphs import (
     gauge_transformed,
@@ -133,11 +137,12 @@ def test_hermitian_defect_random(rng):
         assert trunc.hermitian_defect() <= 1e-12
 
 
-def test_lanczos_path_agrees_with_dense(rng):
+def test_lanczos_path_agrees_with_dense(rng, monkeypatch):
     g = random_connected_graph(rng, min_vertices=12, max_vertices=16)
     trunc = assemble_truncation(g, g.vertices())
     dense = eigen_extremes(trunc)
-    lanczos = eigen_extremes(trunc, dense_cutoff=4)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 4)
+    lanczos = eigen_extremes(trunc)
     assert lanczos.method == "lanczos"
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max), 1.0)
     assert lanczos.lambda_min == pytest.approx(dense.lambda_min, abs=1e-7 * scale)
@@ -151,3 +156,42 @@ def test_lanczos_large_window_reference_ray():
     assert ext.method == "lanczos"
     assert ext.lambda_min <= 2 - k * k
     assert ext.residual <= 1e-8
+
+
+def _path_with_nan_potential(size):
+    vertices = {n: (1.0, math.nan if n == 2 else 0.0, 1.0) for n in range(1, size + 1)}
+    return ExplicitGraph(vertices, {(n, n + 1): (1.0, 1.0 + 0j) for n in range(1, size)})
+
+
+@pytest.mark.parametrize("size, cutoff", [(30, spectral.DENSE_CUTOFF), (5, spectral.DENSE_CUTOFF),
+                                          (30, 4)], ids=["dense-30", "dense-5", "lanczos-30"])
+def test_nan_potential_raises_eigensolve_error(monkeypatch, size, cutoff):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+    trunc = assemble_truncation(_path_with_nan_potential(size), range(1, size + 1))
+    with pytest.raises(EigensolveError):
+        eigen_extremes(trunc)
+
+
+def test_polish_pair_restores_the_contract_on_reference_ray(monkeypatch):
+    # at K=5000 the Lanczos top pair comes back with residual ~6e-9, above the
+    # polish target RESIDUAL_CONTRACT / 2, so exactly one inverse-iteration solve runs
+    solves = []
+    splu = spectral.spla.splu
+
+    def counting_splu(matrix):
+        factor = splu(matrix)
+
+        class Counting:
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return factor.solve(rhs)
+
+        return Counting()
+
+    monkeypatch.setattr(spectral.spla, "splu", counting_splu)
+    k = 5000
+    ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, k + 1)))
+    assert ext.method == "lanczos"
+    assert solves == [(k,)]
+    assert ext.residual <= spectral.RESIDUAL_CONTRACT
+    assert ext.lambda_min <= 2 - k * k
