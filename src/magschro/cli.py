@@ -197,6 +197,8 @@ def _breakdown_payload(b) -> dict:
 
 
 def _cmd_estimate(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     g = _graph_from_args(args)
     x0 = _resolve_vertex(g, args.x0)
     rng = np.random.default_rng(args.seed)

@@ -21,7 +21,9 @@ concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import copy
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Union
@@ -292,13 +294,17 @@ class ExplicitGraph(WeightedGraph):
         if not self._vrec:
             raise GraphStructureError("graph has no vertices")
         for x, rec in self._vrec.items():
+            if not all(math.isfinite(v) for v in rec):
+                raise GraphStructureError(f"vertex {x!r}: w, W and q must be finite, got {tuple(rec)}")
             if not rec.weight > 0:
                 raise GraphStructureError(f"vertex {x!r}: weight must be positive, got {rec.weight}")
-            if rec.minorant < 1:
+            if not rec.minorant >= 1:
                 raise GraphStructureError(f"vertex {x!r}: minorant must be >= 1, got {rec.minorant}")
         for (o, t), data in self._edata.items():
             if o == t:
                 raise GraphStructureError(f"loop at vertex {o!r}")
+            if not (math.isfinite(data.weight) and cmath.isfinite(data.phase)):
+                raise GraphStructureError(f"edge ({o!r}, {t!r}): weight and phase must be finite")
             if not data.weight > 0:
                 raise GraphStructureError(f"edge ({o!r}, {t!r}): weight must be positive")
             if abs(abs(data.phase) - 1.0) > PHASE_TOL:

@@ -141,6 +141,15 @@ def test_estimate_infinite_family_needs_constant(capsys):
     assert "Lipschitz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_estimate_trials_below_one_exits_2(capsys, trials):
+    argv = ["estimate", "--family", "path", "--size", "10", "--trials", trials, "--json", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_budget_exhausted_exits_1(capsys):
     code = main(["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)",
                  "--lipschitz-c", "1", "--trials", "2", "--window", "30", "--budget", "3"])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from magschro.errors import GraphStructureError, InputError, UnknownVertexError
@@ -132,6 +134,32 @@ def test_bad_minorant_rejected():
         ExplicitGraph(
             {1: (1.0, 0.0, 0.5), 2: (1.0, 0.0, 1.0)},
             {(1, 2): (1.0, 1.0 + 0j)},
+        )
+
+
+def test_nan_minorant_and_inf_weight_rejected():
+    # NaN fails every comparison, so unchecked this graph passes `check` with
+    # a minorant violation of 0.0 and a Lipschitz constant of 0.0
+    with pytest.raises(GraphStructureError, match="finite"):
+        ExplicitGraph(
+            {1: (1.0, 0.0, math.nan), 2: (1.0, 0.0, 1.0), 3: (math.inf, 0.0, 1.0)},
+            {(1, 2): (1.0, 1 + 0j), (2, 3): (1.0, 1 + 0j)},
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["w", "W", "q", "a", "phase"])
+def test_non_finite_graph_data_rejected(field, bad):
+    vertex = {"w": 1.0, "W": 0.0, "q": 1.0}
+    edge = {"a": 1.0, "phase": 1.0 + 0j}
+    if field in vertex:
+        vertex[field] = bad
+    else:
+        edge[field] = complex(bad, 0.0) if field == "phase" else bad
+    with pytest.raises(GraphStructureError, match="finite"):
+        ExplicitGraph(
+            {1: (vertex["w"], vertex["W"], vertex["q"]), 2: (1.0, 0.0, 1.0)},
+            {(1, 2): (edge["a"], edge["phase"])},
         )
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from magschro import spectral
 from magschro.errors import EigensolveError, InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import VertexFunction
-from magschro.graphs import ExplicitGraph
 from magschro.operators import schrodinger_apply
 from magschro.randomgraphs import (
     gauge_transformed,
@@ -31,6 +33,7 @@ def test_single_vertex_window():
     assert trunc.dense() == np.array([[-23.0 + 0.0j]])
     ext = eigen_extremes(trunc)
     assert ext.lambda_min == ext.lambda_max == -23.0
+    assert (ext.method, ext.shifts, ext.polish_solves) == ("dense", None, 0)
 
 
 def test_window_validation():
@@ -158,23 +161,57 @@ def test_lanczos_large_window_reference_ray():
     assert ext.residual <= 1e-8
 
 
-def _path_with_nan_potential(size):
-    vertices = {n: (1.0, math.nan if n == 2 else 0.0, 1.0) for n in range(1, size + 1)}
-    return ExplicitGraph(vertices, {(n, n + 1): (1.0, 1.0 + 0j) for n in range(1, size)})
+def _ray_tridiagonal(c, k):
+    """Diagonal and off-diagonal of the ray truncation 1..K with W(n) = c n^2."""
+    n = np.arange(1, k + 1, dtype=float)
+    diag = 2.0 + c * n * n
+    diag[0] -= 1.0
+    return diag, -np.ones(k - 1)
 
 
-@pytest.mark.parametrize("size, cutoff", [(30, spectral.DENSE_CUTOFF), (5, spectral.DENSE_CUTOFF),
-                                          (30, 4)], ids=["dense-30", "dense-5", "lanczos-30"])
+def _ray_reference_extremes(c, k):
+    """Both ends of the ray truncation 1..K, from LAPACK bisection."""
+    diag, off = _ray_tridiagonal(c, k)
+    lo = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
+    hi = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k - 1, k - 1))
+    return float(lo[0]), float(hi[0])
+
+
+@pytest.mark.parametrize("size, cutoff", [(30, 30), (5, 30), (30, 4)],
+                         ids=["dense-30", "dense-5", "lanczos-30"])
 def test_nan_potential_raises_eigensolve_error(monkeypatch, size, cutoff):
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
-    trunc = assemble_truncation(_path_with_nan_potential(size), range(1, size + 1))
-    with pytest.raises(EigensolveError):
+    # graphs reject non-finite data, so the NaN goes into the assembled matrix
+    trunc = assemble_truncation(make_family({"family": "path", "size": size}),
+                                range(1, size + 1))
+    trunc.matrix[1, 1] = math.nan
+    with pytest.raises(EigensolveError, match="non-finite"):
         eigen_extremes(trunc)
 
 
+@pytest.mark.parametrize("k", [5000, 10000])
+def test_lanczos_well_matches_tridiagonal_reference(k):
+    # at K=10000 a shift 1e-3 x the Gershgorin spread out leaves the top pair
+    # above the contract until _polish_pair refines it
+    ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, k + 1)))
+    assert ext.method == "lanczos"
+    assert ext.residual <= spectral.RESIDUAL_CONTRACT
+    assert ext.lambda_min <= 2 - k * k
+    lo, hi = _ray_reference_extremes(-1.0, k)
+    scale = max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= 1e-12 * scale
+    assert abs(ext.lambda_max - hi) <= 1e-12 * scale
+    # each shift lies outside the spectrum and within a few units of its end;
+    # a margin of 1e-3 x the Gershgorin spread would put it 2.5e4 away at K=5000
+    assert 0 < ext.lambda_min - ext.shifts[0] <= 1e-6 * scale
+    assert 0 < ext.shifts[1] - ext.lambda_max <= 1e-6 * scale
+    if k == 5000:
+        assert ext.polish_solves == 0
+
+
 def test_polish_pair_restores_the_contract_on_reference_ray(monkeypatch):
-    # at K=5000 the Lanczos top pair comes back with residual ~6e-9, above the
-    # polish target RESIDUAL_CONTRACT / 2, so exactly one inverse-iteration solve runs
+    # the K=5000 top eigenvector, perturbed to a residual of about 1e-8, comes
+    # back within the polish target after exactly one inverse-iteration solve
     solves = []
     splu = spectral.spla.splu
 
@@ -190,8 +227,72 @@ def test_polish_pair_restores_the_contract_on_reference_ray(monkeypatch):
 
     monkeypatch.setattr(spectral.spla, "splu", counting_splu)
     k = 5000
-    ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, k + 1)))
+    S = assemble_truncation(quadratic_well_ray(), range(1, k + 1)).symmetrized()
+    herm = S.real.tocsr()
+    diag, off = _ray_tridiagonal(-1.0, k)
+    lam, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k - 1, k - 1))
+    lam, vec = float(lam[0]), vecs[:, 0]
+    direction = np.random.default_rng(5).standard_normal(k)
+    direction *= 1e-8 / np.linalg.norm(S @ direction - lam * direction)
+    vec = vec + direction
+
+    def residual(lam, vec):
+        return np.linalg.norm(S @ vec - lam * vec) / np.linalg.norm(vec)
+
+    assert 0.9e-8 <= residual(lam, vec) <= 1.1e-8
+    target = spectral.RESIDUAL_CONTRACT / 2
+    lam, vec, count = spectral._polish_pair(herm, S, lam, vec, target)
+    assert solves == [(k,)] and count == 1
+    assert residual(lam, vec) <= target
+
+
+def test_clustered_free_ray_matches_tridiagonal_reference():
+    # on the free ray at K=10000 the eigenvalue gaps near both ends are ~1e-7
+    k = 10000
+    ext = eigen_extremes(assemble_truncation(make_family({"family": "path-nat"}),
+                                             range(1, k + 1)))
+    lo, hi = _ray_reference_extremes(0.0, k)
     assert ext.method == "lanczos"
-    assert solves == [(k,)]
     assert ext.residual <= spectral.RESIDUAL_CONTRACT
-    assert ext.lambda_min <= 2 - k * k
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= tol
+    assert abs(ext.lambda_max - hi) <= tol
+
+
+def test_gauge_transformed_path_matches_real_path(rng, monkeypatch):
+    dtypes = []
+    eigsh = spectral.spla.eigsh
+
+    def recording_eigsh(matrix, **kwargs):
+        dtypes.append(matrix.dtype)
+        return eigsh(matrix, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", recording_eigsh)
+    k = 3000
+    path = make_family({"family": "path", "size": k})
+    twisted = gauge_transformed(path, random_gauge(rng, path))
+    real = eigen_extremes(assemble_truncation(path, range(1, k + 1)))
+    ext = eigen_extremes(assemble_truncation(twisted, range(1, k + 1)))
+    assert dtypes == [np.float64] * 2 + [np.complex128] * 2
+    assert ext.method == real.method == "lanczos"
+    assert ext.residual <= spectral.RESIDUAL_CONTRACT
+    scale = max(abs(real.lambda_min), abs(real.lambda_max), 1.0)
+    assert ext.lambda_min == pytest.approx(real.lambda_min, abs=1e-8 * scale)
+    assert ext.lambda_max == pytest.approx(real.lambda_max, abs=1e-8 * scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lanczos_agrees_with_dense_on_random_graphs(seed):
+    g = random_connected_graph(np.random.default_rng(seed), min_vertices=5, max_vertices=40)
+    trunc = assemble_truncation(g, g.vertices())
+    dense = eigen_extremes(trunc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "DENSE_CUTOFF", 4)
+        lanczos = eigen_extremes(trunc)
+    assert (dense.method, lanczos.method) == ("dense", "lanczos")
+    # a residual certificate puts a Hermitian eigenvalue within the residual
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max), 1.0)
+    tol = spectral.RESIDUAL_CONTRACT * scale
+    assert abs(lanczos.lambda_min - dense.lambda_min) <= tol
+    assert abs(lanczos.lambda_max - dense.lambda_max) <= tol
