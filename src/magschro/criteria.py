@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import UnknownVertexError
+from .exprlang import power
 from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
                      _resolve_budget, shortest_paths)
@@ -99,11 +102,56 @@ def _window_scan(g, window):
             if ratio > best:
                 best = ratio
                 edge_witness = key
+    return _checks(g, observed, worst, vertex_witness, best, edge_witness)
+
+
+def _checks(g, observed, worst, vertex_witness, best, edge_witness):
     declared = g.degree_bound
     return (DegreeCheck(observed=observed, declared=declared,
                         passed=declared is None or observed <= declared),
             MinorantCheck(worst_violation=float(worst), witness=vertex_witness, passed=worst == 0),
             LipschitzCheck(constant=best, witness=edge_witness))
+
+
+def _settled_scan(g, found):
+    """:func:`_window_scan` over the vertices a window search settled, on its arrays.
+
+    Every settled vertex is interior to the search's window, so its CSR row
+    lists all of its neighbors.  The maxima and witnesses are those of the
+    vertex-ordered walk, computed with the same float operations.  None when
+    an edge would divide by zero, which the walk raises for.
+    """
+    win = found.window
+    settled = np.zeros(len(win.ids), dtype=bool)
+    settled[found.order] = True
+    rows = np.flatnonzero(settled)  # row order is id order
+    observed = int(np.diff(win.indptr)[rows].max())
+
+    gaps = -win.q[rows] - win.W[rows]
+    worst, vertex_witness = 0.0, None
+    if gaps.max() > 0:
+        at = int(np.argmax(gaps))
+        worst, vertex_witness = gaps[at].item(), win.ids[rows[at]].item()
+
+    # each edge once, where the walk meets it: at its smaller end, or at its
+    # settled end when the other lies outside; CSR order is walk order
+    src, dst = win.rows(), win.indices
+    taken = np.flatnonzero(settled[src] & ((dst > src) | ~settled[dst]))
+    o = np.minimum(src[taken], dst[taken])
+    t = np.maximum(src[taken], dst[taken])
+    touched = np.unique(np.concatenate([o, t]))
+    root = np.zeros(len(win.ids))
+    root[touched] = power(win.q[touched], -0.5, len(touched))
+    scale = power(np.minimum(win.w[o], win.w[t]) / win.a[taken], 0.5, len(taken))
+    if not np.all(scale != 0):
+        return None
+    ratios = np.abs(root[t] - root[o]) / scale
+    best, edge_witness = 0.0, None
+    if len(ratios) and ratios.max() > 0:
+        at = int(np.argmax(ratios))
+        best = ratios[at].item()
+        edge_witness = OrientedEdge(win.ids[o[at]].item(), win.ids[t[at]].item())
+    return _checks(g, observed, worst, vertex_witness, best, edge_witness)
 
 
 @dataclass
@@ -136,8 +184,15 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
                               trail_every=_probe_trail_every(budget))
     completeness = _completeness_report(g, x0, budget, explored)
-    window = explored.distances if window is None else set(window)
-    degree, minorant, lipschitz = _window_scan(g, window)
+    checks = None
+    if window is None and explored.method == "window":
+        checks = _settled_scan(g, explored)
+        window_size = len(explored.order)
+    if checks is None:
+        window = explored.distances if window is None else set(window)
+        checks = _window_scan(g, window)
+        window_size = len(window)
+    degree, minorant, lipschitz = checks
     lipschitz_passed = None
     if lipschitz_budget is not None:
         lipschitz_passed = lipschitz.constant <= lipschitz_budget + LIPSCHITZ_TOL
@@ -163,7 +218,7 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
         lipschitz_budget=lipschitz_budget,
         lipschitz_passed=lipschitz_passed,
         completeness=completeness,
-        window_size=len(window),
+        window_size=window_size,
         scope=scope,
         overall=overall,
     )

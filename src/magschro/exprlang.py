@@ -1,6 +1,7 @@
 """Tiny arithmetic expression language for vertex-indexed weights.
 
-Grammar: integer and decimal literals, the variable ``n``, unary minus,
+Grammar: integer and decimal literals with an optional exponent
+(``2``, ``0.5``, ``.5``, ``1e9``, ``2.5E-3``), the variable ``n``, unary minus,
 ``+ - * / ^``, parentheses, and the functions ``sqrt``, ``abs``, ``min``,
 ``max``.  ``^`` is right-associative and binds tighter than unary minus,
 which binds tighter than ``*`` and ``/``, which bind tighter than ``+`` and
@@ -10,7 +11,10 @@ which binds tighter than ``*`` and ``/``, which bind tighter than ``+`` and
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
@@ -64,6 +68,15 @@ def _tokenize(text: str):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
+            if j < len(text) and text[j] in "eE":
+                k = j + 1
+                if k < len(text) and text[k] in "+-":
+                    k += 1
+                if not (k < len(text) and text[k].isdigit()):
+                    raise ExprSyntaxError("exponent without digits in number literal", i)
+                while k < len(text) and text[k].isdigit():
+                    k += 1
+                j = k
             tokens.append(_Token("num", text[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -177,9 +190,19 @@ def eval_expr(node: ExprAst, n) -> float:
     Intermediate values may overflow to inf (``*`` does not raise), but a
     non-finite result raises :class:`ExprEvalError`.
     """
-    value = _eval(node, n)
+    return _evaluate(node, n, "")
+
+
+def _evaluate(node: ExprAst, n, where: str) -> float:
+    """:func:`eval_expr` with ``where`` appended to every error message."""
+    try:
+        value = _eval(node, n)
+    except ZeroDivisionError:
+        raise ExprEvalError(f"division by zero{where}", n) from None
+    except (ValueError, OverflowError) as exc:
+        raise ExprEvalError(f"{exc}{where}", n) from None
     if not math.isfinite(value):
-        raise ExprEvalError(f"non-finite result {value}", n)
+        raise ExprEvalError(f"non-finite result {value}{where}", n)
     return value
 
 
@@ -193,95 +216,122 @@ def _eval(node: ExprAst, n) -> float:
     if isinstance(node, BinOp):
         a = _eval(node.left, n)
         b = _eval(node.right, n)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            return math.pow(a, b)
-        except ZeroDivisionError:
-            raise ExprEvalError("division by zero", n) from None
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(str(exc), n) from None
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return math.pow(a, b)
     if isinstance(node, Call):
         args = [_eval(a, n) for a in node.args]
-        try:
-            if node.func == "sqrt":
-                return math.sqrt(args[0])
-            if node.func == "abs":
-                return abs(args[0])
-            if node.func == "min":
-                return min(args)
-            return max(args)
-        except ValueError as exc:
-            raise ExprEvalError(str(exc), n) from None
+        if node.func == "sqrt":
+            return math.sqrt(args[0])
+        if node.func == "abs":
+            return abs(args[0])
+        if node.func == "min":
+            return min(args)
+        return max(args)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_expr(node: ExprAst):
-    """Compile an expression tree to a plain ``n -> float`` closure.
+#: elements per block of an array evaluation; bounds the Python lists ``^`` builds
+_CHUNK = 1 << 16
 
-    Equivalent to ``eval_expr`` (tested against it) but avoids the dispatch
-    cost, which matters when a lazy graph family evaluates its weight
-    expressions once per visited vertex.  The closure does not check that
-    its result is finite; :func:`compile_text` does.
+
+def power(base, exponent, count):
+    """``base ** exponent`` over ``count`` elements through ``math.pow``, as
+    Python floats compute it; either side may be a scalar.
+
+    numpy's ``power`` differs from ``math.pow`` in the last bit on some
+    inputs (for example ``x ** -0.5`` and ``x ** 2``).
+    """
+    base = base.tolist() if np.ndim(base) else repeat(float(base))
+    exponent = exponent.tolist() if np.ndim(exponent) else repeat(float(exponent))
+    return np.fromiter(map(math.pow, base, exponent), float, count=count)
+
+
+class _Raises(Exception):
+    """Some element of an array evaluation raises under :func:`eval_expr`."""
+
+
+def _eval_array(node: ExprAst, n: np.ndarray):
+    """Element-wise :func:`_eval` over float64 ``n``; a constant stays a scalar.
+
+    Every step is IEEE-identical to the scalar one: ufuncs for ``+ - * /``,
+    ``abs`` and ``sqrt``, :func:`power` for ``^``, and Python's first-wins
+    ``min``/``max``.
+    Where the scalar evaluation would raise, :class:`_Raises` is raised.
     """
     if isinstance(node, Num):
-        c = node.value
-        return lambda n: c
+        return node.value
     if isinstance(node, Var):
-        return float
+        return n
     if isinstance(node, Neg):
-        f = compile_expr(node.operand)
-        return lambda n: -f(n)
+        return np.negative(_eval_array(node.operand, n))
     if isinstance(node, BinOp):
-        fa = compile_expr(node.left)
-        fb = compile_expr(node.right)
-        op = node.op
-        if op == "+":
-            return lambda n: fa(n) + fb(n)
-        if op == "-":
-            return lambda n: fa(n) - fb(n)
-        if op == "*":
-            return lambda n: fa(n) * fb(n)
-        if op == "/":
-            return lambda n: fa(n) / fb(n)
-        return lambda n: math.pow(fa(n), fb(n))
+        a = _eval_array(node.left, n)
+        b = _eval_array(node.right, n)
+        if node.op == "+":
+            return np.add(a, b)
+        if node.op == "-":
+            return np.subtract(a, b)
+        if node.op == "*":
+            return np.multiply(a, b)
+        if node.op == "/":
+            if np.any(b == 0):
+                raise _Raises
+            return np.divide(a, b)
+        try:
+            if np.ndim(a) == 0 and np.ndim(b) == 0:
+                return math.pow(a, b)
+            return power(a, b, len(n))
+        except (ValueError, OverflowError):
+            raise _Raises from None
     if isinstance(node, Call):
-        fs = [compile_expr(a) for a in node.args]
+        args = [_eval_array(a, n) for a in node.args]
         if node.func == "sqrt":
-            f0 = fs[0]
-            return lambda n: math.sqrt(f0(n))
+            if np.any(args[0] < 0):
+                raise _Raises
+            return np.sqrt(args[0])
         if node.func == "abs":
-            f0 = fs[0]
-            return lambda n: abs(f0(n))
-        if node.func == "min":
-            return lambda n: min(f(n) for f in fs)
-        return lambda n: max(f(n) for f in fs)
+            return np.abs(args[0])
+        cur = args[0]
+        for b in args[1:]:
+            cur = np.where(b < cur, b, cur) if node.func == "min" else np.where(b > cur, b, cur)
+        return cur
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def compile_text(text: str):
-    """Parse and compile in one step, wrapping runtime errors uniformly.
+    """Parse ``text`` once and return its evaluator.
 
-    Like :func:`eval_expr`, the evaluator rejects a non-finite result.
+    The evaluator takes an ``int`` (evaluated by :func:`eval_expr`) or an
+    int64 array (evaluated element-wise, bit for bit the same).  Errors are
+    those of :func:`eval_expr` with the text appended; over an array, the one
+    raised is that of the smallest failing element.
     """
-    fn = compile_expr(parse_expr(text))
-    isfinite = math.isfinite
+    node = parse_expr(text)
+    where = f" in {text!r}"
 
     def evaluate(n):
-        try:
-            value = fn(n)
-        except ZeroDivisionError:
-            raise ExprEvalError(f"division by zero in {text!r}", n) from None
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"{exc} in {text!r}", n) from None
-        if not isfinite(value):
-            raise ExprEvalError(f"non-finite result {value} in {text!r}", n)
-        return value
+        if not isinstance(n, np.ndarray):
+            return _evaluate(node, n, where)
+        out = np.empty(len(n))
+        for start in range(0, len(n), _CHUNK):
+            block = n[start:start + _CHUNK]
+            try:
+                with np.errstate(all="ignore"):
+                    values = _eval_array(node, block.astype(float))
+                if not np.all(np.isfinite(values)):
+                    raise _Raises
+            except _Raises:
+                for m in block.tolist():  # errors are rare: find the first one
+                    _evaluate(node, m, where)
+                raise AssertionError(f"array evaluation of {text!r} disagrees with eval_expr")
+            out[start:start + len(block)] = values
+        return out
 
     return evaluate

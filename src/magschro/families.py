@@ -16,11 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import GraphStructureError, InputError, UnknownVertexError
-from .exprlang import compile_text
-from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedGraph
+import numpy as np
 
-_RECORD_CACHE_CAP = 1 << 17
+from .errors import ExprEvalError, GraphStructureError, InputError, UnknownVertexError
+from .exprlang import compile_text
+from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedGraph, Window
+
+#: the size of a ray's first prefix block
+_PREFIX_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,16 @@ class FamilySpec:
 
 
 class PathRayGraph(WeightedGraph):
-    """Lazy half-line graph on the positive integers with edges n ~ n + 1."""
+    """Lazy half-line graph on the positive integers with edges n ~ n + 1.
+
+    The records of 1..N live in a prefix of arrays (w, W, q and a(n) for the
+    edge n ~ n + 1): a first block of ``_PREFIX_MIN`` vertices, extended to
+    each hop window that asks for more, evaluating only the new block.  The
+    prefix ends before the first n where an expression raises or a record
+    is invalid, so such an n is only evaluated, and its error raised, when
+    something touches it.  Vertices beyond the prefix are evaluated one at a
+    time.
+    """
 
     degree_bound = 2
     is_finite = False
@@ -49,13 +61,26 @@ class PathRayGraph(WeightedGraph):
         self._a = compile_text(spec.a)
         self._W = compile_text(spec.W)
         self._q = compile_text(spec.q)
-        self._records = {}
-        self._edge_weights = {}
+        self._prefix = [np.empty(0) for _ in range(4)]  # w, W, q, a for 1..N
+        self._ended = False  # the prefix stops before an invalid n
         self._sample_check()
+        self._grow(_PREFIX_MIN)
+        # the first block again as records, which small searches read as fast as a dict
+        w, W, q, a = (values.tolist() for values in self._prefix)
+        self._head = [VertexData(*rec) for rec in zip(w, W, q)]
+        self._head_neighbors = [_star(x, a[x - 2] if x > 1 else None, a[x - 1])
+                                for x in range(1, len(w) + 1)]
 
     def _sample_check(self):
         samples = list(range(1, 33)) + [1 << k for k in range(6, 21)]
-        for n in samples:
+        ns = np.array(samples)
+        try:
+            w, q, a = self._w(ns), self._q(ns), self._a(ns)
+            if np.all(w > 0) and np.all(q >= 1) and np.all(a > 0):
+                return
+        except ExprEvalError:
+            pass
+        for n in samples:  # raise the error of the first failing sample
             w, q, a = self._w(n), self._q(n), self._a(n)
             if not w > 0:
                 raise InputError(f"family {self.spec.family!r}: w({n}) = {w} is not positive")
@@ -64,51 +89,107 @@ class PathRayGraph(WeightedGraph):
             if not a > 0:
                 raise InputError(f"family {self.spec.family!r}: a({n}) = {a} is not positive")
 
+    def _grow(self, size):
+        """Extend the prefix to 1..size, or to just before the first invalid n."""
+        ns = np.arange(len(self._prefix[0]) + 1, size + 1)
+        while True:
+            try:
+                block = [f(ns) for f in (self._w, self._W, self._q, self._a)]
+                break
+            except ExprEvalError as exc:
+                ns = ns[:exc.n - ns[0]]
+                self._ended = True
+        w, _, q, a = block
+        bad = np.flatnonzero(~((w > 0) & (q >= 1) & (a > 0)))
+        if len(bad):
+            block = [values[:bad[0]] for values in block]
+            self._ended = True
+        for i, values in enumerate(block):
+            self._prefix[i] = np.concatenate([self._prefix[i], values])
+
     def has_vertex(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
     def vertex(self, x) -> VertexData:
-        rec = self._records.get(x)
-        if rec is not None:
-            return rec
+        if type(x) is int and 0 < x <= len(self._head):
+            return self._head[x - 1]
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
+        if x <= len(self._prefix[0]):
+            w, W, q, _ = self._prefix
+            return VertexData(w.item(x - 1), W.item(x - 1), q.item(x - 1))
         w, q = self._w(x), self._q(x)
         if not w > 0:
             raise GraphStructureError(f"w({x}) = {w} is not positive")
         if q < 1:
             raise GraphStructureError(f"q({x}) = {q} is below 1")
-        rec = VertexData(w, self._W(x), q)
-        if len(self._records) >= _RECORD_CACHE_CAP:
-            self._records.clear()
-        self._records[x] = rec
-        return rec
+        return VertexData(w, self._W(x), q)
 
     def _edge_weight(self, lo: int) -> float:
-        a = self._edge_weights.get(lo)
-        if a is None:
-            a = self._a(lo)
-            if not a > 0:
-                raise GraphStructureError(f"a({lo}) = {a} is not positive")
-            if len(self._edge_weights) >= _RECORD_CACHE_CAP:
-                self._edge_weights.clear()
-            self._edge_weights[lo] = a
+        if lo <= len(self._prefix[3]):
+            return self._prefix[3].item(lo - 1)
+        a = self._a(lo)
+        if not a > 0:
+            raise GraphStructureError(f"a({lo}) = {a} is not positive")
         return a
 
     def neighbors(self, x):
+        if type(x) is int and 0 < x <= len(self._head):
+            return self._head_neighbors[x - 1]
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
-        out = []
-        if x > 1:
-            out.append((OrientedEdge(x, x - 1), EdgeData(self._edge_weight(x - 1), 1.0)))
-        out.append((OrientedEdge(x, x + 1), EdgeData(self._edge_weight(x), 1.0)))
-        return out
+        return _star(x, self._edge_weight(x - 1) if x > 1 else None, self._edge_weight(x))
 
     def edge_data(self, e) -> EdgeData:
         o, t = e
         if not (self.has_vertex(o) and self.has_vertex(t) and abs(o - t) == 1):
             raise InputError(f"no edge {o!r} -> {t!r}")
         return EdgeData(self._edge_weight(min(o, t)), 1.0)
+
+    def _covers(self, x, span) -> bool:
+        """Whether the prefix holds ``x`` for a hop window of ``span`` vertices.
+
+        The window extends the prefix to ``x`` while x <= 2 max(N, span), so
+        that the new block costs no more than the window or the prefix
+        already built.  Single calls never extend it: sparse far probes such
+        as the series classifier's must not walk it outward.
+        """
+        size = len(self._prefix[0])
+        if x <= size:
+            return True
+        if self._ended or x > 2 * max(size, span):
+            return False
+        self._grow(x)
+        return x <= len(self._prefix[0])
+
+    def hop_window(self, x0, hops):
+        """The vertices within ``hops`` of ``x0`` as a :class:`Window` sliced
+        from the prefix, or None when the prefix cannot reach ``x0 + hops``."""
+        lo, hi = max(1, x0 - hops), x0 + hops
+        if not self._covers(hi, hi - lo + 1):
+            return None
+        w, W, q, a = (values[lo - 1:hi] for values in self._prefix)
+        m = hi - lo + 1
+        # row i holds i - 1 (if i > 0) and i + 1 (if i < m - 1), so each edge
+        # weight a(lo + i) appears twice in a row, as i -> i + 1 then i + 1 -> i
+        indptr = np.arange(-1, 2 * m, 2, dtype=np.int32)
+        indptr[0], indptr[-1] = 0, 2 * m - 2
+        indices = np.empty(2 * m, dtype=np.int32)
+        indices[0::2] = np.arange(-1, m - 1, dtype=np.int32)
+        indices[1::2] = np.arange(1, m + 1, dtype=np.int32)
+        interior = np.ones(m, dtype=bool)
+        interior[-1] = False
+        interior[0] = lo == 1
+        return Window(ids=np.arange(lo, hi + 1), indptr=indptr, indices=indices[1:-1],
+                      w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
+                      sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
+
+
+def _star(x, below, above):
+    """The neighbor list of ray vertex ``x`` from the weights of its two edges."""
+    out = [(OrientedEdge(x, x - 1), EdgeData(below, 1.0))] if x > 1 else []
+    out.append((OrientedEdge(x, x + 1), EdgeData(above, 1.0)))
+    return out
 
 
 def _finite_family(spec: FamilySpec) -> ExplicitGraph:
@@ -134,20 +215,28 @@ def _finite_family(spec: FamilySpec) -> ExplicitGraph:
         pairs = [(k, child) for k in range(1, size + 1)
                  for child in (2 * k, 2 * k + 1) if child <= size]
 
-    vertices = {}
-    for n in range(1, size + 1):
-        wn, qn = w(n), q(n)
-        if not wn > 0:
-            raise InputError(f"family {spec.family!r}: w({n}) = {wn} is not positive")
-        if qn < 1:
-            raise InputError(f"family {spec.family!r}: q({n}) = {qn} is below 1")
-        vertices[n] = VertexData(wn, W(n), qn)
-    edges = {}
-    for (u, v) in pairs:
-        an = a(min(u, v))
-        if not an > 0:
-            raise InputError(f"family {spec.family!r}: a({min(u, v)}) = {an} is not positive")
-        edges[(u, v)] = EdgeData(an, 1.0)
+    ns = np.arange(1, size + 1)
+    try:
+        wv, Wv, qv = w(ns), W(ns), q(ns)
+        av = a(np.array([min(u, v) for u, v in pairs]))
+        clean = np.all(wv > 0) and np.all(qv >= 1) and np.all(av > 0)
+    except ExprEvalError:
+        clean = False
+    if not clean:  # raise the error of the first failing vertex or edge
+        for n in range(1, size + 1):
+            wn, qn = w(n), q(n)
+            if not wn > 0:
+                raise InputError(f"family {spec.family!r}: w({n}) = {wn} is not positive")
+            if qn < 1:
+                raise InputError(f"family {spec.family!r}: q({n}) = {qn} is below 1")
+            W(n)
+        for (u, v) in pairs:
+            an = a(min(u, v))
+            if not an > 0:
+                raise InputError(f"family {spec.family!r}: a({min(u, v)}) = {an} is not positive")
+    vertices = {n: VertexData(*rec)
+                for n, rec in enumerate(zip(wv.tolist(), Wv.tolist(), qv.tolist()), start=1)}
+    edges = {pair: EdgeData(an, 1.0) for pair, an in zip(pairs, av.tolist())}
     return ExplicitGraph(vertices, edges)
 
 

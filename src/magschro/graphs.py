@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Union
 
+import numpy as np
+
 from .errors import GraphStructureError, InputError, UnknownVertexError
 
 VertexId = Union[int, str]
@@ -181,6 +183,39 @@ class WeightedGraph:
     def edges(self):
         """All normalized edges of a finite graph, sorted."""
         return incident_edges(self, self.vertices())
+
+    def hop_window(self, x0, hops):
+        """The vertices within ``hops`` edges of ``x0`` as a :class:`Window`.
+
+        None when the graph cannot cut one; searches then stay on the
+        neighbor oracle.
+        """
+        return None
+
+
+@dataclass(frozen=True)
+class Window:
+    """A finite vertex set of a graph as arrays, for vectorized passes.
+
+    Vertices are numbered 0..m-1 in id order.  Row i of the CSR adjacency
+    (``indptr``, ``indices``) lists the neighbors of vertex i that lie in the
+    window, sorted, and ``a`` and ``sigma`` hold the data of those oriented
+    edges.  A vertex is interior when all of its neighbors lie in the window.
+    """
+
+    ids: np.ndarray  # int64, increasing
+    indptr: np.ndarray
+    indices: np.ndarray
+    w: np.ndarray
+    W: np.ndarray
+    q: np.ndarray
+    a: np.ndarray  # per CSR entry
+    sigma: np.ndarray  # per CSR entry
+    interior: np.ndarray  # bool per vertex
+
+    def rows(self) -> np.ndarray:
+        """The row (origin vertex) of every CSR entry."""
+        return np.repeat(np.arange(len(self.ids), dtype=self.indices.dtype), np.diff(self.indptr))
 
 
 def incident_edges(g: WeightedGraph, vertices):

@@ -13,15 +13,26 @@ nondecreasing distance order and settled labels are final.
 Every search carries an explicit budget (a hard cap on settled vertices) so
 that lazily generated infinite graphs are only ever explored on finite
 windows, and every result records whether it is complete or truncated.
+
+Searches start on the neighbor oracle (``_Frontier``).  One that is still
+going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
+the graph can cut one (the lazy ray can): arrays searched by
+``scipy.sparse.csgraph.dijkstra``, with the hops doubled until every
+reported vertex is interior to the window.  Both paths settle in the
+frontier's order: by distance, ties by push order, which on a ray is id
+order; where a window cannot show that, the search stays on the oracle.
+``SearchResult.method`` says which path ran.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
+
+import numpy as np
 
 from .errors import BudgetExhaustedError, InputError, UnknownVertexError
 from .functions import VertexFunction
@@ -132,13 +143,56 @@ class _Frontier:
         return None
 
 
-@dataclass
 class SearchResult:
-    distances: dict
-    complete: bool  # the explored region was exhausted (no open frontier left)
-    budget_hit: bool
-    settled_radius: float  # all distances strictly below this value are final
-    trail: list = field(default_factory=list)  # (settled_count, distance) checkpoints
+    """Where a search stopped and what it settled.
+
+    ``distances`` maps each settled vertex to its distance, in settle order.
+    ``method`` names the path that produced it: ``"frontier"`` (Dijkstra over
+    the neighbor oracle) or ``"window"`` (a hop window searched as arrays).
+    A window result keeps its settled vertices as the rows ``order`` of
+    ``window`` and builds ``distances`` only when it is read.
+    """
+
+    def __init__(self, complete, budget_hit, settled_radius, trail, *, distances=None,
+                 window=None, order=None, settled=None):
+        self.complete = complete  # the explored region was exhausted (no open frontier left)
+        self.budget_hit = budget_hit
+        self.settled_radius = settled_radius  # the next frontier distance; all below are final
+        self.trail = trail  # (settled_count, distance) checkpoints
+        self.method = "frontier" if window is None else "window"
+        self.window = window
+        self.order = order
+        self._distances = distances
+        self._settled = settled  # settled distances in settle order
+
+    @property
+    def distances(self) -> dict:
+        if self._distances is None:
+            ids = self.window.ids[self.order].tolist()
+            self._distances = dict(zip(ids, self._settled.tolist()))
+        return self._distances
+
+    def settled_distances(self) -> np.ndarray:
+        """The settled distances in settle order, which is nondecreasing."""
+        if self._settled is None:
+            self._settled = np.fromiter(self._distances.values(), float, len(self._distances))
+        return self._settled
+
+    def get(self, x) -> Optional[float]:
+        """The distance of ``x`` if the search settled it, else None."""
+        if self._distances is not None:
+            return self._distances.get(x)
+        ids = self.window.ids
+        if not (isinstance(x, int) and ids[0] <= x <= ids[-1]):
+            return None
+        row = int(np.searchsorted(ids, x))
+        hit = np.flatnonzero(self.order == row) if ids[row] == x else ()
+        return self._settled[hit[0]].item() if len(hit) else None
+
+
+#: settled vertices after which a search restarts on a hop window, when the
+#: graph can cut one: the measured crossover of the two paths (see ROADMAP)
+WINDOW_MIN = 256
 
 
 def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=None,
@@ -147,25 +201,138 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=Non
 
     Stops when the frontier is exhausted, when every remaining frontier
     vertex is farther than ``radius``, when ``target`` has been settled, or
-    when ``budget`` vertices have been settled, whichever comes first.
+    when ``budget`` vertices have been settled, whichever comes first.  The
+    budget is tested before the radius.
+
+    Once ``WINDOW_MIN`` vertices have settled, a search that is still going
+    restarts on a hop window of the graph if it can cut one (see
+    :func:`_window_search`), or tries again each time the settled count
+    doubles; the result is the same, ties included.
     """
     _check_q_mode(q_mode)
     budget = _resolve_budget(budget)
+    if radius is not None and radius != radius:
+        raise InputError("search radius must not be NaN")
     frontier = _Frontier(g, x0, q_mode)
+    settled = frontier.settled
     trail = []
+    switch = WINDOW_MIN
     while True:
-        if len(frontier.settled) >= budget:
-            return SearchResult(frontier.settled, False, True, frontier.peek_distance(), trail)
+        count = len(settled)
+        if count >= budget:
+            return SearchResult(False, True, frontier.peek_distance(), trail, distances=settled)
         if radius is not None and frontier.peek_distance() > radius:
-            return SearchResult(frontier.settled, True, False, frontier.peek_distance(), trail)
+            return SearchResult(True, False, frontier.peek_distance(), trail, distances=settled)
+        if count == switch:
+            found = _window_search(g, x0, q_mode, budget, radius, target, trail_every, 2 * count)
+            if isinstance(found, SearchResult):
+                return found
+            switch = 2 * count if found is _LATER else None
         step = frontier.settle_next()
         if step is None:
-            return SearchResult(frontier.settled, True, False, math.inf, trail)
+            return SearchResult(True, False, math.inf, trail, distances=settled)
         x, d = step
-        if trail_every and len(frontier.settled) % trail_every == 0:
-            trail.append((len(frontier.settled), d))
+        if trail_every and len(settled) % trail_every == 0:
+            trail.append((len(settled), d))
         if target is not None and x == target:
-            return SearchResult(frontier.settled, False, False, frontier.peek_distance(), trail)
+            return SearchResult(False, False, frontier.peek_distance(), trail, distances=settled)
+
+
+def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
+    """:func:`shortest_paths` on hop windows around ``x0``.
+
+    The hops double until the vertices the search reports are all interior
+    to the window; up to there the window search settles exactly what the
+    frontier would, in the same order, and its next distance is the
+    frontier's.  Returns the :class:`SearchResult`, ``_LATER`` when the
+    graph cannot cut a window that wide yet, or None when the frontier's
+    settle order cannot be read off the window.
+    """
+    while True:
+        found = g.hop_window(x0, hops)  # one window alive at a time
+        if found is None:
+            return _LATER
+        found = _search_window(found, x0, q_mode, budget, radius, target, trail_every)
+        if found is not _WIDER:
+            return found
+        if hops >= budget:  # the settled tree has fewer than budget hops
+            return None
+        hops = min(2 * hops, budget)
+
+
+def _blocks(size, step=1 << 18):
+    """Slices covering range(size): per-entry passes run in blocks to bound temporaries."""
+    return (slice(start, start + step) for start in range(0, size, step))
+
+
+_LATER = object()  # no window yet: try again when twice as many vertices have settled
+_WIDER = object()  # the window search reached a vertex that is not interior
+
+
+def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
+    # imported here: the import costs a few ms and small searches never need it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    m = len(win.ids)
+    rows, cols = win.rows(), win.indices
+    # sqrt(min(w)) / sqrt(a * max(q)) per entry, as _Frontier computes it
+    lengths = np.empty(len(cols))
+    for b in _blocks(len(cols)):
+        r, c = rows[b], cols[b]
+        part = np.minimum(win.w[r], win.w[c])
+        np.sqrt(part, out=part)
+        scale = win.a[b] * np.maximum(win.q[r], win.q[c]) if q_mode == WITH_Q else win.a[b]
+        lengths[b] = part / np.sqrt(scale)
+    if not (np.all(lengths > 0) and np.all(np.diff(win.indptr) > 0)):
+        return None  # a zero-length edge is no edge to csgraph; empty rows defeat reduceat
+    source = int(np.searchsorted(win.ids, x0))
+    dist = dijkstra(csr_matrix((lengths, cols, win.indptr), shape=(m, m)), indices=source)
+    order = np.argsort(dist, kind="stable")  # by distance, then by id
+    ds = dist[order]
+    reach = int(np.searchsorted(ds, math.inf))
+
+    # replay the frontier loop's stop tests: budget, then radius, then
+    # exhaustion, before each settle; the target after it
+    stop = reach if radius is None else min(reach, int(np.searchsorted(ds, radius, side="right")))
+    t = reach
+    if target is not None and isinstance(target, int) and win.ids[0] <= target <= win.ids[-1]:
+        row = int(np.searchsorted(win.ids, target))
+        if win.ids[row] == target:
+            t = int(np.flatnonzero(order == row)[0])
+    if t < budget and t < stop and t < reach:
+        k, complete, budget_hit = t + 1, False, False
+    elif budget <= stop:
+        k, complete, budget_hit = budget, False, True
+    else:
+        k, complete, budget_hit = stop, True, False
+    if not np.all(win.interior[order[:k]]):
+        return _WIDER
+
+    # the frontier settles ties by push order: each vertex is pushed by its
+    # earliest-settled neighbor on a shortest path, in that neighbor's row
+    # order; check that (distance, id) is that order up to the next vertex
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    pusher = np.empty(len(cols), dtype=np.int32)
+    for b in _blocks(len(cols)):
+        part = rank[cols[b]]
+        part[dist[cols[b]] + lengths[b] != dist[rows[b]]] = m
+        pusher[b] = part
+    pusher = np.minimum.reduceat(pusher, win.indptr[:-1])[order]
+    upto = k if k >= reach else int(np.searchsorted(ds, ds[k], side="right"))
+    if np.any(pusher[1:upto] >= np.arange(1, upto)):
+        return None
+    tied = ds[1:upto] == ds[:upto - 1]
+    if np.any(tied & (pusher[1:upto] < pusher[:upto - 1])):
+        return None
+
+    trail = []
+    if trail_every:
+        trail = [(j, float(ds[j - 1])) for j in range(trail_every, k + 1, trail_every)]
+    settled_radius = float(ds[k]) if k < reach else math.inf
+    return SearchResult(complete, budget_hit, settled_radius, trail, window=win,
+                        order=order[:k], settled=ds[:k])
 
 
 def distance(g, x, y, *, q_mode=WITH_Q, budget=None) -> Optional[float]:
@@ -176,8 +343,7 @@ def distance(g, x, y, *, q_mode=WITH_Q, budget=None) -> Optional[float]:
         raise UnknownVertexError(y)
     if x == y:
         return 0.0
-    result = shortest_paths(g, x, q_mode=q_mode, budget=budget, target=y)
-    return result.distances.get(y)
+    return shortest_paths(g, x, q_mode=q_mode, budget=budget, target=y).get(y)
 
 
 @dataclass
@@ -200,7 +366,7 @@ class MetricBall:
 
 def ball(g, x0, radius, *, q_mode=WITH_Q, budget=None) -> MetricBall:
     """All vertices within ``radius`` of ``x0``; flagged incomplete on budget cut."""
-    if radius < 0:
+    if not radius >= 0:
         raise InputError(f"ball radius must be nonnegative, got {radius}")
     result = shortest_paths(g, x0, q_mode=q_mode, budget=budget, radius=radius)
     members = {x: d for x, d in result.distances.items() if d <= radius}
@@ -324,14 +490,15 @@ def _completeness_report(g, x0, budget, result) -> CompletenessReport:
     ``result`` must come from :func:`shortest_paths` with ``budget`` and the
     trail cadence :func:`_probe_trail_every`.
     """
-    dists = result.distances
+    dists = result.settled_distances()
+    count = len(dists)
     radius = result.settled_radius if result.budget_hit else (
-        max(dists.values()) if dists else 0.0)
+        dists[-1].item() if count else 0.0)
     samples = []
-    if dists and radius > 0 and math.isfinite(radius):
+    if count and radius > 0 and math.isfinite(radius):
         for frac in (0.25, 0.5, 0.75, 1.0):
             r = radius * frac
-            samples.append((r, sum(1 for d in dists.values() if d <= r)))
+            samples.append((r, int(np.searchsorted(dists, r, side="right"))))
 
     series = _classify_ray_series(g, WITH_Q) if getattr(g, "is_metric_ray", False) else None
 
@@ -359,7 +526,7 @@ def _completeness_report(g, x0, budget, result) -> CompletenessReport:
     return CompletenessReport(
         x0=x0,
         budget=budget,
-        settled_count=len(dists),
+        settled_count=count,
         settled_radius=radius,
         frontier_open=result.budget_hit,
         ball_sizes=samples,

@@ -81,6 +81,9 @@ def assemble_truncation(g, window) -> TruncatedOperator:
         if not g.has_vertex(x):
             raise UnknownVertexError(x)
     index = {x: i for i, x in enumerate(ordered)}
+    run = _run_rows(g, ordered)
+    if run is not None:
+        return TruncatedOperator(tuple(ordered), index, _assemble_rows(*run), run[0].w[run[1]])
     weights = np.array([g.vertex(x).weight for x in ordered], dtype=float)
 
     rows, cols, vals = [], [], []
@@ -101,6 +104,58 @@ def assemble_truncation(g, window) -> TruncatedOperator:
 
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(ordered), len(ordered)))
     return TruncatedOperator(tuple(ordered), index, matrix, weights)
+
+
+def _run_rows(g, ordered):
+    """A window holding the run of integer ids ``ordered`` among its interior
+    rows, with those rows as a slice, or None."""
+    lo, hi = ordered[0], ordered[-1]
+    if not (isinstance(lo, int) and isinstance(hi, int) and hi - lo == len(ordered) - 1):
+        return None
+    center = lo + (hi - lo) // 2
+    win = g.hop_window(center, hi - center + 1)
+    if win is None or np.any(win.sigma.imag != 0):
+        return None
+    first = int(np.searchsorted(win.ids, lo))
+    rows = slice(first, first + len(ordered))
+    if win.ids[rows.stop - 1] != hi or not np.all(win.interior[rows]):
+        return None
+    return win, rows
+
+
+def _assemble_rows(win, rows):
+    """The truncation matrix on interior ``rows`` of a window with real phases.
+
+    The entries are those of the loop in :func:`assemble_truncation`, bit
+    for bit and in the same order: per row, the in-window couplings in
+    neighbor order, then the diagonal.
+    """
+    size = rows.stop - rows.start
+    starts = win.indptr[rows.start:rows.stop + 1]
+    entries = slice(starts[0], starts[-1])
+    src = win.rows()[entries] - rows.start
+    dst = win.indices[entries] - rows.start
+    a = win.a[entries]
+    w = win.w[rows]
+    # sum a(e) from 0.0 in neighbor order, as the loop does
+    lengths = np.diff(starts)
+    degree = np.zeros(size)
+    for j in range(lengths.max()):
+        has = lengths > j
+        degree[has] += a[starts[:-1][has] - starts[0] + j]
+    coupling = (-a * win.sigma.real[entries]) / w[src]
+    inside = np.flatnonzero((dst >= 0) & (dst < size))
+    src, dst, coupling = src[inside], dst[inside], coupling[inside]
+    # each row's diagonal follows its couplings
+    slots = np.arange(len(inside)) + src
+    diagonal = np.cumsum(np.bincount(src, minlength=size)) + np.arange(size)
+    coo_rows = np.empty(len(inside) + size, dtype=np.int64)
+    coo_cols = np.empty_like(coo_rows)
+    vals = np.empty(len(coo_rows), dtype=complex)
+    coo_rows[slots], coo_cols[slots], vals[slots] = src, dst, coupling
+    coo_rows[diagonal] = coo_cols[diagonal] = np.arange(size)
+    vals[diagonal] = degree / w + win.W[rows]
+    return sp.csr_matrix((vals, (coo_rows, coo_cols)), shape=(size, size))
 
 
 class EigenExtremes(NamedTuple):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from magschro.graphs import EdgeData, ExplicitGraph, VertexData
+
+# property tests replay the same examples on every run and have no deadline
+settings.register_profile("magschro", derandomize=True, deadline=None)
+settings.load_profile("magschro")
 
 
 @pytest.fixture

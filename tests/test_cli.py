@@ -200,3 +200,31 @@ def test_non_finite_graph_file_exits_2(tmp_path, capsys, command, options):
                     ' "edges": [{"u": "a", "v": "b", "a": Infinity}]}')
     assert main([command, "--graph-file", str(path), *options]) == 2
     assert "$.vertices[0].q: expected a finite number" in capsys.readouterr().err
+
+
+def test_nan_radius_exits_2(capsys):
+    code = main(["ball", "--family", "path-nat", "--radius", "nan", "--budget", "3000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ball radius must be nonnegative, got nan" in captured.err
+
+
+def test_exponent_literal_in_family_expression(capsys):
+    assert main(["check", "--family", "path", "--size", "300", "--W", "1e9*n"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert main(["check", "--family", "path", "--size", "300", "--W", "1e+"]) == 2
+    assert "exponent without digits in number literal (at position 0)" in capsys.readouterr().err
+
+
+def test_far_end_inputs(capsys):
+    """Errors beyond the explored window stay silent; far ids stay exact."""
+    assert main(["check", "--family", "path-nat", "--W=1/(n-3000)", "--budget", "2000"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert main(["check", "--family", "path-nat", "--W=1/(n-3000)", "--budget", "10000"]) == 2
+    assert capsys.readouterr().err == "error: division by zero in '1/(n-3000)' (at n=3000)\n"
+    assert main(["distance", "--family", "path-nat", "--from", "100000000000000000000",
+                 "--to", "100000000000000000005"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert main(["check", "--family", "path-nat", "--q", "n^40", "--budget", "5000"]) == 0
+    out = capsys.readouterr().out
+    assert "window: 5000 vertices, scope windowed" in out and "overall: partial" in out

@@ -174,6 +174,8 @@ def test_lipschitz_constant_monotone_in_window():
 
 
 def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
+    # on the frontier path the scan reads the window through the oracle
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
     g = quadratic_well_ray()
     calls = {"vertex": 0, "neighbors": 0}
     for name in calls:
@@ -197,3 +199,36 @@ def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
     # of each of the 2000 edges it takes
     assert calls["vertex"] == 2 * 2000 + 2 * 38 + 2000 + 2000
     assert len(sorts) == 1
+
+
+def test_selfadjointness_criteria_window_path_reads_arrays(monkeypatch):
+    g = quadratic_well_ray()
+    calls = {"vertex": 0, "neighbors": 0}
+    for name in calls:
+        def counting(x, _oracle=getattr(g, name), _name=name):
+            calls[_name] += 1
+            return _oracle(x)
+        monkeypatch.setattr(g, name, counting)
+    scans = []
+    monkeypatch.setattr(criteria, "_window_scan", lambda *args: scans.append(args))
+    report = selfadjointness_criteria(g, 1, budget=5000, lipschitz_budget=1.0)
+    assert report.window_size == 5000 and report.overall == "pass"
+    assert report.lipschitz.constant == 0.5 and tuple(report.lipschitz.witness) == (1, 2)
+    assert scans == []
+    # only the frontier steps before the restart and the series classifier's
+    # 38 edges reach the oracle
+    assert calls["neighbors"] == metric.WINDOW_MIN
+    assert calls["vertex"] == 2 * metric.WINDOW_MIN + 2 * 38
+
+
+@pytest.mark.parametrize("spec, x0", [
+    ({"family": "path-nat", "W": "-(n^2)", "q": "n^2"}, 1),
+    ({"family": "path-nat"}, 50),
+    ({"family": "path-nat", "w": "1 + (n - 400)^2", "a": "1/n", "W": "-3*n", "q": "1 + n/7"}, 300),
+    ({"family": "path-nat", "w": "min(n, 9)", "q": "max(1, 40 - n)", "W": "5 - n"}, 120),
+])
+def test_settled_scan_matches_the_vertex_walk(spec, x0):
+    g = make_family(spec)
+    explored = metric.shortest_paths(g, x0, budget=3000)
+    assert explored.method == "window"
+    assert criteria._settled_scan(g, explored) == criteria._window_scan(g, set(explored.distances))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magschro.errors import ExprEvalError, ExprSyntaxError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
@@ -142,3 +144,84 @@ def test_evaluators_agree_on_non_finite_values():
                 assert exc.value.n == 30
             else:
                 assert evaluate(30) == expected
+
+
+def test_exponent_literals():
+    assert ev("1e9*n", 2) == 2e9
+    assert ev("2.5E-3", 1) == 2.5e-3
+    assert ev(".5e+1", 1) == 5.0
+    assert ev("1e2^2", 1) == 1e4
+    for text in ("1e", "1e+", "1e-", "2 * 3.5e", "1ex"):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.position == text.index(text.split("e")[0].split()[-1])
+    with pytest.raises(ExprEvalError, match="non-finite result inf"):
+        compile_text("1e400")(1)
+
+
+def test_array_evaluation_is_bit_exact_with_scalars():
+    ns = np.arange(1, 200_001)
+    for text in ("-(n^2)", "n^2", "n^-0.5", "(n*n)^0.5", "sqrt(n)/3", "min(n, 7e4) / max(n, 2)",
+                 "abs(1 - n) + 1e-3", "2^(n/50000)", "(1 + 1/n)^n", "4"):
+        values = compile_text(text)(ns)
+        assert values.dtype == np.float64 and values.shape == ns.shape
+        picks = np.r_[0:1000, 1000:200_000:997]
+        expected = [eval_expr(parse_expr(text), int(n)) for n in ns[picks]]
+        assert values[picks].tolist() == expected, text
+
+
+@pytest.mark.parametrize("text, n, message", [
+    ("1/(n-3000)", 3000, "division by zero in '1/(n-3000)'"),
+    ("sqrt(n-70001) + 1/(n-90000)", 1, "math domain error in 'sqrt(n-70001) + 1/(n-90000)'"),
+    ("n^150", 114, "math range error in 'n^150'"),
+    ("(n-5)^-1", 5, "math domain error in '(n-5)^-1'"),
+    ("n^150*n^150", 11, "non-finite result inf in 'n^150*n^150'"),
+])
+def test_array_evaluation_raises_at_the_smallest_failing_n(text, n, message):
+    evaluate = compile_text(text)
+    with pytest.raises(ExprEvalError) as scalar:
+        evaluate(n)
+    with pytest.raises(ExprEvalError) as array:
+        evaluate(np.arange(1, 200_001))
+    assert (array.value.n, str(array.value)) == (scalar.value.n, str(scalar.value)) == (
+        n, f"{message} (at n={n})")
+
+
+_LEAVES = st.sampled_from(["n", "1", "2", "0", "0.5", "1e-3", "(n - 3)", "(n - 30)", "(2 - n)",
+                           "n^150"])
+
+
+def _expressions():
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.sampled_from(["2", "-1", "0.5", "150", "-0.5", "n", "(n - 20)"]))
+            .map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda e: f"-({e})"),
+            st.tuples(st.sampled_from(["sqrt", "abs"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(["min", "max"]), st.lists(inner, min_size=2, max_size=3))
+            .map(lambda t: f"{t[0]}({', '.join(t[1])})"),
+        )
+    return st.recursive(_LEAVES, extend, max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(text=_expressions(), start=st.integers(1, 60), size=st.integers(1, 200))
+def test_array_evaluator_agrees_with_eval_expr(text, start, size):
+    """Zero divisors, negative sqrt arguments and n^150 overflow included."""
+    ast = parse_expr(text)
+    ns = np.arange(start, start + size)
+    expected, error = [], None
+    for n in ns.tolist():
+        try:
+            expected.append(eval_expr(ast, n))
+        except ExprEvalError as exc:
+            error = exc
+            break
+    if error is None:
+        assert compile_text(text)(ns).tobytes() == np.array(expected).tobytes()
+    else:
+        with pytest.raises(ExprEvalError) as exc:
+            compile_text(text)(ns)
+        assert exc.value.n == error.n
+        assert str(exc.value) == str(error).replace(" (at n=", f" in {text!r} (at n=")

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_vertex_graph
+from magschro import criteria, metric
 from magschro.criteria import selfadjointness_criteria
-from magschro.errors import BudgetExhaustedError, InputError
+from magschro.errors import BudgetExhaustedError, InputError, MagschroError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.metric import (
     UNIT_Q,
@@ -271,3 +275,124 @@ def test_budget_must_be_a_positive_integer():
     assert res.distances == {1: 0.0}
     assert res.budget_hit and not res.complete
     assert AnchorFunction(g, 1, budget=1)(1) == 0.0
+
+
+def test_nan_radius_is_an_input_error():
+    g = make_family({"family": "path-nat"})
+    with pytest.raises(InputError, match="must be nonnegative, got nan"):
+        ball(g, 1, math.nan, budget=3000)
+    with pytest.raises(InputError, match="radius must not be NaN"):
+        shortest_paths(g, 1, radius=math.nan)
+    assert len(ball(g, 1, math.inf, budget=3000)) == 3000
+
+
+def _outcome(spec, x0, *, frontier_only, **kwargs):
+    """A search's fields and window checks, or the error it raised."""
+    g = make_family(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        if frontier_only:
+            mp.setattr(metric, "WINDOW_MIN", 10**9)
+        try:
+            res = shortest_paths(g, x0, **kwargs)
+        except MagschroError as exc:
+            return (type(exc), str(exc)), None
+    if res.method == "window":
+        scan = criteria._settled_scan(g, res)
+    else:
+        scan = criteria._window_scan(g, set(res.distances))
+    return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius,
+            res.trail, scan), res.method
+
+
+_RAY_TERMS = st.sampled_from(["n", "1", "2", "0.5", "(n - 7)", "(n - 150)", "1/n", "sqrt(n)"])
+_RAY_EXPR = st.recursive(
+    _RAY_TERMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner)
+        .map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        inner.map(lambda e: f"abs({e})")),
+    max_leaves=4)
+
+
+@settings(max_examples=150)
+@given(w=_RAY_EXPR, a=_RAY_EXPR, W=_RAY_EXPR, q=_RAY_EXPR, x0=st.integers(1, 300),
+       q_mode=st.sampled_from([WITH_Q, UNIT_Q]),
+       stop=st.sampled_from(["budget-1", "budget", "budget+1", "2x", "10x", "radius", "target"]),
+       offset=st.integers(-300, 300), radius=st.floats(0.0, 60.0))
+def test_window_path_matches_the_frontier(w, a, W, q, x0, q_mode, stop, offset, radius):
+    """Random rays; the frontier path is the oracle, the window forced early."""
+    spec = {"family": "path-nat", "w": f"0.25 + ({w})^2", "a": f"1/8 + abs({a})",
+            "W": W, "q": f"1 + ({q})^2"}
+    try:
+        make_family(spec)
+    except MagschroError:
+        return
+    small = 16
+    kwargs = {"q_mode": q_mode, "trail_every": 7, "budget": {
+        "budget-1": small - 1, "budget": small, "budget+1": small + 1, "2x": 2 * small,
+        "10x": 10 * small}.get(stop, 1000)}
+    if stop == "radius":
+        kwargs["radius"] = radius
+    if stop == "target":
+        kwargs["target"] = max(1, x0 + offset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "WINDOW_MIN", small)
+        windowed, method = _outcome(spec, x0, frontier_only=False, **kwargs)
+    expected, _ = _outcome(spec, x0, frontier_only=True, **kwargs)
+    assert windowed == expected
+    if kwargs["budget"] <= small:
+        assert method in ("frontier", None)
+
+
+def test_search_reports_its_path():
+    g = quadratic_well_ray()
+    assert shortest_paths(g, 1, budget=metric.WINDOW_MIN).method == "frontier"
+    assert shortest_paths(g, 1, budget=metric.WINDOW_MIN + 1).method == "window"
+    assert shortest_paths(g, 1, radius=0.5).method == "frontier"
+    free = make_family({"family": "path-nat"})
+    res = shortest_paths(free, 50, budget=9)
+    assert list(res.distances) == [50, 49, 51, 48, 52, 47, 53, 46, 54]
+    # ties on the free ray settle by id, which is the frontier's push order
+    res = shortest_paths(free, 50, budget=5000)
+    assert res.method == "window"
+    assert list(res.distances)[:5] == [50, 49, 51, 48, 52]
+    explicit = random_connected_graph(np.random.default_rng(3), min_vertices=300,
+                                      max_vertices=300)
+    assert shortest_paths(explicit, explicit.vertices()[0]).method == "frontier"
+
+
+def test_tie_broken_by_push_order_stays_on_the_frontier(monkeypatch):
+    # unit-q lengths 1 to the left of 10 and 0.5, 0.5, 2, 2, ... to the right:
+    # 7 and 13 tie at distance 3, and 13 is pushed first because its pusher 12
+    # (distance 1) settles before 7's pusher 8 (distance 2)
+    g = make_family({"family": "path-nat",
+                     "a": "4^(min(max(n-9,0),1) - 2*min(max(n-11,0),1))"})
+    monkeypatch.setattr(metric, "WINDOW_MIN", 2)
+    res = shortest_paths(g, 10, q_mode=UNIT_Q, budget=12)
+    assert res.method == "frontier"
+    assert list(res.distances) == [10, 11, 9, 12, 8, 13, 7, 6, 14, 5, 4, 15]
+
+
+def test_window_search_stops_like_the_frontier():
+    g = quadratic_well_ray()
+    far = shortest_paths(g, 1, target=50_000, budget=60_000, trail_every=10_000)
+    assert far.method == "window" and not far.complete and not far.budget_hit
+    assert len(far.distances) == 50_000
+    assert far.trail == [(k, far.distances[k]) for k in (10_000, 20_000, 30_000, 40_000, 50_000)]
+    assert far.settled_radius == far.distances[50_000] + 1.0 / 50_001
+    assert distance(g, 1, 50_000, budget=60_000) == far.distances[50_000]
+    assert distance(g, 1, 50_000, budget=49_999) is None
+    # the target is settled as the budget-th vertex: the target test comes first
+    exact = shortest_paths(g, 1, target=50_000, budget=50_000)
+    assert not exact.budget_hit and exact.get(50_000) == far.distances[50_000]
+    ball_ = ball(g, 1, 9.0, budget=10**6)
+    assert ball_.complete and len(ball_) == max(ball_.members) and len(ball_) > 1000
+
+
+def test_far_ids_stay_on_the_frontier():
+    g = make_family({"family": "path-nat"})
+    x = 10**20
+    assert distance(g, x, x + 5) == 5.0
+    res = shortest_paths(g, x, budget=500)
+    assert res.method == "frontier" and min(res.distances) == x - 250

@@ -281,7 +281,7 @@ def test_gauge_transformed_path_matches_real_path(rng, monkeypatch):
     assert ext.lambda_max == pytest.approx(real.lambda_max, abs=1e-8 * scale)
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lanczos_agrees_with_dense_on_random_graphs(seed):
     g = random_connected_graph(np.random.default_rng(seed), min_vertices=5, max_vertices=40)
@@ -296,3 +296,30 @@ def test_lanczos_agrees_with_dense_on_random_graphs(seed):
     tol = spectral.RESIDUAL_CONTRACT * scale
     assert abs(lanczos.lambda_min - dense.lambda_min) <= tol
     assert abs(lanczos.lambda_max - dense.lambda_max) <= tol
+
+
+@pytest.mark.parametrize("spec, window", [
+    ({"family": "path-nat", "W": "-(n^2)", "q": "n^2"}, range(1, 2002)),
+    ({"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3 + 1/3", "W": "sqrt(n) - 7"}, range(1, 11)),
+    ({"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3 + 1/3", "W": "sqrt(n) - 7"},
+     range(40, 3000)),
+    ({"family": "path-nat", "w": "n", "a": "3"}, [7]),
+])
+def test_ray_runs_assemble_like_the_loop(spec, window):
+    g = make_family(spec)
+    fast = assemble_truncation(g, window)
+    slow_graph = make_family(spec)
+    slow_graph.hop_window = lambda x0, hops: None
+    slow = assemble_truncation(slow_graph, window)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(fast.matrix, name), getattr(slow.matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fast.weights.tobytes() == slow.weights.tobytes()
+    assert fast.window == slow.window and fast.index == slow.index
+    assert all(type(x) is int for x in fast.window)
+
+
+def test_scattered_ray_windows_use_the_loop():
+    g = quadratic_well_ray()
+    g.hop_window = lambda x0, hops: pytest.fail("a scattered window has no run")
+    assert assemble_truncation(g, [1, 2, 4]).size == 3
