@@ -24,6 +24,8 @@ from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedG
 
 #: the size of a ray's first prefix block
 _PREFIX_MIN = 1024
+#: how many hop windows long a block of the prefix may be to extend it for one
+_REACH = 8
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,16 @@ class PathRayGraph(WeightedGraph):
     def _covers(self, x, span) -> bool:
         """Whether the prefix holds ``x`` for a hop window of ``span`` vertices.
 
-        The window extends the prefix to ``x`` while x <= 2 max(N, span), so
-        that the new block costs no more than the window or the prefix
-        already built.  Single calls never extend it: sparse far probes such
-        as the series classifier's must not walk it outward.
+        The window extends the prefix to ``x`` when the new block is at most
+        ``_REACH`` windows long: a prefix vertex costs about what a window
+        vertex costs, and far less than the oracle search that runs while no
+        window can be cut.  Single calls never extend it: sparse far probes
+        such as the series classifier's must not walk it outward.
         """
         size = len(self._prefix[0])
         if x <= size:
             return True
-        if self._ended or x > 2 * max(size, span):
+        if self._ended or x - size > _REACH * span:
             return False
         self._grow(x)
         return x <= len(self._prefix[0])

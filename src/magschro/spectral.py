@@ -83,7 +83,9 @@ def assemble_truncation(g, window) -> TruncatedOperator:
     index = {x: i for i, x in enumerate(ordered)}
     run = _run_rows(g, ordered)
     if run is not None:
-        return TruncatedOperator(tuple(ordered), index, _assemble_rows(*run), run[0].w[run[1]])
+        win, rows = run
+        return TruncatedOperator(tuple(ordered), index, _assemble_rows(win, rows),
+                                 win.w[rows].copy())
     weights = np.array([g.vertex(x).weight for x in ordered], dtype=float)
 
     rows, cols, vals = [], [], []

@@ -396,3 +396,15 @@ def test_far_ids_stay_on_the_frontier():
     assert distance(g, x, x + 5) == 5.0
     res = shortest_paths(g, x, budget=500)
     assert res.method == "frontier" and min(res.distances) == x - 250
+
+
+def test_far_start_reaches_a_window_later(monkeypatch):
+    spec = {"family": "path-nat", "W": "-(n^2)", "q": "n^2"}
+    res = shortest_paths(make_family(spec), 100_000, budget=20_000)
+    # no window can be cut from the 1024-vertex prefix at first; one is once
+    # the settled count, and with it the window, has grown
+    assert res.method == "window"
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    oracle = shortest_paths(make_family(spec), 100_000, budget=20_000)
+    assert list(res.distances.items()) == list(oracle.distances.items())
+    assert res.settled_radius == oracle.settled_radius
