@@ -11,6 +11,7 @@ which binds tighter than ``*`` and ``/``, which bind tighter than ``+`` and
 from __future__ import annotations
 
 import math
+import operator
 from itertools import repeat
 from typing import NamedTuple
 
@@ -206,34 +207,27 @@ def _evaluate(node: ExprAst, n, where: str) -> float:
     return value
 
 
+#: the scalar operations of ``BinOp`` and one-argument ``Call`` nodes
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": math.pow}
+_UNARY = {"sqrt": math.sqrt, "abs": abs}
+
+
 def _eval(node: ExprAst, n) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    kind = type(node)  # the nodes come from the parser: no subclasses
+    if kind is BinOp:
+        return _BINARY[node.op](_eval(node.left, n), _eval(node.right, n))
+    if kind is Var:
         return float(n)
-    if isinstance(node, Neg):
+    if kind is Num:
+        return node.value
+    if kind is Neg:
         return -_eval(node.operand, n)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, n)
-        b = _eval(node.right, n)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return math.pow(a, b)
-    if isinstance(node, Call):
+    if kind is Call:
         args = [_eval(a, n) for a in node.args]
-        if node.func == "sqrt":
-            return math.sqrt(args[0])
-        if node.func == "abs":
-            return abs(args[0])
-        if node.func == "min":
-            return min(args)
-        return max(args)
+        if node.func in _UNARY:
+            return _UNARY[node.func](args[0])
+        return min(args) if node.func == "min" else max(args)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -24,8 +24,9 @@ from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedG
 
 #: the size of a ray's first prefix block
 _PREFIX_MIN = 1024
-#: how many hop windows long a block of the prefix may be to extend it for one
-_REACH = 8
+#: records kept of vertices and edges past the prefix: a search reads each a
+#: few times in a row, so the dicts are cleared when they reach this size
+_FAR_RECORDS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class PathRayGraph(WeightedGraph):
     prefix ends before the first n where an expression raises or a record
     is invalid, so such an n is only evaluated, and its error raised, when
     something touches it.  Vertices beyond the prefix are evaluated one at a
-    time.
+    time, and the most recent ``_FAR_RECORDS`` of them kept.
     """
 
     degree_bound = 2
@@ -65,6 +66,8 @@ class PathRayGraph(WeightedGraph):
         self._q = compile_text(spec.q)
         self._prefix = [np.empty(0) for _ in range(4)]  # w, W, q, a for 1..N
         self._ended = False  # the prefix stops before an invalid n
+        self._far = {}  # x -> VertexData past the prefix
+        self._far_edges = {}  # n -> a(n) past the prefix
         self._sample_check()
         self._grow(_PREFIX_MIN)
         # the first block again as records, which small searches read as fast as a dict
@@ -113,8 +116,12 @@ class PathRayGraph(WeightedGraph):
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
     def vertex(self, x) -> VertexData:
-        if type(x) is int and 0 < x <= len(self._head):
-            return self._head[x - 1]
+        if type(x) is int:
+            if 0 < x <= len(self._head):
+                return self._head[x - 1]
+            rec = self._far.get(x)
+            if rec is not None:
+                return rec
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
         if x <= len(self._prefix[0]):
@@ -125,14 +132,19 @@ class PathRayGraph(WeightedGraph):
             raise GraphStructureError(f"w({x}) = {w} is not positive")
         if q < 1:
             raise GraphStructureError(f"q({x}) = {q} is below 1")
-        return VertexData(w, self._W(x), q)
+        rec = VertexData(w, self._W(x), q)
+        _keep(self._far, x, rec)
+        return rec
 
     def _edge_weight(self, lo: int) -> float:
         if lo <= len(self._prefix[3]):
             return self._prefix[3].item(lo - 1)
-        a = self._a(lo)
-        if not a > 0:
-            raise GraphStructureError(f"a({lo}) = {a} is not positive")
+        a = self._far_edges.get(lo)
+        if a is None:
+            a = self._a(lo)
+            if not a > 0:
+                raise GraphStructureError(f"a({lo}) = {a} is not positive")
+            _keep(self._far_edges, lo, a)
         return a
 
     def neighbors(self, x):
@@ -152,15 +164,14 @@ class PathRayGraph(WeightedGraph):
         """Whether the prefix holds ``x`` for a hop window of ``span`` vertices.
 
         The window extends the prefix to ``x`` when the new block is at most
-        ``_REACH`` windows long: a prefix vertex costs about what a window
-        vertex costs, and far less than the oracle search that runs while no
-        window can be cut.  Single calls never extend it: sparse far probes
-        such as the series classifier's must not walk it outward.
+        one window long, so that it costs no more than the window.  Single
+        calls never extend it: sparse far probes such as the series
+        classifier's must not walk it outward.
         """
         size = len(self._prefix[0])
         if x <= size:
             return True
-        if self._ended or x - size > _REACH * span:
+        if self._ended or x - size > span:
             return False
         self._grow(x)
         return x <= len(self._prefix[0])
@@ -186,6 +197,12 @@ class PathRayGraph(WeightedGraph):
         return Window(ids=np.arange(lo, hi + 1), indptr=indptr, indices=indices[1:-1],
                       w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
                       sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
+
+
+def _keep(records, key, value):
+    if len(records) >= _FAR_RECORDS:
+        records.clear()
+    records[key] = value
 
 
 def _star(x, below, above):

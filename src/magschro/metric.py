@@ -27,6 +27,7 @@ order; where a window cannot show that, the search stays on the oracle.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -182,12 +183,32 @@ class SearchResult:
         """The distance of ``x`` if the search settled it, else None."""
         if self._distances is not None:
             return self._distances.get(x)
-        ids = self.window.ids
-        if not (isinstance(x, int) and ids[0] <= x <= ids[-1]):
-            return None
-        row = int(np.searchsorted(ids, x))
-        hit = np.flatnonzero(self.order == row) if ids[row] == x else ()
+        row = _row_of(self.window.ids, x)
+        hit = np.flatnonzero(self.order == row) if row is not None else ()
         return self._settled[hit[0]].item() if len(hit) else None
+
+
+def _row_of(ids, x):
+    """The row of the id in ``ids`` that equals ``x``, or None.
+
+    Equal as the frontier compares vertices (``==``, and the hash of a dict
+    key): ``5``, ``np.int64(5)``, ``5.0`` and ``True`` for 1 all find id 5.
+    """
+    if x is None:
+        return None
+    try:
+        n = operator.index(x)
+    except TypeError:
+        try:
+            n = int(x.real)  # floats, numpy scalars, fractions
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            return None
+        if n != x:
+            return None
+    if not int(ids[0]) <= n <= int(ids[-1]):
+        return None
+    row = int(np.searchsorted(ids, n))
+    return row if ids[row] == n else None
 
 
 #: settled vertices after which a search restarts on a hop window, when the
@@ -206,8 +227,8 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=Non
 
     Once ``WINDOW_MIN`` vertices have settled, a search that is still going
     restarts on a hop window of the graph if it can cut one (see
-    :func:`_window_search`), or tries again each time the settled count
-    doubles; the result is the same, ties included.
+    :func:`_window_search`), and otherwise goes on here; the result is the
+    same, ties included.
     """
     _check_q_mode(q_mode)
     budget = _resolve_budget(budget)
@@ -216,18 +237,16 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=Non
     frontier = _Frontier(g, x0, q_mode)
     settled = frontier.settled
     trail = []
-    switch = WINDOW_MIN
     while True:
         count = len(settled)
         if count >= budget:
             return SearchResult(False, True, frontier.peek_distance(), trail, distances=settled)
         if radius is not None and frontier.peek_distance() > radius:
             return SearchResult(True, False, frontier.peek_distance(), trail, distances=settled)
-        if count == switch:
+        if count == WINDOW_MIN:
             found = _window_search(g, x0, q_mode, budget, radius, target, trail_every, 2 * count)
-            if isinstance(found, SearchResult):
+            if found is not None:
                 return found
-            switch = 2 * count if found is _LATER else None
         step = frontier.settle_next()
         if step is None:
             return SearchResult(True, False, math.inf, trail, distances=settled)
@@ -244,14 +263,14 @@ def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
     The hops double until the vertices the search reports are all interior
     to the window; up to there the window search settles exactly what the
     frontier would, in the same order, and its next distance is the
-    frontier's.  Returns the :class:`SearchResult`, ``_LATER`` when the
-    graph cannot cut a window that wide yet, or None when the frontier's
-    settle order cannot be read off the window.
+    frontier's.  Returns the :class:`SearchResult`, or None when the graph
+    cannot cut a window that wide or the frontier's settle order cannot be
+    read off the window.
     """
     while True:
         found = g.hop_window(x0, hops)  # one window alive at a time
         if found is None:
-            return _LATER
+            return None
         found = _search_window(found, x0, q_mode, budget, radius, target, trail_every)
         if found is not _WIDER:
             return found
@@ -265,7 +284,6 @@ def _blocks(size, step=1 << 18):
     return (slice(start, start + step) for start in range(0, size, step))
 
 
-_LATER = object()  # no window yet: try again when twice as many vertices have settled
 _WIDER = object()  # the window search reached a vertex that is not interior
 
 
@@ -296,10 +314,9 @@ def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
     # exhaustion, before each settle; the target after it
     stop = reach if radius is None else min(reach, int(np.searchsorted(ds, radius, side="right")))
     t = reach
-    if target is not None and isinstance(target, int) and win.ids[0] <= target <= win.ids[-1]:
-        row = int(np.searchsorted(win.ids, target))
-        if win.ids[row] == target:
-            t = int(np.flatnonzero(order == row)[0])
+    row = _row_of(win.ids, target)
+    if row is not None:
+        t = int(np.flatnonzero(order == row)[0])
     if t < budget and t < stop and t < reach:
         k, complete, budget_hit = t + 1, False, False
     elif budget <= stop:

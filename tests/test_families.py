@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magschro import families
 from magschro.errors import ExprEvalError, GraphStructureError, InputError
 from magschro.exprlang import eval_expr, parse_expr
 from magschro.families import make_family, quadratic_well_ray
@@ -67,6 +68,21 @@ def test_far_vertices_are_evaluated_singly():
     assert g.vertex(far) == VertexData(1.0, -float(far) ** 2, float(far) ** 2)
     assert g.vertex(size + 1).minorant == float(size + 1) ** 2
     assert prefix_size(g) == size
+
+
+def test_far_records_are_kept_and_bounded():
+    spec = {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3", "W": "1/(n-3000)", "q": "n^2"}
+    g = make_family(spec)
+    for x in range(10**7, 10**7 + 3 * families._FAR_RECORDS):
+        record = g.vertex(x)
+        assert g.vertex(x) is record  # the second read is the kept record
+        assert tuple(record) == tuple(eval_expr(parse_expr(spec[k]), x) for k in ("w", "W", "q"))
+        assert g.edge_data((x, x + 1)).weight == eval_expr(parse_expr(spec["a"]), x)
+        assert len(g._far) <= families._FAR_RECORDS
+        assert len(g._far_edges) <= families._FAR_RECORDS
+    for _ in range(2):  # an error is raised on every read, never kept
+        with pytest.raises(ExprEvalError, match=r"\(at n=3000\)"):
+            g.vertex(3000)
 
 
 @pytest.mark.parametrize("spec, error, message", [

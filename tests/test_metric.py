@@ -398,13 +398,28 @@ def test_far_ids_stay_on_the_frontier():
     assert res.method == "frontier" and min(res.distances) == x - 250
 
 
-def test_far_start_reaches_a_window_later(monkeypatch):
+@pytest.mark.parametrize("x0, method", [(1324, "window"), (3000, "frontier")])
+def test_window_extends_the_prefix_by_at_most_one_window(monkeypatch, x0, method):
+    # the first window has 2 * 512 + 1 vertices: from 1324 it ends 812 past
+    # the 1024-vertex prefix, from 3000 it would end 2488 past it
     spec = {"family": "path-nat", "W": "-(n^2)", "q": "n^2"}
-    res = shortest_paths(make_family(spec), 100_000, budget=20_000)
-    # no window can be cut from the 1024-vertex prefix at first; one is once
-    # the settled count, and with it the window, has grown
-    assert res.method == "window"
+    res = shortest_paths(make_family(spec), x0, budget=2000)
+    assert res.method == method
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
-    oracle = shortest_paths(make_family(spec), 100_000, budget=20_000)
+    oracle = shortest_paths(make_family(spec), x0, budget=2000)
     assert list(res.distances.items()) == list(oracle.distances.items())
     assert res.settled_radius == oracle.settled_radius
+
+
+@pytest.mark.parametrize("target", [np.int64(5000), 5000.0, np.float64(5000.0), 5000.5],
+                         ids=["int64", "float", "float64", "fraction"])
+def test_window_target_compares_like_the_frontier(monkeypatch, target):
+    g = quadratic_well_ray()
+    res = shortest_paths(g, 1, target=target, budget=20_000, trail_every=1000)
+    assert res.method == "window"
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    oracle = shortest_paths(g, 1, target=target, budget=20_000, trail_every=1000)
+    assert (len(res.distances), res.budget_hit, res.settled_radius, res.trail) == (
+        len(oracle.distances), oracle.budget_hit, oracle.settled_radius, oracle.trail)
+    assert res.get(target) == oracle.distances.get(target)
+    assert res.get(np.int64(4000)) == res.get(4000.0) == oracle.distances[4000]
