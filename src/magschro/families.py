@@ -24,9 +24,10 @@ from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedG
 
 #: the size of a ray's first prefix block
 _PREFIX_MIN = 1024
-#: records kept of vertices and edges past the prefix: a search reads each a
-#: few times in a row, so the dicts are cleared when they reach this size
-_FAR_RECORDS = 1 << 10
+#: records kept of vertices and edges past the prefix, where each is evaluated
+#: singly: a search reads each about three times and the window scan after
+#: it once more; the dicts are cleared when they reach this size
+_FAR_RECORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class PathRayGraph(WeightedGraph):
     prefix ends before the first n where an expression raises or a record
     is invalid, so such an n is only evaluated, and its error raised, when
     something touches it.  Vertices beyond the prefix are evaluated one at a
-    time, and the most recent ``_FAR_RECORDS`` of them kept.
+    time, and up to ``_FAR_RECORDS`` of them kept.
     """
 
     degree_bound = 2

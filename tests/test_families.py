@@ -70,7 +70,8 @@ def test_far_vertices_are_evaluated_singly():
     assert prefix_size(g) == size
 
 
-def test_far_records_are_kept_and_bounded():
+def test_far_records_are_kept_and_bounded(monkeypatch):
+    monkeypatch.setattr(families, "_FAR_RECORDS", 64)
     spec = {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3", "W": "1/(n-3000)", "q": "n^2"}
     g = make_family(spec)
     for x in range(10**7, 10**7 + 3 * families._FAR_RECORDS):
