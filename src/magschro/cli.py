@@ -162,7 +162,12 @@ def _cmd_ball(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _graph_from_args(args)
-    sizes = [int(tok) for tok in args.windows.split(",") if tok]
+    sizes = []
+    for tok in filter(None, args.windows.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise InputError(f"--windows: {tok!r} is not an integer window size") from None
     if not sizes:
         raise InputError("--windows must list at least one window size")
     rows = spectral_trend(g, _windows_for(g, sizes), seed=args.seed)
@@ -199,6 +204,8 @@ def _breakdown_payload(b) -> dict:
 def _cmd_estimate(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.window < 1:
+        raise InputError(f"--window must be at least 1, got {args.window}")
     g = _graph_from_args(args)
     x0 = _resolve_vertex(g, args.x0)
     rng = np.random.default_rng(args.seed)

@@ -22,12 +22,8 @@ from .errors import ExprEvalError, GraphStructureError, InputError, UnknownVerte
 from .exprlang import compile_text
 from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedGraph, Window
 
-#: the size of a ray's first prefix block
-_PREFIX_MIN = 1024
-#: records kept of vertices and edges past the prefix, where each is evaluated
-#: singly: a search reads each about three times and the window scan after
-#: it once more; the dicts are cleared when they reach this size
-_FAR_RECORDS = 1 << 17
+#: the records of 1..``_HEAD_SIZE`` that a ray keeps as tuples
+_HEAD_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -43,13 +39,14 @@ class FamilySpec:
 class PathRayGraph(WeightedGraph):
     """Lazy half-line graph on the positive integers with edges n ~ n + 1.
 
-    The records of 1..N live in a prefix of arrays (w, W, q and a(n) for the
-    edge n ~ n + 1): a first block of ``_PREFIX_MIN`` vertices, extended to
-    each hop window that asks for more, evaluating only the new block.  The
-    prefix ends before the first n where an expression raises or a record
-    is invalid, so such an n is only evaluated, and its error raised, when
-    something touches it.  Vertices beyond the prefix are evaluated one at a
-    time, and up to ``_FAR_RECORDS`` of them kept.
+    Hop windows are sliced from one block of arrays over lo..hi (w, W, q and
+    a(n) for the edge n ~ n + 1).  A window that overlaps or touches the
+    block extends it, evaluating only the new flanks; any other window
+    replaces it.  The records of 1..``_HEAD_SIZE`` are also kept as tuples,
+    which small searches read as fast as a dict; past them ``vertex``,
+    ``neighbors`` and ``edge_data`` evaluate the expressions and keep
+    nothing.  An n where an expression raises or a record is invalid has no
+    window over it, so its error is raised only when something reads it.
     """
 
     degree_bound = 2
@@ -65,14 +62,10 @@ class PathRayGraph(WeightedGraph):
         self._a = compile_text(spec.a)
         self._W = compile_text(spec.W)
         self._q = compile_text(spec.q)
-        self._prefix = [np.empty(0) for _ in range(4)]  # w, W, q, a for 1..N
-        self._ended = False  # the prefix stops before an invalid n
-        self._far = {}  # x -> VertexData past the prefix
-        self._far_edges = {}  # n -> a(n) past the prefix
         self._sample_check()
-        self._grow(_PREFIX_MIN)
-        # the first block again as records, which small searches read as fast as a dict
-        w, W, q, a = (values.tolist() for values in self._prefix)
+        self._lo = 1  # the block holds the records of _lo.._lo + len - 1
+        self._block = self._records(1, _HEAD_SIZE)
+        w, W, q, a = (values.tolist() for values in self._block)
         self._head = [VertexData(*rec) for rec in zip(w, W, q)]
         self._head_neighbors = [_star(x, a[x - 2] if x > 1 else None, a[x - 1])
                                 for x in range(1, len(w) + 1)]
@@ -95,57 +88,41 @@ class PathRayGraph(WeightedGraph):
             if not a > 0:
                 raise InputError(f"family {self.spec.family!r}: a({n}) = {a} is not positive")
 
-    def _grow(self, size):
-        """Extend the prefix to 1..size, or to just before the first invalid n."""
-        ns = np.arange(len(self._prefix[0]) + 1, size + 1)
+    def _records(self, lo, hi):
+        """w, W, q and a over lo..hi, cut before the first n where an
+        expression raises or a record is invalid."""
+        ns = np.arange(lo, hi + 1)
         while True:
             try:
                 block = [f(ns) for f in (self._w, self._W, self._q, self._a)]
                 break
             except ExprEvalError as exc:
-                ns = ns[:exc.n - ns[0]]
-                self._ended = True
+                ns = ns[:exc.n - lo]
         w, _, q, a = block
         bad = np.flatnonzero(~((w > 0) & (q >= 1) & (a > 0)))
-        if len(bad):
-            block = [values[:bad[0]] for values in block]
-            self._ended = True
-        for i, values in enumerate(block):
-            self._prefix[i] = np.concatenate([self._prefix[i], values])
+        return [values[:bad[0]] for values in block] if len(bad) else block
 
     def has_vertex(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
     def vertex(self, x) -> VertexData:
-        if type(x) is int:
-            if 0 < x <= len(self._head):
-                return self._head[x - 1]
-            rec = self._far.get(x)
-            if rec is not None:
-                return rec
+        if type(x) is int and 0 < x <= len(self._head):
+            return self._head[x - 1]
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
-        if x <= len(self._prefix[0]):
-            w, W, q, _ = self._prefix
-            return VertexData(w.item(x - 1), W.item(x - 1), q.item(x - 1))
         w, q = self._w(x), self._q(x)
         if not w > 0:
             raise GraphStructureError(f"w({x}) = {w} is not positive")
         if q < 1:
             raise GraphStructureError(f"q({x}) = {q} is below 1")
-        rec = VertexData(w, self._W(x), q)
-        _keep(self._far, x, rec)
-        return rec
+        return VertexData(w, self._W(x), q)
 
     def _edge_weight(self, lo: int) -> float:
-        if lo <= len(self._prefix[3]):
-            return self._prefix[3].item(lo - 1)
-        a = self._far_edges.get(lo)
-        if a is None:
-            a = self._a(lo)
-            if not a > 0:
-                raise GraphStructureError(f"a({lo}) = {a} is not positive")
-            _keep(self._far_edges, lo, a)
+        if lo <= len(self._head):  # a star's last entry is its edge to lo + 1
+            return self._head_neighbors[lo - 1][-1][1].weight
+        a = self._a(lo)
+        if not a > 0:
+            raise GraphStructureError(f"a({lo}) = {a} is not positive")
         return a
 
     def neighbors(self, x):
@@ -161,29 +138,28 @@ class PathRayGraph(WeightedGraph):
             raise InputError(f"no edge {o!r} -> {t!r}")
         return EdgeData(self._edge_weight(min(o, t)), 1.0)
 
-    def _covers(self, x, span) -> bool:
-        """Whether the prefix holds ``x`` for a hop window of ``span`` vertices.
-
-        The window extends the prefix to ``x`` when the new block is at most
-        one window long, so that it costs no more than the window.  Single
-        calls never extend it: sparse far probes such as the series
-        classifier's must not walk it outward.
-        """
-        size = len(self._prefix[0])
-        if x <= size:
-            return True
-        if self._ended or x - size > span:
-            return False
-        self._grow(x)
-        return x <= len(self._prefix[0])
-
     def hop_window(self, x0, hops):
         """The vertices within ``hops`` of ``x0`` as a :class:`Window` sliced
-        from the prefix, or None when the prefix cannot reach ``x0 + hops``."""
+        from the block, or None when an n in that range is invalid or
+        ``x0 + hops`` reaches the largest int64."""
         lo, hi = max(1, x0 - hops), x0 + hops
-        if not self._covers(hi, hi - lo + 1):
+        if hi >= np.iinfo(np.int64).max:  # np.arange(lo, hi + 1) would turn to floats
             return None
-        w, W, q, a = (values[lo - 1:hi] for values in self._prefix)
+        start, block = self._lo, self._block
+        stop = start + len(block[0])  # the block holds start..stop - 1
+        if lo > stop or hi < start - 1:  # disjoint: replace the block
+            start, stop, block = lo, lo, [np.empty(0)] * 4
+        pieces = [block]
+        if lo < start:
+            pieces.insert(0, self._records(lo, start - 1))
+        if hi >= stop:
+            pieces.append(self._records(stop, hi))
+        if len(pieces) > 1:
+            block = [np.concatenate(column) for column in zip(*pieces)]
+            if len(block[0]) < max(hi + 1, stop) - min(lo, start):
+                return None  # an n in lo..hi is invalid
+            self._lo, self._block = min(lo, start), block
+        w, W, q, a = (values[lo - self._lo:hi - self._lo + 1] for values in self._block)
         m = hi - lo + 1
         # row i holds i - 1 (if i > 0) and i + 1 (if i < m - 1), so each edge
         # weight a(lo + i) appears twice in a row, as i -> i + 1 then i + 1 -> i
@@ -198,12 +174,6 @@ class PathRayGraph(WeightedGraph):
         return Window(ids=np.arange(lo, hi + 1), indptr=indptr, indices=indices[1:-1],
                       w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
                       sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
-
-
-def _keep(records, key, value):
-    if len(records) >= _FAR_RECORDS:
-        records.clear()
-    records[key] = value
 
 
 def _star(x, below, above):

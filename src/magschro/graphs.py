@@ -187,8 +187,9 @@ class WeightedGraph:
     def hop_window(self, x0, hops):
         """The vertices within ``hops`` edges of ``x0`` as a :class:`Window`.
 
-        None when the graph cannot cut one; searches then stay on the
-        neighbor oracle.
+        None when the graph cannot cut that window, for instance when one of
+        its records is invalid; searches then stay on the neighbor oracle,
+        which reads records one at a time and raises their errors.
         """
         return None
 

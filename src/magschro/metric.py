@@ -16,9 +16,9 @@ windows, and every result records whether it is complete or truncated.
 
 Searches start on the neighbor oracle (``_Frontier``).  One that is still
 going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
-the graph can cut one (the lazy ray can): arrays searched by
-``scipy.sparse.csgraph.dijkstra``, with the hops doubled until every
-reported vertex is interior to the window.  Both paths settle in the
+the graph can cut one (the lazy ray can, around any base vertex): arrays
+searched by ``scipy.sparse.csgraph.dijkstra``, with the hops doubled until
+every reported vertex is interior to the window.  Both paths settle in the
 frontier's order: by distance, ties by push order, which on a ray is id
 order; where a window cannot show that, the search stays on the oracle.
 ``SearchResult.method`` says which path ran.

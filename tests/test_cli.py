@@ -150,6 +150,23 @@ def test_estimate_trials_below_one_exits_2(capsys, trials):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_estimate_window_below_one_exits_2(capsys, window):
+    argv = ["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)", "--lipschitz-c", "1",
+            "--trials", "2", "--window", window]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--window must be at least 1, got {window}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_spectrum_bad_window_token_exits_2(capsys):
+    assert main(["spectrum", "--family", "path-nat", "--windows", "10,abc"]) == 2
+    captured = capsys.readouterr()
+    assert "--windows: 'abc' is not an integer window size" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_estimate_budget_exhausted_exits_1(capsys):
     code = main(["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)",
                  "--lipschitz-c", "1", "--trials", "2", "--window", "30", "--budget", "3"])

@@ -1,26 +1,54 @@
 import numpy as np
 import pytest
 
-from magschro import families
+from magschro import metric
 from magschro.errors import ExprEvalError, GraphStructureError, InputError
 from magschro.exprlang import eval_expr, parse_expr
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import EdgeData, OrientedEdge, VertexData
+from magschro.metric import shortest_paths
 
 
-def prefix_size(g):
-    return len(g._prefix[0])
+def block_span(g):
+    return g._lo, g._lo + len(g._block[0]) - 1
 
 
 def test_prefix_records_match_single_evaluation():
     spec = {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3", "W": "-(n^2) + sqrt(n)",
             "q": "n^2 + 0.1"}
     g = make_family(spec)
-    assert g.hop_window(1, 5000) is not None and prefix_size(g) >= 5001
-    for x in (1, 2, 3, 777, 4096, 5001):
-        expected = [eval_expr(parse_expr(spec[k]), x) for k in ("w", "W", "q")]
-        assert tuple(g.vertex(x)) == tuple(expected)
-        assert g.edge_data((x + 1, x)).weight == eval_expr(parse_expr(spec["a"]), x)
+    for x0, xs in ((1, (1, 2, 3, 777, 4096, 5000)), (10**6, (10**6 - 5000, 10**6, 10**6 + 4999))):
+        win = g.hop_window(x0, 5000)
+        for x in xs:
+            row = x - win.ids[0]
+            expected = tuple(eval_expr(parse_expr(spec[k]), x) for k in ("w", "W", "q"))
+            assert (win.w[row], win.W[row], win.q[row]) == tuple(g.vertex(x)) == expected
+            weight = eval_expr(parse_expr(spec["a"]), x)
+            assert win.a[2 * row] == g.edge_data((x + 1, x)).weight == weight
+
+
+def test_windows_extend_or_replace_the_block(monkeypatch):
+    g = quadratic_well_ray()
+    evaluated = []
+    w = g._w
+    monkeypatch.setattr(g, "_w", lambda ns: evaluated.extend(np.atleast_1d(ns).tolist()) or w(ns))
+    assert block_span(g) == (1, 1024)
+    g.hop_window(1, 2000)  # overlaps: only the right flank is new
+    assert block_span(g) == (1, 2001) and evaluated == list(range(1025, 2002))
+    evaluated.clear()
+    g.hop_window(3000, 500)  # disjoint: replaces the block
+    assert block_span(g) == (2500, 3500) and evaluated == list(range(2500, 3501))
+    evaluated.clear()
+    g.hop_window(2000, 500)  # touches it on the left
+    assert block_span(g) == (1500, 3500) and evaluated == list(range(1500, 2500))
+    evaluated.clear()
+    win = g.hop_window(2500, 900)  # inside: evaluates nothing
+    assert block_span(g) == (1500, 3500) and evaluated == []
+    assert win.ids.tolist() == list(range(1600, 3401)) and win.q.tolist() == [
+        float(n) ** 2 for n in range(1600, 3401)]
+    assert win.interior.tolist() == [False] + [True] * 1799 + [False]
+    # the records of 1..1024 are read as kept tuples whatever the block holds
+    assert g.vertex(7) == VertexData(1.0, -49.0, 49.0) and evaluated == []
 
 
 def test_hop_window_slices_the_prefix():
@@ -40,21 +68,41 @@ def test_hop_window_slices_the_prefix():
                                                           if e.terminus <= 7]
 
 
-def test_prefix_stops_before_an_expression_error():
+def test_hop_window_stays_within_int64():
+    g = quadratic_well_ray()
+    top = np.iinfo(np.int64).max
+    assert g.hop_window(2**63 - 10, 512) is None  # x0 + hops passes 2**63
+    assert g.hop_window(top - 512, 512) is None
+    win = g.hop_window(top - 513, 512)
+    assert win.ids[-1] == top - 1 and win.ids.dtype == np.int64
+    assert win.q[-1] == float(top - 1) ** 2
+
+
+def test_prefix_stops_before_an_expression_error(monkeypatch):
     g = make_family({"family": "path-nat", "W": "1/(n-3000)"})
     assert g.hop_window(1, 2500) is not None
-    assert g.hop_window(1, 5000) is None
-    assert prefix_size(g) == 2999
+    assert g.hop_window(1, 5000) is None and g.hop_window(2990, 100) is None
+    assert block_span(g) == (1, 2501)
+    assert g.hop_window(10**6, 5000).W[5000] == 1 / (10**6 - 3000)
     assert g.vertex(2999).potential == -1.0
-    with pytest.raises(ExprEvalError) as exc:
-        g.vertex(3000)
-    assert str(exc.value) == "division by zero in '1/(n-3000)' (at n=3000)"
+    for _ in range(2):  # an error is raised on every read, never kept
+        with pytest.raises(ExprEvalError) as exc:
+            g.vertex(3000)
+        assert str(exc.value) == "division by zero in '1/(n-3000)' (at n=3000)"
     assert g.vertex(3001).potential == 1.0
+    # a search whose window would hold 3000 raises the frontier's error
+    with pytest.raises(ExprEvalError, match=r"\(at n=3000\)") as windowed:
+        shortest_paths(g, 2000, budget=5000)
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    with pytest.raises(ExprEvalError) as frontier:
+        shortest_paths(make_family({"family": "path-nat", "W": "1/(n-3000)"}), 2000, budget=5000)
+    assert str(windowed.value) == str(frontier.value)
 
 
 def test_prefix_stops_before_an_invalid_record():
     g = make_family({"family": "path-nat", "w": "abs(n - 3000)"})
-    assert g.hop_window(1, 4000) is None and prefix_size(g) == 2999
+    assert g.hop_window(1, 4000) is None and block_span(g) == (1, 1024)
+    assert g.hop_window(10**6, 100) is not None
     assert g.neighbors(2999)[1] == (OrientedEdge(2999, 3000), EdgeData(1.0, 1.0))
     with pytest.raises(GraphStructureError, match=r"w\(3000\) = 0.0 is not positive"):
         g.vertex(3000)
@@ -63,27 +111,12 @@ def test_prefix_stops_before_an_invalid_record():
 def test_far_vertices_are_evaluated_singly():
     g = quadratic_well_ray()
     assert g.vertex(5) == VertexData(1.0, -25.0, 25.0)
-    size = prefix_size(g)
+    span = block_span(g)
     far = 1 << 45
     assert g.vertex(far) == VertexData(1.0, -float(far) ** 2, float(far) ** 2)
-    assert g.vertex(size + 1).minorant == float(size + 1) ** 2
-    assert prefix_size(g) == size
-
-
-def test_far_records_are_kept_and_bounded(monkeypatch):
-    monkeypatch.setattr(families, "_FAR_RECORDS", 64)
-    spec = {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3", "W": "1/(n-3000)", "q": "n^2"}
-    g = make_family(spec)
-    for x in range(10**7, 10**7 + 3 * families._FAR_RECORDS):
-        record = g.vertex(x)
-        assert g.vertex(x) is record  # the second read is the kept record
-        assert tuple(record) == tuple(eval_expr(parse_expr(spec[k]), x) for k in ("w", "W", "q"))
-        assert g.edge_data((x, x + 1)).weight == eval_expr(parse_expr(spec["a"]), x)
-        assert len(g._far) <= families._FAR_RECORDS
-        assert len(g._far_edges) <= families._FAR_RECORDS
-    for _ in range(2):  # an error is raised on every read, never kept
-        with pytest.raises(ExprEvalError, match=r"\(at n=3000\)"):
-            g.vertex(3000)
+    assert g.vertex(2000).minorant == 2000.0 ** 2
+    assert g.edge_data((far, far + 1)).weight == 1.0
+    assert block_span(g) == span
 
 
 @pytest.mark.parametrize("spec, error, message", [

@@ -316,7 +316,8 @@ _RAY_EXPR = st.recursive(
 
 
 @settings(max_examples=150)
-@given(w=_RAY_EXPR, a=_RAY_EXPR, W=_RAY_EXPR, q=_RAY_EXPR, x0=st.integers(1, 300),
+@given(w=_RAY_EXPR, a=_RAY_EXPR, W=_RAY_EXPR, q=_RAY_EXPR,
+       x0=st.integers(1, 300) | st.integers(10**6, 10**6 + 300),
        q_mode=st.sampled_from([WITH_Q, UNIT_Q]),
        stop=st.sampled_from(["budget-1", "budget", "budget+1", "2x", "10x", "radius", "target"]),
        offset=st.integers(-300, 300), radius=st.floats(0.0, 60.0))
@@ -392,21 +393,18 @@ def test_window_search_stops_like_the_frontier():
 
 def test_far_ids_stay_on_the_frontier():
     g = make_family({"family": "path-nat"})
-    x = 10**20
-    assert distance(g, x, x + 5) == 5.0
-    res = shortest_paths(g, x, budget=500)
-    assert res.method == "frontier" and min(res.distances) == x - 250
+    for x in (10**20, 2**63 - 10):  # windows from 2**63 - 10 would end past int64
+        assert distance(g, x, x + 5) == 5.0
+        res = shortest_paths(g, x, budget=500)
+        assert res.method == "frontier" and min(res.distances) == x - 250
 
 
-@pytest.mark.parametrize("x0, method", [(1324, "window"), (3000, "frontier")])
-def test_window_extends_the_prefix_by_at_most_one_window(monkeypatch, x0, method):
-    # the first window has 2 * 512 + 1 vertices: from 1324 it ends 812 past
-    # the 1024-vertex prefix, from 3000 it would end 2488 past it
-    spec = {"family": "path-nat", "W": "-(n^2)", "q": "n^2"}
-    res = shortest_paths(make_family(spec), x0, budget=2000)
-    assert res.method == method
+@pytest.mark.parametrize("x0", [1324, 3000, 10**7])
+def test_far_starts_take_the_window(monkeypatch, x0):
+    res = shortest_paths(quadratic_well_ray(), x0, budget=2000)
+    assert res.method == "window"
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
-    oracle = shortest_paths(make_family(spec), x0, budget=2000)
+    oracle = shortest_paths(quadratic_well_ray(), x0, budget=2000)
     assert list(res.distances.items()) == list(oracle.distances.items())
     assert res.settled_radius == oracle.settled_radius
 
