@@ -266,7 +266,8 @@ def _cmd_reproduce(args) -> int:
         raise InputError(f"unknown scenario {args.scenario!r}")
     steps, ok = run_reference_scenario(seed=args.seed, identity_graphs=args.graphs)
     for step in steps:
-        print(f"[{'PASS' if step.ok else 'FAIL'}] {step.name}: {step.detail}")
+        print(f"[{'PASS' if step.ok else 'FAIL'}] {step.name}: {step.detail} "
+              f"({step.seconds:.2f} s)")
     print(f"summary: {'all stages pass' if ok else 'FAILURES PRESENT'}")
     return 0 if ok else 1
 

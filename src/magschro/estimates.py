@@ -18,12 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .criteria import lipschitz_best_constant, positive_part
 from .errors import InputError, MinorantViolationError
 from .functions import VertexFunction, norm_w, support_union
-from .graphs import incident_edges
+from .graphs import closure_window, incident_edges
 from .metric import AnchorFunction, WITH_Q
-from .operators import differential, schrodinger_apply, _one_hop_closure
+from .operators import Patch, differential, schrodinger_apply
 
 SLACK_TOL = 1e-10
 
@@ -37,12 +39,10 @@ def _require_real(phi: VertexFunction, name="phi"):
             raise InputError(f"{name} must be real-valued; {name}({x!r}) = {v!r}")
 
 
-def _require_minorant(g, region, context):
-    bad = []
-    for x in region:
-        rec = g.vertex(x)
-        if rec.potential < -rec.minorant:
-            bad.append((x, rec.potential + rec.minorant))
+def _require_minorant(win, context):
+    """Refuse a window where W >= -q fails, naming the failing vertices in id order."""
+    at = np.flatnonzero(win.W < -win.q)
+    bad = list(zip(win.ids[at].tolist(), (win.W[at] + win.q[at]).tolist()))
     if bad:
         raise MinorantViolationError(
             f"{context}: W >= -q fails at {len(bad)} vertex(es), first at "
@@ -59,13 +59,15 @@ def _degree_bound(g, degree_bound):
     return degree_bound
 
 
-def minorant_weighted_energy(g, u: VertexFunction):
+def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     """The squared energy and its per-edge contributions.
 
     Returns ``(value, contributions)`` where contributions maps each
-    normalized edge to min(1/q(o), 1/q(t)) a(e) |du(e)|^2.
+    normalized edge to min(1/q(o), 1/q(t)) a(e) |du(e)|^2.  ``patch``, if
+    given, holds the one-hop closure of the support of u (see
+    :class:`~magschro.operators.Patch`).
     """
-    du = differential(g, u)
+    du = differential(g, u, patch=patch)
     contributions = {}
     total = 0.0
     for k, v in du.items():
@@ -78,10 +80,14 @@ def minorant_weighted_energy(g, u: VertexFunction):
     return total, contributions
 
 
-def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction) -> float:
-    """sqrt of sum over canonical edges of a(e) |du(e)|^2 mean(phi^2)(e)."""
+def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
+                             patch=None) -> float:
+    """sqrt of sum over canonical edges of a(e) |du(e)|^2 mean(phi^2)(e).
+
+    ``patch``, if given, holds the one-hop closure of the support of u.
+    """
     _require_real(phi)
-    du = differential(g, u)
+    du = differential(g, u, patch=patch)
     total = 0.0
     for k, v in du.items():
         avg = (phi(k.origin) ** 2 + phi(k.terminus) ** 2) / 2
@@ -110,13 +116,13 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     since the minorant term absorbs the potential there.
     """
     _require_real(phi)
-    region = _one_hop_closure(g, [phi.support])
-    _require_minorant(g, region, "gradient energy inequality")
+    _require_minorant(closure_window(g, phi.support), "gradient energy inequality")
 
-    energy = weighted_gradient_energy(g, u, phi)
+    patch = Patch(g, closure_window(g, u.support))
+    energy = weighted_gradient_energy(g, u, phi, patch=patch)
     energy_sq = energy ** 2
 
-    Hu = schrodinger_apply(g, u)
+    Hu = schrodinger_apply(g, u, patch=patch)
     op_term = 0
     minorant_term = 0.0
     for x in support_union(Hu, u, phi):
@@ -171,8 +177,8 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
     measured best constant (finite graphs only, where it is global).
     Refuses regions where W >= -q fails, since the bound presumes it.
     """
-    region = _one_hop_closure(g, [u.support])
-    _require_minorant(g, region, "energy bound")
+    patch = Patch(g, closure_window(g, u.support))
+    _require_minorant(patch.window, "energy bound")
 
     degree_bound = _degree_bound(g, degree_bound)
     if lipschitz_constant is None:
@@ -180,9 +186,9 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
             raise InputError("a Lipschitz constant is required on infinite graphs")
         lipschitz_constant = lipschitz_best_constant(g, g.vertices()).constant
 
-    energy_sq, contributions = minorant_weighted_energy(g, u)
+    energy_sq, contributions = minorant_weighted_energy(g, u, patch=patch)
     nu = norm_w(g, u)
-    nHu = norm_w(g, schrodinger_apply(g, u))
+    nHu = norm_w(g, schrodinger_apply(g, u, patch=patch))
     bound = 2.0 * ((2.0 * lipschitz_constant ** 2 * degree_bound + 1.0) * nu ** 2 + nHu * nu)
     slack = bound - energy_sq
     scale = max(energy_sq, bound, 1.0)
@@ -198,20 +204,22 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
 
 
 def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
-                            *, budget=None, anchor_fn: Optional[AnchorFunction] = None):
+                            *, budget=None, anchor_fn: Optional[AnchorFunction] = None,
+                            patch=None):
     """The ramp-weighted symmetry defect at taper radius s.
 
     Sums (1 - P(x)/s)^+ ((Hu)(x) conj(v(x)) - u(x) conj((Hv)(x))) w(x) in
     ascending vertex order, with P the metric distance from x0.  The sum is
     finite because u and v are; vertices outside metric radius s contribute
-    nothing.
+    nothing.  ``patch``, if given, holds the one-hop closure of the
+    supports of u and v.
     """
     if not s > 0:
         raise InputError(f"taper radius must be positive, got {s}")
     if anchor_fn is None:
         anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q, budget=budget)
-    Hu = schrodinger_apply(g, u)
-    Hv = schrodinger_apply(g, v)
+    Hu = schrodinger_apply(g, u, patch=patch)
+    Hv = schrodinger_apply(g, v, patch=patch)
     total = 0
     for x in support_union(Hu, u, Hv, v):
         defect = Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()
@@ -237,9 +245,11 @@ def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *,
                          anchor_fn: Optional[AnchorFunction] = None) -> TaperedDefectReport:
     """Check the tapered defect against its energy bound at radius s."""
     degree_bound = _degree_bound(g, degree_bound)
-    value = tapered_symmetry_defect(g, u, v, x0, s, budget=budget, anchor_fn=anchor_fn)
-    eu = math.sqrt(minorant_weighted_energy(g, u)[0])
-    ev = math.sqrt(minorant_weighted_energy(g, v)[0])
+    patch = Patch(g, closure_window(g, support_union(u, v)))
+    value = tapered_symmetry_defect(g, u, v, x0, s, budget=budget, anchor_fn=anchor_fn,
+                                    patch=patch)
+    eu = math.sqrt(minorant_weighted_energy(g, u, patch=patch)[0])
+    ev = math.sqrt(minorant_weighted_energy(g, v, patch=patch)[0])
     bound = math.sqrt(degree_bound) / s * (norm_w(g, v) * eu + norm_w(g, u) * ev)
     slack = bound - abs(value)
     scale = max(abs(value), bound, 1.0)

@@ -198,13 +198,17 @@ class WeightedGraph:
 class Window:
     """A finite vertex set of a graph as arrays, for vectorized passes.
 
-    Vertices are numbered 0..m-1 in id order.  Row i of the CSR adjacency
-    (``indptr``, ``indices``) lists the neighbors of vertex i that lie in the
-    window, sorted, and ``a`` and ``sigma`` hold the data of those oriented
-    edges.  A vertex is interior when all of its neighbors lie in the window.
+    Vertices are numbered 0..m-1 in id order (:func:`vertex_sort_key`);
+    ``ids`` is an int64 array when every id is an int, else an object array.
+    Row i of the CSR adjacency (``indptr``, ``indices``) lists the neighbors
+    of vertex i that lie in the window, in id order, and ``a`` and ``sigma``
+    hold the data of those oriented edges.  A vertex is interior when all of
+    its neighbors lie in the window.  The data arrays hold the records'
+    numbers as numpy infers them: float64 or complex128 for floats, objects
+    for exact scalars such as ``Fraction`` and ``ComplexRational``.
     """
 
-    ids: np.ndarray  # int64, increasing
+    ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     w: np.ndarray
@@ -217,6 +221,41 @@ class Window:
     def rows(self) -> np.ndarray:
         """The row (origin vertex) of every CSR entry."""
         return np.repeat(np.arange(len(self.ids), dtype=self.indices.dtype), np.diff(self.indptr))
+
+
+def closure_window(g: WeightedGraph, vertices, extra=()) -> Window:
+    """The one-hop closure of ``vertices``, with the vertices ``extra``, as a
+    :class:`Window` read from the neighbor oracle.
+
+    Every vertex of ``vertices`` is interior to it, which is all that a
+    calculus operator on functions supported there needs.
+    """
+    found = set(extra)
+    for x in vertices:
+        found.add(x)
+        found.update(e.terminus for e, _ in g.neighbors(x))
+    ids = sorted(found, key=vertex_sort_key)
+    row = {x: i for i, x in enumerate(ids)}
+    records = [g.vertex(x) for x in ids]
+    indptr, indices, a, sigma, interior = [0], [], [], [], []
+    for x in ids:
+        nbrs = g.neighbors(x)
+        for (_, t), (weight, phase) in nbrs:
+            r = row.get(t)
+            if r is not None:
+                indices.append(r)
+                a.append(weight)
+                sigma.append(phase)
+        interior.append(len(indices) - indptr[-1] == len(nbrs))
+        indptr.append(len(indices))
+    w, W, q = (np.array(column) for column in zip(*records)) if records else [np.empty(0)] * 3
+    # int64 ids when every id is an int that fits, else objects
+    fits = all(type(x) is int and -2**63 <= x < 2**63 for x in ids)
+    id_array = np.empty(len(ids), dtype=np.int64 if fits else object)
+    id_array[:] = ids
+    return Window(ids=id_array, indptr=np.array(indptr, dtype=np.int64),
+                  indices=np.array(indices, dtype=np.int64), w=w, W=W, q=q,
+                  a=np.array(a), sigma=np.array(sigma), interior=np.array(interior, dtype=bool))
 
 
 def incident_edges(g: WeightedGraph, vertices):

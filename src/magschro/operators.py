@@ -1,8 +1,17 @@
 """Phase-deformed differential calculus on weighted graphs.
 
 The operators act on finitely supported functions, so all sums below are
-finite.  Each residual helper evaluates both sides of one defining identity
-and returns the largest pointwise deviation: zero in exact arithmetic, at
+finite.  Each call works on one :class:`Patch`: the window of the graph
+holding the one-hop closure of the vertex supports and the ends of the edge
+support (:func:`~magschro.graphs.closure_window`), read once.  Formulas are
+array expressions over its vertices and numbered edges; sums keep the order
+of the defining loops (``np.add.at`` per vertex, ``cumsum`` across).  Float
+data run in float64, or complex128 when a phase or value is complex; exact
+scalars (``Fraction``, :class:`~magschro.exact.ComplexRational`) go through
+object arrays and keep their exact arithmetic.  Results are Python scalars.
+
+Each residual helper evaluates both sides of one defining identity and
+returns the largest pointwise deviation: zero in exact arithmetic, at
 rounding level in double precision.  With ``relative=True`` the deviation is
 normalized by the magnitude of the terms entering the comparison, which is
 the right yardstick for accumulated floating-point error.
@@ -10,8 +19,14 @@ the right yardstick for accumulated floating-point error.
 
 from __future__ import annotations
 
-from .functions import EdgeFunction, VertexFunction, inner_w, support_union
-from .graphs import edge_sort_key, incident_edges, vertex_sort_key
+from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
+
+from .errors import InputError
+from .functions import EdgeFunction, VertexFunction, inner_w
+from .graphs import OrientedEdge, closure_window
 
 _TINY = 1e-300
 
@@ -22,31 +37,167 @@ def _rel(dev: float, scale: float) -> float:
     return dev / max(scale, _TINY)
 
 
-def _one_hop_closure(g, supports):
-    verts = set()
-    for sup in supports:
-        for x in sup:
-            verts.add(x)
-            verts.update(e.terminus for e, _ in g.neighbors(x))
-    return sorted(verts, key=vertex_sort_key)
+class Patch:
+    """A window of a graph view with its edges numbered and canonically oriented.
+
+    Build one with ``Patch(g, closure_window(g, vertices, ends))`` and pass
+    it as ``patch=`` to share it among calls on functions supported in
+    ``vertices`` and edge functions whose edges end in ``ends``.  The CSR
+    entries with row < column are the window's unoriented edges, in
+    :func:`~magschro.graphs.edge_sort_key` order: edge k joins rows
+    ``o[k] < t[k]``, with ``sigma[k]`` the phase of o -> t.  ``co``, ``ct``,
+    ``ca`` and ``csigma`` are the rows and data of its canonical orientation,
+    which is t -> o where ``flipped`` (None when no edge of the window is).
+    """
+
+    def __init__(self, g, win):
+        self.window, self.flips, self.m = win, g._flipped, len(win.ids)
+        self.row = dict(zip(win.ids.tolist(), range(self.m)))
+        self.rows = win.rows()
+        e = np.flatnonzero(self.rows < win.indices)
+        self.o, self.t, self.sigma = self.rows[e], win.indices[e], win.sigma[e]
+        self.kinds = "".join(a.dtype.kind for a in (win.w, win.W, win.a, win.sigma))
+        flipped = [self.number[k] for k in g._flipped if k in self.number]
+        self.flipped = None
+        if flipped:
+            self.flipped = np.zeros(len(e), dtype=bool)
+            self.flipped[flipped] = True
+            rev = np.lexsort((self.rows, win.indices))  # by (column, row): the reverse entries
+            if not (np.array_equal(win.indices[rev], self.rows)
+                    and np.array_equal(self.rows[rev], win.indices)):
+                raise InputError("a flipped edge of the window has no reverse orientation")
+            e = np.where(self.flipped, rev[e], e)
+        self.co, self.ct, self.ca, self.csigma = self.rows[e], win.indices[e], win.a[e], win.sigma[e]
+        # each canonical edge's terminus, then its origin, in edge order
+        self.ends = np.stack((self.ct, self.co), axis=1).ravel()
+
+    @cached_property
+    def keys(self):
+        """The id-ordered edge of each edge number."""
+        ids = self.window.ids
+        return list(map(OrientedEdge, ids[self.o].tolist(), ids[self.t].tolist()))
+
+    @cached_property
+    def number(self) -> dict:
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    def _filled(self, size, at, values):
+        """``values`` at ``at`` among zeros: objects if the graph or ``values``
+        hold objects, else complex128 if either is complex, else float64.
+
+        Object zeros are ``Fraction(0)``, so that a mean of two of them,
+        (0 + 0) / 2, stays exact instead of turning into the float 0.0.
+        """
+        kinds = self.kinds + values.dtype.kind
+        if "O" in kinds:
+            out = np.full(size, Fraction(0), dtype=object)
+        else:
+            out = np.zeros(size, np.complex128 if "c" in kinds else np.float64)
+        out[at] = values
+        return out
+
+    def vector(self, f: VertexFunction, *, interior=True):
+        """The values of ``f`` by row.  Its support must be interior to the
+        window, or without ``interior``, its values off the window are dropped."""
+        row = self.row
+        rows = np.array([row.get(x, -1) for x in f._values], dtype=np.int64)
+        inside = rows >= 0
+        if interior and not (inside.all() and self.window.interior[rows].all()):
+            raise InputError("the window does not hold the one-hop closure of the support")
+        return self._filled(self.m, rows[inside], np.array(list(f._values.values()))[inside])
+
+    def edge_vector(self, Y: EdgeFunction):
+        """The stored values of ``Y`` (on id-ordered edges) by edge number."""
+        try:
+            at = [self.number[k] for k in Y._values]
+        except KeyError:
+            raise InputError("the window does not hold every edge of the edge function") from None
+        return self._filled(len(self.o), at, np.array(list(Y._values.values())))
+
+    def canonical(self, y, twist):
+        """Edge values on the canonical orientations, from the stored ones."""
+        if self.flipped is None:
+            return y
+        phase = self.sigma if twist == 1 else np.conj(self.sigma) if twist == -1 else 1
+        return np.where(self.flipped, -phase * y, y)
+
+    def star_sums(self, at_terminus, at_origin):
+        """Per-vertex sums over the canonical edges in order, each edge adding
+        ``at_terminus`` at its terminus, then ``at_origin`` at its origin."""
+        values = np.empty(2 * len(self.co), np.result_type(at_terminus, at_origin))
+        values[0::2] = at_terminus
+        values[1::2] = at_origin
+        acc = np.zeros(self.m, values.dtype)
+        np.add.at(acc, self.ends, values)
+        return acc
 
 
-def differential(g, u: VertexFunction, *, conjugate_phase=False) -> EdgeFunction:
+def _patch(g, patch, vertices, edges=()) -> Patch:
+    """``patch``, or the patch of the closure of ``vertices`` and the ends of ``edges``."""
+    if patch is None:
+        return Patch(g, closure_window(g, vertices, [x for k in edges for x in k]))
+    return patch if patch.flips is g._flipped else Patch(g, patch.window)
+
+
+def _vertex_function(P: Patch, values) -> VertexFunction:
+    nz = np.flatnonzero(values != 0)
+    return VertexFunction(dict(zip(P.window.ids[nz].tolist(), values[nz].tolist())))
+
+
+def _max(values):
+    """The running maximum of a loop over ``values`` that starts at 0.0."""
+    return max([0.0, *values.tolist()])
+
+
+def _sum(values):
+    """The sum of a loop that adds ``values`` in order, starting at 0."""
+    return values.cumsum()[-1:].tolist()[0] if len(values) else 0
+
+
+# -- kernels on a patch ---------------------------------------------------------
+
+def _diff(P: Patch, u, conjugate_phase=False):
+    """conj(sigma) u(t) - u(o) (sigma u(t) - u(o) with ``conjugate_phase``) per edge o -> t."""
+    phase = P.sigma if conjugate_phase else np.conj(P.sigma)
+    return phase * u[P.t] - u[P.o]
+
+
+def _codiff(P: Patch, yc, plain=False):
+    """The codifferential of canonical edge values ``yc``."""
+    term = P.ca * yc
+    inflow = term if plain else P.csigma * term
+    return P.star_sums(inflow, -term) / P.window.w
+
+
+def _laplacian(P: Patch, u):
+    win = P.window
+    term = win.a * (u[P.rows] - np.conj(win.sigma) * u[win.indices])
+    acc = np.zeros(len(u), term.dtype)
+    np.add.at(acc, P.rows, term)
+    return acc / win.w
+
+
+def _schrodinger(P: Patch, u):
+    return _laplacian(P, u) + P.window.W * u
+
+
+# -- public operators -----------------------------------------------------------
+
+def differential(g, u: VertexFunction, *, conjugate_phase=False, patch=None) -> EdgeFunction:
     """The deformed differential conj(sigma(e)) u(t(e)) - u(o(e)).
 
     With ``conjugate_phase=True`` the phase field is conjugated first, which
     yields sigma(e) u(t(e)) - u(o(e)); this variant appears on the product
     side of the Leibniz rule.
     """
-    values = {}
-    for k in incident_edges(g, u.support):
-        data = g.edge_data(k)
-        phase = data.phase if conjugate_phase else data.phase.conjugate()
-        values[k] = phase * u(k[1]) - u(k[0])
-    return EdgeFunction(g, values, twist=-1 if conjugate_phase else 1, _normalized=True)
+    P = _patch(g, patch, u._values)
+    values = _diff(P, P.vector(u), conjugate_phase)
+    nz = np.flatnonzero(values != 0).tolist()
+    return EdgeFunction(g, dict(zip(map(P.keys.__getitem__, nz), values[nz].tolist())),
+                        twist=-1 if conjugate_phase else 1, _normalized=True)
 
 
-def codifferential(g, Y: EdgeFunction, *, plain=False) -> VertexFunction:
+def codifferential(g, Y: EdgeFunction, *, plain=False, patch=None) -> VertexFunction:
     """The deformed codifferential, the formal adjoint of the differential.
 
     At a vertex x it collects sigma(e) a(e) Y(e) over canonical edges ending
@@ -54,147 +205,103 @@ def codifferential(g, Y: EdgeFunction, *, plain=False) -> VertexFunction:
     w(x).  With ``plain=True`` the phases are ignored (the classical
     codifferential).
     """
-    acc = {}
-    for k, _ in Y.items():
-        c = g.canonical(k)
-        data = g.edge_data(c)
-        yc = Y.value(c)
-        term = data.weight * yc
-        inflow = term if plain else data.phase * term
-        acc[c.terminus] = acc.get(c.terminus, 0) + inflow
-        acc[c.origin] = acc.get(c.origin, 0) - term
-    return VertexFunction({x: v / g.vertex(x).weight for x, v in acc.items()})
+    P = _patch(g, patch, (), Y._values)
+    return _vertex_function(P, _codiff(P, P.canonical(P.edge_vector(Y), Y.twist), plain))
 
 
-def laplacian(g, u: VertexFunction) -> VertexFunction:
+def laplacian(g, u: VertexFunction, *, patch=None) -> VertexFunction:
     """The phase-deformed (magnetic) graph Laplacian.
 
     (L u)(x) = (1/w(x)) * sum over edges e leaving x of
     a(e) (u(x) - conj(sigma(e)) u(t(e))).  The output is supported on the
     support of u and its one-hop neighborhood.
     """
-    out = {}
-    for x in _one_hop_closure(g, [u.support]):
-        ux = u(x)
-        acc = 0
-        for e, data in g.neighbors(x):
-            acc = acc + data.weight * (ux - data.phase.conjugate() * u(e.terminus))
-        out[x] = acc / g.vertex(x).weight
-    return VertexFunction(out)
+    P = _patch(g, patch, u._values)
+    return _vertex_function(P, _laplacian(P, P.vector(u)))
 
 
-def schrodinger_apply(g, u: VertexFunction) -> VertexFunction:
+def schrodinger_apply(g, u: VertexFunction, *, patch=None) -> VertexFunction:
     """Apply H = laplacian + potential to a finitely supported function."""
-    lap = laplacian(g, u)
-    out = {}
-    for x in support_union(lap, u):
-        out[x] = lap(x) + g.vertex(x).potential * u(x)
-    return VertexFunction(out)
+    P = _patch(g, patch, u._values)
+    return _vertex_function(P, _schrodinger(P, P.vector(u)))
 
 
-def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False) -> float:
+def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
+                     patch=None) -> float:
     """Deviation in the product rule for the conjugate-phase differential.
 
     On every edge, d(uv) computed with conjugated phases must equal
     (du with conjugated phases) * mean(v) + phased-mean(u) * dv.
     """
-    uv = u.pointwise(v)
-    dev = 0.0
-    scale = 0.0
-    for k in incident_edges(g, support_union(u, v)):
-        c = g.canonical(k)
-        phase = g.edge_data(c).phase
-        ut, uo = u(c.terminus), u(c.origin)
-        vt, vo = v(c.terminus), v(c.origin)
-        lhs = phase * uv(c.terminus) - uv(c.origin)
-        first = (phase * ut - uo) * ((vt + vo) / 2)
-        second = ((phase * ut + uo) / 2) * (vt - vo)
-        dev = max(dev, abs(lhs - (first + second)))
-        scale = max(scale, abs(lhs) + abs(first) + abs(second))
+    P = _patch(g, patch, [*u._values, *v._values])
+    uu, vv = P.vector(u), P.vector(v)
+    uv = uu * vv
+    o, t, phase = P.co, P.ct, P.csigma
+    ut, uo, vt, vo = uu[t], uu[o], vv[t], vv[o]
+    lhs = phase * uv[t] - uv[o]
+    first = (phase * ut - uo) * ((vt + vo) / 2)
+    second = ((phase * ut + uo) / 2) * (vt - vo)
+    dev = _max(np.abs(lhs - (first + second)))
+    scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
     return _rel(dev, scale) if relative else dev
 
 
-def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False) -> float:
+def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False,
+                          patch=None) -> float:
     """Deviation in the codifferential product rule.
 
     Vertex-wise, the plain codifferential of (phased-mean(u) * Y) must equal
     u(x) times the deformed codifferential of Y minus half the w-normalized
     star sum of a(e) Y(e) (du with conjugated phases)(e).
     """
-    dY = codifferential(g, Y)
-    # one pass over the sorted keys; each vertex sums its edges in key order
-    lhs_acc = {}
-    corr_acc = {}
-    for k, _ in Y.items():
-        c = g.canonical(k)
-        data = g.edge_data(c)
-        yc = Y.value(c)
-        flow = data.weight * (((data.phase * u(c.terminus) + u(c.origin)) / 2) * yc)
-        corr = data.weight * yc * (data.phase * u(c.terminus) - u(c.origin))
-        lhs_acc[c.terminus] = lhs_acc.get(c.terminus, 0) + flow
-        lhs_acc[c.origin] = lhs_acc.get(c.origin, 0) - flow
-        corr_acc[c.terminus] = corr_acc.get(c.terminus, 0) + corr
-        corr_acc[c.origin] = corr_acc.get(c.origin, 0) + corr
-    dev = 0.0
-    scale = 0.0
-    for x in sorted(lhs_acc, key=vertex_sort_key):
-        wx = g.vertex(x).weight
-        lhs = lhs_acc[x] / wx
-        first = u(x) * dY(x)
-        second = corr_acc[x] / (2 * wx)
-        dev = max(dev, abs(lhs - (first - second)))
-        scale = max(scale, abs(lhs) + abs(first) + abs(second))
+    P = _patch(g, patch, (), Y._values)
+    uu = P.vector(u, interior=False)  # only its values at the ends of Y's edges count
+    yc = P.canonical(P.edge_vector(Y), Y.twist)
+    o, t, phase, a, w = P.co, P.ct, P.csigma, P.ca, P.window.w
+    flow = a * (((phase * uu[t] + uu[o]) / 2) * yc)
+    corr = a * yc * (phase * uu[t] - uu[o])
+    lhs = P.star_sums(flow, -flow) / w
+    first = uu * _codiff(P, yc)
+    second = P.star_sums(corr, corr) / (2 * w)
+    dev = _max(np.abs(lhs - (first - second)))
+    scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
     return _rel(dev, scale) if relative else dev
 
 
-def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False) -> float:
+def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False,
+                         patch=None) -> float:
     """Deviation between (du, Y) in the edge product and (u, codiff Y) in the vertex product."""
-    F = differential(g, u)
-    lhs = 0
-    scale = 0.0
-    for k in sorted({*F.support, *Y.support}, key=edge_sort_key):
-        c = g.canonical(k)
-        term = g.edge_data(c).weight * F.value(c) * Y.value(c).conjugate()
-        lhs = lhs + term
-        scale += abs(term)
-    dY = codifferential(g, Y)
-    rhs = 0
-    for x in support_union(u, dY):
-        term = g.vertex(x).weight * u(x) * dY(x).conjugate()
-        rhs = rhs + term
-        scale += abs(term)
-    dev = abs(lhs - rhs)
+    P = _patch(g, patch, u._values, Y._values)
+    uu = P.vector(u)
+    yc = P.canonical(P.edge_vector(Y), Y.twist)
+    edge_terms = P.ca * P.canonical(_diff(P, uu), 1) * np.conj(yc)
+    vertex_terms = P.window.w * uu * np.conj(_codiff(P, yc))
+    dev = abs(_sum(edge_terms) - _sum(vertex_terms))
+    scale = _sum(np.abs(np.concatenate((edge_terms, vertex_terms))))
     return _rel(dev, scale) if relative else dev
 
 
-def composition_residual(g, u: VertexFunction, *, relative=False) -> float:
+def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) -> float:
     """Deviation between codifferential(differential(u)) and laplacian(u)."""
-    left = codifferential(g, differential(g, u))
-    right = laplacian(g, u)
-    dev = 0.0
-    scale = 0.0
-    for x in support_union(left, right):
-        dev = max(dev, abs(left(x) - right(x)))
-        scale = max(scale, abs(left(x)) + abs(right(x)))
+    P = _patch(g, patch, u._values)
+    uu = P.vector(u)
+    left = _codiff(P, P.canonical(_diff(P, uu), 1))
+    right = _laplacian(P, uu)
+    dev = _max(np.abs(left - right))
+    scale = _max(np.abs(left) + np.abs(right))
     return _rel(dev, scale) if relative else dev
 
 
-def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False) -> float:
+def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
+                      patch=None) -> float:
     """Deviation between (Hu, v) and (u, Hv) in the weighted vertex product."""
-    Hu = schrodinger_apply(g, u)
-    Hv = schrodinger_apply(g, v)
-    lhs = 0
-    scale = 0.0
-    for x in support_union(Hu, v):
-        term = g.vertex(x).weight * Hu(x) * v(x).conjugate()
-        lhs = lhs + term
-        scale += abs(term)
-    rhs = 0
-    for x in support_union(u, Hv):
-        term = g.vertex(x).weight * u(x) * Hv(x).conjugate()
-        rhs = rhs + term
-        scale += abs(term)
-    dev = abs(lhs - rhs)
+    P = _patch(g, patch, [*u._values, *v._values])
+    uu, vv = P.vector(u), P.vector(v)
+    w = P.window.w
+    lhs_terms = w * _schrodinger(P, uu) * np.conj(vv)
+    rhs_terms = w * uu * np.conj(_schrodinger(P, vv))
+    dev = abs(_sum(lhs_terms) - _sum(rhs_terms))
+    scale = _sum(np.abs(np.concatenate((lhs_terms, rhs_terms))))
     return _rel(dev, scale) if relative else dev
 
 

@@ -10,11 +10,13 @@ pass/fail line per stage.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import lipschitz_best_constant, selfadjointness_criteria, semibounded_probe
+from .errors import InputError
 from .estimates import (
     energy_bound_check,
     gradient_energy_inequality,
@@ -40,13 +42,24 @@ class Step:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0  # wall time of the stage
 
 
 def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_TARGET):
-    """Run every stage; returns (steps, all_ok)."""
+    """Run every stage; returns (steps, all_ok), each step with its wall time."""
+    if identity_graphs < 1:
+        raise InputError(f"the identity stage needs at least 1 graph, got {identity_graphs}")
+    steps = []
+    clock = time.perf_counter()
+
+    def add(name, ok, detail):
+        nonlocal clock
+        now = time.perf_counter()
+        steps.append(Step(name, ok, detail, now - clock))
+        clock = now
+
     g = quadratic_well_ray()
     rng = np.random.default_rng(seed)
-    steps = []
 
     # conditions for essential self-adjointness, with an exact completeness verdict
     report = selfadjointness_criteria(g, 1, budget=20_000, lipschitz_budget=1.0)
@@ -54,19 +67,19 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
           and report.completeness.verdict == "complete (exact)"
           and report.minorant.passed
           and report.lipschitz_passed is True)
-    steps.append(Step(
+    add(
         "criteria", ok,
         f"overall={report.overall}, completeness={report.completeness.verdict!r}, "
         f"minorant worst violation {report.minorant.worst_violation}, "
-        f"degree bound {report.degree.observed} <= {report.degree.declared}"))
+        f"degree bound {report.degree.observed} <= {report.degree.declared}")
 
     # best Lipschitz constant over the first ten thousand edges
     lip = lipschitz_best_constant(g, range(1, ORACLE_LADDER + 1))
     ok = abs(lip.constant - 0.5) <= 1e-12 and tuple(lip.witness) == (1, 2)
-    steps.append(Step(
+    add(
         "lipschitz", ok,
         f"C_best = {lip.constant:.6g} with witness edge {tuple(lip.witness)} "
-        f"(admissible budget C = 1)"))
+        f"(admissible budget C = 1)")
 
     # metric against the harmonic-series oracle
     search = shortest_paths(g, 1, q_mode=WITH_Q, budget=metric_target + 100_000,
@@ -82,10 +95,10 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
     d_far = dist.get(metric_target)
     del dist, search
     ok = (max_rel <= 1e-12 and d_far is not None and 13.39 <= d_far <= 13.40)
-    steps.append(Step(
+    add(
         "metric", ok,
         f"max relative error vs harmonic oracle (K <= {ORACLE_LADDER}) = {max_rel:.3e}; "
-        f"d(1,{metric_target}) = {d_far:.6f} > 13 and still growing"))
+        f"d(1,{metric_target}) = {d_far:.6f} > 13 and still growing")
 
     # falling bottom of the truncated spectrum: no lower semibound exists
     rows = spectral_trend(g, [range(1, k + 1) for k in (10, 20, 40)])
@@ -96,10 +109,10 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
     ok = ok and lam40 <= -1598
     probe = semibounded_probe(g, [range(1, k + 1) for k in (10, 20, 40)])
     ok = ok and probe.nonincreasing and "no lower bound" in probe.verdict
-    steps.append(Step(
+    add(
         "spectrum", ok,
         "lambda_min = " + ", ".join(f"{row.lambda_min:.4f} (K={row.size})" for row in rows)
-        + f"; lambda_min(K=40) <= -1598: {lam40 <= -1598}; {probe.verdict}"))
+        + f"; lambda_min(K=40) <= -1598: {lam40 <= -1598}; {probe.verdict}")
 
     # energy bound: the hand case and seeded random functions on a 200-vertex window
     hand = energy_bound_check(g, VertexFunction.delta(1), lipschitz_constant=1.0,
@@ -113,10 +126,10 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
         if not energy_bound_check(g, u, lipschitz_constant=1.0, degree_bound=2).passed:
             failures += 1
     ok = ok and failures == 0
-    steps.append(Step(
+    add(
         "energy", ok,
         f"delta_1 case lhs = {hand.energy_sq}, rhs = {hand.bound}; "
-        f"{failures} violations over 100 random u on the 200-vertex window"))
+        f"{failures} violations over 100 random u on the 200-vertex window")
 
     # localized gradient-energy inequality with tapered cut-off weights
     failures = 0
@@ -128,15 +141,15 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
             if not gradient_energy_inequality(g, u, phi).passed:
                 failures += 1
             trials += 1
-    steps.append(Step(
+    add(
         "energy-localization", failures == 0,
-        f"{failures} violations over {trials} random (u, taper) pairs, n in {{1, 2, 4, 8}}"))
+        f"{failures} violations over {trials} random (u, taper) pairs, n in {{1, 2, 4, 8}}")
 
     # cut-off properties for n = 1..20
     bad = [n for n in range(1, 21) if not cutoff_property_check(g, 1, n).ok]
-    steps.append(Step(
+    add(
         "cutoffs", not bad,
-        "all properties hold for n = 1..20" if not bad else f"failures at n = {bad}"))
+        "all properties hold for n = 1..20" if not bad else f"failures at n = {bad}")
 
     # tapered symmetry defect: dyadic bound sweep plus the large-radius limit
     anchor_fn = AnchorFunction(g, 1)
@@ -163,18 +176,18 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
         if abs(far) > DEFECT_TOL * scale or abs(plain) > DEFECT_TOL * scale:
             limit_failures += 1
     ok = sweep_failures == 0 and limit_failures == 0
-    steps.append(Step(
+    add(
         "tapered-defect", ok,
         f"{sweep_failures} bound violations over {pairs} pairs x 8 radii; "
-        f"{limit_failures} large-radius limits above {DEFECT_TOL:g} x scale"))
+        f"{limit_failures} large-radius limits above {DEFECT_TOL:g} x scale")
 
     # identity suites on random graphs
     ident = identity_suite(seed=seed, graphs=identity_graphs)
     sq = square_average_suite(seed=seed, samples=10_000)
     ok = ident.passed and sq.passed
-    steps.append(Step(
+    add(
         "identities", ok,
         f"all identity suites pass: worst relative residual {ident.worst:.3e} over "
-        f"{ident.graphs} graphs; square-average violations {sq.violations}/{sq.samples}"))
+        f"{ident.graphs} graphs; square-average violations {sq.violations}/{sq.samples}")
 
     return steps, all(step.ok for step in steps)

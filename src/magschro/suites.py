@@ -7,8 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .functions import edge_average
+from .graphs import closure_window
 from .operators import (
+    Patch,
     adjointness_residual,
     composition_residual,
     leibniz_residual,
@@ -44,9 +47,15 @@ def identity_suite(*, seed=42, graphs=200, max_vertices=40) -> IdentitySuiteResu
     """Run all five identity residuals on seeded random graphs.
 
     Each graph gets random complex vertex functions u, v and a random edge
-    function Y; the result records the largest relative residual seen per
+    function Y; the five residuals share one patch of the graph, the
+    one-hop closure of the supports of u and v with the ends of the edges
+    of Y.  The result records the largest relative residual seen per
     identity.
     """
+    if graphs < 1:
+        raise InputError(f"the identity suite needs at least 1 graph, got {graphs}")
+    if max_vertices < 4:
+        raise InputError(f"random graphs have at least 4 vertices; max_vertices={max_vertices}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     result = IdentitySuiteResult(graphs=graphs, seed=seed)
@@ -57,14 +66,18 @@ def identity_suite(*, seed=42, graphs=200, max_vertices=40) -> IdentitySuiteResu
         u = random_vertex_function(rng, g)
         v = random_vertex_function(rng, g)
         Y = random_edge_function(rng, g)
-        worst["leibniz"] = max(worst["leibniz"], leibniz_residual(g, u, v, relative=True))
+        patch = Patch(g, closure_window(g, [*u._values, *v._values],
+                                        [x for k in Y._values for x in k]))
+        worst["leibniz"] = max(worst["leibniz"],
+                               leibniz_residual(g, u, v, relative=True, patch=patch))
         worst["product-rule"] = max(worst["product-rule"],
-                                    product_rule_residual(g, u, Y, relative=True))
+                                    product_rule_residual(g, u, Y, relative=True, patch=patch))
         worst["adjointness"] = max(worst["adjointness"],
-                                   adjointness_residual(g, u, Y, relative=True))
+                                   adjointness_residual(g, u, Y, relative=True, patch=patch))
         worst["composition"] = max(worst["composition"],
-                                   composition_residual(g, u, relative=True))
-        worst["symmetry"] = max(worst["symmetry"], symmetry_residual(g, u, v, relative=True))
+                                   composition_residual(g, u, relative=True, patch=patch))
+        worst["symmetry"] = max(worst["symmetry"],
+                                symmetry_residual(g, u, v, relative=True, patch=patch))
     result.residuals = worst
     result.elapsed = time.perf_counter() - start
     return result
@@ -83,6 +96,8 @@ class SquareAverageResult:
 
 def square_average_suite(*, seed=7, samples=10_000) -> SquareAverageResult:
     """mean(phi)^2 <= mean(phi^2) on random real functions and edges."""
+    if samples < 1:
+        raise InputError(f"the square-average suite needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = float("inf")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from magschro.cli import main
+from magschro.errors import InputError
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -245,3 +246,37 @@ def test_far_end_inputs(capsys):
     assert main(["check", "--family", "path-nat", "--q", "n^40", "--budget", "5000"]) == 0
     out = capsys.readouterr().out
     assert "window: 5000 vertices, scope windowed" in out and "overall: partial" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-identities", "--graphs", "-3"], "needs at least 1 graph, got -3"),
+    (["verify-identities", "--graphs", "0"], "needs at least 1 graph, got 0"),
+    (["verify-identities", "--max-vertices", "3"], "max_vertices=3"),
+    (["reproduce", "paper-example", "--graphs", "0"], "needs at least 1 graph, got 0"),
+], ids=["identities-negative", "identities-0", "max-vertices-3", "reproduce-0"])
+def test_suite_sizes_below_minimum_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_square_average_suite_needs_a_sample():
+    from magschro.suites import square_average_suite
+
+    with pytest.raises(InputError, match="at least 1 sample, got 0"):
+        square_average_suite(samples=0)
+
+
+def test_reproduce_lines_carry_stage_times(capsys, monkeypatch):
+    from magschro import cli
+    from magschro.reference import Step
+
+    steps = [Step("criteria", True, "overall=pass", 1.234), Step("metric", False, "d = 13", 0.5)]
+    monkeypatch.setattr(cli, "run_reference_scenario", lambda **kw: (steps, False))
+    assert main(["reproduce", "paper-example"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criteria: overall=pass (1.23 s)",
+        "[FAIL] metric: d = 13 (0.50 s)",
+        "summary: FAILURES PRESENT",
+    ]
