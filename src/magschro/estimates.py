@@ -25,7 +25,7 @@ from .errors import InputError, MinorantViolationError
 from .functions import VertexFunction, norm_w, support_union
 from .graphs import closure_window, incident_edges
 from .metric import AnchorFunction, WITH_Q
-from .operators import Patch, differential, schrodinger_apply
+from .operators import Patch, schrodinger_apply
 
 SLACK_TOL = 1e-10
 
@@ -59,6 +59,22 @@ def _degree_bound(g, degree_bound):
     return degree_bound
 
 
+def _gradient(g, u: VertexFunction, patch):
+    """The patch, the numbers of its edges where du is nonzero, and |du|^2 there.
+
+    |du|^2 is taken of the Python scalars, as the differential returns them.
+    """
+    P = patch or Patch(g, closure_window(g, u.support))
+    du = P.differential(P.vector(u))
+    at = np.flatnonzero(du != 0)
+    return P, at, np.array([abs(v) ** 2 for v in du[at].tolist()])
+
+
+def _total(terms) -> float:
+    """The sum of ``terms`` added in order to 0.0."""
+    return float(terms.cumsum()[-1]) if len(terms) else 0.0
+
+
 def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     """The squared energy and its per-edge contributions.
 
@@ -67,17 +83,10 @@ def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     given, holds the one-hop closure of the support of u (see
     :class:`~magschro.operators.Patch`).
     """
-    du = differential(g, u, patch=patch)
-    contributions = {}
-    total = 0.0
-    for k, v in du.items():
-        ro = g.vertex(k.origin)
-        rt = g.vertex(k.terminus)
-        qinv = 1.0 / max(ro.minorant, rt.minorant)
-        term = qinv * g.edge_data(k).weight * abs(v) ** 2
-        contributions[tuple(k)] = term
-        total += term
-    return total, contributions
+    P, at, du2 = _gradient(g, u, patch)
+    q = P.window.q
+    terms = 1.0 / np.maximum(q[P.o[at]], q[P.t[at]]) * P.ca[at] * du2
+    return _total(terms), dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist()))
 
 
 def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
@@ -87,12 +96,10 @@ def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
     ``patch``, if given, holds the one-hop closure of the support of u.
     """
     _require_real(phi)
-    du = differential(g, u, patch=patch)
-    total = 0.0
-    for k, v in du.items():
-        avg = (phi(k.origin) ** 2 + phi(k.terminus) ** 2) / 2
-        total += g.edge_data(k).weight * abs(v) ** 2 * avg
-    return math.sqrt(total)
+    P, at, du2 = _gradient(g, u, patch)
+    ids = P.window.ids
+    po, pt = (np.array([phi(x) for x in ids[end[at]].tolist()]) for end in (P.o, P.t))
+    return math.sqrt(_total(P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2)))
 
 
 @dataclass

@@ -120,14 +120,16 @@ class EdgeFunction:
                 _check_finite(v)
                 if v == 0:
                     continue
+                if _normalized:  # the caller's keys are normalized OrientedEdges of graph
+                    vals[e] = v
+                    continue
                 e = as_edge(e)
                 key = normalize_edge(e)
-                if not _normalized:
-                    if not graph.has_edge(key):
-                        raise InputError(f"no edge {key.origin!r} -> {key.terminus!r}")
-                    if key != e:
-                        # translate the supplied value to the stored representative
-                        v = -self._reversal_phase(key).conjugate() * v if twist else -v
+                if not graph.has_edge(key):
+                    raise InputError(f"no edge {key.origin!r} -> {key.terminus!r}")
+                if key != e:
+                    # translate the supplied value to the stored representative
+                    v = -self._reversal_phase(key).conjugate() * v if twist else -v
                 if key in vals:
                     raise InputError(f"conflicting values for edge {key!r}")
                 vals[key] = v

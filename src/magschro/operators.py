@@ -68,8 +68,11 @@ class Patch:
                 raise InputError("a flipped edge of the window has no reverse orientation")
             e = np.where(self.flipped, rev[e], e)
         self.co, self.ct, self.ca, self.csigma = self.rows[e], win.indices[e], win.a[e], win.sigma[e]
-        # each canonical edge's terminus, then its origin, in edge order
-        self.ends = np.stack((self.ct, self.co), axis=1).ravel()
+
+    @cached_property
+    def ends(self):
+        """Each canonical edge's terminus, then its origin, in edge order."""
+        return np.stack((self.ct, self.co), axis=1).ravel()
 
     @cached_property
     def keys(self):
@@ -131,6 +134,30 @@ class Patch:
         np.add.at(acc, self.ends, values)
         return acc
 
+    # -- kernels: arrays by row (vertex functions) and by edge number
+
+    def differential(self, u, conjugate_phase=False):
+        """conj(sigma) u(t) - u(o), or sigma u(t) - u(o) with ``conjugate_phase``,
+        per edge o -> t in id order."""
+        phase = self.sigma if conjugate_phase else np.conj(self.sigma)
+        return phase * u[self.t] - u[self.o]
+
+    def codifferential(self, yc, plain=False):
+        """The codifferential of the edge values ``yc`` on canonical orientations."""
+        term = self.ca * yc
+        inflow = term if plain else self.csigma * term
+        return self.star_sums(inflow, -term) / self.window.w
+
+    def laplacian(self, u):
+        win = self.window
+        term = win.a * (u[self.rows] - np.conj(win.sigma) * u[win.indices])
+        acc = np.zeros(len(u), term.dtype)
+        np.add.at(acc, self.rows, term)
+        return acc / win.w
+
+    def schrodinger(self, u):
+        return self.laplacian(u) + self.window.W * u
+
 
 def _patch(g, patch, vertices, edges=()) -> Patch:
     """``patch``, or the patch of the closure of ``vertices`` and the ends of ``edges``."""
@@ -154,33 +181,6 @@ def _sum(values):
     return values.cumsum()[-1:].tolist()[0] if len(values) else 0
 
 
-# -- kernels on a patch ---------------------------------------------------------
-
-def _diff(P: Patch, u, conjugate_phase=False):
-    """conj(sigma) u(t) - u(o) (sigma u(t) - u(o) with ``conjugate_phase``) per edge o -> t."""
-    phase = P.sigma if conjugate_phase else np.conj(P.sigma)
-    return phase * u[P.t] - u[P.o]
-
-
-def _codiff(P: Patch, yc, plain=False):
-    """The codifferential of canonical edge values ``yc``."""
-    term = P.ca * yc
-    inflow = term if plain else P.csigma * term
-    return P.star_sums(inflow, -term) / P.window.w
-
-
-def _laplacian(P: Patch, u):
-    win = P.window
-    term = win.a * (u[P.rows] - np.conj(win.sigma) * u[win.indices])
-    acc = np.zeros(len(u), term.dtype)
-    np.add.at(acc, P.rows, term)
-    return acc / win.w
-
-
-def _schrodinger(P: Patch, u):
-    return _laplacian(P, u) + P.window.W * u
-
-
 # -- public operators -----------------------------------------------------------
 
 def differential(g, u: VertexFunction, *, conjugate_phase=False, patch=None) -> EdgeFunction:
@@ -191,7 +191,7 @@ def differential(g, u: VertexFunction, *, conjugate_phase=False, patch=None) -> 
     side of the Leibniz rule.
     """
     P = _patch(g, patch, u._values)
-    values = _diff(P, P.vector(u), conjugate_phase)
+    values = P.differential(P.vector(u), conjugate_phase)
     nz = np.flatnonzero(values != 0).tolist()
     return EdgeFunction(g, dict(zip(map(P.keys.__getitem__, nz), values[nz].tolist())),
                         twist=-1 if conjugate_phase else 1, _normalized=True)
@@ -206,7 +206,7 @@ def codifferential(g, Y: EdgeFunction, *, plain=False, patch=None) -> VertexFunc
     codifferential).
     """
     P = _patch(g, patch, (), Y._values)
-    return _vertex_function(P, _codiff(P, P.canonical(P.edge_vector(Y), Y.twist), plain))
+    return _vertex_function(P, P.codifferential(P.canonical(P.edge_vector(Y), Y.twist), plain))
 
 
 def laplacian(g, u: VertexFunction, *, patch=None) -> VertexFunction:
@@ -217,13 +217,13 @@ def laplacian(g, u: VertexFunction, *, patch=None) -> VertexFunction:
     support of u and its one-hop neighborhood.
     """
     P = _patch(g, patch, u._values)
-    return _vertex_function(P, _laplacian(P, P.vector(u)))
+    return _vertex_function(P, P.laplacian(P.vector(u)))
 
 
 def schrodinger_apply(g, u: VertexFunction, *, patch=None) -> VertexFunction:
     """Apply H = laplacian + potential to a finitely supported function."""
     P = _patch(g, patch, u._values)
-    return _vertex_function(P, _schrodinger(P, P.vector(u)))
+    return _vertex_function(P, P.schrodinger(P.vector(u)))
 
 
 def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
@@ -261,7 +261,7 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
     flow = a * (((phase * uu[t] + uu[o]) / 2) * yc)
     corr = a * yc * (phase * uu[t] - uu[o])
     lhs = P.star_sums(flow, -flow) / w
-    first = uu * _codiff(P, yc)
+    first = uu * P.codifferential(yc)
     second = P.star_sums(corr, corr) / (2 * w)
     dev = _max(np.abs(lhs - (first - second)))
     scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
@@ -274,8 +274,8 @@ def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fals
     P = _patch(g, patch, u._values, Y._values)
     uu = P.vector(u)
     yc = P.canonical(P.edge_vector(Y), Y.twist)
-    edge_terms = P.ca * P.canonical(_diff(P, uu), 1) * np.conj(yc)
-    vertex_terms = P.window.w * uu * np.conj(_codiff(P, yc))
+    edge_terms = P.ca * P.canonical(P.differential(uu), 1) * np.conj(yc)
+    vertex_terms = P.window.w * uu * np.conj(P.codifferential(yc))
     dev = abs(_sum(edge_terms) - _sum(vertex_terms))
     scale = _sum(np.abs(np.concatenate((edge_terms, vertex_terms))))
     return _rel(dev, scale) if relative else dev
@@ -285,8 +285,8 @@ def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) ->
     """Deviation between codifferential(differential(u)) and laplacian(u)."""
     P = _patch(g, patch, u._values)
     uu = P.vector(u)
-    left = _codiff(P, P.canonical(_diff(P, uu), 1))
-    right = _laplacian(P, uu)
+    left = P.codifferential(P.canonical(P.differential(uu), 1))
+    right = P.laplacian(uu)
     dev = _max(np.abs(left - right))
     scale = _max(np.abs(left) + np.abs(right))
     return _rel(dev, scale) if relative else dev
@@ -298,8 +298,8 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     P = _patch(g, patch, [*u._values, *v._values])
     uu, vv = P.vector(u), P.vector(v)
     w = P.window.w
-    lhs_terms = w * _schrodinger(P, uu) * np.conj(vv)
-    rhs_terms = w * uu * np.conj(_schrodinger(P, vv))
+    lhs_terms = w * P.schrodinger(uu) * np.conj(vv)
+    rhs_terms = w * uu * np.conj(P.schrodinger(vv))
     dev = abs(_sum(lhs_terms) - _sum(rhs_terms))
     scale = _sum(np.abs(np.concatenate((lhs_terms, rhs_terms))))
     return _rel(dev, scale) if relative else dev
