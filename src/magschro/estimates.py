@@ -67,7 +67,10 @@ def _gradient(g, u: VertexFunction, patch):
     P = patch or Patch(g, closure_window(g, u.support))
     du = P.differential(P.vector(u))
     at = np.flatnonzero(du != 0)
-    return P, at, np.array([abs(v) ** 2 for v in du[at].tolist()])
+    du2 = [abs(v) ** 2 for v in du[at].tolist()]
+    if not all(map(math.isfinite, du2)):
+        raise InputError("non-finite value: the differential of u overflows double precision")
+    return P, at, np.array(du2)
 
 
 def _total(terms) -> float:

@@ -19,6 +19,7 @@ the right yardstick for accumulated floating-point error.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,10 +32,17 @@ from .graphs import OrientedEdge, closure_window
 _TINY = 1e-300
 
 
-def _rel(dev: float, scale: float) -> float:
-    if dev == 0.0:
-        return 0.0
-    return dev / max(scale, _TINY)
+def _finite(*values):
+    """Refuse the non-finite numbers that inputs overflowing double precision leave."""
+    if not all(map(math.isfinite, values)):
+        raise InputError("non-finite value: the inputs overflow double precision")
+
+
+def _residual(dev, scale, relative):
+    _finite(dev, scale)
+    if not relative:
+        return dev
+    return 0.0 if dev == 0.0 else dev / max(scale, _TINY)
 
 
 class Patch:
@@ -67,7 +75,8 @@ class Patch:
                     and np.array_equal(self.rows[rev], win.indices)):
                 raise InputError("a flipped edge of the window has no reverse orientation")
             e = np.where(self.flipped, rev[e], e)
-        self.co, self.ct, self.ca, self.csigma = self.rows[e], win.indices[e], win.a[e], win.sigma[e]
+        self.co, self.ct = self.rows[e], win.indices[e]
+        self.ca, self.csigma = win.a[e], win.sigma[e]
 
     @cached_property
     def ends(self):
@@ -173,7 +182,9 @@ def _vertex_function(P: Patch, values) -> VertexFunction:
 
 def _max(values):
     """The running maximum of a loop over ``values`` that starts at 0.0."""
-    return max([0.0, *values.tolist()])
+    values = values.tolist()
+    _finite(*values)  # max() would pass over a NaN
+    return max([0.0, *values])
 
 
 def _sum(values):
@@ -243,7 +254,7 @@ def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
     second = ((phase * ut + uo) / 2) * (vt - vo)
     dev = _max(np.abs(lhs - (first + second)))
     scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
-    return _rel(dev, scale) if relative else dev
+    return _residual(dev, scale, relative)
 
 
 def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False,
@@ -265,7 +276,7 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
     second = P.star_sums(corr, corr) / (2 * w)
     dev = _max(np.abs(lhs - (first - second)))
     scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
-    return _rel(dev, scale) if relative else dev
+    return _residual(dev, scale, relative)
 
 
 def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False,
@@ -278,7 +289,7 @@ def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fals
     vertex_terms = P.window.w * uu * np.conj(P.codifferential(yc))
     dev = abs(_sum(edge_terms) - _sum(vertex_terms))
     scale = _sum(np.abs(np.concatenate((edge_terms, vertex_terms))))
-    return _rel(dev, scale) if relative else dev
+    return _residual(dev, scale, relative)
 
 
 def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) -> float:
@@ -289,7 +300,7 @@ def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) ->
     right = P.laplacian(uu)
     dev = _max(np.abs(left - right))
     scale = _max(np.abs(left) + np.abs(right))
-    return _rel(dev, scale) if relative else dev
+    return _residual(dev, scale, relative)
 
 
 def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
@@ -302,7 +313,7 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     rhs_terms = w * uu * np.conj(P.schrodinger(vv))
     dev = abs(_sum(lhs_terms) - _sum(rhs_terms))
     scale = _sum(np.abs(np.concatenate((lhs_terms, rhs_terms))))
-    return _rel(dev, scale) if relative else dev
+    return _residual(dev, scale, relative)
 
 
 def rayleigh_quotient(g, u: VertexFunction):

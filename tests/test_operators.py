@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_vertex_graph
+from magschro.errors import InputError
 from magschro.exact import FOURTH_ROOTS, ComplexRational, pythagorean_phase
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import EdgeFunction, VertexFunction, inner_a, inner_w, norm_a
@@ -246,3 +247,16 @@ def test_symmetry_residual_equal_real_inputs():
     g = unit_path(6)
     u = VertexFunction({2: 1.5, 3: -0.25, 4: 2.0})
     assert symmetry_residual(g, u, u) <= 1e-12
+
+
+def test_residuals_refuse_overflowing_inputs():
+    g = unit_path(3)
+    u = VertexFunction({1: 1e308, 2: -1e308})
+    v = VertexFunction({1: 1.0})
+    Y = EdgeFunction(g, {(1, 2): 1e308, (2, 3): -1e308})
+    for residual, args in ((leibniz_residual, (u, v)), (composition_residual, (u,)),
+                           (symmetry_residual, (u, v)), (adjointness_residual, (u, Y)),
+                           (product_rule_residual, (u, Y))):
+        for relative in (False, True):
+            with pytest.raises(InputError, match="non-finite"):
+                residual(g, *args, relative=relative)
