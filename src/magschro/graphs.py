@@ -249,7 +249,8 @@ def closure_window(g: WeightedGraph, vertices, extra=()) -> Window:
         interior.append(len(indices) - indptr[-1] == len(nbrs))
         indptr.append(len(indices))
     w, W, q = (np.array(column) for column in zip(*records)) if records else [np.empty(0)] * 3
-    # int64 ids when every id is an int that fits, else objects
+    # int64 ids when every id is an int that fits; an object array keeps str ids
+    # as they are, where np.array would turn mixed ids into strings
     fits = all(type(x) is int and -2**63 <= x < 2**63 for x in ids)
     id_array = np.empty(len(ids), dtype=np.int64 if fits else object)
     id_array[:] = ids
