@@ -22,7 +22,7 @@ from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
                      _resolve_budget, shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
-from .operators import rayleigh_quotient
+from .operators import Patch, rayleigh_quotient
 from .functions import VertexFunction
 from .spectral import assemble_truncation, eigen_extremes
 
@@ -251,7 +251,8 @@ def semibounded_probe(g, windows, *, seed=0) -> SemiboundedProbe:
         window = sorted(set(window), key=vertex_sort_key)
         trunc = assemble_truncation(g, window)
         ext = eigen_extremes(trunc, seed=seed)
-        ray = min(rayleigh_quotient(g, VertexFunction.delta(x)).real for x in window)
+        patch = Patch.closure(g, window)
+        ray = min(rayleigh_quotient(g, VertexFunction.delta(x), patch=patch).real for x in window)
         rows.append(SemiboundedRow(len(window), ext.lambda_min, ray))
 
     mins = [r.lambda_min for r in rows]

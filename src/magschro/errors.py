@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class MagschroError(Exception):
     """Base class for every error raised by this package."""
@@ -7,6 +9,12 @@ class MagschroError(Exception):
 
 class InputError(MagschroError):
     """Invalid caller input: unknown vertices, malformed specs, bad values."""
+
+
+def require_finite(*values):
+    """Refuse the non-finite floats that inputs overflowing double precision leave."""
+    if not all(map(math.isfinite, values)):
+        raise InputError("non-finite value: the inputs overflow double precision")
 
 
 class UnknownVertexError(InputError):

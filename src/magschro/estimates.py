@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import lipschitz_best_constant, positive_part
-from .errors import InputError, MinorantViolationError
+from .errors import InputError, MinorantViolationError, require_finite
 from .functions import VertexFunction, norm_w, support_union
 from .graphs import closure_window, incident_edges
 from .metric import AnchorFunction, WITH_Q
@@ -64,12 +64,11 @@ def _gradient(g, u: VertexFunction, patch):
 
     |du|^2 is taken of the Python scalars, as the differential returns them.
     """
-    P = patch or Patch(g, closure_window(g, u.support))
+    P = patch or Patch.closure(g, u.support)
     du = P.differential(P.vector(u))
     at = np.flatnonzero(du != 0)
     du2 = [abs(v) ** 2 for v in du[at].tolist()]
-    if not all(map(math.isfinite, du2)):
-        raise InputError("non-finite value: the differential of u overflows double precision")
+    require_finite(*du2)
     return P, at, np.array(du2)
 
 
@@ -128,7 +127,7 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     _require_real(phi)
     _require_minorant(closure_window(g, phi.support), "gradient energy inequality")
 
-    patch = Patch(g, closure_window(g, u.support))
+    patch = Patch.closure(g, u.support)
     energy = weighted_gradient_energy(g, u, phi, patch=patch)
     energy_sq = energy ** 2
 
@@ -187,7 +186,7 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
     measured best constant (finite graphs only, where it is global).
     Refuses regions where W >= -q fails, since the bound presumes it.
     """
-    patch = Patch(g, closure_window(g, u.support))
+    patch = Patch.closure(g, u.support)
     _require_minorant(patch.window, "energy bound")
 
     degree_bound = _degree_bound(g, degree_bound)
@@ -255,7 +254,7 @@ def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *,
                          anchor_fn: Optional[AnchorFunction] = None) -> TaperedDefectReport:
     """Check the tapered defect against its energy bound at radius s."""
     degree_bound = _degree_bound(g, degree_bound)
-    patch = Patch(g, closure_window(g, support_union(u, v)))
+    patch = Patch.closure(g, support_union(u, v))
     value = tapered_symmetry_defect(g, u, v, x0, s, budget=budget, anchor_fn=anchor_fn,
                                     patch=patch)
     eu = math.sqrt(minorant_weighted_energy(g, u, patch=patch)[0])

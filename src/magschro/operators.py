@@ -3,7 +3,9 @@
 The operators act on finitely supported functions, so all sums below are
 finite.  Each call works on one :class:`Patch`: the window of the graph
 holding the one-hop closure of the vertex supports and the ends of the edge
-support (:func:`~magschro.graphs.closure_window`), read once.  Formulas are
+support (:func:`~magschro.graphs.closure_window`), read once.
+:func:`schrodinger_apply`, :func:`rayleigh_quotient` and the residuals take
+a patch built once for several calls as ``patch=``.  Formulas are
 array expressions over its vertices and numbered edges; sums keep the order
 of the defining loops (``np.add.at`` per vertex, ``cumsum`` across).  Float
 data run in float64, or complex128 when a phase or value is complex; exact
@@ -19,27 +21,20 @@ the right yardstick for accumulated floating-point error.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .functions import EdgeFunction, VertexFunction, inner_w
 from .graphs import OrientedEdge, closure_window
 
 _TINY = 1e-300
 
 
-def _finite(*values):
-    """Refuse the non-finite numbers that inputs overflowing double precision leave."""
-    if not all(map(math.isfinite, values)):
-        raise InputError("non-finite value: the inputs overflow double precision")
-
-
 def _residual(dev, scale, relative):
-    _finite(dev, scale)
+    require_finite(dev, scale)
     if not relative:
         return dev
     return 0.0 if dev == 0.0 else dev / max(scale, _TINY)
@@ -48,10 +43,10 @@ def _residual(dev, scale, relative):
 class Patch:
     """A window of a graph view with its edges numbered and canonically oriented.
 
-    Build one with ``Patch(g, closure_window(g, vertices, ends))`` and pass
-    it as ``patch=`` to share it among calls on functions supported in
-    ``vertices`` and edge functions whose edges end in ``ends``.  The CSR
-    entries with row < column are the window's unoriented edges, in
+    Build one for the graph view ``g`` with :meth:`closure` and pass it as
+    ``patch=`` to share it among calls on ``g`` whose functions it covers
+    (:func:`schrodinger_apply`, the residuals, the energies of
+    :mod:`magschro.estimates`).  The CSR entries with row < column are the window's unoriented edges, in
     :func:`~magschro.graphs.edge_sort_key` order: edge k joins rows
     ``o[k] < t[k]``, with ``sigma[k]`` the phase of o -> t.  ``co``, ``ct``,
     ``ca`` and ``csigma`` are the rows and data of its canonical orientation,
@@ -59,7 +54,7 @@ class Patch:
     """
 
     def __init__(self, g, win):
-        self.window, self.flips, self.m = win, g._flipped, len(win.ids)
+        self.window, self.m = win, len(win.ids)
         self.row = dict(zip(win.ids.tolist(), range(self.m)))
         self.rows = win.rows()
         e = np.flatnonzero(self.rows < win.indices)
@@ -70,13 +65,19 @@ class Patch:
         if flipped:
             self.flipped = np.zeros(len(e), dtype=bool)
             self.flipped[flipped] = True
-            rev = np.lexsort((self.rows, win.indices))  # by (column, row): the reverse entries
-            if not (np.array_equal(win.indices[rev], self.rows)
-                    and np.array_equal(self.rows[rev], win.indices)):
-                raise InputError("a flipped edge of the window has no reverse orientation")
+            # the window holds both orientations of each of its edges, so its
+            # entries by (column, row) are the reverses of those by (row, column)
+            rev = np.lexsort((self.rows, win.indices))
             e = np.where(self.flipped, rev[e], e)
         self.co, self.ct = self.rows[e], win.indices[e]
         self.ca, self.csigma = win.a[e], win.sigma[e]
+
+    @classmethod
+    def closure(cls, g, vertices, edges=()) -> "Patch":
+        """The patch of the one-hop closure of ``vertices`` with the ends of
+        the id-ordered ``edges``: it covers vertex functions supported in
+        ``vertices`` and edge functions on ``edges``."""
+        return cls(g, closure_window(g, vertices, [x for k in edges for x in k]))
 
     @cached_property
     def ends(self):
@@ -119,12 +120,13 @@ class Patch:
         return self._filled(self.m, rows[inside], np.array(list(f._values.values()))[inside])
 
     def edge_vector(self, Y: EdgeFunction):
-        """The stored values of ``Y`` (on id-ordered edges) by edge number."""
+        """The values of ``Y`` on the canonical orientations, by edge number."""
         try:
             at = [self.number[k] for k in Y._values]
         except KeyError:
             raise InputError("the window does not hold every edge of the edge function") from None
-        return self._filled(len(self.o), at, np.array(list(Y._values.values())))
+        return self.canonical(self._filled(len(self.o), at, np.array(list(Y._values.values()))),
+                              Y.twist)
 
     def canonical(self, y, twist):
         """Edge values on the canonical orientations, from the stored ones."""
@@ -168,13 +170,6 @@ class Patch:
         return self.laplacian(u) + self.window.W * u
 
 
-def _patch(g, patch, vertices, edges=()) -> Patch:
-    """``patch``, or the patch of the closure of ``vertices`` and the ends of ``edges``."""
-    if patch is None:
-        return Patch(g, closure_window(g, vertices, [x for k in edges for x in k]))
-    return patch if patch.flips is g._flipped else Patch(g, patch.window)
-
-
 def _vertex_function(P: Patch, values) -> VertexFunction:
     nz = np.flatnonzero(values != 0)
     return VertexFunction(dict(zip(P.window.ids[nz].tolist(), values[nz].tolist())))
@@ -183,7 +178,7 @@ def _vertex_function(P: Patch, values) -> VertexFunction:
 def _max(values):
     """The running maximum of a loop over ``values`` that starts at 0.0."""
     values = values.tolist()
-    _finite(*values)  # max() would pass over a NaN
+    require_finite(*values)  # max() would pass over a NaN
     return max([0.0, *values])
 
 
@@ -194,21 +189,21 @@ def _sum(values):
 
 # -- public operators -----------------------------------------------------------
 
-def differential(g, u: VertexFunction, *, conjugate_phase=False, patch=None) -> EdgeFunction:
+def differential(g, u: VertexFunction, *, conjugate_phase=False) -> EdgeFunction:
     """The deformed differential conj(sigma(e)) u(t(e)) - u(o(e)).
 
     With ``conjugate_phase=True`` the phase field is conjugated first, which
     yields sigma(e) u(t(e)) - u(o(e)); this variant appears on the product
     side of the Leibniz rule.
     """
-    P = _patch(g, patch, u._values)
+    P = Patch.closure(g, u._values)
     values = P.differential(P.vector(u), conjugate_phase)
     nz = np.flatnonzero(values != 0).tolist()
     return EdgeFunction(g, dict(zip(map(P.keys.__getitem__, nz), values[nz].tolist())),
                         twist=-1 if conjugate_phase else 1, _normalized=True)
 
 
-def codifferential(g, Y: EdgeFunction, *, plain=False, patch=None) -> VertexFunction:
+def codifferential(g, Y: EdgeFunction, *, plain=False) -> VertexFunction:
     """The deformed codifferential, the formal adjoint of the differential.
 
     At a vertex x it collects sigma(e) a(e) Y(e) over canonical edges ending
@@ -216,24 +211,24 @@ def codifferential(g, Y: EdgeFunction, *, plain=False, patch=None) -> VertexFunc
     w(x).  With ``plain=True`` the phases are ignored (the classical
     codifferential).
     """
-    P = _patch(g, patch, (), Y._values)
-    return _vertex_function(P, P.codifferential(P.canonical(P.edge_vector(Y), Y.twist), plain))
+    P = Patch.closure(g, (), Y._values)
+    return _vertex_function(P, P.codifferential(P.edge_vector(Y), plain))
 
 
-def laplacian(g, u: VertexFunction, *, patch=None) -> VertexFunction:
+def laplacian(g, u: VertexFunction) -> VertexFunction:
     """The phase-deformed (magnetic) graph Laplacian.
 
     (L u)(x) = (1/w(x)) * sum over edges e leaving x of
     a(e) (u(x) - conj(sigma(e)) u(t(e))).  The output is supported on the
     support of u and its one-hop neighborhood.
     """
-    P = _patch(g, patch, u._values)
+    P = Patch.closure(g, u._values)
     return _vertex_function(P, P.laplacian(P.vector(u)))
 
 
 def schrodinger_apply(g, u: VertexFunction, *, patch=None) -> VertexFunction:
     """Apply H = laplacian + potential to a finitely supported function."""
-    P = _patch(g, patch, u._values)
+    P = patch or Patch.closure(g, u._values)
     return _vertex_function(P, P.schrodinger(P.vector(u)))
 
 
@@ -244,7 +239,7 @@ def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
     On every edge, d(uv) computed with conjugated phases must equal
     (du with conjugated phases) * mean(v) + phased-mean(u) * dv.
     """
-    P = _patch(g, patch, [*u._values, *v._values])
+    P = patch or Patch.closure(g, [*u._values, *v._values])
     uu, vv = P.vector(u), P.vector(v)
     uv = uu * vv
     o, t, phase = P.co, P.ct, P.csigma
@@ -265,9 +260,9 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
     u(x) times the deformed codifferential of Y minus half the w-normalized
     star sum of a(e) Y(e) (du with conjugated phases)(e).
     """
-    P = _patch(g, patch, (), Y._values)
+    P = patch or Patch.closure(g, (), Y._values)
     uu = P.vector(u, interior=False)  # only its values at the ends of Y's edges count
-    yc = P.canonical(P.edge_vector(Y), Y.twist)
+    yc = P.edge_vector(Y)
     o, t, phase, a, w = P.co, P.ct, P.csigma, P.ca, P.window.w
     flow = a * (((phase * uu[t] + uu[o]) / 2) * yc)
     corr = a * yc * (phase * uu[t] - uu[o])
@@ -282,9 +277,9 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
 def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=False,
                          patch=None) -> float:
     """Deviation between (du, Y) in the edge product and (u, codiff Y) in the vertex product."""
-    P = _patch(g, patch, u._values, Y._values)
+    P = patch or Patch.closure(g, u._values, Y._values)
     uu = P.vector(u)
-    yc = P.canonical(P.edge_vector(Y), Y.twist)
+    yc = P.edge_vector(Y)
     edge_terms = P.ca * P.canonical(P.differential(uu), 1) * np.conj(yc)
     vertex_terms = P.window.w * uu * np.conj(P.codifferential(yc))
     dev = abs(_sum(edge_terms) - _sum(vertex_terms))
@@ -294,7 +289,7 @@ def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fals
 
 def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) -> float:
     """Deviation between codifferential(differential(u)) and laplacian(u)."""
-    P = _patch(g, patch, u._values)
+    P = patch or Patch.closure(g, u._values)
     uu = P.vector(u)
     left = P.codifferential(P.canonical(P.differential(uu), 1))
     right = P.laplacian(uu)
@@ -306,7 +301,7 @@ def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) ->
 def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
                       patch=None) -> float:
     """Deviation between (Hu, v) and (u, Hv) in the weighted vertex product."""
-    P = _patch(g, patch, [*u._values, *v._values])
+    P = patch or Patch.closure(g, [*u._values, *v._values])
     uu, vv = P.vector(u), P.vector(v)
     w = P.window.w
     lhs_terms = w * P.schrodinger(uu) * np.conj(vv)
@@ -316,9 +311,9 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     return _residual(dev, scale, relative)
 
 
-def rayleigh_quotient(g, u: VertexFunction):
+def rayleigh_quotient(g, u: VertexFunction, *, patch=None):
     """(Hu, u) / (u, u) in the weighted vertex product."""
-    Hu = schrodinger_apply(g, u)
+    Hu = schrodinger_apply(g, u, patch=patch)
     num = inner_w(g, Hu, u)
     den = inner_w(g, u, u)
     return num / den

@@ -26,7 +26,7 @@ from .estimates import (
 from .families import quadratic_well_ray
 from .functions import VertexFunction, support_union
 from .metric import WITH_Q, AnchorFunction, CutoffFunction, cutoff_property_check, shortest_paths
-from .operators import schrodinger_apply
+from .operators import Patch, schrodinger_apply
 from .randomgraphs import random_function
 from .spectral import spectral_trend
 from .suites import identity_suite, square_average_suite
@@ -164,13 +164,14 @@ def run_reference_scenario(*, seed=42, identity_graphs=60, metric_target=METRIC_
             if not tapered_defect_bound(g, u, v, 1, s, degree_bound=2,
                                         anchor_fn=anchor_fn).passed:
                 sweep_failures += 1
-        Hu = schrodinger_apply(g, u)
-        Hv = schrodinger_apply(g, v)
+        patch = Patch.closure(g, support_union(u, v))
+        Hu = schrodinger_apply(g, u, patch=patch)
+        Hv = schrodinger_apply(g, v, patch=patch)
         region = support_union(Hu, u, Hv, v)
         # scale of the terms entering the defect sum, before their cancellation
         scale = sum((abs(Hu(x) * v(x).conjugate()) + abs(u(x) * Hv(x).conjugate()))
                     * g.vertex(x).weight for x in region)
-        far = tapered_symmetry_defect(g, u, v, 1, 1e12, anchor_fn=anchor_fn)
+        far = tapered_symmetry_defect(g, u, v, 1, 1e12, anchor_fn=anchor_fn, patch=patch)
         plain = sum((Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()) * g.vertex(x).weight
                     for x in region)
         if abs(far) > DEFECT_TOL * scale or abs(plain) > DEFECT_TOL * scale:

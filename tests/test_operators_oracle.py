@@ -56,11 +56,18 @@ def _outputs(module, g, u, v, Y):
     }
 
 
-def _residuals(module, g, u, v, Y, relative):
+def _residuals(module, g, u, v, Y, relative, **patch):
     args = {"leibniz_residual": (u, v), "product_rule_residual": (u, Y),
             "adjointness_residual": (u, Y), "composition_residual": (u,),
             "symmetry_residual": (u, v)}
-    return {name: getattr(module, name)(g, *args[name], relative=relative) for name in RESIDUALS}
+    return {name: getattr(module, name)(g, *args[name], relative=relative, **patch)
+            for name in RESIDUALS}
+
+
+def _shared(g, u, v, Y, relative):
+    """The five residuals on the one patch that ``identity_suite`` shares among them."""
+    patch = operators.Patch.closure(g, [*u._values, *v._values], Y._values)
+    return _residuals(operators, g, u, v, Y, relative, patch=patch)
 
 
 def _assert_close(new, old):
@@ -79,11 +86,14 @@ def _check_float(g, u, v, Y):
     new, old = _outputs(operators, g, u, v, Y), _outputs(oracle, g, u, v, Y)
     for name in new:
         _assert_close(new[name], old[name])
-    new, old = _residuals(operators, g, u, v, Y, True), _residuals(oracle, g, u, v, Y, True)
-    for name in RESIDUALS:
-        assert type(new[name]) is type(old[name]) is float
-        assert abs(new[name] - old[name]) <= 1e-12, name
-        assert new[name] <= 1e-12, name
+    old, lone = _residuals(oracle, g, u, v, Y, True), _residuals(operators, g, u, v, Y, True)
+    # the shared patch only adds zero terms to each sum and maximum
+    assert _shared(g, u, v, Y, True) == lone
+    for new in (lone, _shared(g, u, v, Y, True)):
+        for name in RESIDUALS:
+            assert type(new[name]) is type(old[name]) is float
+            assert abs(new[name] - old[name]) <= 1e-12, name
+            assert new[name] <= 1e-12, name
 
 
 @settings(max_examples=60)
@@ -164,6 +174,8 @@ def test_exact_data_match_dict_oracle_exactly(case):
         assert [type(x) for _, x in new[name].items()] == [type(x) for _, x in old[name].items()]
     for relative in (False, True):
         for name, value in _residuals(operators, g, u, v, Y, relative).items():
+            assert value == 0.0, name
+        for name, value in _shared(g, u, v, Y, relative).items():
             assert value == 0.0, name
         # the dict loops take the mean of two missing values, (0 + 0) / 2, as
         # the float 0.0, which ComplexRational refuses; full supports avoid it
