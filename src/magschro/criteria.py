@@ -22,8 +22,8 @@ from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
                      _resolve_budget, shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
-from .operators import Patch, rayleigh_quotient
-from .functions import VertexFunction
+from .operators import Patch, schrodinger_apply
+from .functions import VertexFunction, inner_w
 from .spectral import assemble_truncation, eigen_extremes
 
 LIPSCHITZ_TOL = 1e-12
@@ -251,8 +251,10 @@ def semibounded_probe(g, windows, *, seed=0) -> SemiboundedProbe:
         window = sorted(set(window), key=vertex_sort_key)
         trunc = assemble_truncation(g, window)
         ext = eigen_extremes(trunc, seed=seed)
-        patch = Patch.closure(g, window)
-        ray = min(rayleigh_quotient(g, VertexFunction.delta(x), patch=patch).real for x in window)
+        patch = Patch.closure(g, window)  # one patch for all the delta functions
+        deltas = [VertexFunction.delta(x) for x in window]
+        ray = min((inner_w(g, schrodinger_apply(g, d, patch=patch), d) / inner_w(g, d, d)).real
+                  for d in deltas)
         rows.append(SemiboundedRow(len(window), ext.lambda_min, ray))
 
     mins = [r.lambda_min for r in rows]

@@ -3,14 +3,14 @@
 The operators act on finitely supported functions, so all sums below are
 finite.  Each call works on one :class:`Patch`: the window of the graph
 holding the one-hop closure of the vertex supports and the ends of the edge
-support (:func:`~magschro.graphs.closure_window`), read once.
-:func:`schrodinger_apply`, :func:`rayleigh_quotient` and the residuals take
-a patch built once for several calls as ``patch=``.  Formulas are
-array expressions over its vertices and numbered edges; sums keep the order
-of the defining loops (``np.add.at`` per vertex, ``cumsum`` across).  Float
-data run in float64, or complex128 when a phase or value is complex; exact
-scalars (``Fraction``, :class:`~magschro.exact.ComplexRational`) go through
-object arrays and keep their exact arithmetic.  Results are Python scalars.
+support (:func:`~magschro.graphs.closure_window`), read once;
+:func:`schrodinger_apply` and the residuals also take, as ``patch=``, one
+built for several calls.  Formulas are array expressions over its vertices
+and numbered edges; sums keep the order of the defining loops
+(``np.add.at`` per vertex, ``cumsum`` across).  Float data run in float64,
+or complex128 when a phase or value is complex; exact scalars
+(``Fraction``, :class:`~magschro.exact.ComplexRational`) go through object
+arrays and keep their exact arithmetic.  Results are Python scalars.
 
 Each residual helper evaluates both sides of one defining identity and
 returns the largest pointwise deviation: zero in exact arithmetic, at
@@ -311,9 +311,9 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     return _residual(dev, scale, relative)
 
 
-def rayleigh_quotient(g, u: VertexFunction, *, patch=None):
+def rayleigh_quotient(g, u: VertexFunction):
     """(Hu, u) / (u, u) in the weighted vertex product."""
-    Hu = schrodinger_apply(g, u, patch=patch)
+    Hu = schrodinger_apply(g, u)
     num = inner_w(g, Hu, u)
     den = inner_w(g, u, u)
     return num / den
