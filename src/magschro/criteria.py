@@ -7,6 +7,10 @@ presented infinite graph, so every check here is windowed and the report is
 explicit about its evidentiary scope: "exact" only for finite graphs and for
 ray families whose metric reduces to a classifiable series, "windowed"
 otherwise.
+
+The first three conditions are checked by one array scan over the rows of
+a window: the window a search ran on, or the closure of a vertex set that
+:meth:`~magschro.graphs.WeightedGraph.closure_window` reads.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnknownVertexError
+from .errors import InputError, UnknownVertexError
 from .exprlang import power
-from .graphs import OrientedEdge, normalize_edge, vertex_sort_key
+from .graphs import OrientedEdge, sorted_ids, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
                      _resolve_budget, shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
@@ -43,7 +47,7 @@ class MinorantCheck:
 
 def minorant_check(g, window) -> MinorantCheck:
     """Largest positive part of -q(x) - W(x) over the window; passes iff zero."""
-    return _window_scan(g, set(window))[1]
+    return _scan(g, *_closure(g, window))[1]
 
 
 @dataclass
@@ -58,7 +62,7 @@ def lipschitz_best_constant(g, window) -> LipschitzCheck:
     The bound is measured against (min(w(t), w(o)) / a(e))**0.5 on every edge
     incident to the window, and the witness is an edge attaining it.
     """
-    return _window_scan(g, set(window))[2]
+    return _scan(g, *_closure(g, window))[2]
 
 
 @dataclass
@@ -69,89 +73,71 @@ class DegreeCheck:
 
 
 def degree_bound_check(g, window) -> DegreeCheck:
-    return _window_scan(g, set(window))[0]
+    return _scan(g, *_closure(g, window))[0]
 
 
-def _window_scan(g, window):
-    """Degree, minorant and Lipschitz checks in one vertex-ordered pass over a window set.
+def _closure(g, window):
+    """The closure window of a vertex set, with the mask of its rows."""
+    members = set(window)
+    win = g.closure_window(sorted_ids(members))
+    return win, win.holds(members)
 
-    Each edge is taken where the walk first meets it: at its smaller endpoint,
-    or at its window endpoint when the other one lies outside the window.
+
+def _explored(g, found):
+    """The window of a search with the mask of the vertices it settled: the
+    window search's own, else the closure of the frontier's."""
+    if found.method == "window":
+        member = np.zeros(len(found.window.ids), dtype=bool)
+        member[found.order] = True
+        return found.window, member
+    win = g.closure_window(found.distances)
+    return win, win.holds(found.distances)
+
+
+def _scan(g, win, member):
+    """Degree, minorant and Lipschitz checks over the ``member`` rows of a window.
+
+    Every member must be interior to the window, so that its CSR row lists
+    all of its neighbors.  The maxima and witnesses are those of a walk over
+    the members in id order and over each member's neighbors in order, which
+    takes each edge where it first meets it: at its smaller end, or at its
+    member end when the other lies outside.  The float operations are the
+    walk's, and exact data run through object arrays.  An edge whose scale
+    (min(w) / a)**0.5 underflows to 0 raises :class:`InputError`.
     """
-    observed = 0
-    worst = 0.0
-    vertex_witness = None
-    best = 0.0
-    edge_witness = None
-    for x in sorted(window, key=vertex_sort_key):
-        rx = g.vertex(x)
-        gap = positive_part(-rx.minorant - rx.potential)
-        if gap > worst:
-            worst = gap
-            vertex_witness = x
-        nbrs = g.neighbors(x)
-        observed = max(observed, len(nbrs))
-        for e, data in nbrs:
-            key = normalize_edge(e)
-            if key != e and key.origin in window:
-                continue
-            ry = g.vertex(e.terminus)
-            ro, rt = (rx, ry) if key == e else (ry, rx)
-            gap = abs(rt.minorant ** -0.5 - ro.minorant ** -0.5)
-            ratio = gap / (min(ro.weight, rt.weight) / data.weight) ** 0.5
-            if ratio > best:
-                best = ratio
-                edge_witness = key
-    return _checks(g, observed, worst, vertex_witness, best, edge_witness)
-
-
-def _checks(g, observed, worst, vertex_witness, best, edge_witness):
-    declared = g.degree_bound
-    return (DegreeCheck(observed=observed, declared=declared,
-                        passed=declared is None or observed <= declared),
-            MinorantCheck(worst_violation=float(worst), witness=vertex_witness, passed=worst == 0),
-            LipschitzCheck(constant=best, witness=edge_witness))
-
-
-def _settled_scan(g, found):
-    """:func:`_window_scan` over the vertices a window search settled, on its arrays.
-
-    Every settled vertex is interior to the search's window, so its CSR row
-    lists all of its neighbors.  The maxima and witnesses are those of the
-    vertex-ordered walk, computed with the same float operations.  None when
-    an edge would divide by zero, which the walk raises for.
-    """
-    win = found.window
-    settled = np.zeros(len(win.ids), dtype=bool)
-    settled[found.order] = True
-    rows = np.flatnonzero(settled)  # row order is id order
-    observed = int(np.diff(win.indptr)[rows].max())
-
+    rows = np.flatnonzero(member)  # row order is id order
+    observed = int(np.diff(win.indptr)[rows].max(initial=0))
     gaps = -win.q[rows] - win.W[rows]
     worst, vertex_witness = 0.0, None
-    if gaps.max() > 0:
+    if len(rows) and gaps.max() > 0:
         at = int(np.argmax(gaps))
-        worst, vertex_witness = gaps[at].item(), win.ids[rows[at]].item()
+        worst, vertex_witness = gaps[at:at + 1].tolist()[0], win.ids[rows[at:at + 1]].tolist()[0]
 
-    # each edge once, where the walk meets it: at its smaller end, or at its
-    # settled end when the other lies outside; CSR order is walk order
+    # each edge once, where the walk meets it; CSR order is walk order
     src, dst = win.rows(), win.indices
-    taken = np.flatnonzero(settled[src] & ((dst > src) | ~settled[dst]))
+    taken = np.flatnonzero(member[src] & ((dst > src) | ~member[dst]))
     o = np.minimum(src[taken], dst[taken])
     t = np.maximum(src[taken], dst[taken])
     touched = np.unique(np.concatenate([o, t]))
     root = np.zeros(len(win.ids))
     root[touched] = power(win.q[touched], -0.5, len(touched))
     scale = power(np.minimum(win.w[o], win.w[t]) / win.a[taken], 0.5, len(taken))
-    if not np.all(scale != 0):
-        return None
+    zero = np.flatnonzero(scale == 0)
+    if len(zero):
+        edge = tuple(win.ids[[o[zero[0]], t[zero[0]]]].tolist())
+        raise InputError(f"edge {edge!r}: the Lipschitz scale (min(w) / a)**0.5 "
+                         "underflows to 0")
     ratios = np.abs(root[t] - root[o]) / scale
     best, edge_witness = 0.0, None
     if len(ratios) and ratios.max() > 0:
         at = int(np.argmax(ratios))
-        best = ratios[at].item()
-        edge_witness = OrientedEdge(win.ids[o[at]].item(), win.ids[t[at]].item())
-    return _checks(g, observed, worst, vertex_witness, best, edge_witness)
+        best = float(ratios[at])
+        edge_witness = OrientedEdge(*win.ids[[o[at], t[at]]].tolist())
+    declared = g.degree_bound
+    return (DegreeCheck(observed=observed, declared=declared,
+                        passed=declared is None or observed <= declared),
+            MinorantCheck(worst_violation=float(worst), witness=vertex_witness, passed=worst == 0),
+            LipschitzCheck(constant=best, witness=edge_witness))
 
 
 @dataclass
@@ -167,16 +153,15 @@ class CriteriaReport:
     overall: str  # "pass" | "fail" | "partial"
 
 
-def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
-                             window=None) -> CriteriaReport:
+def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> CriteriaReport:
     """Aggregate all four sufficient conditions over an explored window.
 
-    One search serves both the completeness probe and the window, which
-    defaults to the region that search settles.  The overall verdict is
-    "pass" when every condition holds and the completeness verdict is
-    exact, "fail" when any condition is violated (including an exact
-    incompleteness verdict), and "partial" when the conditions hold but
-    completeness rests on windowed evidence only.
+    One search serves both the completeness probe and the window, the region
+    it settles, which one array scan checks.  The overall verdict is "pass"
+    when every condition holds and the completeness verdict is exact, "fail"
+    when any condition is violated (including an exact incompleteness
+    verdict), and "partial" when the conditions hold but completeness rests
+    on windowed evidence only.
     """
     budget = _resolve_budget(budget)
     if not g.has_vertex(x0):
@@ -184,15 +169,9 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None,
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
                               trail_every=_probe_trail_every(budget))
     completeness = _completeness_report(g, x0, budget, explored)
-    checks = None
-    if window is None and explored.method == "window":
-        checks = _settled_scan(g, explored)
-        window_size = len(explored.order)
-    if checks is None:
-        window = explored.distances if window is None else set(window)
-        checks = _window_scan(g, window)
-        window_size = len(window)
-    degree, minorant, lipschitz = checks
+    win, member = _explored(g, explored)
+    degree, minorant, lipschitz = _scan(g, win, member)
+    window_size = int(np.count_nonzero(member))
     lipschitz_passed = None
     if lipschitz_budget is not None:
         lipschitz_passed = lipschitz.constant <= lipschitz_budget + LIPSCHITZ_TOL

@@ -23,7 +23,7 @@ import numpy as np
 from .criteria import lipschitz_best_constant, positive_part
 from .errors import InputError, MinorantViolationError, require_finite
 from .functions import VertexFunction, norm_w, support_union
-from .graphs import closure_window, incident_edges
+from .graphs import incident_edges
 from .metric import AnchorFunction, WITH_Q
 from .operators import Patch, schrodinger_apply
 
@@ -125,7 +125,7 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     since the minorant term absorbs the potential there.
     """
     _require_real(phi)
-    _require_minorant(closure_window(g, phi.support), "gradient energy inequality")
+    _require_minorant(g.closure_window(phi.support), "gradient energy inequality")
 
     patch = Patch.closure(g, u.support)
     energy = weighted_gradient_energy(g, u, phi, patch=patch)

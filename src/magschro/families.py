@@ -13,7 +13,7 @@ Edge weights are indexed by the smaller endpoint of an edge, so on a path
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -39,10 +39,10 @@ class FamilySpec:
 class PathRayGraph(WeightedGraph):
     """Lazy half-line graph on the positive integers with edges n ~ n + 1.
 
-    Hop windows are sliced from one block of arrays over lo..hi (w, W, q and
-    a(n) for the edge n ~ n + 1).  A window that overlaps or touches the
-    block extends it, evaluating only the new flanks; any other window
-    replaces it.  The records of 1..``_HEAD_SIZE`` are also kept as tuples,
+    Hop windows, and the closure windows of runs of vertices, are sliced
+    from one block of arrays over lo..hi (w, W, q and a(n) for the edge
+    n ~ n + 1).  A window that overlaps or touches the block extends it,
+    evaluating only the new flanks; any other window replaces it.  The records of 1..``_HEAD_SIZE`` are also kept as tuples,
     which small searches read as fast as a dict; past them ``vertex``,
     ``neighbors`` and ``edge_data`` evaluate the expressions and keep
     nothing.  An n where an expression raises or a record is invalid has no
@@ -142,7 +142,28 @@ class PathRayGraph(WeightedGraph):
         """The vertices within ``hops`` of ``x0`` as a :class:`Window` sliced
         from the block, or None when an n in that range is invalid or
         ``x0 + hops`` reaches the largest int64."""
-        lo, hi = max(1, x0 - hops), x0 + hops
+        return self._cut(max(1, x0 - hops), x0 + hops)
+
+    def closure_window(self, vertices, extra=()):
+        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut from the
+        block when ``extra`` lies in it, with int64 rows and float phases as
+        the neighbor oracle's read holds them; other sets are read from the
+        oracle, which also raises the errors of invalid records."""
+        run = set(vertices)
+        if run and all(type(x) is int for x in run):
+            lo, hi = min(run), max(run)
+            span = range(max(1, lo - 1), hi + 2)
+            if (lo >= 1 and hi - lo + 1 == len(run)
+                    and all(type(x) is int and x in span for x in extra)):
+                win = self._cut(span.start, span.stop - 1)
+                if win is not None:
+                    return replace(win, indptr=win.indptr.astype(np.int64),
+                                   indices=win.indices.astype(np.int64),
+                                   sigma=np.ones(len(win.a)))
+        return super().closure_window(vertices, extra)
+
+    def _cut(self, lo, hi):
+        """The window over lo..hi, or None (see :meth:`hop_window`)."""
         if hi >= np.iinfo(np.int64).max:  # np.arange(lo, hi + 1) would turn to floats
             return None
         start, block = self._lo, self._block

@@ -26,6 +26,8 @@ import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -60,6 +62,18 @@ class VertexData(NamedTuple):
 def vertex_sort_key(x: VertexId):
     """Total order on vertex ids; integers sort before strings."""
     return (isinstance(x, str), x)
+
+
+def sorted_ids(ids) -> list:
+    """``ids`` sorted by :func:`vertex_sort_key`, which plain comparison gives
+    unless ints and strings mix."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        return sorted(ids, key=vertex_sort_key)
+
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def as_edge(e) -> OrientedEdge:
@@ -193,6 +207,42 @@ class WeightedGraph:
         """
         return None
 
+    def closure_window(self, vertices, extra=()) -> "Window":
+        """The one-hop closure of ``vertices``, with the vertices ``extra``, as a
+        :class:`Window`, read from the neighbor oracle one list per vertex.
+
+        Every vertex of ``vertices`` is interior to it, which is all that a
+        calculus operator on functions supported there, a scan of the
+        criteria over them or their truncation needs.  A graph that holds
+        arrays may cut the window from them instead, with the same fields
+        and dtypes.
+        """
+        lists = {x: self.neighbors(x) for x in vertices}
+        found = set(extra).union(lists)
+        found.update(map(_second, map(_first, chain.from_iterable(lists.values()))))
+        ids = sorted_ids(found)
+        records = list(map(self.vertex, ids))
+        nbrs = [lists[x] if x in lists else self.neighbors(x) for x in ids]
+        degrees = np.fromiter(map(len, nbrs), np.int64, len(ids))
+        # every neighbor-list entry in row order, with the row of its terminus or -1
+        entries = list(chain.from_iterable(nbrs))
+        row = dict(zip(ids, range(len(ids))))
+        at = np.fromiter(map(row.get, map(_second, map(_first, entries)), repeat(-1)),
+                         np.int64, len(entries))
+        keep = at >= 0
+        # numpy infers the dtypes of a and sigma from the entries kept alone
+        data = list(map(_second, compress(entries, keep.tolist())))
+        kept = np.bincount(np.repeat(np.arange(len(ids)), degrees)[keep], minlength=len(ids))
+        w, W, q = (np.array(column) for column in zip(*records)) if records else [np.empty(0)] * 3
+        # int64 ids when every id is an int that fits; an object array keeps str ids
+        # as they are, where np.array would turn mixed ids into strings
+        fits = all(type(x) is int and -2**63 <= x < 2**63 for x in ids)
+        id_array = np.empty(len(ids), dtype=np.int64 if fits else object)
+        id_array[:] = ids
+        return Window(ids=id_array, indptr=np.concatenate([[0], np.cumsum(kept)]),
+                      indices=at[keep], w=w, W=W, q=q, a=np.array(list(map(_first, data))),
+                      sigma=np.array(list(map(_second, data))), interior=kept == degrees)
+
 
 @dataclass(frozen=True)
 class Window:
@@ -222,41 +272,9 @@ class Window:
         """The row (origin vertex) of every CSR entry."""
         return np.repeat(np.arange(len(self.ids), dtype=self.indices.dtype), np.diff(self.indptr))
 
-
-def closure_window(g: WeightedGraph, vertices, extra=()) -> Window:
-    """The one-hop closure of ``vertices``, with the vertices ``extra``, as a
-    :class:`Window` read from the neighbor oracle.
-
-    Every vertex of ``vertices`` is interior to it, which is all that a
-    calculus operator on functions supported there needs.
-    """
-    found = set(extra)
-    for x in vertices:
-        found.add(x)
-        found.update(e.terminus for e, _ in g.neighbors(x))
-    ids = sorted(found, key=vertex_sort_key)
-    row = {x: i for i, x in enumerate(ids)}
-    records = [g.vertex(x) for x in ids]
-    indptr, indices, a, sigma, interior = [0], [], [], [], []
-    for x in ids:
-        nbrs = g.neighbors(x)
-        for (_, t), (weight, phase) in nbrs:
-            r = row.get(t)
-            if r is not None:
-                indices.append(r)
-                a.append(weight)
-                sigma.append(phase)
-        interior.append(len(indices) - indptr[-1] == len(nbrs))
-        indptr.append(len(indices))
-    w, W, q = (np.array(column) for column in zip(*records)) if records else [np.empty(0)] * 3
-    # int64 ids when every id is an int that fits; an object array keeps str ids
-    # as they are, where np.array would turn mixed ids into strings
-    fits = all(type(x) is int and -2**63 <= x < 2**63 for x in ids)
-    id_array = np.empty(len(ids), dtype=np.int64 if fits else object)
-    id_array[:] = ids
-    return Window(ids=id_array, indptr=np.array(indptr, dtype=np.int64),
-                  indices=np.array(indices, dtype=np.int64), w=w, W=W, q=q,
-                  a=np.array(a), sigma=np.array(sigma), interior=np.array(interior, dtype=bool))
+    def holds(self, vertices) -> np.ndarray:
+        """Whether each row's vertex is one of ``vertices``, a set or a dict."""
+        return np.fromiter(map(vertices.__contains__, self.ids.tolist()), bool, len(self.ids))
 
 
 def incident_edges(g: WeightedGraph, vertices):

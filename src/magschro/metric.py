@@ -580,10 +580,6 @@ class CutoffFunction:
                 f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
         self._distances = {x: d for x, d in result.distances.items() if d <= 2.0 * n}
 
-    def distance_to_base(self, x) -> Optional[float]:
-        """The unit-q distance for members of the closed 2n-ball, else None."""
-        return self._distances.get(x)
-
     def value(self, x) -> float:
         d = self._distances.get(x)
         if d is None:

@@ -3,7 +3,7 @@
 The operators act on finitely supported functions, so all sums below are
 finite.  Each call works on one :class:`Patch`: the window of the graph
 holding the one-hop closure of the vertex supports and the ends of the edge
-support (:func:`~magschro.graphs.closure_window`), read once;
+support (:meth:`~magschro.graphs.WeightedGraph.closure_window`), read once;
 :func:`schrodinger_apply` and the residuals also take, as ``patch=``, one
 built for several calls.  Formulas are array expressions over its vertices
 and numbered edges; sums keep the order of the defining loops
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, require_finite
 from .functions import EdgeFunction, VertexFunction, inner_w
-from .graphs import OrientedEdge, closure_window
+from .graphs import OrientedEdge
 
 _TINY = 1e-300
 
@@ -77,7 +77,7 @@ class Patch:
         """The patch of the one-hop closure of ``vertices`` with the ends of
         the id-ordered ``edges``: it covers vertex functions supported in
         ``vertices`` and edge functions on ``edges``."""
-        return cls(g, closure_window(g, vertices, [x for k in edges for x in k]))
+        return cls(g, g.closure_window(vertices, [x for k in edges for x in k]))
 
     @cached_property
     def ends(self):

@@ -27,9 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigensolveError, InputError, UnknownVertexError
+from .errors import EigensolveError, InputError
 from .functions import VertexFunction
-from .graphs import vertex_sort_key
+from .graphs import sorted_ids
 
 DENSE_CUTOFF = 200
 RESIDUAL_CONTRACT = 1e-8
@@ -73,91 +73,48 @@ class TruncatedOperator:
 
 
 def assemble_truncation(g, window) -> TruncatedOperator:
-    """Assemble the operator restricted to functions supported in ``window``."""
-    ordered = sorted(set(window), key=vertex_sort_key)
-    if not ordered:
-        raise InputError("window must be nonempty")
-    for x in ordered:
-        if not g.has_vertex(x):
-            raise UnknownVertexError(x)
-    index = {x: i for i, x in enumerate(ordered)}
-    run = _run_rows(g, ordered)
-    if run is not None:
-        win, rows = run
-        return TruncatedOperator(tuple(ordered), index, _assemble_rows(win, rows),
-                                 win.w[rows].copy())
-    weights = np.array([g.vertex(x).weight for x in ordered], dtype=float)
+    """Assemble the operator restricted to functions supported in ``window``.
 
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(ordered):
-        rec = g.vertex(x)
-        degree_term = 0.0
-        for e, data in g.neighbors(x):
-            degree_term += data.weight
-            j = index.get(e.terminus)
-            if j is not None:
-                # coupling coefficient of u(y): -(a(e) / w(x)) * conj(sigma(e))
-                rows.append(i)
-                cols.append(j)
-                vals.append(-data.weight * complex(data.phase).conjugate() / rec.weight)
-        rows.append(i)
-        cols.append(i)
-        vals.append(complex(degree_term / rec.weight + rec.potential))
-
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(ordered), len(ordered)))
-    return TruncatedOperator(tuple(ordered), index, matrix, weights)
-
-
-def _run_rows(g, ordered):
-    """A window holding the run of integer ids ``ordered`` among its interior
-    rows, with those rows as a slice, or None."""
-    lo, hi = ordered[0], ordered[-1]
-    if not (isinstance(lo, int) and isinstance(hi, int) and hi - lo == len(ordered) - 1):
-        return None
-    center = lo + (hi - lo) // 2
-    win = g.hop_window(center, hi - center + 1)
-    if win is None or np.any(win.sigma.imag != 0):
-        return None
-    first = int(np.searchsorted(win.ids, lo))
-    rows = slice(first, first + len(ordered))
-    if win.ids[rows.stop - 1] != hi or not np.all(win.interior[rows]):
-        return None
-    return win, rows
-
-
-def _assemble_rows(win, rows):
-    """The truncation matrix on interior ``rows`` of a window with real phases.
-
-    The entries are those of the loop in :func:`assemble_truncation`, bit
-    for bit and in the same order: per row, the in-window couplings in
-    neighbor order, then the diagonal.
+    One array pass over the rows of the window's vertices in their closure
+    (:meth:`~magschro.graphs.WeightedGraph.closure_window`), whose rows list
+    every neighbor.  Row x holds the couplings -(a(e) / w(x)) conj(sigma(e))
+    of its neighbors in the window and the diagonal a(x) / w(x) + W(x), where
+    a(x) sums a(e) over all of its edges in neighbor order.  The numbers are
+    those of Python's scalar arithmetic, signed zeros included: a float
+    times or over a complex number acts as a complex one with imaginary part
+    +0.0, and exact data are converted to floats.
     """
-    size = rows.stop - rows.start
-    starts = win.indptr[rows.start:rows.stop + 1]
-    entries = slice(starts[0], starts[-1])
-    src = win.rows()[entries] - rows.start
-    dst = win.indices[entries] - rows.start
-    a = win.a[entries]
-    w = win.w[rows]
-    # sum a(e) from 0.0 in neighbor order, as the loop does
-    lengths = np.diff(starts)
+    members = set(window)
+    if not members:
+        raise InputError("window must be nonempty")
+    ordered = sorted_ids(members)
+    win = g.closure_window(ordered)
+    rows = np.flatnonzero(win.holds(members))  # the k-th row is ordered[k]
+    size = len(ordered)
+    position = np.full(len(win.ids), -1)
+    position[rows] = np.arange(size)
+    src = position[win.rows()]
+    entries = np.flatnonzero(src >= 0)
+    src, dst = src[entries], position[win.indices[entries]]
+    a = win.a[entries].astype(float)
+    w = win.w[rows].astype(float)
     degree = np.zeros(size)
-    for j in range(lengths.max()):
-        has = lengths > j
-        degree[has] += a[starts[:-1][has] - starts[0] + j]
-    coupling = (-a * win.sigma.real[entries]) / w[src]
-    inside = np.flatnonzero((dst >= 0) & (dst < size))
-    src, dst, coupling = src[inside], dst[inside], coupling[inside]
-    # each row's diagonal follows its couplings
-    slots = np.arange(len(inside)) + src
-    diagonal = np.cumsum(np.bincount(src, minlength=size)) + np.arange(size)
-    coo_rows = np.empty(len(inside) + size, dtype=np.int64)
-    coo_cols = np.empty_like(coo_rows)
-    vals = np.empty(len(coo_rows), dtype=complex)
-    coo_rows[slots], coo_cols[slots], vals[slots] = src, dst, coupling
-    coo_rows[diagonal] = coo_cols[diagonal] = np.arange(size)
-    vals[diagonal] = degree / w + win.W[rows]
-    return sp.csr_matrix((vals, (coo_rows, coo_cols)), shape=(size, size))
+    np.add.at(degree, src, a)  # in neighbor order, from 0.0
+    # (-a + 0j) * conj(sigma), then over (w + 0j), as complex_mul and _Py_c_quot do
+    sigma = win.sigma[entries].astype(complex)
+    br, bi = sigma.real, -sigma.imag
+    pr = -a * br - 0.0 * bi
+    pi = -a * bi + 0.0 * br
+    inside = dst >= 0
+    coupling = np.empty(np.count_nonzero(inside), dtype=complex)
+    coupling.real = ((pr + pi * 0.0) / w[src])[inside]
+    coupling.imag = ((pi - pr * 0.0) / w[src])[inside]
+    diagonal = (degree / w + win.W[rows].astype(float)).astype(complex)
+    span = np.arange(size)
+    matrix = sp.csr_matrix((np.concatenate([coupling, diagonal]),
+                            (np.concatenate([src[inside], span]),
+                             np.concatenate([dst[inside], span]))), shape=(size, size))
+    return TruncatedOperator(tuple(ordered), {x: i for i, x in enumerate(ordered)}, matrix, w)
 
 
 class EigenExtremes(NamedTuple):

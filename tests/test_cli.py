@@ -227,6 +227,18 @@ def test_nan_radius_exits_2(capsys):
     assert "ball radius must be nonnegative, got nan" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "path", "--size", "5", "--w", "1e-200", "--a", "1e200"],
+    ["check", "--family", "path-nat", "--w", "1e-200", "--a", "1e200"],
+], ids=["path", "path-nat"])
+def test_zero_lipschitz_scale_exits_2(capsys, argv):
+    # min(w) / a underflows to 0.0, which leaves the ratio on edge (1, 2) undefined
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "edge (1, 2): the Lipschitz scale (min(w) / a)**0.5 underflows to 0" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_exponent_literal_in_family_expression(capsys):
     assert main(["check", "--family", "path", "--size", "300", "--W", "1e9*n"]) == 0
     assert "overall: pass" in capsys.readouterr().out

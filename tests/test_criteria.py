@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from loop_oracles import window_walk
 from magschro import criteria, metric
 from magschro.criteria import (
     degree_bound_check,
@@ -12,6 +13,7 @@ from magschro.criteria import (
     selfadjointness_criteria,
     semibounded_probe,
 )
+from magschro.errors import InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
@@ -157,6 +159,12 @@ def test_lambda_min_monotone_under_window_growth(rng):
     assert all(b <= a + 1e-10 for a, b in zip(mins, mins[1:]))
 
 
+def test_zero_lipschitz_scale_is_an_input_error():
+    g = make_family({"family": "path", "size": 5, "w": "1e-200", "a": "1e200"})
+    with pytest.raises(InputError, match=r"edge \(1, 2\): the Lipschitz scale"):
+        lipschitz_best_constant(g, [3, 2])
+
+
 def test_degree_bound_check_star():
     g = make_family({"family": "star", "size": 7})
     report = degree_bound_check(g, g.vertices())
@@ -173,48 +181,49 @@ def test_lipschitz_constant_monotone_in_window():
         previous = constant
 
 
-def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
-    # on the frontier path the scan reads the window through the oracle
-    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
-    g = quadratic_well_ray()
+def _count_reads(monkeypatch, g):
     calls = {"vertex": 0, "neighbors": 0}
     for name in calls:
         def counting(x, _oracle=getattr(g, name), _name=name):
             calls[_name] += 1
             return _oracle(x)
         monkeypatch.setattr(g, name, counting)
-    sorts = []
+    return calls
 
-    def counting_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
 
-    monkeypatch.setattr(criteria, "sorted", counting_sorted, raising=False)
+def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
+    # on the frontier path the scan runs on the closure of the settled run
+    # 1..2000, which the ray cuts from its block without the oracle
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    g = quadratic_well_ray()
+    calls = _count_reads(monkeypatch, g)
     report = selfadjointness_criteria(g, 1, budget=2000, lipschitz_budget=1.0)
     assert report.window_size == 2000 and report.overall == "pass"
-    # neighbors: once per settled vertex in the search, once per window vertex in the scan
-    assert calls["neighbors"] == 2 * 2000
-    # vertex: the search reads both endpoints of each of its 2000 settle steps and the
-    # series classifier 38 edges; the scan reads each window vertex and the far end
-    # of each of the 2000 edges it takes
-    assert calls["vertex"] == 2 * 2000 + 2 * 38 + 2000 + 2000
-    assert len(sorts) == 1
+    assert report.lipschitz.constant == 0.5 and tuple(report.lipschitz.witness) == (1, 2)
+    # neighbors: once per settled vertex in the search
+    assert calls["neighbors"] == 2000
+    # vertex: the search reads both endpoints of each of its 2000 settle steps and
+    # the series classifier 38 edges
+    assert calls["vertex"] == 2 * 2000 + 2 * 38
+
+
+def test_explicit_closure_reads_each_neighbor_list_once(monkeypatch):
+    g = make_family({"family": "binary-tree", "size": 63, "W": "-(n^2) - n", "q": "n^2"})
+    calls = _count_reads(monkeypatch, g)
+    window = range(2, 20)
+    win = g.closure_window(window)
+    assert calls == {"vertex": len(win.ids), "neighbors": len(win.ids)}
+    calls.update(vertex=0, neighbors=0)
+    assert minorant_check(g, window).witness == 19
+    assert calls == {"vertex": len(win.ids), "neighbors": len(win.ids)}
 
 
 def test_selfadjointness_criteria_window_path_reads_arrays(monkeypatch):
     g = quadratic_well_ray()
-    calls = {"vertex": 0, "neighbors": 0}
-    for name in calls:
-        def counting(x, _oracle=getattr(g, name), _name=name):
-            calls[_name] += 1
-            return _oracle(x)
-        monkeypatch.setattr(g, name, counting)
-    scans = []
-    monkeypatch.setattr(criteria, "_window_scan", lambda *args: scans.append(args))
+    calls = _count_reads(monkeypatch, g)
     report = selfadjointness_criteria(g, 1, budget=5000, lipschitz_budget=1.0)
     assert report.window_size == 5000 and report.overall == "pass"
     assert report.lipschitz.constant == 0.5 and tuple(report.lipschitz.witness) == (1, 2)
-    assert scans == []
     # only the frontier steps before the restart and the series classifier's
     # 38 edges reach the oracle
     assert calls["neighbors"] == metric.WINDOW_MIN
@@ -231,4 +240,4 @@ def test_settled_scan_matches_the_vertex_walk(spec, x0):
     g = make_family(spec)
     explored = metric.shortest_paths(g, x0, budget=3000)
     assert explored.method == "window"
-    assert criteria._settled_scan(g, explored) == criteria._window_scan(g, set(explored.distances))
+    assert criteria._scan(g, *criteria._explored(g, explored)) == window_walk(g, explored.distances)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_vertex_graph
+from loop_oracles import window_walk
 from magschro import criteria, metric
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
@@ -297,9 +298,9 @@ def _outcome(spec, x0, *, frontier_only, **kwargs):
         except MagschroError as exc:
             return (type(exc), str(exc)), None
     if res.method == "window":
-        scan = criteria._settled_scan(g, res)
+        scan = criteria._scan(g, *criteria._explored(g, res))
     else:
-        scan = criteria._window_scan(g, set(res.distances))
+        scan = window_walk(g, res.distances)
     return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius,
             res.trail, scan), res.method
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from loop_oracles import loop_truncation
 from magschro import spectral
 from magschro.errors import EigensolveError, InputError
 from magschro.families import make_family, quadratic_well_ray
@@ -308,9 +309,7 @@ def test_lanczos_agrees_with_dense_on_random_graphs(seed):
 def test_ray_runs_assemble_like_the_loop(spec, window):
     g = make_family(spec)
     fast = assemble_truncation(g, window)
-    slow_graph = make_family(spec)
-    slow_graph.hop_window = lambda x0, hops: None
-    slow = assemble_truncation(slow_graph, window)
+    slow = loop_truncation(make_family(spec), window)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(fast.matrix, name), getattr(slow.matrix, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -319,7 +318,7 @@ def test_ray_runs_assemble_like_the_loop(spec, window):
     assert all(type(x) is int for x in fast.window)
 
 
-def test_scattered_ray_windows_use_the_loop():
+def test_scattered_ray_windows_are_read_from_the_oracle():
     g = quadratic_well_ray()
-    g.hop_window = lambda x0, hops: pytest.fail("a scattered window has no run")
+    g._cut = lambda lo, hi: pytest.fail("a scattered window has no run")
     assert assemble_truncation(g, [1, 2, 4]).size == 3
