@@ -26,8 +26,6 @@ from .graphs import OrientedEdge, sorted_ids, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
                      _resolve_budget, shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
-from .operators import Patch, schrodinger_apply
-from .functions import VertexFunction, inner_w
 from .spectral import assemble_truncation, eigen_extremes
 
 LIPSCHITZ_TOL = 1e-12
@@ -223,17 +221,16 @@ def semibounded_probe(g, windows, *, seed=0) -> SemiboundedProbe:
     A lower bound k with (Hu, u) >= k (u, u) for all finitely supported u
     must lie below the smallest truncation eigenvalue of every window, so a
     minimum that keeps falling rules out every candidate above it.  A
-    falling-but-bounded trend is reported without a verdict.
+    falling-but-bounded trend is reported without a verdict.  Row x of a
+    truncation applies H to functions supported in the window, so its
+    diagonal holds the delta-function Rayleigh quotients (H d_x, d_x) / (d_x, d_x).
     """
     rows = []
     for window in windows:
         window = sorted(set(window), key=vertex_sort_key)
         trunc = assemble_truncation(g, window)
         ext = eigen_extremes(trunc, seed=seed)
-        patch = Patch.closure(g, window)  # one patch for all the delta functions
-        deltas = [VertexFunction.delta(x) for x in window]
-        ray = min((inner_w(g, schrodinger_apply(g, d, patch=patch), d) / inner_w(g, d, d)).real
-                  for d in deltas)
+        ray = float(trunc.matrix.diagonal().real.min())
         rows.append(SemiboundedRow(len(window), ext.lambda_min, ray))
 
     mins = [r.lambda_min for r in rows]

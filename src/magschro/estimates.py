@@ -23,9 +23,8 @@ import numpy as np
 from .criteria import lipschitz_best_constant, positive_part
 from .errors import InputError, MinorantViolationError, require_finite
 from .functions import VertexFunction, norm_w, support_union
-from .graphs import incident_edges
 from .metric import AnchorFunction, WITH_Q
-from .operators import Patch, schrodinger_apply
+from .operators import Patch, _sum, schrodinger_apply
 
 SLACK_TOL = 1e-10
 
@@ -72,11 +71,6 @@ def _gradient(g, u: VertexFunction, patch):
     return P, at, np.array(du2)
 
 
-def _total(terms) -> float:
-    """The sum of ``terms`` added in order to 0.0."""
-    return float(terms.cumsum()[-1]) if len(terms) else 0.0
-
-
 def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     """The squared energy and its per-edge contributions.
 
@@ -88,7 +82,7 @@ def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     P, at, du2 = _gradient(g, u, patch)
     q = P.window.q
     terms = 1.0 / np.maximum(q[P.o[at]], q[P.t[at]]) * P.ca[at] * du2
-    return _total(terms), dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist()))
+    return float(_sum(terms)), dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist()))
 
 
 def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
@@ -101,7 +95,7 @@ def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
     P, at, du2 = _gradient(g, u, patch)
     ids = P.window.ids
     po, pt = (np.array([phi(x) for x in ids[end[at]].tolist()]) for end in (P.o, P.t))
-    return math.sqrt(_total(P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2)))
+    return math.sqrt(_sum(P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2)))
 
 
 @dataclass
@@ -122,10 +116,12 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     """Check the localization inequality for the phi-weighted gradient energy.
 
     Requires W >= -q on the support of phi and its one-hop neighborhood,
-    since the minorant term absorbs the potential there.
+    since the minorant term absorbs the potential there.  That closure,
+    read once, also holds every edge of the commutator term.
     """
     _require_real(phi)
-    _require_minorant(g.closure_window(phi.support), "gradient energy inequality")
+    win = g.closure_window(phi.support)
+    _require_minorant(win, "gradient energy inequality")
 
     patch = Patch.closure(g, u.support)
     energy = weighted_gradient_energy(g, u, phi, patch=patch)
@@ -143,14 +139,17 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
         minorant_term += rec.weight * phi2 * rec.minorant * abs(u(x)) ** 2
     op_term = abs(op_term)
 
+    # the entries o -> t with o < t, in edge order; dphi vanishes unless an end is in supp phi
+    src, dst = win.rows(), win.indices
+    at = np.flatnonzero(src < dst)
     cross = 0.0
-    for k in incident_edges(g, phi.support):
-        data = g.edge_data(k)
-        dphi = phi(k[1]) - phi(k[0])
+    for o, t, a, sigma in zip(win.ids[src[at]].tolist(), win.ids[dst[at]].tolist(),
+                              win.a[at].tolist(), win.sigma[at].tolist()):
+        dphi = phi(t) - phi(o)
         if dphi == 0:
             continue
-        phased = (data.phase * u(k[1]).conjugate() + u(k[0]).conjugate()) / 2
-        cross += data.weight * abs(dphi) ** 2 * abs(phased) ** 2
+        phased = (sigma * u(t).conjugate() + u(o).conjugate()) / 2
+        cross += a * abs(dphi) ** 2 * abs(phased) ** 2
     commutator_term = 2.0 * energy * math.sqrt(cross)
 
     bound = op_term + minorant_term + commutator_term

@@ -6,12 +6,13 @@ Grammar: integer and decimal literals with an optional exponent
 ``max``.  ``^`` is right-associative and binds tighter than unary minus,
 which binds tighter than ``*`` and ``/``, which bind tighter than ``+`` and
 ``-``.  There is deliberately no state and no user-defined function.
+One tree walker evaluates an expression at an integer ``n`` in Python
+floats, or over an array of them in numpy arithmetic, bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from itertools import repeat
 from typing import NamedTuple
 
@@ -207,27 +208,54 @@ def _evaluate(node: ExprAst, n, where: str) -> float:
     return value
 
 
-#: the scalar operations of ``BinOp`` and one-argument ``Call`` nodes
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-           "^": math.pow}
-_UNARY = {"sqrt": math.sqrt, "abs": abs}
+_ARRAY = np.ndarray  # one global lookup, not two, in the scalar walk's type tests
 
 
-def _eval(node: ExprAst, n) -> float:
+def _eval(node: ExprAst, n):
+    """The value of ``node`` at the int ``n``, or element-wise over the float64 array ``n``.
+
+    Scalars stay Python floats.  ``+ - *``, negation and ``abs`` are Python's
+    operators, which arrays share; ``/``, ``^``, ``sqrt``, ``min`` and ``max``
+    take Python's float path when every operand is a float, else an array
+    path that is IEEE-identical element by element (:func:`power` for ``^``)
+    and raises Python's exception where any element would.
+    """
     kind = type(node)  # the nodes come from the parser: no subclasses
     if kind is BinOp:
-        return _BINARY[node.op](_eval(node.left, n), _eval(node.right, n))
+        a, b, op = _eval(node.left, n), _eval(node.right, n), node.op
+        if op == "^":
+            return math.pow(a, b) if type(a) is type(b) is float else power(a, b, len(n))
+        if op == "*":
+            return a * b
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if type(a) is type(b) is float or not np.any(b == 0):  # numpy gives inf or NaN
+            return a / b
+        raise ZeroDivisionError("float division by zero")
     if kind is Var:
-        return float(n)
+        return n if type(n) is _ARRAY else float(n)
     if kind is Num:
         return node.value
     if kind is Neg:
         return -_eval(node.operand, n)
     if kind is Call:
         args = [_eval(a, n) for a in node.args]
-        if node.func in _UNARY:
-            return _UNARY[node.func](args[0])
-        return min(args) if node.func == "min" else max(args)
+        func = node.func
+        if func == "abs":
+            return abs(args[0])
+        if func == "sqrt":
+            if type(args[0]) is float:
+                return math.sqrt(args[0])
+            if np.any(args[0] < 0):
+                raise ValueError("math domain error")
+            return np.sqrt(args[0])
+        cur = args[0]
+        for b in args[1:]:  # first wins, as in Python's min and max
+            take = b < cur if func == "min" else b > cur
+            cur = (b if take else cur) if type(take) is bool else np.where(take, b, cur)
+        return cur
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -247,81 +275,32 @@ def power(base, exponent, count):
     return np.fromiter(map(math.pow, base, exponent), float, count=count)
 
 
-class _Raises(Exception):
-    """Some element of an array evaluation raises under :func:`eval_expr`."""
-
-
-def _eval_array(node: ExprAst, n: np.ndarray):
-    """Element-wise :func:`_eval` over float64 ``n``; a constant stays a scalar.
-
-    Every step is IEEE-identical to the scalar one: ufuncs for ``+ - * /``,
-    ``abs`` and ``sqrt``, :func:`power` for ``^``, and Python's first-wins
-    ``min``/``max``.
-    Where the scalar evaluation would raise, :class:`_Raises` is raised.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return n
-    if isinstance(node, Neg):
-        return np.negative(_eval_array(node.operand, n))
-    if isinstance(node, BinOp):
-        a = _eval_array(node.left, n)
-        b = _eval_array(node.right, n)
-        if node.op == "+":
-            return np.add(a, b)
-        if node.op == "-":
-            return np.subtract(a, b)
-        if node.op == "*":
-            return np.multiply(a, b)
-        if node.op == "/":
-            if np.any(b == 0):
-                raise _Raises
-            return np.divide(a, b)
-        try:
-            if np.ndim(a) == 0 and np.ndim(b) == 0:
-                return math.pow(a, b)
-            return power(a, b, len(n))
-        except (ValueError, OverflowError):
-            raise _Raises from None
-    if isinstance(node, Call):
-        args = [_eval_array(a, n) for a in node.args]
-        if node.func == "sqrt":
-            if np.any(args[0] < 0):
-                raise _Raises
-            return np.sqrt(args[0])
-        if node.func == "abs":
-            return np.abs(args[0])
-        cur = args[0]
-        for b in args[1:]:
-            cur = np.where(b < cur, b, cur) if node.func == "min" else np.where(b > cur, b, cur)
-        return cur
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def compile_text(text: str):
     """Parse ``text`` once and return its evaluator.
 
     The evaluator takes an ``int`` (evaluated by :func:`eval_expr`) or an
-    int64 array (evaluated element-wise, bit for bit the same).  Errors are
-    those of :func:`eval_expr` with the text appended; over an array, the one
-    raised is that of the smallest failing element.
+    int64 array, which the same walker evaluates element-wise, bit for bit
+    the same, in blocks of ``_CHUNK``.  Errors are those of
+    :func:`eval_expr` with the text appended; a block that raises or holds
+    a non-finite value is re-run one element at a time, so the error raised
+    is that of the smallest failing element.
     """
     node = parse_expr(text)
     where = f" in {text!r}"
 
     def evaluate(n):
-        if not isinstance(n, np.ndarray):
+        if type(n) is not _ARRAY:
             return _evaluate(node, n, where)
         out = np.empty(len(n))
         for start in range(0, len(n), _CHUNK):
             block = n[start:start + _CHUNK]
             try:
                 with np.errstate(all="ignore"):
-                    values = _eval_array(node, block.astype(float))
-                if not np.all(np.isfinite(values)):
-                    raise _Raises
-            except _Raises:
+                    values = _eval(node, block.astype(float))
+                finite = np.all(np.isfinite(values))
+            except (ArithmeticError, ValueError):
+                finite = False
+            if not finite:
                 for m in block.tolist():  # errors are rare: find the first one
                     _evaluate(node, m, where)
                 raise AssertionError(f"array evaluation of {text!r} disagrees with eval_expr")

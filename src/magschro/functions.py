@@ -136,11 +136,9 @@ class EdgeFunction:
         self._values = vals
 
     def _reversal_phase(self, key: OrientedEdge):
-        if self.twist == 1:
-            return self.graph.edge_data(key).phase
-        if self.twist == -1:
-            return self.graph.edge_data(key).phase.conjugate()
-        return 1.0
+        """phase(key) ** twist for twist 1 or -1; twist 0 never asks."""
+        phase = self.graph.edge_data(key).phase
+        return phase if self.twist == 1 else phase.conjugate()
 
     def value(self, e):
         e = as_edge(e)

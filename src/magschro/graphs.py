@@ -195,8 +195,11 @@ class WeightedGraph:
         return sorted(stars, key=lambda e: edge_sort_key(normalize_edge(e)))
 
     def edges(self):
-        """All normalized edges of a finite graph, sorted."""
-        return incident_edges(self, self.vertices())
+        """All normalized edges of a finite graph, sorted: the entries that lead to
+        a later vertex, read in vertex order from neighbor lists sorted by terminus."""
+        vertices = self.vertices()
+        rank = dict(zip(vertices, range(len(vertices))))
+        return [e for x, r in rank.items() for e, _ in self.neighbors(x) if rank[e.terminus] > r]
 
     def hop_window(self, x0, hops):
         """The vertices within ``hops`` edges of ``x0`` as a :class:`Window`.
@@ -277,13 +280,8 @@ class Window:
         return np.fromiter(map(vertices.__contains__, self.ids.tolist()), bool, len(self.ids))
 
 
-def incident_edges(g: WeightedGraph, vertices):
-    """The normalized edges meeting any of ``vertices``, sorted."""
-    keys = set()
-    for x in vertices:
-        for e, _ in g.neighbors(x):
-            keys.add(normalize_edge(e))
-    return sorted(keys, key=edge_sort_key)
+def _finite_edge(data) -> bool:
+    return math.isfinite(data.weight) and cmath.isfinite(data.phase)
 
 
 def validate(g: WeightedGraph, window) -> ValidationReport:
@@ -302,10 +300,14 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
     report = ValidationReport(window=tuple(window))
     for x in sorted(window, key=vertex_sort_key):
         rec = g.vertex(x)
-        if not rec.weight > 0:
-            report.add("nonpositive-vertex-weight", x, rec.weight)
-        if rec.minorant < 1:
-            report.add("minorant-below-one", x, rec.minorant)
+        bad = [v for v in rec if not math.isfinite(v)]
+        if bad:  # NaN fails every comparison, so none is made
+            report.add("non-finite-vertex-data", x, bad[0])
+        else:
+            if not rec.weight > 0:
+                report.add("nonpositive-vertex-weight", x, rec.weight)
+            if not rec.minorant >= 1:
+                report.add("minorant-below-one", x, rec.minorant)
         nbrs = g.neighbors(x)
         if g.degree_bound is not None and len(nbrs) > g.degree_bound:
             report.add("degree-bound-exceeded", x, len(nbrs))
@@ -317,6 +319,10 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
             if e.terminus in seen_targets:
                 report.add("multi-edge", e, 1.0)
             seen_targets.add(e.terminus)
+            if not _finite_edge(data):
+                report.add("non-finite-edge-data", e,
+                           abs(data.phase) if math.isfinite(data.weight) else data.weight)
+                continue
             if not data.weight > 0:
                 report.add("nonpositive-edge-weight", e, data.weight)
             mod = abs(data.phase)
@@ -326,6 +332,8 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
                 back = g.edge_data(e.reverse())
             except InputError:
                 report.add("missing-reverse-edge", e, 0.0)
+                continue
+            if not _finite_edge(back):  # reported at its own origin
                 continue
             if back.weight != data.weight:
                 report.add("edge-weight-asymmetry", e, abs(back.weight - data.weight))
@@ -342,6 +350,8 @@ class ExplicitGraph(WeightedGraph):
     is given, the reverse is derived (same weight, conjugate phase).  Both
     orientations may be supplied explicitly, which permits building broken
     graphs for :func:`validate` to report on when ``check=False``.
+    The neighbor lists are the one edge table: an edge lookup scans the
+    degree-bounded list of its origin.
     """
 
     is_finite = True
@@ -351,26 +361,21 @@ class ExplicitGraph(WeightedGraph):
         self._vrec = {}
         for x, rec in vertices.items():
             self._vrec[x] = rec if isinstance(rec, VertexData) else VertexData(*rec)
-        if isinstance(edges, Mapping):
-            edge_items = list(edges.items())
-        else:
-            edge_items = [(pair, data) for pair, data in edges]
-
-        self._edata = {}
-        for pair, data in edge_items:
+        edata = {}
+        for pair, data in edges.items() if isinstance(edges, Mapping) else edges:
             e = as_edge(pair)
             data = data if isinstance(data, EdgeData) else EdgeData(*data)
             key = (e.origin, e.terminus)
-            if key in self._edata:
+            if key in edata:
                 raise GraphStructureError(f"duplicate oriented edge {key!r}")
-            self._edata[key] = data
+            edata[key] = data
         # derive missing reverse orientations
-        for (o, t), data in list(self._edata.items()):
-            if (t, o) not in self._edata:
-                self._edata[(t, o)] = EdgeData(data.weight, data.phase.conjugate())
+        for (o, t), data in list(edata.items()):
+            if (t, o) not in edata:
+                edata[(t, o)] = EdgeData(data.weight, data.phase.conjugate())
 
         adj = {x: [] for x in self._vrec}
-        for (o, t), data in self._edata.items():
+        for (o, t), data in edata.items():
             if o not in self._vrec or t not in self._vrec:
                 raise GraphStructureError(f"edge ({o!r}, {t!r}) references an unknown vertex")
             adj[o].append((OrientedEdge(o, t), data))
@@ -382,9 +387,9 @@ class ExplicitGraph(WeightedGraph):
         self.degree_bound = degree_bound if degree_bound is not None else observed
 
         if check:
-            self._check_structure()
+            self._check_structure(edata)
 
-    def _check_structure(self):
+    def _check_structure(self, edata):
         if not self._vrec:
             raise GraphStructureError("graph has no vertices")
         for x, rec in self._vrec.items():
@@ -394,16 +399,16 @@ class ExplicitGraph(WeightedGraph):
                 raise GraphStructureError(f"vertex {x!r}: weight must be positive, got {rec.weight}")
             if not rec.minorant >= 1:
                 raise GraphStructureError(f"vertex {x!r}: minorant must be >= 1, got {rec.minorant}")
-        for (o, t), data in self._edata.items():
+        for (o, t), data in edata.items():
             if o == t:
                 raise GraphStructureError(f"loop at vertex {o!r}")
-            if not (math.isfinite(data.weight) and cmath.isfinite(data.phase)):
+            if not _finite_edge(data):
                 raise GraphStructureError(f"edge ({o!r}, {t!r}): weight and phase must be finite")
             if not data.weight > 0:
                 raise GraphStructureError(f"edge ({o!r}, {t!r}): weight must be positive")
             if abs(abs(data.phase) - 1.0) > PHASE_TOL:
                 raise GraphStructureError(f"edge ({o!r}, {t!r}): phase modulus {abs(data.phase)} != 1")
-            back = self._edata[(t, o)]
+            back = edata[(t, o)]
             if back.weight != data.weight:
                 raise GraphStructureError(f"edge ({o!r}, {t!r}): weight differs between orientations")
             if abs(back.phase - data.phase.conjugate()) > PHASE_TOL:
@@ -436,13 +441,6 @@ class ExplicitGraph(WeightedGraph):
             return self._adj[x]
         except KeyError:
             raise UnknownVertexError(x) from None
-
-    def edge_data(self, e) -> EdgeData:
-        e = as_edge(e)
-        try:
-            return self._edata[(e.origin, e.terminus)]
-        except KeyError:
-            raise InputError(f"no edge {e.origin!r} -> {e.terminus!r}") from None
 
     def vertices(self):
         return sorted(self._vrec, key=vertex_sort_key)

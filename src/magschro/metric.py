@@ -44,6 +44,7 @@ UNIT_Q = "unit-q"
 
 _BUDGET_ENV = "MAGSCHRO_BUDGET"
 _DEFAULT_BUDGET = 250_000
+CUTOFF_SLACK = 1e-12  # of the monotone and gradient comparisons in cutoff_property_check
 
 
 def default_budget() -> int:
@@ -279,8 +280,9 @@ def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
         hops = min(2 * hops, budget)
 
 
-def _blocks(size, step=1 << 18):
+def _blocks(size):
     """Slices covering range(size): per-entry passes run in blocks to bound temporaries."""
+    step = 1 << 18
     return (slice(start, start + step) for start in range(0, size, step))
 
 
@@ -621,7 +623,7 @@ def _pair_distance(g, x, y, q_mode, budget) -> float:
     return result.distances.get(y, direct)
 
 
-def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckReport:
+def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
     """Verify the defining properties of the cut-off bump around ``x0``.
 
     Checks the [0, 1] range, the plateau on the n-ball and vanishing outside
@@ -649,7 +651,7 @@ def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckR
         if d >= 2.0 * n and val != 0.0:
             violations.append(("support", x, val))
         for m in (n + 1, 2 * n, 4 * n):
-            if _ramp(m, d) < val - slack:
+            if _ramp(m, d) < val - CUTOFF_SLACK:
                 violations.append(("monotone", x, _ramp(m, d) - val))
 
     # convergence: once m exceeds every settled distance the bump is flat 1
@@ -669,7 +671,7 @@ def cutoff_property_check(g, x0, n, *, budget=None, slack=1e-12) -> CutoffCheckR
             co = chi.value(e.origin)
             ct = chi.value(e.terminus)
             bound = _pair_distance(g, e.origin, e.terminus, UNIT_Q, budget) / n
-            if abs(ct - co) > bound + slack:
+            if abs(ct - co) > bound + CUTOFF_SLACK:
                 violations.append(("gradient", e, abs(ct - co) - bound))
 
     return CutoffCheckReport(x0=x0, n=n, support_size=len(support), violations=violations)

@@ -6,7 +6,7 @@ window and no arrays, so the array operators can be checked against them.
 """
 
 from magschro.functions import EdgeFunction, VertexFunction, support_union
-from magschro.graphs import edge_sort_key, incident_edges, vertex_sort_key
+from magschro.graphs import edge_sort_key, normalize_edge, vertex_sort_key
 
 _TINY = 1e-300
 
@@ -15,6 +15,12 @@ def _rel(dev, scale):
     if dev == 0.0:
         return 0.0
     return dev / max(scale, _TINY)
+
+
+def incident_edges(g, vertices):
+    """The normalized edges meeting any of ``vertices``, sorted."""
+    return sorted({normalize_edge(e) for x in vertices for e, _ in g.neighbors(x)},
+                  key=edge_sort_key)
 
 
 def one_hop_closure(g, support):

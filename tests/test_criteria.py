@@ -241,3 +241,43 @@ def test_settled_scan_matches_the_vertex_walk(spec, x0):
     explored = metric.shortest_paths(g, x0, budget=3000)
     assert explored.method == "window"
     assert criteria._scan(g, *criteria._explored(g, explored)) == window_walk(g, explored.distances)
+
+
+def _count_neighbor_reads(g):
+    """Wrap ``g.neighbors`` and return the list that records each call."""
+    calls, read = [], g.neighbors
+
+    def neighbors(x):
+        calls.append(x)
+        return read(x)
+
+    g.neighbors = neighbors
+    return calls
+
+
+def test_semibounded_probe_reads_each_closure_once():
+    g = make_family({"family": "cycle", "size": 400})
+    calls = _count_neighbor_reads(g)
+    semibounded_probe(g, [range(1, 101), range(1, 201)])
+    assert len(calls) == 102 + 202  # the closures {400, 1..101} and {400, 1..201}
+
+
+def test_rayleigh_min_is_the_smallest_delta_quotient(rng):
+    from magschro.functions import VertexFunction, inner_w
+    from magschro.operators import schrodinger_apply
+
+    graphs = [(quadratic_well_ray(), range(1, 40)),
+              (make_family({"family": "cycle", "size": 30}), range(3, 20))]
+    for _ in range(20):
+        g = random_connected_graph(rng, max_vertices=15)
+        graphs.append((g, g.vertices()[::2]))
+    for g, window in graphs:
+        quotients, scale = [], 0.0
+        for x in window:
+            d = VertexFunction.delta(x)
+            quotients.append((inner_w(g, schrodinger_apply(g, d), d) / inner_w(g, d, d)).real)
+            rec = g.vertex(x)
+            degree = sum(data.weight for _, data in g.neighbors(x))
+            scale = max(scale, abs(degree / rec.weight), abs(rec.potential))
+        got = semibounded_probe(g, [window]).rows[0].rayleigh_min
+        assert abs(got - min(quotients)) <= 1e-12 * scale

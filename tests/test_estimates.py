@@ -301,3 +301,40 @@ def test_tapered_defect_bound_zero_input():
     report = tapered_defect_bound(g, VertexFunction(), VertexFunction(), 1, 4.0,
                                   degree_bound=2)
     assert report.value == 0 and report.bound == 0.0 and report.passed
+
+
+def test_gradient_energy_inequality_reads_each_closure_once(rng):
+    from magschro.randomgraphs import random_function
+
+    for _ in range(10):
+        g = random_connected_graph(rng, ensure_minorant=True, max_vertices=20)
+        u = random_vertex_function(rng, g, max_support=4)
+        phi = random_function(rng, g.vertices(), max_support=4, real=True)
+        closure = {s: {y for x in f.support for y in [x, *(e.terminus for e, _ in g.neighbors(x))]}
+                   for s, f in (("u", u), ("phi", phi))}
+        calls, read = [], g.neighbors
+        g.neighbors = lambda x: calls.append(x) or read(x)
+        gradient_energy_inequality(g, u, phi)
+        assert len(calls) == len(closure["u"]) + len(closure["phi"])
+
+
+def test_commutator_term_matches_the_edge_loop(rng):
+    """The cross term over the closure window equals the loop over incident
+    edges and their looked-up data, bit for bit."""
+    from dict_calculus import incident_edges
+    from magschro.randomgraphs import random_function
+
+    for _ in range(40):
+        g = random_connected_graph(rng, ensure_minorant=True, max_vertices=20)
+        u = random_vertex_function(rng, g, max_support=5)
+        phi = random_function(rng, g.vertices(), max_support=5, real=True)
+        cross = 0.0
+        for k in incident_edges(g, phi.support):
+            data = g.edge_data(k)
+            dphi = phi(k[1]) - phi(k[0])
+            if dphi != 0:
+                phased = (data.phase * u(k[1]).conjugate() + u(k[0]).conjugate()) / 2
+                cross += data.weight * abs(dphi) ** 2 * abs(phased) ** 2
+        report = gradient_energy_inequality(g, u, phi)
+        energy = weighted_gradient_energy(g, u, phi)
+        assert report.commutator_term == 2.0 * energy * math.sqrt(cross)

@@ -225,3 +225,47 @@ def test_array_evaluator_agrees_with_eval_expr(text, start, size):
             compile_text(text)(ns)
         assert exc.value.n == error.n
         assert str(exc.value) == str(error).replace(" (at n=", f" in {text!r} (at n=")
+
+
+@pytest.mark.parametrize("text", ["n / 0", "1/(0*n)", "1/(n/0)", "min(1/(0*n), 2)", "n / -0.0"])
+def test_constant_zero_divisor_raises_over_an_array(text):
+    # numpy gives inf or NaN for x / 0.0, and 1/(n/0) or min(..., 2) would then be finite
+    for n in (7, np.arange(1, 50)):
+        with pytest.raises(ExprEvalError, match=r"division by zero .* \(at n=(7|1)\)"):
+            compile_text(text)(n)
+
+
+@pytest.mark.parametrize("text", ["min(0, -0.0*n)", "max(-0.0, 0*n)", "min(0, -0.0*n, 1)",
+                                  "max(2, n, 2*n - 2)", "min(1, n^150*n^150 - n^150*n^150)",
+                                  "min(0*n, -0.0)", "max(1e308*10 - 1e308*10, 0*n, 1) + 1"])
+def test_min_max_first_wins_with_a_float_argument(text):
+    """Ties between 0.0 and -0.0, and NaN operands, are decided by position."""
+    ns = np.arange(1, 40)
+    ast = parse_expr(text)
+    expected = []
+    for n in ns.tolist():
+        try:
+            expected.append(eval_expr(ast, n))
+        except ExprEvalError:
+            with pytest.raises(ExprEvalError):
+                compile_text(text)(ns)
+            return
+    assert compile_text(text)(ns).tobytes() == np.array(expected).tobytes()
+
+
+def test_min_max_ties_keep_the_first_zero():
+    for evaluate in (lambda text: ev(text, 3), lambda text: compile_text(text)(np.array([3]))[0]):
+        assert math.copysign(1.0, evaluate("min(0, -0.0*n)")) == 1.0
+        assert math.copysign(1.0, evaluate("max(-0.0, 0*n)")) == -1.0
+
+
+def test_n_is_converted_where_it_is_read():
+    assert eval_expr(parse_expr("1"), 10**400) == 1.0
+    assert compile_text("2 + 3")(10**400) == 5.0
+    with pytest.raises(ExprEvalError, match="int too large to convert to float"):
+        eval_expr(parse_expr("n"), 10**400)
+
+
+def test_scalar_results_are_python_floats():
+    for text in ("sqrt(n)", "n^2", "min(n, 2)", "1/n", "abs(-n)", "sqrt(4)"):
+        assert type(ev(text, 9)) is float, text

@@ -1,6 +1,9 @@
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magschro.errors import GraphStructureError, InputError, UnknownVertexError
 from magschro.families import FamilySpec, make_family, quadratic_well_ray
@@ -9,6 +12,7 @@ from magschro.graphs import (
     ExplicitGraph,
     OrientedEdge,
     VertexData,
+    edge_sort_key,
     normalize_edge,
     validate,
 )
@@ -206,3 +210,114 @@ def test_explicit_graph_mode_and_edges():
 def test_validate_lazy_family_window():
     report = validate(quadratic_well_ray(), range(1, 100))
     assert report.ok
+
+
+def _validate_unchecked(vertices, edges):
+    g = ExplicitGraph(vertices, edges, check=False)
+    return validate(g, g.vertices())
+
+
+def test_validate_reports_nan_minorant_and_inf_weight():
+    report = _validate_unchecked(
+        {1: (1.0, math.nan, math.nan), 2: (1.0, 0.0, 1.0), 3: (math.inf, 0.0, 1.0)},
+        {(1, 2): (1.0, 1 + 0j), (2, 3): (1.0, 1 + 0j)},
+    )
+    assert [(v.kind, v.location) for v in report.violations] == [
+        ("non-finite-vertex-data", 1), ("non-finite-vertex-data", 3)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["w", "W", "q", "a", "phase"])
+def test_validate_reports_non_finite_data_where_it_sits(field, bad):
+    vertex = {"w": 1.0, "W": 0.0, "q": 1.0}
+    edge = {"a": 1.0, "phase": 1.0 + 0j}
+    if field in vertex:
+        vertex[field] = bad
+    else:
+        edge[field] = complex(bad, 0.0) if field == "phase" else bad
+    report = _validate_unchecked({1: (vertex["w"], vertex["W"], vertex["q"]), 2: (1.0, 0.0, 1.0)},
+                                 {(1, 2): (edge["a"], edge["phase"])})
+    if field in vertex:
+        expected = [("non-finite-vertex-data", 1)]
+    else:  # the derived reverse carries the same non-finite number; nothing else is reported
+        expected = [("non-finite-edge-data", (1, 2)), ("non-finite-edge-data", (2, 1))]
+    assert [(v.kind, v.location) for v in report.violations] == expected
+
+
+_CORRUPT = [math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 1.0, 2.0]
+_CORRUPT_PHASE = [complex(math.nan, 0), complex(0, math.inf), 2.0 + 0j, 1j, -1j, 1 + 0j,
+                  cmath.exp(0.3j), cmath.exp(-0.3j)]
+
+
+@st.composite
+def _corrupted_graphs(draw):
+    """A small connected graph, both orientations given, with one field replaced."""
+    size = draw(st.integers(2, 6))
+    vertices = {x: [1.0 + x, 0.5 * x - 1.0, 1.0 + x / 2] for x in range(size)}
+    pairs = [(draw(st.integers(0, x - 1)), x) for x in range(1, size)]
+    pairs += [p for p in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                                       max_size=4)) if p[0] < p[1] and p not in pairs]
+    edges = {}
+    for o, t in pairs:
+        phase = cmath.exp(1j * (o - 2 * t))
+        edges[(o, t)] = [0.5 + o + t, phase]
+        edges[(t, o)] = [0.5 + o + t, phase.conjugate()]
+    if draw(st.booleans()):
+        field = vertices[draw(st.sampled_from(sorted(vertices)))]
+        field[draw(st.integers(0, 2))] = draw(st.sampled_from(_CORRUPT))
+    else:
+        field = edges[draw(st.sampled_from(sorted(edges)))]
+        at = draw(st.integers(0, 1))
+        field[at] = draw(st.sampled_from(_CORRUPT_PHASE if at else _CORRUPT))
+    return ({x: tuple(v) for x, v in vertices.items()}, {e: tuple(d) for e, d in edges.items()})
+
+
+@settings(max_examples=300)
+@given(graph=_corrupted_graphs())
+def test_validate_agrees_with_the_constructor(graph):
+    vertices, edges = graph
+    try:
+        ExplicitGraph(vertices, edges)
+        refused = False
+    except GraphStructureError:
+        refused = True
+    assert refused == (not _validate_unchecked(vertices, edges).ok)
+
+
+_IDS = {"int": st.integers(-50, 50), "str": st.text("abcxyz", min_size=1, max_size=3),
+        "mixed": st.one_of(st.integers(-50, 50), st.text("abcxyz", min_size=1, max_size=3))}
+
+
+@st.composite
+def _graphs_with_ids(draw, kind):
+    """A connected graph on ids of the given kind, each edge given in one orientation."""
+    ids = draw(st.lists(_IDS[kind], min_size=2, max_size=8, unique=True))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, len(ids))]
+    pairs += draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1)),
+                           max_size=6))
+    edges = {}
+    for i, j in pairs:  # either orientation, as drawn
+        if i != j and (ids[j], ids[i]) not in edges:
+            edges[(ids[i], ids[j])] = EdgeData(1.0 + len(edges), cmath.exp(0.7j * len(edges)))
+    return ExplicitGraph({x: (1.0, 0.0, 1.0) for x in ids}, edges), edges
+
+
+@pytest.mark.parametrize("kind", sorted(_IDS))
+def test_edge_table_on_int_str_and_mixed_ids(kind):
+    @settings(max_examples=60)
+    @given(graph=_graphs_with_ids(kind))
+    def check(graph):
+        g, edges = graph
+        entries = {normalize_edge(e) for x in g.vertices() for e, _ in g.neighbors(x)}
+        assert g.edges() == sorted(entries, key=edge_sort_key)
+        assert all(type(e) is OrientedEdge for e in g.edges())
+        for (o, t), data in edges.items():
+            assert g.edge_data((o, t)) == data
+            assert g.edge_data((t, o)) == EdgeData(data.weight, data.phase.conjugate())
+        x, y = g.vertices()[0], g.vertices()[-1]
+        if not g.has_edge((x, y)):
+            with pytest.raises(InputError, match="no edge"):
+                g.edge_data((x, y))
+        with pytest.raises(InputError):
+            g.edge_data(("nowhere", x))
+    check()
