@@ -16,6 +16,7 @@ a window: the window a search ran on, or the closure of a vertex set that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -139,6 +140,16 @@ def _scan(g, win, member):
 
 
 @dataclass
+class SearchSummary:
+    """How the search behind a report ran."""
+
+    method: str  # "frontier" or "window", as SearchResult.method
+    settled: int
+    hops: Optional[int]  # hop radius of the window searched; None on the frontier
+    wall_s: float
+
+
+@dataclass
 class CriteriaReport:
     degree: DegreeCheck
     minorant: MinorantCheck
@@ -149,13 +160,14 @@ class CriteriaReport:
     window_size: int
     scope: str  # "exact" | "windowed"
     overall: str  # "pass" | "fail" | "partial"
+    search: SearchSummary
 
 
 def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> CriteriaReport:
     """Aggregate all four sufficient conditions over an explored window.
 
     One search serves both the completeness probe and the window, the region
-    it settles, which one array scan checks.  The overall verdict is "pass"
+    it settles, which one array scan checks; ``search`` says how it ran.  The overall verdict is "pass"
     when every condition holds and the completeness verdict is exact, "fail"
     when any condition is violated (including an exact incompleteness
     verdict), and "partial" when the conditions hold but completeness rests
@@ -164,8 +176,11 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
     budget = _resolve_budget(budget)
     if not g.has_vertex(x0):
         raise UnknownVertexError(x0)
+    start = perf_counter()
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
                               trail_every=_probe_trail_every(budget))
+    search = SearchSummary(explored.method, len(explored.settled_distances()), explored.hops,
+                           perf_counter() - start)
     completeness = _completeness_report(g, x0, budget, explored)
     win, member = _explored(g, explored)
     degree, minorant, lipschitz = _scan(g, win, member)
@@ -198,6 +213,7 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
         window_size=window_size,
         scope=scope,
         overall=overall,
+        search=search,
     )
 
 

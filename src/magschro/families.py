@@ -246,10 +246,9 @@ def _finite_family(spec: FamilySpec) -> ExplicitGraph:
             an = a(min(u, v))
             if not an > 0:
                 raise InputError(f"family {spec.family!r}: a({min(u, v)}) = {an} is not positive")
-    vertices = {n: VertexData(*rec)
-                for n, rec in enumerate(zip(wv.tolist(), Wv.tolist(), qv.tolist()), start=1)}
-    edges = {pair: EdgeData(an, 1.0) for pair, an in zip(pairs, av.tolist())}
-    return ExplicitGraph(vertices, edges)
+    return ExplicitGraph.from_columns(list(range(1, size + 1)), wv, Wv, qv,
+                                      [u for u, _ in pairs], [v for _, v in pairs], av,
+                                      np.ones(len(pairs)))
 
 
 def make_family(spec) -> WeightedGraph:

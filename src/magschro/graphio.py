@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SchemaError
-from .graphs import EdgeData, ExplicitGraph, VertexData
+from .graphs import ExplicitGraph
 
 SIGMA_PARSE_TOL = 1e-9
 
@@ -53,9 +53,13 @@ class GraphFile:
     edges: list
 
     def to_graph(self, *, check=True) -> ExplicitGraph:
-        vertices = {rec.id: VertexData(rec.w, rec.W, rec.q) for rec in self.vertices}
-        edges = {(rec.u, rec.v): EdgeData(rec.a, rec.sigma) for rec in self.edges}
-        return ExplicitGraph(vertices, edges, check=check)
+        """The graph of these records, built from their columns; a duplicate
+        vertex id or edge record is a :class:`GraphStructureError`."""
+        vs, es = self.vertices, self.edges
+        return ExplicitGraph.from_columns(
+            [r.id for r in vs], [r.w for r in vs], [r.W for r in vs], [r.q for r in vs],
+            [r.u for r in es], [r.v for r in es], [r.a for r in es], [r.sigma for r in es],
+            check=check)
 
 
 def _require(obj, kind, path):

@@ -24,8 +24,10 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-from collections import deque
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Union
@@ -217,8 +219,8 @@ class WeightedGraph:
         Every vertex of ``vertices`` is interior to it, which is all that a
         calculus operator on functions supported there, a scan of the
         criteria over them or their truncation needs.  A graph that holds
-        arrays may cut the window from them instead, with the same fields
-        and dtypes.
+        arrays cuts the window from them instead, with the same fields: the
+        lazy ray from its block, an explicit graph from its CSR arrays.
         """
         lists = {x: self.neighbors(x) for x in vertices}
         found = set(extra).union(lists)
@@ -237,14 +239,22 @@ class WeightedGraph:
         data = list(map(_second, compress(entries, keep.tolist())))
         kept = np.bincount(np.repeat(np.arange(len(ids)), degrees)[keep], minlength=len(ids))
         w, W, q = (np.array(column) for column in zip(*records)) if records else [np.empty(0)] * 3
-        # int64 ids when every id is an int that fits; an object array keeps str ids
-        # as they are, where np.array would turn mixed ids into strings
-        fits = all(type(x) is int and -2**63 <= x < 2**63 for x in ids)
-        id_array = np.empty(len(ids), dtype=np.int64 if fits else object)
-        id_array[:] = ids
-        return Window(ids=id_array, indptr=np.concatenate([[0], np.cumsum(kept)]),
+        return Window(ids=_id_array(ids), indptr=np.concatenate([[0], np.cumsum(kept)]),
                       indices=at[keep], w=w, W=W, q=q, a=np.array(list(map(_first, data))),
                       sigma=np.array(list(map(_second, data))), interior=kept == degrees)
+
+
+def _id_array(ids) -> np.ndarray:
+    """int64 ids when every id is an int that fits; an object array keeps str
+    ids as they are, where np.array would turn mixed ids into strings."""
+    if all(type(x) is int for x in ids):
+        try:
+            return np.fromiter(ids, np.int64, len(ids))
+        except OverflowError:
+            pass
+    out = np.empty(len(ids), dtype=object)
+    out[:] = ids
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,13 +262,17 @@ class Window:
     """A finite vertex set of a graph as arrays, for vectorized passes.
 
     Vertices are numbered 0..m-1 in id order (:func:`vertex_sort_key`);
-    ``ids`` is an int64 array when every id is an int, else an object array.
-    Row i of the CSR adjacency (``indptr``, ``indices``) lists the neighbors
-    of vertex i that lie in the window, in id order, and ``a`` and ``sigma``
-    hold the data of those oriented edges.  A vertex is interior when all of
-    its neighbors lie in the window.  The data arrays hold the records'
-    numbers as numpy infers them: float64 or complex128 for floats, objects
-    for exact scalars such as ``Fraction`` and ``ComplexRational``.
+    ``ids`` is an int64 array when every id is an int, else an object array
+    that holds str and mixed ids as they are, and :meth:`row_of` finds the
+    row of an id in either.  Row i of the CSR adjacency (``indptr``,
+    ``indices``) lists the neighbors of vertex i that lie in the window, in
+    id order, and ``a`` and ``sigma`` hold the data of those oriented edges.
+    A vertex is interior when all of its neighbors lie in the window.  The
+    data arrays hold the graph's numbers as numpy infers them, over the
+    records read or over an array graph's columns: float64 or complex128
+    for floats, objects for exact scalars such as ``Fraction`` and
+    ``ComplexRational``.  The arrays may be read-only views of the graph's
+    own.
     """
 
     ids: np.ndarray
@@ -278,6 +292,38 @@ class Window:
     def holds(self, vertices) -> np.ndarray:
         """Whether each row's vertex is one of ``vertices``, a set or a dict."""
         return np.fromiter(map(vertices.__contains__, self.ids.tolist()), bool, len(self.ids))
+
+    def row_of(self, x):
+        """The row of the id that equals ``x``, or None.
+
+        Equal as the frontier compares vertices (``==``, and the hash of a
+        dict key): ``5``, ``np.int64(5)``, ``5.0`` and ``True`` for 1 all find
+        id 5.  Int ids are found by binary search, other ids by a dict built
+        on the first lookup.
+        """
+        ids = self.ids
+        if ids.dtype == object:
+            try:
+                return self._rows.get(x)
+            except TypeError:  # unhashable, so equal to no id
+                return None
+        try:
+            n = operator.index(x)
+        except TypeError:
+            try:
+                n = int(x.real)  # floats, numpy scalars, fractions
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                return None
+            if n != x:
+                return None
+        if not len(ids) or not int(ids[0]) <= n <= int(ids[-1]):
+            return None
+        row = int(np.searchsorted(ids, n))
+        return row if ids[row] == n else None
+
+    @cached_property
+    def _rows(self) -> dict:
+        return dict(zip(self.ids.tolist(), range(len(self.ids))))
 
 
 def _finite_edge(data) -> bool:
@@ -343,104 +389,326 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
 
 
 class ExplicitGraph(WeightedGraph):
-    """Finite graph with explicitly stored vertex and edge data.
+    """Finite graph with explicitly stored vertex and edge data, held as arrays.
 
     ``vertices`` maps each id to ``(w, W, q)``.  ``edges`` maps an oriented
-    pair ``(u, v)`` to ``(a, sigma)``; when only one orientation of an edge
-    is given, the reverse is derived (same weight, conjugate phase).  Both
-    orientations may be supplied explicitly, which permits building broken
-    graphs for :func:`validate` to report on when ``check=False``.
-    The neighbor lists are the one edge table: an edge lookup scans the
-    degree-bounded list of its origin.
+    pair ``(u, v)`` to ``(a, sigma)``, or is an iterable of such items; when
+    only one orientation of an edge is given, the reverse is derived (same
+    weight, conjugate phase).  Both orientations may be supplied explicitly,
+    which permits building broken graphs for :func:`validate` to report on
+    when ``check=False``.  :meth:`from_columns` builds the same graph from
+    columns.
+
+    The vertices are numbered 0..m-1 in id order (:func:`vertex_sort_key`),
+    and these rows hold w, W and q.  The edges form a CSR adjacency
+    (``indptr``, ``indices``, with a and sigma per entry) whose rows are
+    sorted by column, that is by terminus.  Each column holds the given
+    numbers as numpy infers one dtype for it over the whole graph: float64
+    or complex128 for floats, objects for exact scalars such as
+    ``Fraction``.  ``vertex`` reads records built once, ``neighbors`` builds
+    the records of a row on its first read and keeps them, edge lookups
+    binary-search the row, and windows are sliced from the arrays.
     """
 
     is_finite = True
 
     def __init__(self, vertices: Mapping, edges, *, degree_bound=None, check=True):
         super().__init__()
-        self._vrec = {}
-        for x, rec in vertices.items():
-            self._vrec[x] = rec if isinstance(rec, VertexData) else VertexData(*rec)
-        edata = {}
-        for pair, data in edges.items() if isinstance(edges, Mapping) else edges:
-            e = as_edge(pair)
-            data = data if isinstance(data, EdgeData) else EdgeData(*data)
-            key = (e.origin, e.terminus)
-            if key in edata:
-                raise GraphStructureError(f"duplicate oriented edge {key!r}")
-            edata[key] = data
-        # derive missing reverse orientations
-        for (o, t), data in list(edata.items()):
-            if (t, o) not in edata:
-                edata[(t, o)] = EdgeData(data.weight, data.phase.conjugate())
+        w, W, q = [], [], []
+        for wx, Wx, qx in vertices.values():
+            w.append(wx)
+            W.append(Wx)
+            q.append(qx)
+        origins, termini, a, sigma = [], [], [], []
+        for (o, t), (ae, se) in edges.items() if isinstance(edges, Mapping) else edges:
+            origins.append(o)
+            termini.append(t)
+            a.append(ae)
+            sigma.append(se)
+        self._build(list(vertices), w, W, q, origins, termini, a, sigma, degree_bound, check)
 
-        adj = {x: [] for x in self._vrec}
-        for (o, t), data in edata.items():
-            if o not in self._vrec or t not in self._vrec:
-                raise GraphStructureError(f"edge ({o!r}, {t!r}) references an unknown vertex")
-            adj[o].append((OrientedEdge(o, t), data))
-        for x in adj:
-            adj[x].sort(key=lambda item: vertex_sort_key(item[0].terminus))
-        self._adj = adj
+    @classmethod
+    def from_columns(cls, ids, w, W, q, origins, termini, a, sigma, *, degree_bound=None,
+                     check=True) -> "ExplicitGraph":
+        """The graph on the vertices ``ids`` with the oriented edges
+        ``origins[k] -> termini[k]``, as the constructor builds it.
 
-        observed = max((len(v) for v in adj.values()), default=0)
-        self.degree_bound = degree_bound if degree_bound is not None else observed
+        ``ids``, ``origins`` and ``termini`` are sequences of ids; w, W and q
+        run along ``ids`` and a and sigma along the edges, as sequences or
+        arrays.
+        """
+        g = cls.__new__(cls)
+        WeightedGraph.__init__(g)
+        g._build(ids, w, W, q, origins, termini, a, sigma, degree_bound, check)
+        return g
 
+    def _build(self, ids, w, W, q, origins, termini, a, sigma, degree_bound, check):
+        m, k = len(ids), len(origins)
+        try:
+            order = sorted(range(m), key=ids.__getitem__)
+        except TypeError:  # ints and strings mixed
+            order = sorted(range(m), key=lambda i: vertex_sort_key(ids[i]))
+        self._ids = [ids[i] for i in order]
+        self._row = row = dict(zip(self._ids, range(m)))
+        if len(row) < m:
+            seen = set()
+            raise GraphStructureError(
+                f"duplicate vertex {next(x for x in ids if x in seen or seen.add(x))!r}")
+        # the rows of the ends; ids that are no vertex get codes m, m + 1, ...
+        ends = list(map(row.get, chain(origins, termini)))
+        unknown = {}
+        if None in ends:
+            ends = [m + unknown.setdefault(x, len(unknown)) if r is None else r
+                    for r, x in zip(ends, chain(origins, termini))]
+        ends = np.array(ends, dtype=np.int64)
+        src, dst = ends[:k], ends[k:]
+        codes = src * (m + len(unknown)) + dst
+        given = codes.argsort(kind="stable")
+        keys = codes[given]
+        repeated = (keys[1:] == keys[:-1]).nonzero()[0]
+        if len(repeated):
+            i = int(given[repeated + 1].min())
+            raise GraphStructureError(f"duplicate oriented edge {(origins[i], termini[i])!r}")
+        if unknown:
+            i = int(((src >= m) | (dst >= m)).argmax())
+            raise GraphStructureError(
+                f"edge ({origins[i]!r}, {termini[i]!r}) references an unknown vertex")
+
+        # derive the reverses that are not given, then sort the entries by (row, column)
+        reverse = dst * m + src
+        derived = (keys.take(keys.searchsorted(reverse), mode="clip") != reverse).nonzero()[0]
+        a_given, sigma_given = np.array(a), np.array(sigma)
+        entry_keys = np.concatenate([codes, reverse[derived]])
+        perm = entry_keys.argsort()
+        entry_keys = entry_keys[perm]
+        source = np.concatenate([np.arange(k), derived])[perm]  # the given edge of each entry
+        self._a, self._sigma = a_given[source], sigma_given[source]
+        flipped = (perm >= k).nonzero()[0]
+        self._sigma[flipped] = np.conj(self._sigma[flipped])
+        rows, self._indices = np.divmod(entry_keys, max(m, 1))
+        counts = np.bincount(rows, minlength=m)
+        self._indptr = np.zeros(m + 1, dtype=np.int64)
+        counts.cumsum(out=self._indptr[1:])
+        columns = [np.array(c) for c in (w, W, q)]
         if check:
-            self._check_structure(edata)
+            back = entry_keys.searchsorted(reverse)  # each given edge's reverse entry
+            fault = (_vertex_fault(ids, (w, W, q), columns)
+                     or _edge_fault(origins, termini, src == dst, a_given, sigma_given,
+                                    self._a[back], self._sigma[back], sigma)
+                     or self._split(row[ids[0]]))
+            if fault:
+                raise GraphStructureError(fault)
+        order = np.array(order, dtype=np.int64)
+        self._w, self._W, self._q = (c[order] for c in columns)
+        self._id_array = _id_array(self._ids)
+        for held in (self._w, self._W, self._q, self._a, self._sigma, self._indptr,
+                     self._indices, self._id_array):
+            held.flags.writeable = False  # windows share them
+        self._records = list(map(VertexData, self._w.tolist(), self._W.tolist(),
+                                 self._q.tolist()))
+        self._lists = [None] * m  # neighbor lists, built on first read
+        self.degree_bound = (degree_bound if degree_bound is not None
+                             else max(counts.tolist(), default=0))
 
-    def _check_structure(self, edata):
-        if not self._vrec:
-            raise GraphStructureError("graph has no vertices")
-        for x, rec in self._vrec.items():
-            if not all(math.isfinite(v) for v in rec):
-                raise GraphStructureError(f"vertex {x!r}: w, W and q must be finite, got {tuple(rec)}")
-            if not rec.weight > 0:
-                raise GraphStructureError(f"vertex {x!r}: weight must be positive, got {rec.weight}")
-            if not rec.minorant >= 1:
-                raise GraphStructureError(f"vertex {x!r}: minorant must be >= 1, got {rec.minorant}")
-        for (o, t), data in edata.items():
-            if o == t:
-                raise GraphStructureError(f"loop at vertex {o!r}")
-            if not _finite_edge(data):
-                raise GraphStructureError(f"edge ({o!r}, {t!r}): weight and phase must be finite")
-            if not data.weight > 0:
-                raise GraphStructureError(f"edge ({o!r}, {t!r}): weight must be positive")
-            if abs(abs(data.phase) - 1.0) > PHASE_TOL:
-                raise GraphStructureError(f"edge ({o!r}, {t!r}): phase modulus {abs(data.phase)} != 1")
-            back = edata[(t, o)]
-            if back.weight != data.weight:
-                raise GraphStructureError(f"edge ({o!r}, {t!r}): weight differs between orientations")
-            if abs(back.phase - data.phase.conjugate()) > PHASE_TOL:
-                raise GraphStructureError(f"edge ({o!r}, {t!r}): phases are not conjugate")
-        # connectivity by breadth-first search
-        start = next(iter(self._vrec))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for e, _ in self._adj[x]:
-                if e.terminus not in seen:
-                    seen.add(e.terminus)
-                    queue.append(e.terminus)
-        if len(seen) != len(self._vrec):
-            missing = sorted(set(self._vrec) - seen, key=vertex_sort_key)
-            raise GraphStructureError(f"graph is not connected; unreachable: {missing[:5]}")
+    def _split(self, start):
+        """The connectivity fault: None, or the first unreachable ids from ``start``."""
+        reached = np.frombuffer(self._ball(start, len(self._ids)), dtype=np.uint8)
+        missing = np.flatnonzero(reached == 0)[:5].tolist()
+        if missing:
+            return f"graph is not connected; unreachable: {[self._ids[r] for r in missing]}"
+        return None
+
+    def _ball(self, start, hops) -> bytearray:
+        """Whether each row lies within ``hops`` edges of row ``start``: a
+        breadth-first search over the CSR lists."""
+        indptr, indices = self._indptr.tolist(), self._indices.tolist()
+        seen = bytearray(len(indptr) - 1)
+        seen[start] = 1
+        level = [start]
+        for _ in range(hops):
+            ahead = []
+            for r in level:
+                for c in indices[indptr[r]:indptr[r + 1]]:
+                    if not seen[c]:
+                        seen[c] = 1
+                        ahead.append(c)
+            if not ahead:
+                break
+            level = ahead
+        return seen
 
     def has_vertex(self, x) -> bool:
-        return x in self._vrec
+        return x in self._row
 
     def vertex(self, x) -> VertexData:
         try:
-            return self._vrec[x]
+            return self._records[self._row[x]]
         except KeyError:
             raise UnknownVertexError(x) from None
 
     def neighbors(self, x):
         try:
-            return self._adj[x]
+            r = self._row[x]
         except KeyError:
             raise UnknownVertexError(x) from None
+        found = self._lists[r]
+        if found is None:
+            lo, hi = self._indptr[r:r + 2].tolist()
+            ids = self._ids
+            found = self._lists[r] = [
+                (OrientedEdge(ids[r], ids[c]), EdgeData(a, s))
+                for c, a, s in zip(self._indices[lo:hi].tolist(), self._a[lo:hi].tolist(),
+                                   self._sigma[lo:hi].tolist())]
+        return found
 
     def vertices(self):
-        return sorted(self._vrec, key=vertex_sort_key)
+        return list(self._ids)
+
+    def _find(self, r, t):
+        """The place of the edge from row ``r`` to ``t`` in the row, or None:
+        a binary search of the row's sorted columns."""
+        c = self._row.get(t)
+        if c is None:
+            return None
+        lo, hi = self._indptr[r:r + 2].tolist()
+        k = bisect_left(self._indices, c, lo, hi)
+        return k - lo if k < hi and self._indices[k] == c else None
+
+    def edge_data(self, e) -> EdgeData:
+        e = as_edge(e)
+        found = self.neighbors(e.origin)
+        k = self._find(self._row[e.origin], e.terminus)
+        if k is None:
+            raise InputError(f"no edge {e.origin!r} -> {e.terminus!r}")
+        return found[k][1]
+
+    def has_edge(self, e) -> bool:
+        e = as_edge(e)
+        r = self._row.get(e.origin)
+        return r is not None and self._find(r, e.terminus) is not None
+
+    def edges(self):
+        rows = np.repeat(np.arange(len(self._ids)), np.diff(self._indptr))
+        later = np.flatnonzero(rows < self._indices)
+        ids = self._ids
+        return list(map(OrientedEdge, map(ids.__getitem__, rows[later].tolist()),
+                        map(ids.__getitem__, self._indices[later].tolist())))
+
+    def hop_window(self, x0, hops):
+        """The breadth-first ball of ``hops`` edges around ``x0`` as a
+        :class:`Window`, the whole graph when it covers it.
+
+        None when w, q or a do not hold floats: searches on exact data stay
+        on the neighbor oracle, which computes their lengths exactly.
+        """
+        if any(c.dtype.kind != "f" for c in (self._w, self._q, self._a)):
+            return None
+        seen = self._ball(self._row[x0], hops)
+        return self._window(np.flatnonzero(np.frombuffer(seen, dtype=np.uint8)))
+
+    def closure_window(self, vertices, extra=()) -> "Window":
+        """The one-hop closure of ``vertices``, with the vertices ``extra``, as a
+        :class:`Window` sliced from the arrays, with their dtypes."""
+        row = self._row
+        try:
+            inner = np.fromiter(map(row.__getitem__, vertices), np.int64)
+        except KeyError as exc:
+            raise UnknownVertexError(exc.args[0]) from None
+        more = [row.get(x) for x in extra]
+        if None in more:
+            raise UnknownVertexError(sorted_ids([x for x, r in zip(extra, more) if r is None])[0])
+        entries, _ = self._entries(inner)
+        return self._window(np.unique(np.concatenate(
+            [inner, self._indices[entries], np.array(more, dtype=np.int64)])))
+
+    def _entries(self, rows):
+        """The CSR entries of ``rows``, row after row, and their count per row."""
+        starts = self._indptr[rows]
+        counts = self._indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
+
+    def _window(self, rows) -> "Window":
+        """The window on the sorted graph ``rows``: their entries to one another."""
+        m = len(self._ids)
+        if len(rows) == m:  # the whole graph, whose arrays it shares
+            return Window(ids=self._id_array, indptr=self._indptr, indices=self._indices,
+                          w=self._w, W=self._W, q=self._q, a=self._a, sigma=self._sigma,
+                          interior=np.ones(m, dtype=bool))
+        where = np.full(m, -1, dtype=np.int64)
+        where[rows] = np.arange(len(rows))
+        entries, counts = self._entries(rows)
+        cols = where[self._indices[entries]]
+        keep = cols >= 0
+        kept = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(kept, out=indptr[1:])
+        entries = entries[keep]
+        ids = self._id_array[rows]
+        if ids.dtype == object:  # int64 when the window's ids are all ints, as in an oracle read
+            ids = _id_array(ids.tolist())
+        return Window(ids=ids, indptr=indptr, indices=cols[keep],
+                      w=self._w[rows], W=self._W[rows], q=self._q[rows], a=self._a[entries],
+                      sigma=self._sigma[entries], interior=kept == counts)
+
+
+def _given(column, i):
+    """Item ``i`` of a column as given; an array's as a Python scalar."""
+    return column[i:i + 1].tolist()[0] if isinstance(column, np.ndarray) else column[i]
+
+
+def _finite(column) -> np.ndarray:
+    return np.isfinite(column if column.dtype.kind in "fc" else column.astype(float))
+
+
+def _first_true(bad):
+    """The index of the first True in ``bad``, or None."""
+    i = int(bad.argmax()) if len(bad) else 0
+    return i if len(bad) and bad[i] else None
+
+
+def _vertex_fault(ids, given, columns):
+    """The first vertex, in the given order, whose w, W and q are not finite,
+    whose weight is not positive or whose minorant is below 1, as a message."""
+    if not len(ids):
+        return "graph has no vertices"
+    w, W, q = columns
+    finite = _finite(w) & _finite(W) & _finite(q)
+    positive = np.asarray(w > 0, dtype=bool)
+    minorant = np.asarray(q >= 1, dtype=bool)
+    i = _first_true(~(finite & positive & minorant))
+    if i is None:
+        return None
+    rec = tuple(_given(column, i) for column in given)
+    if not finite[i]:
+        return f"vertex {ids[i]!r}: w, W and q must be finite, got {rec}"
+    if not positive[i]:
+        return f"vertex {ids[i]!r}: weight must be positive, got {rec[0]}"
+    return f"vertex {ids[i]!r}: minorant must be >= 1, got {rec[2]}"
+
+
+def _edge_fault(origins, termini, loop, a, sigma, back_a, back_sigma, given_sigma):
+    """The first given edge with a fault, in the given order, as a message;
+    each edge's checks run in the order of the messages below."""
+    finite = _finite(a) & np.isfinite(sigma.astype(complex))
+    positive = np.asarray(a > 0, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf where a phase is not finite
+        modulus = np.asarray(np.abs(np.abs(sigma) - 1.0) > PHASE_TOL, dtype=bool)
+        skew = np.asarray(np.abs(back_sigma - np.conj(sigma)) > PHASE_TOL, dtype=bool)
+    asymmetric = np.asarray(back_a != a, dtype=bool)
+    i = _first_true(loop | ~finite | ~positive | modulus | asymmetric | skew)
+    if i is None:
+        return None
+    o, t = origins[i], termini[i]
+    if loop[i]:
+        return f"loop at vertex {o!r}"
+    if not finite[i]:
+        return f"edge ({o!r}, {t!r}): weight and phase must be finite"
+    if not positive[i]:
+        return f"edge ({o!r}, {t!r}): weight must be positive"
+    if modulus[i]:
+        return f"edge ({o!r}, {t!r}): phase modulus {abs(_given(given_sigma, i))} != 1"
+    if asymmetric[i]:
+        return f"edge ({o!r}, {t!r}): weight differs between orientations"
+    return f"edge ({o!r}, {t!r}): phases are not conjugate"

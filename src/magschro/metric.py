@@ -16,18 +16,19 @@ windows, and every result records whether it is complete or truncated.
 
 Searches start on the neighbor oracle (``_Frontier``).  One that is still
 going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
-the graph can cut one (the lazy ray can, around any base vertex): arrays
-searched by ``scipy.sparse.csgraph.dijkstra``, with the hops doubled until
-every reported vertex is interior to the window.  Both paths settle in the
-frontier's order: by distance, ties by push order, which on a ray is id
-order; where a window cannot show that, the search stays on the oracle.
-``SearchResult.method`` says which path ran.
+the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``,
+with the hops doubled until every reported vertex is interior to the
+window.  The lazy ray cuts its windows around any base vertex from one
+block of arrays; an explicit graph with float data cuts a breadth-first
+ball from its CSR arrays, the whole graph once the ball covers it.  Both
+paths settle in the frontier's order: by distance, ties by push order,
+which on a ray is id order; where a window cannot show that, the search
+stays on the oracle.  ``SearchResult.method`` says which path ran.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -152,7 +153,8 @@ class SearchResult:
     ``method`` names the path that produced it: ``"frontier"`` (Dijkstra over
     the neighbor oracle) or ``"window"`` (a hop window searched as arrays).
     A window result keeps its settled vertices as the rows ``order`` of
-    ``window`` and builds ``distances`` only when it is read.
+    ``window`` and builds ``distances`` only when it is read; ``hops`` is the
+    hop radius of that window (None on the frontier).
     """
 
     def __init__(self, complete, budget_hit, settled_radius, trail, *, distances=None,
@@ -163,6 +165,7 @@ class SearchResult:
         self.trail = trail  # (settled_count, distance) checkpoints
         self.method = "frontier" if window is None else "window"
         self.window = window
+        self.hops = None
         self.order = order
         self._distances = distances
         self._settled = settled  # settled distances in settle order
@@ -184,32 +187,9 @@ class SearchResult:
         """The distance of ``x`` if the search settled it, else None."""
         if self._distances is not None:
             return self._distances.get(x)
-        row = _row_of(self.window.ids, x)
+        row = self.window.row_of(x)
         hit = np.flatnonzero(self.order == row) if row is not None else ()
         return self._settled[hit[0]].item() if len(hit) else None
-
-
-def _row_of(ids, x):
-    """The row of the id in ``ids`` that equals ``x``, or None.
-
-    Equal as the frontier compares vertices (``==``, and the hash of a dict
-    key): ``5``, ``np.int64(5)``, ``5.0`` and ``True`` for 1 all find id 5.
-    """
-    if x is None:
-        return None
-    try:
-        n = operator.index(x)
-    except TypeError:
-        try:
-            n = int(x.real)  # floats, numpy scalars, fractions
-        except (AttributeError, TypeError, ValueError, OverflowError):
-            return None
-        if n != x:
-            return None
-    if not int(ids[0]) <= n <= int(ids[-1]):
-        return None
-    row = int(np.searchsorted(ids, n))
-    return row if ids[row] == n else None
 
 
 #: settled vertices after which a search restarts on a hop window, when the
@@ -274,6 +254,8 @@ def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
             return None
         found = _search_window(found, x0, q_mode, budget, radius, target, trail_every)
         if found is not _WIDER:
+            if found is not None:
+                found.hops = hops
             return found
         if hops >= budget:  # the settled tree has fewer than budget hops
             return None
@@ -304,9 +286,11 @@ def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
         np.sqrt(part, out=part)
         scale = win.a[b] * np.maximum(win.q[r], win.q[c]) if q_mode == WITH_Q else win.a[b]
         lengths[b] = part / np.sqrt(scale)
-    if not (np.all(lengths > 0) and np.all(np.diff(win.indptr) > 0)):
-        return None  # a zero-length edge is no edge to csgraph; empty rows defeat reduceat
-    source = int(np.searchsorted(win.ids, x0))
+    if not (np.all((lengths > 0) & (lengths < math.inf)) and np.all(np.diff(win.indptr) > 0)):
+        # a zero-length edge is no edge to csgraph, and the frontier divides by a
+        # zero weight; empty rows defeat reduceat
+        return None
+    source = win.row_of(x0)
     dist = dijkstra(csr_matrix((lengths, cols, win.indptr), shape=(m, m)), indices=source)
     order = np.argsort(dist, kind="stable")  # by distance, then by id
     ds = dist[order]
@@ -316,7 +300,7 @@ def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
     # exhaustion, before each settle; the target after it
     stop = reach if radius is None else min(reach, int(np.searchsorted(ds, radius, side="right")))
     t = reach
-    row = _row_of(win.ids, target)
+    row = win.row_of(target)
     if row is not None:
         t = int(np.flatnonzero(order == row)[0])
     if t < budget and t < stop and t < reach:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .functions import EdgeFunction, VertexFunction
-from .graphs import EdgeData, ExplicitGraph, VertexData, normalize_edge
+from .graphs import ExplicitGraph
 
 
 def _log_uniform(rng, low=0.1, high=10.0):
@@ -39,25 +39,21 @@ def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vert
         v = int(rng.integers(1, n + 1))
         if u == v:
             continue
-        pairs.add(normalize_edge((u, v)))
+        pairs.add((min(u, v), max(u, v)))
 
-    vertices = {}
-    for x in range(1, n + 1):
-        w = _log_uniform(rng)
-        if ensure_minorant:
-            q = 1.0 + abs(rng.normal(0.0, 2.0))
-            W = -q + rng.exponential(2.0)
-        else:
-            q = 1.0 + abs(rng.normal(0.0, 2.0))
-            W = rng.normal(0.0, 5.0)
-        vertices[x] = VertexData(w, W, q)
+    w, W, q = [], [], []
+    for _ in range(n):
+        w.append(_log_uniform(rng))
+        q.append(1.0 + abs(rng.normal(0.0, 2.0)))
+        W.append(-q[-1] + rng.exponential(2.0) if ensure_minorant else rng.normal(0.0, 5.0))
 
-    edges = {}
-    for pair in sorted(pairs):
-        a = _log_uniform(rng)
-        sigma = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        edges[pair] = EdgeData(a, sigma)
-    return ExplicitGraph(vertices, edges)
+    pairs = sorted(pairs)
+    a, sigma = [], []
+    for _ in pairs:
+        a.append(_log_uniform(rng))
+        sigma.append(cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    return ExplicitGraph.from_columns(list(range(1, n + 1)), w, W, q, [o for o, _ in pairs],
+                                      [t for _, t in pairs], a, sigma)
 
 
 def random_function(rng: np.random.Generator, ids, *, max_support=None,
@@ -99,10 +95,12 @@ def gauge_transformed(g: ExplicitGraph, tau: dict) -> ExplicitGraph:
     Together with u -> tau u this is a unitary change of variables, so
     differential norms and truncation spectra are unchanged.
     """
-    vertices = {x: g.vertex(x) for x in g.vertices()}
-    edges = {}
-    for e in g.edges():
-        data = g.edge_data(e)
-        sigma = tau[e.origin].conjugate() * data.phase * tau[e.terminus]
-        edges[(e.origin, e.terminus)] = EdgeData(data.weight, sigma)
-    return ExplicitGraph(vertices, edges, degree_bound=g.degree_bound)
+    ids = g.vertices()
+    win = g.closure_window(ids)
+    rows = win.rows()
+    later = np.flatnonzero(rows < win.indices)
+    origins, termini = win.ids[rows[later]].tolist(), win.ids[win.indices[later]].tolist()
+    sigma = [tau[o].conjugate() * phase * tau[t]
+             for o, phase, t in zip(origins, win.sigma[later].tolist(), termini)]
+    return ExplicitGraph.from_columns(ids, win.w, win.W, win.q, origins, termini, win.a[later],
+                                      sigma, degree_bound=g.degree_bound)

@@ -47,6 +47,21 @@ def test_check_json_report(tmp_path, capsys):
     assert payload["completeness"]["verdict"] == "complete (exact)"
 
 
+def test_check_json_reports_the_search(tmp_path, capsys):
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    assert main(["check", "--family", "path", "--size", "12", "--json", str(small)]) == 0
+    assert main(["check", "--family", "path", "--size", "600", "--json", str(large)]) == 0
+    text = capsys.readouterr().out
+    assert "search" not in text  # the text report stays as it was
+    search = json.loads(small.read_text())["search"]
+    assert (search["method"], search["settled"], search["hops"]) == ("frontier", 12, None)
+    search = json.loads(large.read_text())["search"]
+    # the frontier restarts on a 512-hop window after 256 settles; vertex 513 is
+    # not interior to it, so the hops double once more
+    assert (search["method"], search["settled"], search["hops"]) == ("window", 600, 1024)
+    assert search["wall_s"] > 0
+
+
 def test_ball_csv_output(capsys):
     code = main(["ball", "--family", "path-nat", "--q", "n^2", "--x0", "1",
                  "--radius", "0.6"])

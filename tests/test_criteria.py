@@ -207,15 +207,17 @@ def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
     assert calls["vertex"] == 2 * 2000 + 2 * 38
 
 
-def test_explicit_closure_reads_each_neighbor_list_once(monkeypatch):
+def test_explicit_closure_reads_no_neighbor_list(monkeypatch):
+    # the closure is sliced from the graph's CSR arrays, not read from the oracle
     g = make_family({"family": "binary-tree", "size": 63, "W": "-(n^2) - n", "q": "n^2"})
     calls = _count_reads(monkeypatch, g)
     window = range(2, 20)
     win = g.closure_window(window)
-    assert calls == {"vertex": len(win.ids), "neighbors": len(win.ids)}
-    calls.update(vertex=0, neighbors=0)
+    assert win.ids.tolist() == list(range(1, 40))  # parents and children of 2..19
+    # 20..31 have children outside; 32..39 have none in a tree of 63 vertices
+    assert win.interior.tolist() == [True] * 19 + [False] * 12 + [True] * 8
     assert minorant_check(g, window).witness == 19
-    assert calls == {"vertex": len(win.ids), "neighbors": len(win.ids)}
+    assert calls == {"vertex": 0, "neighbors": 0}
 
 
 def test_selfadjointness_criteria_window_path_reads_arrays(monkeypatch):
@@ -243,23 +245,16 @@ def test_settled_scan_matches_the_vertex_walk(spec, x0):
     assert criteria._scan(g, *criteria._explored(g, explored)) == window_walk(g, explored.distances)
 
 
-def _count_neighbor_reads(g):
-    """Wrap ``g.neighbors`` and return the list that records each call."""
-    calls, read = [], g.neighbors
-
-    def neighbors(x):
-        calls.append(x)
-        return read(x)
-
-    g.neighbors = neighbors
-    return calls
-
-
-def test_semibounded_probe_reads_each_closure_once():
+def test_semibounded_probe_reads_each_closure_once(monkeypatch):
     g = make_family({"family": "cycle", "size": 400})
-    calls = _count_neighbor_reads(g)
+    calls = _count_reads(monkeypatch, g)
+    closures, read = [], g.closure_window
+    monkeypatch.setattr(g, "closure_window",
+                        lambda *args: closures.append(read(*args).ids.tolist()) or read(*args))
     semibounded_probe(g, [range(1, 101), range(1, 201)])
-    assert len(calls) == 102 + 202  # the closures {400, 1..101} and {400, 1..201}
+    # the closures {1..101, 400} and {1..201, 400}, sliced from the arrays
+    assert closures == [[*range(1, 102), 400], [*range(1, 202), 400]]
+    assert calls == {"vertex": 0, "neighbors": 0}
 
 
 def test_rayleigh_min_is_the_smallest_delta_quotient(rng):

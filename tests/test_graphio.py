@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magschro.errors import GraphStructureError, SchemaError
 from magschro.graphio import EdgeRecord, GraphFile, VertexRecord, parse_graph, serialize_graph
@@ -121,3 +124,79 @@ def test_parse_rejects_non_finite_numbers_with_path(field, path, literal):
         parse_graph(text.replace('"@"', literal))
     assert exc.value.path == path
     assert "expected a finite number" in str(exc.value)
+
+
+_IDS = st.one_of(st.text("abcxyz019-", min_size=1, max_size=4), st.integers(-99, 999))
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _documents(draw):
+    """A valid graph document: some fields omitted, ids strings or integers,
+    and phases a little off the unit circle, as parse accepts them."""
+    ids = draw(st.lists(_IDS, min_size=1, max_size=10, unique_by=str))
+    vertices = []
+    for x in ids:
+        record = {"id": x}
+        for key, value in (("w", st.floats(1e-3, 1e3)), ("W", _FLOATS), ("q", st.floats(1, 1e3))):
+            if draw(st.booleans()):
+                record[key] = draw(value)
+        vertices.append(record)
+    edges, seen = [], set()
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(ids) - 1),
+                                        st.integers(0, len(ids) - 1)), max_size=15)):
+        pair = frozenset((str(ids[i]), str(ids[j])))
+        if i == j or pair in seen:
+            continue
+        seen.add(pair)
+        edge = {"u": ids[i], "v": ids[j]}
+        if draw(st.booleans()):
+            edge["a"] = draw(st.floats(1e-3, 1e3))
+        if draw(st.booleans()):
+            angle = draw(st.floats(-math.pi, math.pi))
+            scale = 1.0 + draw(st.floats(-1e-10, 1e-10))
+            edge["sigma"] = {"re": scale * math.cos(angle), "im": scale * math.sin(angle)}
+        edges.append(edge)
+    return {"vertices": vertices, "edges": edges}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents())
+def test_parse_serialize_parse_is_a_fixed_point(doc):
+    first = parse_graph(json.dumps(doc))
+    text = serialize_graph(first)
+    again = parse_graph(text)
+    assert serialize_graph(again) == text
+    assert parse_graph(serialize_graph(again)) == again
+    # the canonical form holds the same records, up to orientation and order
+    assert sorted(again.vertices, key=lambda r: r.id) == sorted(first.vertices,
+                                                                key=lambda r: r.id)
+    assert len(again.edges) == len(first.edges)
+
+
+# (where to break a valid document, what to put there, the path the error names)
+_BREAKS = [
+    (("vertices", "w"), -1.0, "$.vertices[{i}].w"),
+    (("vertices", "q"), 0.5, "$.vertices[{i}].q"),
+    (("vertices", "W"), "low", "$.vertices[{i}].W"),
+    (("vertices", "id"), None, "$.vertices[{i}].id"),
+    (("vertices", "colour"), 1, "$.vertices[{i}]"),
+    (("edges", "a"), 0.0, "$.edges[{i}].a"),
+    (("edges", "v"), "nowhere", "$.edges[{i}].v"),
+    (("edges", "u"), True, "$.edges[{i}].u"),
+    (("edges", "sigma"), {"re": 3.0, "im": 4.0}, "$.edges[{i}].sigma"),
+    (("edges", "sigma"), {"re": 1.0, "x": 0.0}, "$.edges[{i}].sigma"),
+    (("edges", "sigma"), {"re": 1.0, "im": "0"}, "$.edges[{i}].sigma.im"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(), data=st.data())
+def test_bad_documents_name_the_element_at_fault(doc, data):
+    (part, key), value, path = data.draw(st.sampled_from(
+        [b for b in _BREAKS if doc[b[0][0]]]))
+    i = data.draw(st.integers(0, len(doc[part]) - 1))
+    doc[part][i][key] = value
+    with pytest.raises(SchemaError) as info:
+        parse_graph(json.dumps(doc))
+    assert info.value.path == path.format(i=i)

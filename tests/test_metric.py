@@ -359,9 +359,14 @@ def test_search_reports_its_path():
     res = shortest_paths(free, 50, budget=5000)
     assert res.method == "window"
     assert list(res.distances)[:5] == [50, 49, 51, 48, 52]
+    # the hops double from 2 * WINDOW_MIN until 50 + 4950 is interior, capped at the budget
+    assert res.hops == 5000
+    # an explicit graph cuts its windows from its arrays; exact data stay on the frontier
     explicit = random_connected_graph(np.random.default_rng(3), min_vertices=300,
                                       max_vertices=300)
-    assert shortest_paths(explicit, explicit.vertices()[0]).method == "frontier"
+    res = shortest_paths(explicit, explicit.vertices()[0])
+    assert res.method == "window" and res.complete and len(res.distances) == 300
+    assert shortest_paths(explicit, explicit.vertices()[0], budget=10).hops is None
 
 
 def test_tie_broken_by_push_order_stays_on_the_frontier(monkeypatch):

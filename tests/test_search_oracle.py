@@ -1,0 +1,136 @@
+"""Searches on explicit graphs against networkx.
+
+``shortest_paths`` and ``ball`` on random explicit graphs must settle
+networkx's ``single_source_dijkstra`` distances, bit for bit, on both of
+their paths: the frontier over the neighbor oracle and the window cut from
+the graph's arrays.  The two paths must agree on everything they report,
+ties included; lengths drawn from a few powers of two make distances tie.
+"""
+
+import copy
+import math
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magschro import metric
+from magschro.families import make_family
+from magschro.graphs import ExplicitGraph
+from magschro.metric import UNIT_Q, WITH_Q, ball, edge_length, shortest_paths
+
+
+def _name(x, ids):
+    if ids == "str":
+        return f"v{x:04d}"
+    return f"v{x}" if ids == "mixed" and x % 2 else x
+
+
+def _graph(seed, n, ids, ties):
+    """A connected graph on n vertices: a random tree and about n / 2 more edges."""
+    rng = np.random.default_rng(seed)
+    names = [_name(x, ids) for x in range(n)]
+
+    def draw(size, low=-1.0):
+        if ties:
+            return (4.0 ** rng.integers(0, 2, size)).tolist()
+        return np.exp(rng.uniform(low, 1.0, size)).tolist()
+
+    pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    for u, v in rng.integers(0, n, (n // 2, 2)).tolist():
+        if u != v and (v, u) not in pairs:
+            pairs.add((u, v))
+    pairs = sorted(pairs)
+    return ExplicitGraph(
+        {x: rec for x, rec in zip(names, zip(draw(n), draw(n), draw(n, low=0.0)))},
+        {(names[u], names[v]): (a, 1.0) for (u, v), a in zip(pairs, draw(len(pairs)))})
+
+
+def _frontier_only(g):
+    """A view of ``g`` that cuts no window, so that its searches stay on the frontier."""
+    view = copy.copy(g)
+    view.hop_window = lambda x0, hops: None
+    return view
+
+
+def _networkx(g, x0, q_mode, cutoff=None):
+    lengths = nx.Graph()
+    lengths.add_nodes_from(g.vertices())
+    lengths.add_weighted_edges_from((e.origin, e.terminus, edge_length(g, e, q_mode))
+                                    for e in g.edges())
+    return nx.single_source_dijkstra_path_length(lengths, x0, cutoff=cutoff)
+
+
+def _summary(res):
+    return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius,
+            res.trail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 700),
+       ids=st.sampled_from(["int", "str", "mixed"]), ties=st.booleans(),
+       q_mode=st.sampled_from([WITH_Q, UNIT_Q]),
+       budget=st.sampled_from([1, 2, 255, 257, 300, 310, None]))
+def test_searches_settle_the_networkx_distances(seed, n, ids, ties, q_mode, budget):
+    g = _graph(seed, n, ids, ties)
+    x0 = g.vertices()[seed % n]
+    res = shortest_paths(g, x0, q_mode=q_mode, budget=budget, trail_every=7)
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, q_mode=q_mode,
+                                                    budget=budget, trail_every=7))
+    want = _networkx(g, x0, q_mode)
+    got = res.distances
+    assert all(got[x] == want[x] for x in got)
+    cap = len(want) if budget is None else min(budget, len(want))
+    assert len(got) == cap
+    assert sorted(got.values()) == sorted(want.values())[:cap]
+    assert res.budget_hit == (budget is not None and budget <= len(want))
+    if len(got) > metric.WINDOW_MIN and not ties:
+        assert res.method == "window"
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 700),
+       ids=st.sampled_from(["int", "str", "mixed"]), ties=st.booleans(),
+       radius=st.sampled_from([0.0, 0.5, 2.0, 6.0, 40.0]))
+def test_balls_hold_the_networkx_ball(seed, n, ids, ties, radius):
+    g = _graph(seed, n, ids, ties)
+    x0 = g.vertices()[seed % n]
+    found = ball(g, x0, radius)
+    assert found.complete
+    assert found.members == _networkx(g, x0, WITH_Q, cutoff=radius)
+    assert found.members == ball(_frontier_only(g), x0, radius).members
+    target = g.vertices()[(7 * seed) % n]
+    assert metric.distance(g, x0, target) == _networkx(g, x0, WITH_Q)[target]
+
+
+def test_ties_decide_as_on_the_frontier():
+    # every length is a power of two, so many vertices tie; where the window
+    # cannot show the frontier's push order, the search stays on the frontier
+    methods = set()
+    for seed in range(6):
+        g = _graph(seed, 600, "str", ties=True)
+        x0 = g.vertices()[0]
+        res = shortest_paths(g, x0, budget=400)
+        assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=400))
+        methods.add(res.method)
+    assert "frontier" in methods
+    # on a path the two sides of the centre tie, and id order is push order
+    path = make_family({"family": "path", "size": 600})
+    res = shortest_paths(path, 300, budget=400)
+    assert res.method == "window"
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(path), 300, budget=400))
+    assert list(res.distances)[:5] == [300, 299, 301, 298, 302]
+
+
+@pytest.mark.parametrize("ids", ["int", "str", "mixed"])
+def test_window_path_runs_on_every_kind_of_id(ids):
+    g = _graph(5, 900, ids, ties=False)
+    x0 = g.vertices()[3]
+    res = shortest_paths(g, x0)
+    assert res.method == "window" and res.complete and len(res.distances) == 900
+    assert res.hops >= 2 * metric.WINDOW_MIN
+    assert res.get(x0) == 0.0 and res.get("nowhere") is None and res.get(math.nan) is None
+    far = max(res.distances, key=res.distances.get)
+    assert res.get(far) == res.distances[far] == max(_networkx(g, x0, WITH_Q).values())
