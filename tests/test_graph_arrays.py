@@ -63,16 +63,18 @@ def _specs(draw):
     for fault in faults:
         if fault == "unknown":
             items.append([(draw(st.sampled_from(names or [0])), "nowhere"), [1.0, 1.0]])
-        elif fault == "disconnected":
-            vertices["lonely"] = [1.0, 0.0, 1.0]
+        elif fault == "disconnected":  # anywhere in the given order, which the search starts from
+            at = draw(st.integers(0, len(vertices)))
+            listed = list(vertices.items())
+            vertices = dict(listed[:at] + [("lonely", [1.0, 0.0, 1.0])] + listed[at:])
         elif fault == "vertex" and names:
             record = vertices[draw(st.sampled_from(names))]
             record[draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_VERTEX))
         elif fault == "loop" and names:
             x = draw(st.sampled_from(names))
             items.insert(draw(st.integers(0, len(items))), [(x, x), [1.0, 1.0]])
-        elif items:
-            item = draw(st.sampled_from(items))
+        elif items:  # the first edges, so that one edge often takes two faults
+            item = draw(st.sampled_from(items[:2]))
             (o, t), (a, phase) = item
             if fault == "duplicate":
                 items.append([(o, t), [a + 1.0, phase]])
@@ -149,6 +151,16 @@ def test_refusals_name_the_first_fault_in_the_given_order():
         (clean, {(1, 2): (1.0, 1j), (2, 1): (1.0, 1j), (2, 3): (1.0, 1.0)},
          "edge (1, 2): phases are not conjugate"),
         (clean, {(1, 2): (1.0, 1.0)}, "graph is not connected; unreachable: [3]"),
+        ({3: (1.0, 0.0, 1.0), 1: (1.0, 0.0, 1.0), 2: (1.0, 0.0, 1.0)}, {(1, 2): (1.0, 1.0)},
+         "graph is not connected; unreachable: [1, 2]"),
+        # one edge with several faults: the first check in the dict code's order names it
+        (clean, [((1, 2), (-1.0, 2.0)), ((2, 3), (1.0, 1.0))],
+         "edge (1, 2): weight must be positive"),
+        (clean, [((2, 2), (math.nan, 2.0)), ((1, 2), (1.0, 1.0))], "loop at vertex 2"),
+        (clean, {(1, 2): (1.0, 2.0), (2, 1): (2.0, 1.0), (2, 3): (1.0, 1.0)},
+         "edge (1, 2): phase modulus 2.0 != 1"),
+        (clean, {(1, 2): (1.0, 1j), (2, 1): (2.0, 1j), (2, 3): (1.0, 1.0)},
+         "edge (1, 2): weight differs between orientations"),
     ]
     for vertices, edges, message in cases:
         for cls in (ExplicitGraph, DictGraph):
