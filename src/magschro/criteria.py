@@ -167,11 +167,11 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
     """Aggregate all four sufficient conditions over an explored window.
 
     One search serves both the completeness probe and the window, the region
-    it settles, which one array scan checks; ``search`` says how it ran.  The overall verdict is "pass"
-    when every condition holds and the completeness verdict is exact, "fail"
-    when any condition is violated (including an exact incompleteness
-    verdict), and "partial" when the conditions hold but completeness rests
-    on windowed evidence only.
+    it settles, which one array scan checks; ``search`` says how it ran.  The
+    overall verdict is "pass" when every condition holds and the
+    completeness verdict is exact, "fail" when any condition is violated
+    (including an exact incompleteness verdict), and "partial" when the
+    conditions hold but completeness rests on windowed evidence only.
     """
     budget = _resolve_budget(budget)
     if not g.has_vertex(x0):
