@@ -601,6 +601,8 @@ class ExplicitGraph(WeightedGraph):
         None when w, q or a do not hold floats: searches on exact data stay
         on the neighbor oracle, which computes their lengths exactly.
         """
+        if x0 not in self._row:
+            raise UnknownVertexError(x0)
         if any(c.dtype.kind != "f" for c in (self._w, self._q, self._a)):
             return None
         seen = self._ball(self._row[x0], hops)

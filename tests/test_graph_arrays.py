@@ -275,6 +275,8 @@ def test_windows_share_read_only_arrays():
     assert whole.w is g.closure_window(g.vertices()).w
     with pytest.raises(ValueError):
         whole.w[0] = 2.0
+    with pytest.raises(UnknownVertexError):
+        g.hop_window(0, 3)
 
 
 def test_exact_graphs_cut_no_hop_window():
