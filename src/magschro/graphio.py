@@ -165,7 +165,9 @@ def parse_graph(text: str) -> GraphFile:
             modulus = abs(sigma)
             if abs(modulus - 1.0) > SIGMA_PARSE_TOL:
                 raise SchemaError(f"sigma must have modulus 1, got {modulus}", f"{path}.sigma")
-            sigma = sigma / modulus
+            # divide to a fixed point, which one division may miss, so that a reparse keeps it
+            while (unit := sigma / abs(sigma)) != sigma:
+                sigma = unit
         edges.append(EdgeRecord(u, v, a, sigma))
 
     return GraphFile(vertices=vertices, edges=edges)

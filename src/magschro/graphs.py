@@ -204,7 +204,8 @@ class WeightedGraph:
         return [e for x, r in rank.items() for e, _ in self.neighbors(x) if rank[e.terminus] > r]
 
     def hop_window(self, x0, hops):
-        """The vertices within ``hops`` edges of ``x0`` as a :class:`Window`.
+        """A :class:`Window` that holds every vertex within ``hops`` edges of
+        ``x0``, those within fewer hops interior to it.
 
         None when the graph cannot cut that window, for instance when one of
         its records is invalid; searches then stay on the neighbor oracle,
@@ -407,7 +408,8 @@ class ExplicitGraph(WeightedGraph):
     or complex128 for floats, objects for exact scalars such as
     ``Fraction``.  ``vertex`` reads records built once, ``neighbors`` builds
     the records of a row on its first read and keeps them, edge lookups
-    binary-search the row, and windows are sliced from the arrays.
+    binary-search the row, and windows are sliced from the arrays but for the
+    whole graph's, built once, which shares them and the id -> row dict.
     """
 
     is_finite = True
@@ -500,10 +502,12 @@ class ExplicitGraph(WeightedGraph):
                 raise GraphStructureError(fault)
         order = np.array(order, dtype=np.int64)
         self._w, self._W, self._q = (c[order] for c in columns)
-        self._id_array = _id_array(self._ids)
-        for held in (self._w, self._W, self._q, self._a, self._sigma, self._indptr,
-                     self._indices, self._id_array):
+        self._whole = Window(ids=_id_array(self._ids), indptr=self._indptr,
+                             indices=self._indices, w=self._w, W=self._W, q=self._q, a=self._a,
+                             sigma=self._sigma, interior=np.ones(m, dtype=bool))
+        for held in vars(self._whole).values():
             held.flags.writeable = False  # windows share them
+        object.__setattr__(self._whole, "_rows", row)  # the graph's own id -> row dict
         self._records = list(map(VertexData, self._w.tolist(), self._W.tolist(),
                                  self._q.tolist()))
         self._lists = [None] * m  # neighbor lists, built on first read
@@ -512,30 +516,20 @@ class ExplicitGraph(WeightedGraph):
 
     def _split(self, start):
         """The connectivity fault: None, or the first unreachable ids from ``start``."""
-        reached = np.frombuffer(self._ball(start, len(self._ids)), dtype=np.uint8)
-        missing = np.flatnonzero(reached == 0)[:5].tolist()
+        indptr, indices = self._indptr.tolist(), self._indices.tolist()
+        seen = bytearray(len(self._ids))
+        seen[start] = 1
+        todo = [start]
+        while todo:
+            r = todo.pop()
+            for c in indices[indptr[r]:indptr[r + 1]]:
+                if not seen[c]:
+                    seen[c] = 1
+                    todo.append(c)
+        missing = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)[:5].tolist()
         if missing:
             return f"graph is not connected; unreachable: {[self._ids[r] for r in missing]}"
         return None
-
-    def _ball(self, start, hops) -> bytearray:
-        """Whether each row lies within ``hops`` edges of row ``start``: a
-        breadth-first search over the CSR lists."""
-        indptr, indices = self._indptr.tolist(), self._indices.tolist()
-        seen = bytearray(len(indptr) - 1)
-        seen[start] = 1
-        level = [start]
-        for _ in range(hops):
-            ahead = []
-            for r in level:
-                for c in indices[indptr[r]:indptr[r + 1]]:
-                    if not seen[c]:
-                        seen[c] = 1
-                        ahead.append(c)
-            if not ahead:
-                break
-            level = ahead
-        return seen
 
     def has_vertex(self, x) -> bool:
         return x in self._row
@@ -595,8 +589,8 @@ class ExplicitGraph(WeightedGraph):
                         map(ids.__getitem__, self._indices[later].tolist())))
 
     def hop_window(self, x0, hops):
-        """The breadth-first ball of ``hops`` edges around ``x0`` as a
-        :class:`Window`, the whole graph when it covers it.
+        """The whole graph as one :class:`Window`, built with the graph: it
+        holds every vertex, each of them interior, so it serves any ``hops``.
 
         None when w, q or a do not hold floats: searches on exact data stay
         on the neighbor oracle, which computes their lengths exactly.
@@ -605,8 +599,7 @@ class ExplicitGraph(WeightedGraph):
             raise UnknownVertexError(x0)
         if any(c.dtype.kind != "f" for c in (self._w, self._q, self._a)):
             return None
-        seen = self._ball(self._row[x0], hops)
-        return self._window(np.flatnonzero(np.frombuffer(seen, dtype=np.uint8)))
+        return self._whole
 
     def closure_window(self, vertices, extra=()) -> "Window":
         """The one-hop closure of ``vertices``, with the vertices ``extra``, as a
@@ -634,10 +627,8 @@ class ExplicitGraph(WeightedGraph):
     def _window(self, rows) -> "Window":
         """The window on the sorted graph ``rows``: their entries to one another."""
         m = len(self._ids)
-        if len(rows) == m:  # the whole graph, whose arrays it shares
-            return Window(ids=self._id_array, indptr=self._indptr, indices=self._indices,
-                          w=self._w, W=self._W, q=self._q, a=self._a, sigma=self._sigma,
-                          interior=np.ones(m, dtype=bool))
+        if len(rows) == m:
+            return self._whole
         where = np.full(m, -1, dtype=np.int64)
         where[rows] = np.arange(len(rows))
         entries, counts = self._entries(rows)
@@ -647,7 +638,7 @@ class ExplicitGraph(WeightedGraph):
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(kept, out=indptr[1:])
         entries = entries[keep]
-        ids = self._id_array[rows]
+        ids = self._whole.ids[rows]
         if ids.dtype == object:  # int64 when the window's ids are all ints, as in an oracle read
             ids = _id_array(ids.tolist())
         return Window(ids=ids, indptr=indptr, indices=cols[keep],

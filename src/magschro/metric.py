@@ -16,14 +16,14 @@ windows, and every result records whether it is complete or truncated.
 
 Searches start on the neighbor oracle (``_Frontier``).  One that is still
 going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
-the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``,
-with the hops doubled until every reported vertex is interior to the
-window.  The lazy ray cuts its windows around any base vertex from one
-block of arrays; an explicit graph with float data cuts a breadth-first
-ball from its CSR arrays, the whole graph once the ball covers it.  Both
-paths settle in the frontier's order: by distance, ties by push order,
-which on a ray is id order; where a window cannot show that, the search
-stays on the oracle.  ``SearchResult.method`` says which path ran.
+the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``.
+An explicit graph with float data hands over its whole graph, one window
+built with it.  The lazy ray cuts its windows around any base vertex from
+one block of arrays, with the hops doubled until every reported vertex is
+interior to the window.  Both paths settle in the frontier's order: by
+distance, ties by push order, which on a ray is id order; where a window
+cannot show that, the search stays on the oracle.  ``SearchResult.method``
+says which path ran.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class SearchResult:
     the neighbor oracle) or ``"window"`` (a hop window searched as arrays).
     A window result keeps its settled vertices as the rows ``order`` of
     ``window`` and builds ``distances`` only when it is read; ``hops`` is the
-    hop radius of that window (None on the frontier).
+    hop radius the search asked of that window (None on the frontier).
     """
 
     def __init__(self, complete, budget_hit, settled_radius, trail, *, distances=None,

@@ -56,9 +56,9 @@ def test_check_json_reports_the_search(tmp_path, capsys):
     search = json.loads(small.read_text())["search"]
     assert (search["method"], search["settled"], search["hops"]) == ("frontier", 12, None)
     search = json.loads(large.read_text())["search"]
-    # the frontier restarts on a 512-hop window after 256 settles; vertex 513 is
-    # not interior to it, so the hops double once more
-    assert (search["method"], search["settled"], search["hops"]) == ("window", 600, 1024)
+    # the frontier restarts on a 512-hop window after 256 settles; an explicit
+    # graph's window is its whole graph, so the hops never double
+    assert (search["method"], search["settled"], search["hops"]) == ("window", 600, 512)
     assert search["wall_s"] > 0
 
 

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magschro.errors import GraphStructureError, SchemaError
@@ -162,6 +162,10 @@ def _documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(doc=_documents())
+# one division by the modulus 0.9999999999999999 of this phase is no fixed point
+@example(doc={"vertices": [{"id": "a"}, {"id": "b"}],
+              "edges": [{"u": "a", "v": "b",
+                         "sigma": {"re": 0.07883065488194932, "im": 0.9968880216448259}}]})
 def test_parse_serialize_parse_is_a_fixed_point(doc):
     first = parse_graph(json.dumps(doc))
     text = serialize_graph(first)

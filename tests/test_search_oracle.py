@@ -5,6 +5,8 @@ networkx's ``single_source_dijkstra`` distances, bit for bit, on both of
 their paths: the frontier over the neighbor oracle and the window cut from
 the graph's arrays.  The two paths must agree on everything they report,
 ties included; lengths drawn from a few powers of two make distances tie.
+Paths and cycles of 1500 vertices reach past the 512 hops of the first
+window, which on an explicit graph holds the whole graph.
 """
 
 import copy
@@ -28,8 +30,9 @@ def _name(x, ids):
     return f"v{x}" if ids == "mixed" and x % 2 else x
 
 
-def _graph(seed, n, ids, ties):
-    """A connected graph on n vertices: a random tree and about n / 2 more edges."""
+def _graph(seed, n, ids, ties, shape="tree"):
+    """A connected graph on n vertices: a random tree and about n / 2 more edges,
+    or a ``"path"`` or ``"cycle"`` through the vertices in order."""
     rng = np.random.default_rng(seed)
     names = [_name(x, ids) for x in range(n)]
 
@@ -38,10 +41,13 @@ def _graph(seed, n, ids, ties):
             return (4.0 ** rng.integers(0, 2, size)).tolist()
         return np.exp(rng.uniform(low, 1.0, size)).tolist()
 
-    pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
-    for u, v in rng.integers(0, n, (n // 2, 2)).tolist():
-        if u != v and (v, u) not in pairs:
-            pairs.add((u, v))
+    if shape == "tree":
+        pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+        for u, v in rng.integers(0, n, (n // 2, 2)).tolist():
+            if u != v and (v, u) not in pairs:
+                pairs.add((u, v))
+    else:
+        pairs = {(k - 1, k) for k in range(1, n)} | ({(0, n - 1)} if shape == "cycle" else set())
     pairs = sorted(pairs)
     return ExplicitGraph(
         {x: rec for x, rec in zip(names, zip(draw(n), draw(n), draw(n, low=0.0)))},
@@ -103,6 +109,40 @@ def test_balls_hold_the_networkx_ball(seed, n, ids, ties, radius):
     assert found.members == ball(_frontier_only(g), x0, radius).members
     target = g.vertices()[(7 * seed) % n]
     assert metric.distance(g, x0, target) == _networkx(g, x0, WITH_Q)[target]
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["path", "cycle"]),
+       ids=st.sampled_from(["int", "str", "mixed"]), ties=st.booleans(),
+       stop=st.sampled_from(["budget", "radius", "target"]))
+def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, ties, stop):
+    # 1500 vertices: the 512-hop ball around any vertex is not the whole graph
+    n = 1500
+    g = _graph(seed, n, ids, ties, shape)
+    names = g.vertices()
+    x0 = names[seed % n]
+    want = _networkx(g, x0, WITH_Q)
+    order = sorted(want.values())
+    stops = {"budget": {"budget": 300 + seed % n},
+             "radius": {"radius": order[300 + seed % (n - 300)]},
+             "target": {"target": names[(seed // n + n // 2) % n]}}[stop]
+    res = shortest_paths(g, x0, trail_every=7, **stops)
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, trail_every=7,
+                                                    **stops))
+    got = res.distances
+    assert all(got[x] == want[x] for x in got)
+    assert sorted(got.values()) == order[:len(got)]
+    if stop == "budget":
+        assert len(got) == min(stops["budget"], n) and res.budget_hit == (stops["budget"] <= n)
+    elif stop == "radius":
+        assert res.complete and {x: d for x, d in got.items() if d <= stops["radius"]} == \
+            _networkx(g, x0, WITH_Q, cutoff=stops["radius"])
+    else:
+        assert got[stops["target"]] == want[stops["target"]]
+    if res.method == "window":
+        assert res.hops == 2 * metric.WINDOW_MIN
+    elif len(got) > metric.WINDOW_MIN:
+        assert ties
 
 
 def test_ties_decide_as_on_the_frontier():
