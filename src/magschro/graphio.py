@@ -17,6 +17,14 @@ the unit circle on parse.  Serialization is canonical (sorted vertices and
 edges, lexicographically ordered endpoints, all fields written), so
 parse -> serialize -> parse is the identity and serialized text is
 byte-stable after one canonicalization pass.
+
+A document is checked by columns: each field is pulled out of every record
+at once, its types checked as a set, its values as numpy masks, and ids,
+ends and unordered pairs as sets.  Only when a column check fails does a
+walk over the records run, and its one job is to raise the first
+:class:`SchemaError` with the path of the element at fault.  A parsed file,
+:class:`GraphFile`, holds the eight columns as lists; its ``vertices`` and
+``edges`` read them as :class:`VertexRecord` and :class:`EdgeRecord` views.
 """
 
 from __future__ import annotations
@@ -25,10 +33,16 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import SchemaError
+import numpy as np
+
+from .errors import InputError, SchemaError
 from .graphs import ExplicitGraph
 
 SIGMA_PARSE_TOL = 1e-9
+
+_VERTEX_KEYS = {"id", "w", "W", "q"}
+_EDGE_KEYS = {"u", "v", "a", "sigma"}
+_UNIT = {"re": 1.0, "im": 0.0}  # an omitted sigma; it renormalizes to 1 + 0j
 
 
 @dataclass(frozen=True)
@@ -49,17 +63,100 @@ class EdgeRecord:
 
 @dataclass
 class GraphFile:
-    vertices: list
-    edges: list
+    """A parsed graph file as columns in file order: the vertex ids with w, W
+    and q, then each edge record's ends ``u``, ``v`` with a and sigma."""
+
+    ids: list
+    w: list
+    W: list
+    q: list
+    u: list
+    v: list
+    a: list
+    sigma: list
+
+    @property
+    def vertices(self) -> list:
+        return list(map(VertexRecord, self.ids, self.w, self.W, self.q))
+
+    @property
+    def edges(self) -> list:
+        return list(map(EdgeRecord, self.u, self.v, self.a, self.sigma))
 
     def to_graph(self, *, check=True) -> ExplicitGraph:
-        """The graph of these records, built from their columns; a duplicate
-        vertex id or edge record is a :class:`GraphStructureError`."""
-        vs, es = self.vertices, self.edges
-        return ExplicitGraph.from_columns(
-            [r.id for r in vs], [r.w for r in vs], [r.W for r in vs], [r.q for r in vs],
-            [r.u for r in es], [r.v for r in es], [r.a for r in es], [r.sigma for r in es],
-            check=check)
+        """The graph of these columns; a duplicate vertex id or edge record is a
+        :class:`GraphStructureError`."""
+        return ExplicitGraph.from_columns(self.ids, self.w, self.W, self.q,
+                                          self.u, self.v, self.a, self.sigma, check=check)
+
+
+class _Refused(Exception):
+    """A column check failed; the record walk names the fault."""
+
+
+def _expect(ok):
+    if not ok:
+        raise _Refused
+
+
+def _objects(items, keys):
+    """Check that every item is an object whose keys are among ``keys``."""
+    _expect(not set(map(type, items)) - {dict} and set().union(*items) <= keys)
+
+
+def _identifiers(items, key) -> list:
+    try:
+        col = [item[key] for item in items]
+    except KeyError:
+        raise _Refused from None
+    kinds = set(map(type, col))
+    _expect(kinds <= {str, int})
+    return [x if type(x) is str else str(x) for x in col] if int in kinds else col
+
+
+def _floats(col, ok=None) -> list:
+    """The column as finite floats whose array passes the mask ``ok``."""
+    kinds = set(map(type, col))
+    _expect(kinds <= {int, float})
+    if int in kinds:
+        try:
+            col = list(map(float, col))
+        except OverflowError:  # an integer literal beyond the float range
+            raise _Refused from None
+    values = np.array(col, dtype=float)
+    _expect(np.isfinite(values).all() and (ok is None or ok(values).all()))
+    return col
+
+
+def _unit(sigma: complex) -> complex:
+    # divide to a fixed point, which one division may miss, so that a reparse keeps it
+    while (unit := sigma / abs(sigma)) != sigma:
+        sigma = unit
+    return sigma
+
+
+def _columns(vertices, edges) -> tuple:
+    """The eight columns of a valid document; any failed check raises _Refused."""
+    _objects(vertices, _VERTEX_KEYS)
+    _objects(edges, _EDGE_KEYS)
+    ids, u, v = _identifiers(vertices, "id"), _identifiers(edges, "u"), _identifiers(edges, "v")
+    known, pairs = set(ids), set(zip(u, v))
+    # a loop is its own reverse, so the last check refuses loops as well as reversed pairs
+    _expect(len(known) == len(ids) and known.issuperset(u) and known.issuperset(v)
+            and len(pairs) == len(u) and pairs.isdisjoint(zip(v, u)))
+    sigmas = [item.get("sigma", _UNIT) for item in edges]
+    _objects(sigmas, {"re", "im"})
+    sigma = list(map(complex, _floats([s.get("re", 0.0) for s in sigmas]),
+                     _floats([s.get("im", 0.0) for s in sigmas])))
+    modulus = np.array(list(map(abs, sigma)))
+    _expect((np.abs(modulus - 1.0) <= SIGMA_PARSE_TOL).all())
+    return (ids,
+            _floats([item.get("w", 1.0) for item in vertices], lambda x: x > 0),
+            _floats([item.get("W", 0.0) for item in vertices]),
+            _floats([item.get("q", 1.0) for item in vertices], lambda x: x >= 1),
+            u, v,
+            _floats([item.get("a", 1.0) for item in edges], lambda x: x > 0),
+            list(map(_unit, sigma)))
 
 
 def _require(obj, kind, path):
@@ -89,24 +186,10 @@ def _identifier(obj, path) -> str:
     raise SchemaError(f"vertex id must be a string or integer, got {type(obj).__name__}", path)
 
 
-def parse_graph(text: str) -> GraphFile:
-    """Parse and validate a graph file; errors carry element paths."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", "$") from None
-    _require(doc, dict, "$")
-    for key in doc:
-        if key not in ("vertices", "edges"):
-            raise SchemaError(f"unknown key {key!r}", "$")
-    raw_vertices = _require(doc.get("vertices", []), list, "$.vertices")
-    raw_edges = _require(doc.get("edges", []), list, "$.edges")
-    if not raw_vertices:
-        raise SchemaError("at least one vertex is required", "$.vertices")
-
-    vertices = []
+def _walk(vertices, edges):
+    """Raise the first fault of the records, in file order, with its element path."""
     ids = set()
-    for i, item in enumerate(raw_vertices):
+    for i, item in enumerate(vertices):
         path = f"$.vertices[{i}]"
         _require(item, dict, path)
         if "id" not in item:
@@ -116,27 +199,25 @@ def parse_graph(text: str) -> GraphFile:
             raise SchemaError(f"duplicate vertex id {vid!r}", f"{path}.id")
         ids.add(vid)
         for key in item:
-            if key not in ("id", "w", "W", "q"):
+            if key not in _VERTEX_KEYS:
                 raise SchemaError(f"unknown key {key!r}", path)
         w = _number(item.get("w", 1.0), f"{path}.w")
-        W = _number(item.get("W", 0.0), f"{path}.W")
+        _number(item.get("W", 0.0), f"{path}.W")
         q = _number(item.get("q", 1.0), f"{path}.q")
         if not w > 0:
             raise SchemaError(f"w must be positive, got {w}", f"{path}.w")
         if q < 1:
             raise SchemaError(f"q must be >= 1, got {q}", f"{path}.q")
-        vertices.append(VertexRecord(vid, w, W, q))
 
-    edges = []
     seen_pairs = set()
-    for i, item in enumerate(raw_edges):
+    for i, item in enumerate(edges):
         path = f"$.edges[{i}]"
         _require(item, dict, path)
         for key in ("u", "v"):
             if key not in item:
                 raise SchemaError(f"missing {key}", path)
         for key in item:
-            if key not in ("u", "v", "a", "sigma"):
+            if key not in _EDGE_KEYS:
                 raise SchemaError(f"unknown key {key!r}", path)
         u = _identifier(item["u"], f"{path}.u")
         v = _identifier(item["v"], f"{path}.v")
@@ -153,7 +234,6 @@ def parse_graph(text: str) -> GraphFile:
         a = _number(item.get("a", 1.0), f"{path}.a")
         if not a > 0:
             raise SchemaError(f"a must be positive, got {a}", f"{path}.a")
-        sigma = 1.0 + 0.0j
         if "sigma" in item:
             sig = _require(item["sigma"], dict, f"{path}.sigma")
             for key in sig:
@@ -161,30 +241,43 @@ def parse_graph(text: str) -> GraphFile:
                     raise SchemaError(f"unknown key {key!r}", f"{path}.sigma")
             re = _number(sig.get("re", 0.0), f"{path}.sigma.re")
             im = _number(sig.get("im", 0.0), f"{path}.sigma.im")
-            sigma = complex(re, im)
-            modulus = abs(sigma)
+            modulus = abs(complex(re, im))
             if abs(modulus - 1.0) > SIGMA_PARSE_TOL:
                 raise SchemaError(f"sigma must have modulus 1, got {modulus}", f"{path}.sigma")
-            # divide to a fixed point, which one division may miss, so that a reparse keeps it
-            while (unit := sigma / abs(sigma)) != sigma:
-                sigma = unit
-        edges.append(EdgeRecord(u, v, a, sigma))
 
-    return GraphFile(vertices=vertices, edges=edges)
+
+def parse_graph(text: str) -> GraphFile:
+    """Parse and validate a graph file; errors carry element paths."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, Python's int-digit limit, deep nesting
+        raise SchemaError(f"invalid JSON: {exc}", "$") from None
+    _require(doc, dict, "$")
+    for key in doc:
+        if key not in ("vertices", "edges"):
+            raise SchemaError(f"unknown key {key!r}", "$")
+    vertices = _require(doc.get("vertices", []), list, "$.vertices")
+    edges = _require(doc.get("edges", []), list, "$.edges")
+    if not vertices:
+        raise SchemaError("at least one vertex is required", "$.vertices")
+    try:
+        return GraphFile(*_columns(vertices, edges))
+    except _Refused:
+        pass
+    _walk(vertices, edges)
+    raise AssertionError("the column checks refused a graph file the record walk accepts")
 
 
 def serialize_graph(gf: GraphFile) -> str:
     """Canonical JSON text for a graph file."""
-    vertices = [
-        {"id": rec.id, "w": rec.w, "W": rec.W, "q": rec.q}
-        for rec in sorted(gf.vertices, key=lambda r: r.id)
-    ]
+    vertices = sorted(({"id": x, "w": w, "W": W, "q": q}
+                       for x, w, W, q in zip(gf.ids, gf.w, gf.W, gf.q)),
+                      key=lambda r: r["id"])
     edges = []
-    for rec in gf.edges:
-        u, v, sigma = rec.u, rec.v, rec.sigma
+    for u, v, a, sigma in zip(gf.u, gf.v, gf.a, gf.sigma):
         if v < u:
             u, v, sigma = v, u, sigma.conjugate()
-        edges.append({"u": u, "v": v, "a": rec.a,
+        edges.append({"u": u, "v": v, "a": a,
                       "sigma": {"re": sigma.real, "im": sigma.imag}})
     edges.sort(key=lambda e: (e["u"], e["v"]))
     return json.dumps({"vertices": vertices, "edges": edges},
@@ -192,6 +285,10 @@ def serialize_graph(gf: GraphFile) -> str:
 
 
 def load_graph(path, *, check=True) -> ExplicitGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise InputError(f"cannot read graph file {str(path)!r}: {reason}") from None
     return parse_graph(text).to_graph(check=check)

@@ -121,6 +121,29 @@ def test_bad_graph_file_exits_2(tmp_path, capsys):
     assert "$.vertices[0].q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("not-utf8", "can't decode byte 0xe9")])
+def test_unreadable_graph_file_exits_2(tmp_path, capsys, kind, reason):
+    path = tmp_path / "g.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"vertices": [{"id": "\xe9"}]}')  # Latin-1
+    assert main(["check", "--graph-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read graph file {str(path)!r}: ") and reason in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"vertices": [{"id": ' + "7" * 5000 + "}]}"],
+                         ids=["deep-nesting", "long-integer"])
+def test_hostile_graph_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(["check", "--graph-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
+
+
 def test_graph_file_round_trip_query(tmp_path, capsys):
     doc = {
         "vertices": [{"id": "a", "w": 4.0}, {"id": "b", "w": 9.0}],

@@ -1,12 +1,15 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphio_oracle
+from magschro import graphio
 from magschro.errors import GraphStructureError, SchemaError
-from magschro.graphio import EdgeRecord, GraphFile, VertexRecord, parse_graph, serialize_graph
+from magschro.graphio import GraphFile, parse_graph, serialize_graph
 
 MINIMAL = json.dumps({
     "vertices": [{"id": "a", "w": 1.0, "W": 0.0, "q": 1.0},
@@ -98,11 +101,8 @@ def test_to_graph_rejects_disconnected():
 
 
 def test_graphfile_full_precision_round_trip():
-    gf = GraphFile(
-        vertices=[VertexRecord("a", 1 / 3, -2 / 7, 1.25),
-                  VertexRecord("b", 9.0, 0.0, 1.0)],
-        edges=[EdgeRecord("a", "b", 2 / 3, complex(0.6, 0.8))],
-    )
+    gf = GraphFile(ids=["a", "b"], w=[1 / 3, 9.0], W=[-2 / 7, 0.0], q=[1.25, 1.0],
+                   u=["a"], v=["b"], a=[2 / 3], sigma=[complex(0.6, 0.8)])
     back = parse_graph(serialize_graph(gf))
     assert back.vertices[0].w == 1 / 3
     assert back.edges[0].a == 2 / 3
@@ -128,17 +128,26 @@ def test_parse_rejects_non_finite_numbers_with_path(field, path, literal):
 
 _IDS = st.one_of(st.text("abcxyz019-", min_size=1, max_size=4), st.integers(-99, 999))
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+# integer phase parts, some omitted, as parse accepts them
+_INT_PHASES = [{"re": 1, "im": 0}, {"re": 0, "im": -1}, {"im": 1}, {"re": -1}]
+
+
+def _positive(low):
+    """Floats in [low, 1e3], or integers there, which parse coerces."""
+    return st.floats(low, 1e3) | st.integers(math.ceil(low), 1000)
 
 
 @st.composite
 def _documents(draw):
     """A valid graph document: some fields omitted, ids strings or integers,
-    and phases a little off the unit circle, as parse accepts them."""
+    values floats or integers (some beyond 2**53, which round), and phases a
+    little off the unit circle or with integer parts, as parse accepts them."""
     ids = draw(st.lists(_IDS, min_size=1, max_size=10, unique_by=str))
     vertices = []
     for x in ids:
         record = {"id": x}
-        for key, value in (("w", st.floats(1e-3, 1e3)), ("W", _FLOATS), ("q", st.floats(1, 1e3))):
+        for key, value in (("w", _positive(1e-3)), ("W", _FLOATS | st.integers(-2**60, 2**60)),
+                           ("q", _positive(1))):
             if draw(st.booleans()):
                 record[key] = draw(value)
         vertices.append(record)
@@ -151,11 +160,13 @@ def _documents(draw):
         seen.add(pair)
         edge = {"u": ids[i], "v": ids[j]}
         if draw(st.booleans()):
-            edge["a"] = draw(st.floats(1e-3, 1e3))
+            edge["a"] = draw(_positive(1e-3))
         if draw(st.booleans()):
             angle = draw(st.floats(-math.pi, math.pi))
             scale = 1.0 + draw(st.floats(-1e-10, 1e-10))
             edge["sigma"] = {"re": scale * math.cos(angle), "im": scale * math.sin(angle)}
+        elif draw(st.booleans()):
+            edge["sigma"] = dict(draw(st.sampled_from(_INT_PHASES)))
         edges.append(edge)
     return {"vertices": vertices, "edges": edges}
 
@@ -178,29 +189,120 @@ def test_parse_serialize_parse_is_a_fixed_point(doc):
     assert len(again.edges) == len(first.edges)
 
 
-# (where to break a valid document, what to put there, the path the error names)
-_BREAKS = [
-    (("vertices", "w"), -1.0, "$.vertices[{i}].w"),
-    (("vertices", "q"), 0.5, "$.vertices[{i}].q"),
-    (("vertices", "W"), "low", "$.vertices[{i}].W"),
-    (("vertices", "id"), None, "$.vertices[{i}].id"),
-    (("vertices", "colour"), 1, "$.vertices[{i}]"),
-    (("edges", "a"), 0.0, "$.edges[{i}].a"),
-    (("edges", "v"), "nowhere", "$.edges[{i}].v"),
-    (("edges", "u"), True, "$.edges[{i}].u"),
-    (("edges", "sigma"), {"re": 3.0, "im": 4.0}, "$.edges[{i}].sigma"),
-    (("edges", "sigma"), {"re": 1.0, "x": 0.0}, "$.edges[{i}].sigma"),
-    (("edges", "sigma"), {"re": 1.0, "im": "0"}, "$.edges[{i}].sigma.im"),
-]
+def _bits(values):
+    """Each value as its exact bits, so that 0.0 and -0.0 differ."""
+    return [x if isinstance(x, str) else
+            (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex() for x in values]
+
+
+def _graph_or_fault(build):
+    try:
+        return build()
+    except GraphStructureError as exc:
+        return str(exc)
 
 
 @settings(max_examples=200, deadline=None)
+@given(doc=_documents())
+@example(doc={"vertices": [{"id": "a"}, {"id": "b"}],
+              "edges": [{"u": "a", "v": "b",
+                         "sigma": {"re": 0.07883065488194932, "im": 0.9968880216448259}}]})
+def test_columns_equal_the_record_walk_bit_for_bit(doc):
+    text = json.dumps(doc)
+    gf = parse_graph(text)
+    vertices, edges = graphio_oracle.parse_graph(text)
+    assert gf.vertices == vertices and gf.edges == edges
+    for column, records, field in [(gf.ids, vertices, "id"), (gf.w, vertices, "w"),
+                                   (gf.W, vertices, "W"), (gf.q, vertices, "q"),
+                                   (gf.u, edges, "u"), (gf.v, edges, "v"), (gf.a, edges, "a"),
+                                   (gf.sigma, edges, "sigma")]:
+        assert list(map(type, column)) == [type(getattr(r, field)) for r in records]
+        assert _bits(column) == _bits(getattr(r, field) for r in records)
+    new = _graph_or_fault(gf.to_graph)
+    old = _graph_or_fault(lambda: graphio_oracle.oracle_graph(vertices, edges))
+    if isinstance(old, str):  # a disconnected document
+        assert new == old
+        return
+    assert new._ids == old._ids
+    for name in ("_indptr", "_indices", "_w", "_W", "_q", "_a", "_sigma"):
+        mine, theirs = getattr(new, name), getattr(old, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+def test_a_valid_file_never_enters_the_walk(monkeypatch):
+    def refuse(vertices, edges):
+        raise AssertionError("the record walk ran on a valid file")
+
+    monkeypatch.setattr(graphio, "_walk", refuse)
+    doc = {"vertices": [{"id": 1, "w": 2, "W": -3, "q": 1}, {"id": "b", "w": 0.5}, {"id": 3}],
+           "edges": [{"u": 1, "v": "b", "a": 4, "sigma": {"im": 1}},
+                     {"u": "3", "v": "b", "sigma": {"re": 0.6, "im": 0.8}}, {"u": 3, "v": 1}]}
+    for text in (MINIMAL, json.dumps(doc)):
+        gf = parse_graph(text)
+        assert parse_graph(serialize_graph(gf)).to_graph().vertices() == gf.to_graph().vertices()
+    with pytest.raises(AssertionError, match="record walk ran"):
+        parse_graph(json.dumps({"vertices": [{"id": "a", "w": 0}]}))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"vertices": [{"id": ' + "7" * 5000 + "}]}"],
+                         ids=["deep-nesting", "long-integer"])
+def test_hostile_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="invalid JSON") as info:
+        parse_graph(text)
+    assert info.value.path == "$"
+
+
+def _set(key, value):
+    return lambda records, i: records[i].__setitem__(key, value)
+
+
+def _drop(key):
+    return lambda records, i: records[i].pop(key)
+
+
+def _loop(records, i):
+    records[i]["v"] = records[i]["u"]
+
+
+def _reversed_copy(records, i):
+    records.insert(i + 1, {"u": records[i]["v"], "v": records[i]["u"]})
+
+
+# (the array to break, how to break its record i, the path the error names);
+# a string "@..." is written into the text as the bare literal after the "@"
+_BREAKS = [
+    ("vertices", _set("w", -1.0), "$.vertices[{i}].w"),
+    ("vertices", _set("q", 0.5), "$.vertices[{i}].q"),
+    ("vertices", _set("W", "low"), "$.vertices[{i}].W"),
+    ("vertices", _set("id", None), "$.vertices[{i}].id"),
+    ("vertices", _set("colour", 1), "$.vertices[{i}]"),
+    ("edges", _set("a", 0.0), "$.edges[{i}].a"),
+    ("edges", _set("v", "nowhere"), "$.edges[{i}].v"),
+    ("edges", _set("u", True), "$.edges[{i}].u"),
+    ("edges", _set("sigma", {"re": 3.0, "im": 4.0}), "$.edges[{i}].sigma"),
+    ("edges", _set("sigma", {"re": 1.0, "x": 0.0}), "$.edges[{i}].sigma"),
+    ("edges", _set("sigma", {"re": 1.0, "im": "0"}), "$.edges[{i}].sigma.im"),
+    ("vertices", _set("w", math.nan), "$.vertices[{i}].w"),
+    ("edges", _set("a", "@1e400"), "$.edges[{i}].a"),
+    ("vertices", _set("q", "@" + "9" * 400), "$.vertices[{i}].q"),
+    ("vertices", _set("W", True), "$.vertices[{i}].W"),
+    ("edges", _drop("u"), "$.edges[{i}]"),
+    ("edges", _drop("v"), "$.edges[{i}]"),
+    ("edges", _loop, "$.edges[{i}]"),
+    ("edges", _reversed_copy, "$.edges[{j}]"),
+]
+
+
+@settings(max_examples=300, deadline=None)
 @given(doc=_documents(), data=st.data())
 def test_bad_documents_name_the_element_at_fault(doc, data):
-    (part, key), value, path = data.draw(st.sampled_from(
-        [b for b in _BREAKS if doc[b[0][0]]]))
+    part, change, path = data.draw(st.sampled_from([b for b in _BREAKS if doc[b[0]]]))
     i = data.draw(st.integers(0, len(doc[part]) - 1))
-    doc[part][i][key] = value
+    change(doc[part], i)
+    text = re.sub(r'"@([^"]*)"', r"\1", json.dumps(doc))
     with pytest.raises(SchemaError) as info:
-        parse_graph(json.dumps(doc))
-    assert info.value.path == path.format(i=i)
+        parse_graph(text)
+    assert info.value.path == path.format(i=i, j=i + 1)
+    with pytest.raises(SchemaError) as expected:
+        graphio_oracle.parse_graph(text)
+    assert str(info.value) == str(expected.value)
