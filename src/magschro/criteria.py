@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, UnknownVertexError
+from .errors import InputError, UnknownVertexError, require_nonnegative
 from .exprlang import power
 from .graphs import OrientedEdge, sorted_ids, vertex_sort_key
-from .metric import (CompletenessReport, WITH_Q, _completeness_report, _probe_trail_every,
-                     _resolve_budget, shortest_paths)
+from .metric import (CompletenessReport, WITH_Q, _completeness_report, _resolve_budget,
+                     shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
 from .spectral import assemble_truncation, eigen_extremes
 
@@ -174,11 +174,11 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
     conditions hold but completeness rests on windowed evidence only.
     """
     budget = _resolve_budget(budget)
+    require_nonnegative("the Lipschitz budget", lipschitz_budget)
     if not g.has_vertex(x0):
         raise UnknownVertexError(x0)
     start = perf_counter()
-    explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
-                              trail_every=_probe_trail_every(budget))
+    explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget)
     search = SearchSummary(explored.method, len(explored.settled_distances()), explored.hops,
                            perf_counter() - start)
     completeness = _completeness_report(g, x0, budget, explored)

@@ -17,6 +17,12 @@ def require_finite(*values):
         raise InputError("non-finite value: the inputs overflow double precision")
 
 
+def require_nonnegative(name, value):
+    """Refuse a constant that is NaN, infinite or negative; None passes."""
+    if value is not None and not 0 <= value < math.inf:
+        raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 class UnknownVertexError(InputError):
     def __init__(self, vertex):
         super().__init__(f"unknown vertex: {vertex!r}")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import lipschitz_best_constant, positive_part
-from .errors import InputError, MinorantViolationError, require_finite
+from .errors import InputError, MinorantViolationError, require_finite, require_nonnegative
 from .functions import VertexFunction, norm_w, support_union
 from .metric import AnchorFunction, WITH_Q
 from .operators import Patch, _sum, schrodinger_apply
@@ -183,8 +183,10 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
     The constants must be globally valid: the degree bound defaults to the
     graph's declared bound and the Lipschitz constant, when omitted, is the
     measured best constant (finite graphs only, where it is global).
-    Refuses regions where W >= -q fails, since the bound presumes it.
+    Refuses regions where W >= -q fails, since the bound presumes it, and a
+    Lipschitz constant that is NaN, infinite or negative.
     """
+    require_nonnegative("the Lipschitz constant", lipschitz_constant)
     patch = Patch.closure(g, u.support)
     _require_minorant(patch.window, "energy bound")
 

@@ -6,6 +6,9 @@ Grammar: integer and decimal literals with an optional exponent
 ``max``.  ``^`` is right-associative and binds tighter than unary minus,
 which binds tighter than ``*`` and ``/``, which bind tighter than ``+`` and
 ``-``.  There is deliberately no state and no user-defined function.
+Digits are decimal digits, in any script that ``float`` reads, so ``²`` is
+an unexpected character.  Nesting too deep for the parser is an
+:class:`ExprSyntaxError`, and a tree too deep to evaluate an :class:`ExprEvalError`.
 One tree walker evaluates an expression at an integer ``n`` in Python
 floats, or over an array of them in numpy arithmetic, bit for bit the same.
 """
@@ -13,6 +16,7 @@ floats, or over an array of them in numpy arithmetic, bit for bit the same.
 from __future__ import annotations
 
 import math
+import re
 from itertools import repeat
 from typing import NamedTuple
 
@@ -50,105 +54,76 @@ _FUNCTIONS = {"sqrt": 1, "abs": 1, "min": None, "max": None}  # None: two or mor
 
 
 class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op"
+    kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
 
 
+#: one token per match: a number, a name, an operator, blanks, or any other character;
+#: ``\d`` is ``str.isdecimal``, ``\w`` is ``str.isalnum`` or ``_``, ``\s`` is ``str.isspace``
+_TOKEN = re.compile(r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+|(?P<bare>[eE][+-]?))?)"
+                    r"|(?P<name>\w+)|(?P<op>[-+*/^(),])|(?P<blank>\s+)|.", re.DOTALL)
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if not (k < len(text) and text[k].isdigit()):
-                    raise ExprSyntaxError("exponent without digits in number literal", i)
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                j = k
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if m["bare"]:
+            raise ExprSyntaxError("exponent without digits in number literal", pos)
+        if kind is None or kind == "name" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if kind != "blank":
+            tokens.append(_Token(kind, m[0], pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self, ops=None):
+        """The next token; given ``ops``, None unless it is one of those operators."""
+        tok = self.tokens[self.i]
+        return tok if ops is None or tok.kind == "op" and tok.text in ops else None
 
-    def take(self):
+    def take(self, op=None):
+        """The next token, consumed; given ``op``, it must be that operator."""
         tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression", len(self.text))
+        if tok.kind == "end":
+            raise ExprSyntaxError("unexpected end of expression", tok.pos)
+        if op is not None and (tok.kind != "op" or tok.text != op):
+            raise ExprSyntaxError(f"expected {op!r}, found {tok.text!r}", tok.pos)
         self.i += 1
         return tok
 
-    def expect(self, text):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
-
     def parse(self):
-        node = self.sum_expr()
+        node = self.chain()
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {tok.text!r}", tok.pos)
         return node
 
-    def sum_expr(self):
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
+    def chain(self, ops="+-"):
+        """A left-associative chain of ``ops``: ``+ -`` joins ``* /`` chains,
+        which join unary operands."""
+        node = self.chain("*/") if ops == "+-" else self.unary()
+        while tok := self.peek(ops):
             self.take()
-            node = BinOp(tok.text, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
-            self.take()
-            node = BinOp(tok.text, node, self.unary())
+            node = BinOp(tok.text, node, self.chain("*/") if ops == "+-" else self.unary())
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        if self.peek("-"):
             self.take()
             return Neg(self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
+        if self.peek("^"):
             self.take()
             # right-associative; allow a signed exponent
             return BinOp("^", base, self.unary())
@@ -160,12 +135,12 @@ class _Parser:
             return Num(float(tok.text))
         if tok.kind == "name":
             if tok.text in _FUNCTIONS:
-                self.expect("(")
-                args = [self.sum_expr()]
-                while (nxt := self.peek()) is not None and nxt.kind == "op" and nxt.text == ",":
+                self.take("(")
+                args = [self.chain()]
+                while self.peek(","):
                     self.take()
-                    args.append(self.sum_expr())
-                self.expect(")")
+                    args.append(self.chain())
+                self.take(")")
                 arity = _FUNCTIONS[tok.text]
                 if arity is not None and len(args) != arity:
                     raise ExprSyntaxError(f"{tok.text} takes {arity} argument(s)", tok.pos)
@@ -176,14 +151,18 @@ class _Parser:
                 return Var("n")
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            node = self.sum_expr()
-            self.expect(")")
+            node = self.chain()
+            self.take(")")
             return node
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
 
 
 def parse_expr(text: str) -> ExprAst:
-    return _Parser(text).parse()
+    """The tree of ``text``; nesting past Python's recursion limit is a syntax error."""
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 def eval_expr(node: ExprAst, n) -> float:
@@ -203,6 +182,8 @@ def _evaluate(node: ExprAst, n, where: str) -> float:
         raise ExprEvalError(f"division by zero{where}", n) from None
     except (ValueError, OverflowError) as exc:
         raise ExprEvalError(f"{exc}{where}", n) from None
+    except RecursionError:
+        raise ExprEvalError(f"expression nested too deeply{where}", n) from None
     if not math.isfinite(value):
         raise ExprEvalError(f"non-finite result {value}{where}", n)
     return value
@@ -298,7 +279,7 @@ def compile_text(text: str):
                 with np.errstate(all="ignore"):
                     values = _eval(node, block.astype(float))
                 finite = np.all(np.isfinite(values))
-            except (ArithmeticError, ValueError):
+            except (ArithmeticError, ValueError, RecursionError):
                 finite = False
             if not finite:
                 for m in block.tolist():  # errors are rare: find the first one

@@ -10,8 +10,9 @@ A graph file is a JSON object with two arrays::
 
 There is one edge record per unoriented edge; ``sigma`` is the phase of the
 ``u -> v`` orientation and the reverse orientation carries the conjugate.
-Vertex ids are strings (integers are accepted and coerced).  Omitted fields
-default to ``w = 1``, ``W = 0``, ``q = 1``, ``a = 1`` and ``sigma = 1``.
+Vertex ids are strings without lone surrogates (integers are accepted and
+coerced).  Omitted fields default to ``w = 1``, ``W = 0``, ``q = 1``,
+``a = 1`` and ``sigma = 1``.
 Phases must be within 1e-9 of unit modulus and are renormalized exactly onto
 the unit circle on parse.  Serialization is canonical (sorted vertices and
 edges, lexicographically ordered endpoints, all fields written), so
@@ -111,7 +112,12 @@ def _identifiers(items, key) -> list:
         raise _Refused from None
     kinds = set(map(type, col))
     _expect(kinds <= {str, int})
-    return [x if type(x) is str else str(x) for x in col] if int in kinds else col
+    col = [x if type(x) is str else str(x) for x in col] if int in kinds else col
+    try:
+        "".join(col).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON "\ud800" escape writes
+        raise _Refused from None
+    return col
 
 
 def _floats(col, ok=None) -> list:
@@ -180,6 +186,10 @@ def _number(obj, path) -> float:
 
 def _identifier(obj, path) -> str:
     if isinstance(obj, str):
+        try:
+            obj.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"vertex id must be valid Unicode, got {obj!r}", path) from None
         return obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         return str(obj)

@@ -149,20 +149,21 @@ class _Frontier:
 class SearchResult:
     """Where a search stopped and what it settled.
 
-    ``distances`` maps each settled vertex to its distance, in settle order.
-    ``method`` names the path that produced it: ``"frontier"`` (Dijkstra over
-    the neighbor oracle) or ``"window"`` (a hop window searched as arrays).
+    ``distances`` maps each settled vertex to its distance, in settle order,
+    and :meth:`settled_distances` gives those distances as one array; a
+    caller that wants checkpoints reads them from it.  ``method`` names the
+    path that produced it: ``"frontier"`` (Dijkstra over the neighbor
+    oracle) or ``"window"`` (a hop window searched as arrays).
     A window result keeps its settled vertices as the rows ``order`` of
     ``window`` and builds ``distances`` only when it is read; ``hops`` is the
     hop radius the search asked of that window (None on the frontier).
     """
 
-    def __init__(self, complete, budget_hit, settled_radius, trail, *, distances=None,
+    def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
                  window=None, order=None, settled=None):
         self.complete = complete  # the explored region was exhausted (no open frontier left)
         self.budget_hit = budget_hit
         self.settled_radius = settled_radius  # the next frontier distance; all below are final
-        self.trail = trail  # (settled_count, distance) checkpoints
         self.method = "frontier" if window is None else "window"
         self.window = window
         self.hops = None
@@ -197,14 +198,15 @@ class SearchResult:
 WINDOW_MIN = 256
 
 
-def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=None,
-                   trail_every=None) -> SearchResult:
+def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
+                   target=None) -> SearchResult:
     """Grow a shortest-path tree from ``x0`` until a stop condition is met.
 
     Stops when the frontier is exhausted, when every remaining frontier
     vertex is farther than ``radius``, when ``target`` has been settled, or
     when ``budget`` vertices have been settled, whichever comes first.  The
-    budget is tested before the radius.
+    budget is tested before the radius.  The result holds every settled
+    distance in settle order, so the search itself keeps no checkpoints.
 
     Once ``WINDOW_MIN`` vertices have settled, a search that is still going
     restarts on a hop window of the graph if it can cut one (see
@@ -217,28 +219,24 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None, target=Non
         raise InputError("search radius must not be NaN")
     frontier = _Frontier(g, x0, q_mode)
     settled = frontier.settled
-    trail = []
     while True:
         count = len(settled)
         if count >= budget:
-            return SearchResult(False, True, frontier.peek_distance(), trail, distances=settled)
+            return SearchResult(False, True, frontier.peek_distance(), distances=settled)
         if radius is not None and frontier.peek_distance() > radius:
-            return SearchResult(True, False, frontier.peek_distance(), trail, distances=settled)
+            return SearchResult(True, False, frontier.peek_distance(), distances=settled)
         if count == WINDOW_MIN:
-            found = _window_search(g, x0, q_mode, budget, radius, target, trail_every, 2 * count)
+            found = _window_search(g, x0, q_mode, budget, radius, target, 2 * count)
             if found is not None:
                 return found
         step = frontier.settle_next()
         if step is None:
-            return SearchResult(True, False, math.inf, trail, distances=settled)
-        x, d = step
-        if trail_every and len(settled) % trail_every == 0:
-            trail.append((len(settled), d))
-        if target is not None and x == target:
-            return SearchResult(False, False, frontier.peek_distance(), trail, distances=settled)
+            return SearchResult(True, False, math.inf, distances=settled)
+        if target is not None and step[0] == target:
+            return SearchResult(False, False, frontier.peek_distance(), distances=settled)
 
 
-def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
+def _window_search(g, x0, q_mode, budget, radius, target, hops):
     """:func:`shortest_paths` on hop windows around ``x0``.
 
     The hops double until the vertices the search reports are all interior
@@ -252,7 +250,7 @@ def _window_search(g, x0, q_mode, budget, radius, target, trail_every, hops):
         found = g.hop_window(x0, hops)  # one window alive at a time
         if found is None:
             return None
-        found = _search_window(found, x0, q_mode, budget, radius, target, trail_every)
+        found = _search_window(found, x0, q_mode, budget, radius, target)
         if found is not _WIDER:
             if found is not None:
                 found.hops = hops
@@ -271,7 +269,7 @@ def _blocks(size):
 _WIDER = object()  # the window search reached a vertex that is not interior
 
 
-def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
+def _search_window(win, x0, q_mode, budget, radius, target):
     # imported here: the import costs a few ms and small searches never need it
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -330,11 +328,8 @@ def _search_window(win, x0, q_mode, budget, radius, target, trail_every):
     if np.any(tied & (pusher[1:upto] < pusher[:upto - 1])):
         return None
 
-    trail = []
-    if trail_every:
-        trail = [(j, float(ds[j - 1])) for j in range(trail_every, k + 1, trail_every)]
     settled_radius = float(ds[k]) if k < reach else math.inf
-    return SearchResult(complete, budget_hit, settled_radius, trail, window=win,
+    return SearchResult(complete, budget_hit, settled_radius, window=win,
                         order=order[:k], settled=ds[:k])
 
 
@@ -482,19 +477,20 @@ def completeness_probe(g, x0, budget=None) -> CompletenessReport:
     frontier is evidence of incompleteness.
     """
     budget = _resolve_budget(budget)
-    result = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget,
-                            trail_every=_probe_trail_every(budget))
+    result = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget)
     return _completeness_report(g, x0, budget, result)
 
 
 def _completeness_report(g, x0, budget, result) -> CompletenessReport:
-    """The probe's verdict on a finished with-q search from ``x0``.
+    """The probe's verdict on a finished with-q search from ``x0`` with ``budget``.
 
-    ``result`` must come from :func:`shortest_paths` with ``budget`` and the
-    trail cadence :func:`_probe_trail_every`.
+    The radius trail checkpoints the settled distances every
+    :func:`_probe_trail_every` vertices.
     """
     dists = result.settled_distances()
     count = len(dists)
+    every = _probe_trail_every(budget)
+    trail = [(j, dists[j - 1].item()) for j in range(every, count + 1, every)]
     radius = result.settled_radius if result.budget_hit else (
         dists[-1].item() if count else 0.0)
     samples = []
@@ -511,20 +507,18 @@ def _completeness_report(g, x0, budget, result) -> CompletenessReport:
         verdict = "complete (exact)"
     elif series is not None and series.classification == "convergent":
         verdict = "incomplete (exact)"
-    else:
-        trail = result.trail
-        if len(trail) >= 4:
-            half = trail[len(trail) // 2][1]
-            full = trail[-1][1]
-            growth = (full - half) / full if full > 0 else 0.0
-            if growth > 0.02:
-                verdict = f"evidence-of-completeness up to R={radius:.6g}"
-            elif growth < 0.002:
-                verdict = "evidence-of-incompleteness"
-            else:
-                verdict = "inconclusive"
+    elif len(trail) >= 4:
+        half = trail[len(trail) // 2][1]
+        full = trail[-1][1]
+        growth = (full - half) / full if full > 0 else 0.0
+        if growth > 0.02:
+            verdict = f"evidence-of-completeness up to R={radius:.6g}"
+        elif growth < 0.002:
+            verdict = "evidence-of-incompleteness"
         else:
             verdict = "inconclusive"
+    else:
+        verdict = "inconclusive"
 
     return CompletenessReport(
         x0=x0,
@@ -533,7 +527,7 @@ def _completeness_report(g, x0, budget, result) -> CompletenessReport:
         settled_radius=radius,
         frontier_open=result.budget_hit,
         ball_sizes=samples,
-        radius_trail=result.trail,
+        radius_trail=trail,
         series=series,
         verdict=verdict,
     )

@@ -144,6 +144,17 @@ def test_hostile_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
 
 
+def test_lone_surrogate_graph_file_exits_2(tmp_path, capsys):
+    # the id parsed and built, and ball then failed to print it
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": "a"}, {"id": "\\ud800"}],'
+                    ' "edges": [{"u": "a", "v": "\\ud800"}]}')
+    assert main(["ball", "--graph-file", str(path), "--x0", "a", "--radius", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.vertices[1].id: vertex id must be valid Unicode")
+
+
 def test_graph_file_round_trip_query(tmp_path, capsys):
     doc = {
         "vertices": [{"id": "a", "w": 4.0}, {"id": "b", "w": 9.0}],
@@ -275,6 +286,30 @@ def test_zero_lipschitz_scale_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert "edge (1, 2): the Lipschitz scale (min(w) / a)**0.5 underflows to 0" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("w, message", [
+    ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+    ("2\u00b2", "unexpected character '\u00b2' (at position 1)"),
+    ("(" * 300 + "n" + ")" * 300, "expression nested too deeply (at position 0)"),
+], ids=["superscript", "digit-superscript", "nested-300"])
+def test_hostile_expressions_exit_2(capsys, w, message):
+    assert main(["check", "--family", "path-nat", "--w", w]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "estimate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_hostile_lipschitz_constant_exits_2(capsys, command, value):
+    argv = [command, "--family", "path-nat", "--q", "n^2", "--W=-(n^2)", "--budget", "3000",
+            "--lipschitz-c", value]
+    if command == "estimate":
+        argv += ["--trials", "2", "--window", "30"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Lipschitz" in captured.err and "must be finite and nonnegative" in captured.err
 
 
 def test_exponent_literal_in_family_expression(capsys):

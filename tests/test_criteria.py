@@ -127,6 +127,14 @@ def test_selfadjointness_criteria_lipschitz_budget_failure():
     assert report.overall == "fail"
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_hostile_lipschitz_budget_is_an_input_error(budget):
+    with pytest.raises(InputError, match="Lipschitz budget must be finite and nonnegative"):
+        selfadjointness_criteria(quadratic_well_ray(), 1, budget=300, lipschitz_budget=budget)
+    assert selfadjointness_criteria(quadratic_well_ray(), 1, budget=300,
+                                    lipschitz_budget=0.0).lipschitz_passed is False
+
+
 def test_semibounded_probe_reference_ray():
     g = quadratic_well_ray()
     probe = semibounded_probe(g, [range(1, k + 1) for k in (5, 10, 20)])

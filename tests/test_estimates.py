@@ -115,6 +115,13 @@ def test_energy_bound_requires_constant_on_infinite_graphs():
         energy_bound_check(quadratic_well_ray(), VertexFunction.delta(1))
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, -1.0])
+def test_hostile_lipschitz_constant_is_an_input_error(constant):
+    with pytest.raises(InputError, match="Lipschitz constant must be finite and nonnegative"):
+        energy_bound_check(quadratic_well_ray(), VertexFunction.delta(1),
+                           lipschitz_constant=constant, degree_bound=2)
+
+
 def test_energy_bound_random_reference_window(rng):
     g = quadratic_well_ray()
     for _ in range(25):

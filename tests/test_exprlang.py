@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exprlang_oracle
 from magschro.errors import ExprEvalError, ExprSyntaxError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
 
@@ -269,3 +271,87 @@ def test_n_is_converted_where_it_is_read():
 def test_scalar_results_are_python_floats():
     for text in ("sqrt(n)", "n^2", "min(n, 2)", "1/n", "abs(-n)", "sqrt(4)"):
         assert type(ev(text, 9)) is float, text
+
+
+def _parsed(parse, text):
+    """The tree, or the syntax error's message and position; the oracle may also crash."""
+    try:
+        return "tree", parse(text)
+    except ExprSyntaxError as exc:
+        return "error", str(exc), exc.position
+    except (ValueError, RecursionError) as exc:
+        if parse is parse_expr:
+            raise
+        return "crash", type(exc).__name__
+
+
+def _assert_matches_the_oracle(text):
+    """The oracle's tree or error, except where it crashes (then any syntax
+    error) or where ``text`` holds a digit that ``float`` refuses."""
+    got = _parsed(parse_expr, text)
+    expected = _parsed(exprlang_oracle.parse_expr, text)
+    if expected[0] == "crash":
+        assert got[0] == "error"
+    elif not any(c.isdigit() and not c.isdecimal() for c in text):
+        assert got == expected
+
+
+# the grammar's characters and names, Unicode letters, digits and blanks; "No"
+# holds the characters that isdigit accepts and float refuses, such as "\u00b2"
+_TEXTS = st.lists(st.sampled_from([*"0123456789.eE+-*/^(), n_", "min(", "max(", "sqrt(", "abs("])
+                  | st.characters(categories=["L", "Nd", "No", "Nl", "Zs"]),
+                  max_size=16).map("".join)
+
+
+@settings(max_examples=1000)
+@given(text=_TEXTS)
+@example(text="\u00b2")
+@example(text="2\u00b2")
+@example(text="(" * 300 + "n" + ")" * 300)
+@example(text="-" * 2000 + "n")
+@example(text="\u0663.\u0665e\u0661 * n")
+@example(text="1.2.3 + .5.5")
+def test_front_end_matches_the_oracle(text):
+    _assert_matches_the_oracle(text)
+
+
+def test_front_end_matches_the_oracle_on_every_short_string():
+    # all strings of up to four characters over grammar pieces, a letter, a
+    # digit of another script, a no-break space, a superscript two and a half
+    alphabet = "1.e+-^(),n_\u00e9\u0663\u00a0\u00b2\u00bd"
+    for size in range(5):
+        for chars in itertools.product(alphabet, repeat=size):
+            _assert_matches_the_oracle("".join(chars))
+
+
+@pytest.mark.parametrize("builder", [
+    lambda k: "(" * k + "n" + ")" * k, lambda k: "-" * k + "n", lambda k: "2^" * k + "n",
+    lambda k: "max(1, " * k + "n" + ")" * k, lambda k: "(" * k + "n"],
+    ids=["parentheses", "unary-minus", "power", "call", "unclosed"])
+def test_nesting_fails_where_the_oracle_runs_out_of_stack(builder):
+    deepest = 1
+    while _parsed(exprlang_oracle.parse_expr, builder(deepest))[0] != "crash":
+        deepest += 25
+    outcomes = set()
+    for k in range(deepest - 25, deepest + 1):  # up to the oracle's first crash
+        expected = _parsed(exprlang_oracle.parse_expr, builder(k))
+        if expected[0] == "crash":
+            assert _parsed(parse_expr, builder(k)) == (
+                "error", "expression nested too deeply (at position 0)", 0)
+        else:
+            assert _parsed(parse_expr, builder(k)) == expected
+        outcomes.add(expected[0])
+    assert "crash" in outcomes and len(outcomes) == 2
+
+
+@pytest.mark.parametrize("length", [10, 300, 900, 5000])
+@pytest.mark.parametrize("chain", ["unary", "binary"])
+def test_long_minus_chains_evaluate_or_raise_a_typed_error(chain, length):
+    text = "-" * length + "n" if chain == "unary" else " - ".join(["n"] * length)
+    value = (-1) ** length * 3.0 if chain == "unary" else (2 - length) * 3.0
+    for evaluate in (lambda: eval_expr(parse_expr(text), 3), lambda: compile_text(text)(3),
+                     lambda: compile_text(text)(np.array([3]))[0]):
+        try:
+            assert evaluate() == value and length < 5000
+        except (ExprSyntaxError, ExprEvalError) as exc:
+            assert length > 10 and "expression nested too deeply" in str(exc)

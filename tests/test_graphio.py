@@ -252,6 +252,23 @@ def test_hostile_json_is_a_schema_error(text):
     assert info.value.path == "$"
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"vertices": [{"id": "a"}, {"id": "\ud800"}]}, "$.vertices[1].id"),
+    ({"vertices": [{"id": 7}, {"id": "x\udfff"}]}, "$.vertices[1].id"),
+    ({"vertices": [{"id": "\ud83d"}, {"id": "\ude00"}]}, "$.vertices[0].id"),
+    ({"vertices": [{"id": "a"}], "edges": [{"u": "\udc00", "v": "a"}]}, "$.edges[0].u"),
+    ({"vertices": [{"id": "a"}], "edges": [{"u": "a", "v": "\ud800"}]}, "$.edges[0].v"),
+], ids=["id", "id-after-int", "split-pair", "edge-u", "edge-v"])
+def test_lone_surrogate_ids_are_refused_with_their_path(doc, path):
+    with pytest.raises(SchemaError, match="vertex id must be valid Unicode") as info:
+        parse_graph(json.dumps(doc))
+    assert info.value.path == path
+
+
+def test_an_escaped_surrogate_pair_is_one_valid_character():
+    assert parse_graph('{"vertices": [{"id": "\\ud83d\\ude00"}]}').ids == ["\U0001f600"]
+
+
 def _set(key, value):
     return lambda records, i: records[i].__setitem__(key, value)
 

@@ -302,7 +302,7 @@ def _outcome(spec, x0, *, frontier_only, **kwargs):
     else:
         scan = window_walk(g, res.distances)
     return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius,
-            res.trail, scan), res.method
+            res.settled_distances().tolist(), scan), res.method
 
 
 _RAY_TERMS = st.sampled_from(["n", "1", "2", "0.5", "(n - 7)", "(n - 150)", "1/n", "sqrt(n)"])
@@ -331,7 +331,7 @@ def test_window_path_matches_the_frontier(w, a, W, q, x0, q_mode, stop, offset, 
     except MagschroError:
         return
     small = 16
-    kwargs = {"q_mode": q_mode, "trail_every": 7, "budget": {
+    kwargs = {"q_mode": q_mode, "budget": {
         "budget-1": small - 1, "budget": small, "budget+1": small + 1, "2x": 2 * small,
         "10x": 10 * small}.get(stop, 1000)}
     if stop == "radius":
@@ -383,10 +383,12 @@ def test_tie_broken_by_push_order_stays_on_the_frontier(monkeypatch):
 
 def test_window_search_stops_like_the_frontier():
     g = quadratic_well_ray()
-    far = shortest_paths(g, 1, target=50_000, budget=60_000, trail_every=10_000)
+    far = shortest_paths(g, 1, target=50_000, budget=60_000)
     assert far.method == "window" and not far.complete and not far.budget_hit
     assert len(far.distances) == 50_000
-    assert far.trail == [(k, far.distances[k]) for k in (10_000, 20_000, 30_000, 40_000, 50_000)]
+    checkpoints = dict(completeness_probe(g, 1, budget=64_000).radius_trail)  # every 1000
+    steps = (10_000, 20_000, 30_000, 40_000, 50_000)
+    assert [checkpoints[k] for k in steps] == [far.distances[k] for k in steps]
     assert far.settled_radius == far.distances[50_000] + 1.0 / 50_001
     assert distance(g, 1, 50_000, budget=60_000) == far.distances[50_000]
     assert distance(g, 1, 50_000, budget=49_999) is None
@@ -419,11 +421,11 @@ def test_far_starts_take_the_window(monkeypatch, x0):
                          ids=["int64", "float", "float64", "fraction"])
 def test_window_target_compares_like_the_frontier(monkeypatch, target):
     g = quadratic_well_ray()
-    res = shortest_paths(g, 1, target=target, budget=20_000, trail_every=1000)
+    res = shortest_paths(g, 1, target=target, budget=20_000)
     assert res.method == "window"
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
-    oracle = shortest_paths(g, 1, target=target, budget=20_000, trail_every=1000)
-    assert (len(res.distances), res.budget_hit, res.settled_radius, res.trail) == (
-        len(oracle.distances), oracle.budget_hit, oracle.settled_radius, oracle.trail)
+    oracle = shortest_paths(g, 1, target=target, budget=20_000)
+    assert (res.budget_hit, res.settled_radius, res.settled_distances().tolist()) == (
+        oracle.budget_hit, oracle.settled_radius, oracle.settled_distances().tolist())
     assert res.get(target) == oracle.distances.get(target)
     assert res.get(np.int64(4000)) == res.get(4000.0) == oracle.distances[4000]

@@ -71,7 +71,7 @@ def _networkx(g, x0, q_mode, cutoff=None):
 
 def _summary(res):
     return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius,
-            res.trail)
+            res.settled_distances().tolist())
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,9 +82,9 @@ def _summary(res):
 def test_searches_settle_the_networkx_distances(seed, n, ids, ties, q_mode, budget):
     g = _graph(seed, n, ids, ties)
     x0 = g.vertices()[seed % n]
-    res = shortest_paths(g, x0, q_mode=q_mode, budget=budget, trail_every=7)
+    res = shortest_paths(g, x0, q_mode=q_mode, budget=budget)
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, q_mode=q_mode,
-                                                    budget=budget, trail_every=7))
+                                                    budget=budget))
     want = _networkx(g, x0, q_mode)
     got = res.distances
     assert all(got[x] == want[x] for x in got)
@@ -126,9 +126,8 @@ def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, t
     stops = {"budget": {"budget": 300 + seed % n},
              "radius": {"radius": order[300 + seed % (n - 300)]},
              "target": {"target": names[(seed // n + n // 2) % n]}}[stop]
-    res = shortest_paths(g, x0, trail_every=7, **stops)
-    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, trail_every=7,
-                                                    **stops))
+    res = shortest_paths(g, x0, **stops)
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, **stops))
     got = res.distances
     assert all(got[x] == want[x] for x in got)
     assert sorted(got.values()) == order[:len(got)]
