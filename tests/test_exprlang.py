@@ -297,7 +297,7 @@ def _assert_matches_the_oracle(text):
 
 
 # the grammar's characters and names, Unicode letters, digits and blanks; "No"
-# holds the characters that isdigit accepts and float refuses, such as "\u00b2"
+# holds "\u00b2", which isdigit accepts and float refuses, and "\u00bd", which both refuse
 _TEXTS = st.lists(st.sampled_from([*"0123456789.eE+-*/^(), n_", "min(", "max(", "sqrt(", "abs("])
                   | st.characters(categories=["L", "Nd", "No", "Nl", "Zs"]),
                   max_size=16).map("".join)
