@@ -202,19 +202,28 @@ def _eval(node: ExprAst, n):
     and raises Python's exception where any element would.
     """
     kind = type(node)  # the nodes come from the parser: no subclasses
-    if kind is BinOp:
-        a, b, op = _eval(node.left, n), _eval(node.right, n), node.op
-        if op == "^":
-            return math.pow(a, b) if type(a) is type(b) is float else power(a, b, len(n))
-        if op == "*":
-            return a * b
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if type(a) is type(b) is float or not np.any(b == 0):  # numpy gives inf or NaN
-            return a / b
-        raise ZeroDivisionError("float division by zero")
+    if kind is BinOp:  # a loop down the left spine, so long chains need no deep stack
+        spine = []
+        while type(node) is BinOp:
+            spine.append(node)
+            node = node.left
+        a = _eval(node, n)
+        while spine:
+            node = spine.pop()
+            b, op = _eval(node.right, n), node.op
+            if op == "^":
+                a = math.pow(a, b) if type(a) is type(b) is float else power(a, b, len(n))
+            elif op == "*":
+                a = a * b
+            elif op == "+":
+                a = a + b
+            elif op == "-":
+                a = a - b
+            elif type(a) is type(b) is float or not np.any(b == 0):  # numpy gives inf or NaN
+                a = a / b
+            else:
+                raise ZeroDivisionError("float division by zero")
+        return a
     if kind is Var:
         return n if type(n) is _ARRAY else float(n)
     if kind is Num:

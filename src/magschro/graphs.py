@@ -268,12 +268,12 @@ class Window:
     row of an id in either.  Row i of the CSR adjacency (``indptr``,
     ``indices``) lists the neighbors of vertex i that lie in the window, in
     id order, and ``a`` and ``sigma`` hold the data of those oriented edges.
-    A vertex is interior when all of its neighbors lie in the window.  The
-    data arrays hold the graph's numbers as numpy infers them, over the
-    records read or over an array graph's columns: float64 or complex128
-    for floats, objects for exact scalars such as ``Fraction`` and
-    ``ComplexRational``.  The arrays may be read-only views of the graph's
-    own.
+    A vertex is interior when all of its neighbors lie in the window, and
+    ``row_by_id`` maps each id to its row.  The data arrays hold the graph's
+    numbers as numpy infers them, over the records read or over an array
+    graph's columns: float64 or complex128 for floats, objects for exact
+    scalars such as ``Fraction`` and ``ComplexRational``.  The arrays and
+    the dict may be the graph's own, the arrays as read-only views.
     """
 
     ids: np.ndarray
@@ -300,12 +300,12 @@ class Window:
         Equal as the frontier compares vertices (``==``, and the hash of a
         dict key): ``5``, ``np.int64(5)``, ``5.0`` and ``True`` for 1 all find
         id 5.  Int ids are found by binary search, other ids by a dict built
-        on the first lookup.
+        on the first lookup (``row_by_id``).
         """
         ids = self.ids
         if ids.dtype == object:
             try:
-                return self._rows.get(x)
+                return self.row_by_id.get(x)
             except TypeError:  # unhashable, so equal to no id
                 return None
         try:
@@ -323,7 +323,8 @@ class Window:
         return row if ids[row] == n else None
 
     @cached_property
-    def _rows(self) -> dict:
+    def row_by_id(self) -> dict:
+        """The row of each id, keyed by ``ids.tolist()``; built on first read."""
         return dict(zip(self.ids.tolist(), range(len(self.ids))))
 
 
@@ -507,7 +508,7 @@ class ExplicitGraph(WeightedGraph):
                              sigma=self._sigma, interior=np.ones(m, dtype=bool))
         for held in vars(self._whole).values():
             held.flags.writeable = False  # windows share them
-        object.__setattr__(self._whole, "_rows", row)  # the graph's own id -> row dict
+        object.__setattr__(self._whole, "row_by_id", row)  # the graph's own id -> row dict
         self._records = list(map(VertexData, self._w.tolist(), self._W.tolist(),
                                  self._q.tolist()))
         self._lists = [None] * m  # neighbor lists, built on first read

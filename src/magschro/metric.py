@@ -20,10 +20,11 @@ the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``.
 An explicit graph with float data hands over its whole graph, one window
 built with it.  The lazy ray cuts its windows around any base vertex from
 one block of arrays, with the hops doubled until every reported vertex is
-interior to the window.  Both paths settle in the frontier's order: by
-distance, ties by push order, which on a ray is id order; where a window
-cannot show that, the search stays on the oracle.  ``SearchResult.method``
-says which path ran.
+interior to the window.  Both paths settle in one order: by distance, ties
+by id (:func:`~magschro.graphs.vertex_sort_key`), which a window's rows
+hold by construction.  The frontier keeps it wherever each edge length
+changes the distance it is added to; one below half an ulp of it lets the
+frontier settle a tie late.  ``SearchResult.method`` says which path ran.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def edge_length(g, e, q_mode=WITH_Q) -> float:
 
 
 class _Frontier:
-    """Resumable Dijkstra state over the lazy neighbor oracle."""
+    """Resumable Dijkstra over the lazy neighbor oracle; ties settle by id."""
 
-    __slots__ = ("g", "q_mode", "settled", "_heap", "_best", "_count")
+    __slots__ = ("g", "q_mode", "settled", "_heap", "_best")
 
     def __init__(self, g, x0, q_mode):
         if not g.has_vertex(x0):
@@ -101,9 +102,8 @@ class _Frontier:
         self.g = g
         self.q_mode = q_mode
         self.settled = {}
-        self._heap = [(0.0, 0, x0)]
+        self._heap = [(0.0, isinstance(x0, str), x0)]  # (distance, *vertex_sort_key(x))
         self._best = {x0: 0.0}
-        self._count = 1
 
     def peek_distance(self) -> float:
         """Smallest tentative distance still on the frontier (inf if none)."""
@@ -140,8 +140,7 @@ class _Frontier:
                     nd = d + math.sqrt(wmin) / math.sqrt(data.weight)
                 if nd < best.get(y, math.inf):
                     best[y] = nd
-                    self._count += 1
-                    heappush(heap, (nd, self._count, y))
+                    heappush(heap, (nd, isinstance(y, str), y))
             return x, d
         return None
 
@@ -149,24 +148,25 @@ class _Frontier:
 class SearchResult:
     """Where a search stopped and what it settled.
 
-    ``distances`` maps each settled vertex to its distance, in settle order,
-    and :meth:`settled_distances` gives those distances as one array; a
-    caller that wants checkpoints reads them from it.  ``method`` names the
-    path that produced it: ``"frontier"`` (Dijkstra over the neighbor
-    oracle) or ``"window"`` (a hop window searched as arrays).
-    A window result keeps its settled vertices as the rows ``order`` of
-    ``window`` and builds ``distances`` only when it is read; ``hops`` is the
-    hop radius the search asked of that window (None on the frontier).
+    ``distances`` maps each settled vertex to its distance, in settle order
+    (by distance, ties by id), and :meth:`settled_distances` gives those
+    distances as one array; a caller that wants checkpoints reads them from
+    it.  ``method`` names the path that produced it: ``"frontier"``
+    (Dijkstra over the neighbor oracle) or ``"window"`` (a hop window
+    searched as arrays).  A window result keeps its settled vertices as the
+    rows ``order`` of ``window`` and builds ``distances`` only when it is
+    read; ``hops`` is the hop radius the search asked of that window (None
+    on the frontier).
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
-                 window=None, order=None, settled=None):
+                 window=None, order=None, settled=None, hops=None):
         self.complete = complete  # the explored region was exhausted (no open frontier left)
         self.budget_hit = budget_hit
         self.settled_radius = settled_radius  # the next frontier distance; all below are final
         self.method = "frontier" if window is None else "window"
         self.window = window
-        self.hops = None
+        self.hops = hops
         self.order = order
         self._distances = distances
         self._settled = settled  # settled distances in settle order
@@ -186,11 +186,13 @@ class SearchResult:
 
     def get(self, x) -> Optional[float]:
         """The distance of ``x`` if the search settled it, else None."""
-        if self._distances is not None:
+        if self._distances is None:  # row_of gives None, which equals no row, for unknown ids
+            hit = np.flatnonzero(self.order == self.window.row_of(x))
+            return self._settled[hit[0]].item() if len(hit) else None
+        try:
             return self._distances.get(x)
-        row = self.window.row_of(x)
-        hit = np.flatnonzero(self.order == row) if row is not None else ()
-        return self._settled[hit[0]].item() if len(hit) else None
+        except TypeError:  # unhashable, so equal to no vertex
+            return None
 
 
 #: settled vertices after which a search restarts on a hop window, when the
@@ -243,17 +245,15 @@ def _window_search(g, x0, q_mode, budget, radius, target, hops):
     to the window; up to there the window search settles exactly what the
     frontier would, in the same order, and its next distance is the
     frontier's.  Returns the :class:`SearchResult`, or None when the graph
-    cannot cut a window that wide or the frontier's settle order cannot be
-    read off the window.
+    cannot cut a window that wide or an edge of it has a zero or infinite
+    length.
     """
     while True:
         found = g.hop_window(x0, hops)  # one window alive at a time
         if found is None:
             return None
-        found = _search_window(found, x0, q_mode, budget, radius, target)
+        found = _search_window(found, x0, q_mode, budget, radius, target, hops)
         if found is not _WIDER:
-            if found is not None:
-                found.hops = hops
             return found
         if hops >= budget:  # the settled tree has fewer than budget hops
             return None
@@ -269,7 +269,7 @@ def _blocks(size):
 _WIDER = object()  # the window search reached a vertex that is not interior
 
 
-def _search_window(win, x0, q_mode, budget, radius, target):
+def _search_window(win, x0, q_mode, budget, radius, target, hops):
     # imported here: the import costs a few ms and small searches never need it
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -284,13 +284,11 @@ def _search_window(win, x0, q_mode, budget, radius, target):
         np.sqrt(part, out=part)
         scale = win.a[b] * np.maximum(win.q[r], win.q[c]) if q_mode == WITH_Q else win.a[b]
         lengths[b] = part / np.sqrt(scale)
-    if not (np.all((lengths > 0) & (lengths < math.inf)) and np.all(np.diff(win.indptr) > 0)):
-        # a zero-length edge is no edge to csgraph, and the frontier divides by a
-        # zero weight; empty rows defeat reduceat
-        return None
+    if not np.all((lengths > 0) & (lengths < math.inf)):
+        return None  # csgraph drops zero lengths, and the frontier divides by zero weights
     source = win.row_of(x0)
     dist = dijkstra(csr_matrix((lengths, cols, win.indptr), shape=(m, m)), indices=source)
-    order = np.argsort(dist, kind="stable")  # by distance, then by id
+    order = np.argsort(dist, kind="stable")  # by distance, then by row, which is id order
     ds = dist[order]
     reach = int(np.searchsorted(ds, math.inf))
 
@@ -310,27 +308,9 @@ def _search_window(win, x0, q_mode, budget, radius, target):
     if not np.all(win.interior[order[:k]]):
         return _WIDER
 
-    # the frontier settles ties by push order: each vertex is pushed by its
-    # earliest-settled neighbor on a shortest path, in that neighbor's row
-    # order; check that (distance, id) is that order up to the next vertex
-    rank = np.empty(m, dtype=np.int32)
-    rank[order] = np.arange(m, dtype=np.int32)
-    pusher = np.empty(len(cols), dtype=np.int32)
-    for b in _blocks(len(cols)):
-        part = rank[cols[b]]
-        part[dist[cols[b]] + lengths[b] != dist[rows[b]]] = m
-        pusher[b] = part
-    pusher = np.minimum.reduceat(pusher, win.indptr[:-1])[order]
-    upto = k if k >= reach else int(np.searchsorted(ds, ds[k], side="right"))
-    if np.any(pusher[1:upto] >= np.arange(1, upto)):
-        return None
-    tied = ds[1:upto] == ds[:upto - 1]
-    if np.any(tied & (pusher[1:upto] < pusher[:upto - 1])):
-        return None
-
     settled_radius = float(ds[k]) if k < reach else math.inf
     return SearchResult(complete, budget_hit, settled_radius, window=win,
-                        order=order[:k], settled=ds[:k])
+                        order=order[:k], settled=ds[:k], hops=hops)
 
 
 def distance(g, x, y, *, q_mode=WITH_Q, budget=None) -> Optional[float]:

@@ -55,7 +55,7 @@ class Patch:
 
     def __init__(self, g, win):
         self.window, self.m = win, len(win.ids)
-        self.row = dict(zip(win.ids.tolist(), range(self.m)))
+        self.row = win.row_by_id
         self.rows = win.rows()
         e = np.flatnonzero(self.rows < win.indices)
         self.o, self.t, self.sigma = self.rows[e], win.indices[e], win.sigma[e]

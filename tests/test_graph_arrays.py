@@ -240,7 +240,7 @@ def test_hop_windows_are_the_whole_graph(seed, ids):
             assert g.hop_window(x0, hops) is win
     # it shares the graph's arrays and its id -> row dict
     assert win.w is g._w and win.a is g._a and win.indices is g._indices
-    assert win._rows is g._row and all(win.row_of(x) == r for r, x in enumerate(names))
+    assert win.row_by_id is g._row and all(win.row_of(x) == r for r, x in enumerate(names))
     assert win.interior.all() and g.closure_window(names) is win
     _assert_same_window(win, WeightedGraph.closure_window(g, names))
     exact = ExplicitGraph({x: tuple(map(Fraction, g.vertex(x))) for x in names},

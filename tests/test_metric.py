@@ -11,6 +11,7 @@ from magschro import criteria, metric
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
 from magschro.families import make_family, quadratic_well_ray
+from magschro.graphs import ExplicitGraph
 from magschro.metric import (
     UNIT_Q,
     WITH_Q,
@@ -369,16 +370,35 @@ def test_search_reports_its_path():
     assert shortest_paths(explicit, explicit.vertices()[0], budget=10).hops is None
 
 
-def test_tie_broken_by_push_order_stays_on_the_frontier(monkeypatch):
+def test_ties_settle_by_id_on_both_paths(monkeypatch):
     # unit-q lengths 1 to the left of 10 and 0.5, 0.5, 2, 2, ... to the right:
     # 7 and 13 tie at distance 3, and 13 is pushed first because its pusher 12
-    # (distance 1) settles before 7's pusher 8 (distance 2)
+    # (distance 1) settles before 7's pusher 8 (distance 2); 7 settles first
     g = make_family({"family": "path-nat",
                      "a": "4^(min(max(n-9,0),1) - 2*min(max(n-11,0),1))"})
+
+    def summary(res):
+        return (list(res.distances.items()), res.complete, res.budget_hit, res.settled_radius)
+
     monkeypatch.setattr(metric, "WINDOW_MIN", 2)
     res = shortest_paths(g, 10, q_mode=UNIT_Q, budget=12)
-    assert res.method == "frontier"
-    assert list(res.distances) == [10, 11, 9, 12, 8, 13, 7, 6, 14, 5, 4, 15]
+    assert res.method == "window"
+    assert list(res.distances) == [10, 11, 9, 12, 8, 7, 13, 6, 5, 14, 4, 3]
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    oracle = shortest_paths(g, 10, q_mode=UNIT_Q, budget=12)
+    assert oracle.method == "frontier" and summary(oracle) == summary(res)
+
+
+@pytest.mark.parametrize("ids", [int, str])
+@pytest.mark.parametrize("path", ["frontier", "window"])
+def test_an_unhashable_vertex_has_no_distance_on_either_path(path, ids):
+    names = [ids(x) for x in range(600)]
+    g = ExplicitGraph({x: (1.0, 0.0, 1.0) for x in names},
+                      {(u, v): (1.0, 1.0) for u, v in zip(names, names[1:])})
+    x0 = names[0]
+    res = shortest_paths(g, x0, budget=metric.WINDOW_MIN + (path == "window"))
+    assert res.method == path
+    assert res.get([1]) is None and res.get({}) is None and res.get(x0) == 0.0
 
 
 def test_window_search_stops_like_the_frontier():

@@ -6,10 +6,13 @@ their paths: the frontier over the neighbor oracle and the window cut from
 the graph's arrays.  The two paths must agree on everything they report,
 ties included; lengths drawn from a few powers of two make distances tie.
 Paths and cycles of 1500 vertices reach past the 512 hops of the first
-window, which on an explicit graph holds the whole graph.
+window, which on an explicit graph holds the whole graph.  Both paths settle
+by distance, ties by id, so tied graphs take the window too.
 """
 
 import copy
+import dataclasses
+import json
 import math
 
 import networkx as nx
@@ -19,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magschro import metric
+from magschro.criteria import selfadjointness_criteria
 from magschro.families import make_family
-from magschro.graphs import ExplicitGraph
+from magschro.graphio import parse_graph
+from magschro.graphs import ExplicitGraph, vertex_sort_key
 from magschro.metric import UNIT_Q, WITH_Q, ball, edge_length, shortest_paths
 
 
@@ -74,6 +79,10 @@ def _summary(res):
             res.settled_distances().tolist())
 
 
+def _in_settle_order(got):
+    return list(got) == sorted(got, key=lambda x: (got[x], vertex_sort_key(x)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 700),
        ids=st.sampled_from(["int", "str", "mixed"]), ties=st.booleans(),
@@ -88,6 +97,7 @@ def test_searches_settle_the_networkx_distances(seed, n, ids, ties, q_mode, budg
     want = _networkx(g, x0, q_mode)
     got = res.distances
     assert all(got[x] == want[x] for x in got)
+    assert _in_settle_order(got)
     cap = len(want) if budget is None else min(budget, len(want))
     assert len(got) == cap
     assert sorted(got.values()) == sorted(want.values())[:cap]
@@ -130,6 +140,7 @@ def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, t
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, **stops))
     got = res.distances
     assert all(got[x] == want[x] for x in got)
+    assert _in_settle_order(got)
     assert sorted(got.values()) == order[:len(got)]
     if stop == "budget":
         assert len(got) == min(stops["budget"], n) and res.budget_hit == (stops["budget"] <= n)
@@ -144,23 +155,67 @@ def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, t
         assert ties
 
 
-def test_ties_decide_as_on_the_frontier():
-    # every length is a power of two, so many vertices tie; where the window
-    # cannot show the frontier's push order, the search stays on the frontier
-    methods = set()
+def test_tied_graphs_take_the_window():
+    # every length is a power of two, so many vertices tie; both paths settle
+    # ties by id, so every search past WINDOW_MIN runs on the window
     for seed in range(6):
         g = _graph(seed, 600, "str", ties=True)
         x0 = g.vertices()[0]
         res = shortest_paths(g, x0, budget=400)
+        assert res.method == "window"
         assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=400))
-        methods.add(res.method)
-    assert "frontier" in methods
-    # on a path the two sides of the centre tie, and id order is push order
+    # on a path the two sides of the centre tie, and the smaller id settles first
     path = make_family({"family": "path", "size": 600})
     res = shortest_paths(path, 300, budget=400)
     assert res.method == "window"
     assert _summary(res) == _summary(shortest_paths(_frontier_only(path), 300, budget=400))
     assert list(res.distances)[:5] == [300, 299, 301, 298, 302]
+
+
+def _uniform_lattice(side):
+    """A side x side lattice with a Landau-gauge flux and unit data, read from
+    graph JSON: every edge has length 1, so each distance is shared by many vertices."""
+    def name(r, c):
+        return f"{r:03d}-{c:03d}"
+
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    edges = [{"u": name(r, c), "v": name(r, c + 1)} for r, c in cells if c + 1 < side]
+    edges += [{"u": name(r, c), "v": name(r + 1, c),
+               "sigma": {"re": math.cos(0.2 * math.pi * c), "im": math.sin(0.2 * math.pi * c)}}
+              for r, c in cells if r + 1 < side]
+    vertices = [{"id": name(r, c)} for r, c in cells]
+    return parse_graph(json.dumps({"vertices": vertices, "edges": edges})).to_graph()
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_a_uniform_lattice_searches_its_centre_on_the_window(budget):
+    g = _uniform_lattice(60)
+    centre = "030-030"
+    res = shortest_paths(g, centre, budget=budget)
+    assert res.method == "window"
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), centre, budget=budget))
+    want = _networkx(g, centre, WITH_Q)
+    got = res.distances
+    assert len(got) == (budget or 3600) and all(got[x] == want[x] for x in got)
+    assert _in_settle_order(got)
+    report = selfadjointness_criteria(g, centre, budget=budget)
+    oracle = selfadjointness_criteria(_frontier_only(g), centre, budget=budget)
+    assert (report.search.method, oracle.search.method) == ("window", "frontier")
+    assert report.search.settled == oracle.search.settled == len(got)
+    assert dataclasses.replace(report, search=None) == dataclasses.replace(oracle, search=None)
+
+
+def test_a_window_with_an_isolated_vertex_searches_as_the_frontier():
+    # an unchecked graph: a path of 400 vertices and vertex 200 with no edge,
+    # whose CSR row is empty
+    ids = [x for x in range(401) if x != 200]
+    g = ExplicitGraph({x: (1.0, 0.0, 1.0) for x in range(401)},
+                      {(u, v): (1.0, 1.0) for u, v in zip(ids, ids[1:])}, check=False)
+    for budget in (None, 300):
+        res = shortest_paths(g, 0, budget=budget)
+        assert res.method == "window" and res.get(200) is None
+        assert _summary(res) == _summary(shortest_paths(_frontier_only(g), 0, budget=budget))
+    assert list(shortest_paths(g, 200).distances.items()) == [(200, 0.0)]
 
 
 @pytest.mark.parametrize("ids", ["int", "str", "mixed"])
