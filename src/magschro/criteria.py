@@ -145,7 +145,7 @@ class SearchSummary:
 
     method: str  # "frontier" or "window", as SearchResult.method
     settled: int
-    hops: Optional[int]  # hop radius of the window searched; None on the frontier
+    hops: Optional[int]  # hops the window searched was asked to cover; None on the frontier
     wall_s: float
 
 

@@ -39,14 +39,15 @@ class FamilySpec:
 class PathRayGraph(WeightedGraph):
     """Lazy half-line graph on the positive integers with edges n ~ n + 1.
 
-    Hop windows, and the closure windows of runs of vertices, are sliced
-    from one block of arrays over lo..hi (w, W, q and a(n) for the edge
-    n ~ n + 1).  A window that overlaps or touches the block extends it,
-    evaluating only the new flanks; any other window replaces it.  The records of 1..``_HEAD_SIZE`` are also kept as tuples,
-    which small searches read as fast as a dict; past them ``vertex``,
-    ``neighbors`` and ``edge_data`` evaluate the expressions and keep
-    nothing.  An n where an expression raises or a record is invalid has no
-    window over it, so its error is raised only when something reads it.
+    The records of 1..``_HEAD_SIZE`` are evaluated once, as read-only
+    arrays (w, W, q and a(n) for the edge n ~ n + 1) and as tuples, which
+    small searches read as fast as a dict.  A hop window, or the closure
+    window of a run of vertices, that ends inside them is sliced from those
+    arrays; any other evaluates its own range once and keeps nothing, as
+    ``vertex``, ``neighbors`` and ``edge_data`` do past the prefix.  So no
+    attribute changes after construction.  An n where an expression raises
+    or a record is invalid has no window over it, so its error is raised
+    only when something reads it.
     """
 
     degree_bound = 2
@@ -63,9 +64,10 @@ class PathRayGraph(WeightedGraph):
         self._W = compile_text(spec.W)
         self._q = compile_text(spec.q)
         self._sample_check()
-        self._lo = 1  # the block holds the records of _lo.._lo + len - 1
-        self._block = self._records(1, _HEAD_SIZE)
-        w, W, q, a = (values.tolist() for values in self._block)
+        self._prefix = self._records(1, _HEAD_SIZE)  # the records of 1..len(_head)
+        for values in self._prefix:
+            values.flags.writeable = False  # windows share them
+        w, W, q, a = (values.tolist() for values in self._prefix)
         self._head = [VertexData(*rec) for rec in zip(w, W, q)]
         self._head_neighbors = [_star(x, a[x - 2] if x > 1 else None, a[x - 1])
                                 for x in range(1, len(w) + 1)]
@@ -139,16 +141,16 @@ class PathRayGraph(WeightedGraph):
         return EdgeData(self._edge_weight(min(o, t)), 1.0)
 
     def hop_window(self, x0, hops):
-        """The vertices within ``hops`` of ``x0`` as a :class:`Window` sliced
-        from the block, or None when an n in that range is invalid or
-        ``x0 + hops`` reaches the largest int64."""
+        """The vertices within ``hops`` of ``x0`` as a :class:`Window`, or None
+        when an n in that range is invalid or ``x0 + hops`` reaches the
+        largest int64."""
         return self._cut(max(1, x0 - hops), x0 + hops)
 
     def closure_window(self, vertices, extra=()):
-        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut from the
-        block when ``extra`` lies in it, with int64 rows and float phases as
-        the neighbor oracle's read holds them; other sets are read from the
-        oracle, which also raises the errors of invalid records."""
+        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut as a hop
+        window is when ``extra`` lies in it, with int64 rows and float phases
+        as the neighbor oracle's read holds them; other sets are read from
+        the oracle, which also raises the errors of invalid records."""
         run = set(vertices)
         if run and all(type(x) is int for x in run):
             lo, hi = min(run), max(run)
@@ -166,21 +168,12 @@ class PathRayGraph(WeightedGraph):
         """The window over lo..hi, or None (see :meth:`hop_window`)."""
         if hi >= np.iinfo(np.int64).max:  # np.arange(lo, hi + 1) would turn to floats
             return None
-        start, block = self._lo, self._block
-        stop = start + len(block[0])  # the block holds start..stop - 1
-        if lo > stop or hi < start - 1:  # disjoint: replace the block
-            start, stop, block = lo, lo, [np.empty(0)] * 4
-        pieces = [block]
-        if lo < start:
-            pieces.insert(0, self._records(lo, start - 1))
-        if hi >= stop:
-            pieces.append(self._records(stop, hi))
-        if len(pieces) > 1:
-            block = [np.concatenate(column) for column in zip(*pieces)]
-            if len(block[0]) < max(hi + 1, stop) - min(lo, start):
+        if hi <= len(self._head):
+            w, W, q, a = (values[lo - 1:hi] for values in self._prefix)
+        else:
+            w, W, q, a = self._records(lo, hi)
+            if len(w) <= hi - lo:
                 return None  # an n in lo..hi is invalid
-            self._lo, self._block = min(lo, start), block
-        w, W, q, a = (values[lo - self._lo:hi - self._lo + 1] for values in self._block)
         m = hi - lo + 1
         # row i holds i - 1 (if i > 0) and i + 1 (if i < m - 1), so each edge
         # weight a(lo + i) appears twice in a row, as i -> i + 1 then i + 1 -> i

@@ -221,7 +221,7 @@ class WeightedGraph:
         calculus operator on functions supported there, a scan of the
         criteria over them or their truncation needs.  A graph that holds
         arrays cuts the window from them instead, with the same fields: the
-        lazy ray from its block, an explicit graph from its CSR arrays.
+        lazy ray as it cuts a hop window, an explicit graph from its CSR arrays.
         """
         lists = {x: self.neighbors(x) for x in vertices}
         found = set(extra).union(lists)

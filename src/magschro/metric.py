@@ -18,9 +18,10 @@ Searches start on the neighbor oracle (``_Frontier``).  One that is still
 going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
 the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``.
 An explicit graph with float data hands over its whole graph, one window
-built with it.  The lazy ray cuts its windows around any base vertex from
-one block of arrays, with the hops doubled until every reported vertex is
-interior to the window.  Both paths settle in one order: by distance, ties
+built with it.  The lazy ray evaluates each window it cuts, so the first
+covers the hops the search can need (the budget's or, with int ends, the
+target's; ``2 * WINDOW_MIN`` for a radius), doubled while a reported vertex
+is not interior to it.  Both paths settle in one order: by distance, ties
 by id (:func:`~magschro.graphs.vertex_sort_key`), which a window's rows
 hold by construction.  The frontier keeps it wherever each edge length
 changes the distance it is added to; one below half an ulp of it lets the
@@ -155,8 +156,8 @@ class SearchResult:
     (Dijkstra over the neighbor oracle) or ``"window"`` (a hop window
     searched as arrays).  A window result keeps its settled vertices as the
     rows ``order`` of ``window`` and builds ``distances`` only when it is
-    read; ``hops`` is the hop radius the search asked of that window (None
-    on the frontier).
+    read; ``hops`` is what the search asked that window to cover (None on
+    the frontier).
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
@@ -228,7 +229,13 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
         if radius is not None and frontier.peek_distance() > radius:
             return SearchResult(True, False, frontier.peek_distance(), distances=settled)
         if count == WINDOW_MIN:
-            found = _window_search(g, x0, q_mode, budget, radius, target, 2 * count)
+            if radius is not None:
+                hops = 2 * count
+            elif type(x0) is int and type(target) is int:  # the ray's target is this far out
+                hops = max(2 * count, min(budget, abs(target - x0) + 1))
+            else:  # no vertex settles budget hops out
+                hops = budget
+            found = _window_search(g, x0, q_mode, budget, radius, target, hops)
             if found is not None:
                 return found
         step = frontier.settle_next()
@@ -241,12 +248,12 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
 def _window_search(g, x0, q_mode, budget, radius, target, hops):
     """:func:`shortest_paths` on hop windows around ``x0``.
 
-    The hops double until the vertices the search reports are all interior
-    to the window; up to there the window search settles exactly what the
-    frontier would, in the same order, and its next distance is the
-    frontier's.  Returns the :class:`SearchResult`, or None when the graph
-    cannot cut a window that wide or an edge of it has a zero or infinite
-    length.
+    The first window covers ``hops``; they double while a vertex the search
+    reports is not interior to the window.  Up to there the window search
+    settles exactly what the frontier would, in the same order, and its next
+    distance is the frontier's.  Returns the :class:`SearchResult`, or None
+    when the graph cannot cut a window that wide or an edge of it has a
+    zero or infinite length.
     """
     while True:
         found = g.hop_window(x0, hops)  # one window alive at a time
@@ -575,10 +582,8 @@ class CutoffCheckReport:
 
 
 def _pair_distance(g, x, y, q_mode, budget) -> float:
-    direct = edge_length(g, OrientedEdge(x, y), q_mode)
-    result = shortest_paths(g, x, q_mode=q_mode, budget=budget, target=y,
-                            radius=direct * (1 + 1e-9))
-    return result.distances.get(y, direct)
+    found = distance(g, x, y, q_mode=q_mode, budget=budget)
+    return edge_length(g, OrientedEdge(x, y), q_mode) if found is None else found
 
 
 def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:

@@ -50,15 +50,16 @@ def test_check_json_report(tmp_path, capsys):
 def test_check_json_reports_the_search(tmp_path, capsys):
     small, large = tmp_path / "small.json", tmp_path / "large.json"
     assert main(["check", "--family", "path", "--size", "12", "--json", str(small)]) == 0
-    assert main(["check", "--family", "path", "--size", "600", "--json", str(large)]) == 0
+    assert main(["check", "--family", "path", "--size", "600", "--budget", "1000",
+                 "--json", str(large)]) == 0
     text = capsys.readouterr().out
     assert "search" not in text  # the text report stays as it was
     search = json.loads(small.read_text())["search"]
     assert (search["method"], search["settled"], search["hops"]) == ("frontier", 12, None)
     search = json.loads(large.read_text())["search"]
-    # the frontier restarts on a 512-hop window after 256 settles; an explicit
-    # graph's window is its whole graph, so the hops never double
-    assert (search["method"], search["settled"], search["hops"]) == ("window", 600, 512)
+    # the frontier restarts on a window after 256 settles, asked for the
+    # budget's hops; an explicit graph's window is its whole graph
+    assert (search["method"], search["settled"], search["hops"]) == ("window", 600, 1000)
     assert search["wall_s"] > 0
 
 

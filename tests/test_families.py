@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,12 @@ from magschro.graphs import EdgeData, OrientedEdge, VertexData
 from magschro.metric import shortest_paths
 
 
-def block_span(g):
-    return g._lo, g._lo + len(g._block[0]) - 1
+def count_evaluations(monkeypatch, g):
+    """The n at which ``g`` evaluates w from now on, one entry per element."""
+    evaluated = []
+    w = g._w
+    monkeypatch.setattr(g, "_w", lambda ns: evaluated.extend(np.atleast_1d(ns).tolist()) or w(ns))
+    return evaluated
 
 
 def test_prefix_records_match_single_evaluation():
@@ -27,28 +34,59 @@ def test_prefix_records_match_single_evaluation():
             assert win.a[2 * row] == g.edge_data((x + 1, x)).weight == weight
 
 
-def test_windows_extend_or_replace_the_block(monkeypatch):
+def test_windows_inside_the_prefix_evaluate_nothing(monkeypatch):
     g = quadratic_well_ray()
-    evaluated = []
-    w = g._w
-    monkeypatch.setattr(g, "_w", lambda ns: evaluated.extend(np.atleast_1d(ns).tolist()) or w(ns))
-    assert block_span(g) == (1, 1024)
-    g.hop_window(1, 2000)  # overlaps: only the right flank is new
-    assert block_span(g) == (1, 2001) and evaluated == list(range(1025, 2002))
+    evaluated = count_evaluations(monkeypatch, g)
+    held = dict(vars(g))
+    win = g.hop_window(600, 424)  # 176..1024 ends inside the prefix 1..1024
+    assert win.ids.tolist() == list(range(176, 1025))
+    assert win.q.tolist() == [float(n) ** 2 for n in range(176, 1025)]
+    assert not (win.w.flags.writeable or win.W.flags.writeable or win.q.flags.writeable)
+    assert g.closure_window(range(10, 20)).ids.tolist() == list(range(9, 21))
+    # the records of 1..1024 are read as kept tuples
+    assert g.vertex(7) == VertexData(1.0, -49.0, 49.0)
+    assert evaluated == [] and vars(g) == held
+
+
+def test_windows_past_the_prefix_evaluate_their_range_once(monkeypatch):
+    g = quadratic_well_ray()
+    evaluated = count_evaluations(monkeypatch, g)
+    held = dict(vars(g))
+    for _ in range(2):  # nothing is kept, so a second cut evaluates again
+        evaluated.clear()
+        g.hop_window(1, 2000)
+        assert evaluated == list(range(1, 2002))
     evaluated.clear()
-    g.hop_window(3000, 500)  # disjoint: replaces the block
-    assert block_span(g) == (2500, 3500) and evaluated == list(range(2500, 3501))
-    evaluated.clear()
-    g.hop_window(2000, 500)  # touches it on the left
-    assert block_span(g) == (1500, 3500) and evaluated == list(range(1500, 2500))
-    evaluated.clear()
-    win = g.hop_window(2500, 900)  # inside: evaluates nothing
-    assert block_span(g) == (1500, 3500) and evaluated == []
+    win = g.hop_window(2500, 900)
+    assert evaluated == list(range(1600, 3401))
     assert win.ids.tolist() == list(range(1600, 3401)) and win.q.tolist() == [
         float(n) ** 2 for n in range(1600, 3401)]
     assert win.interior.tolist() == [False] + [True] * 1799 + [False]
-    # the records of 1..1024 are read as kept tuples whatever the block holds
-    assert g.vertex(7) == VertexData(1.0, -49.0, 49.0) and evaluated == []
+    assert vars(g) == held
+
+
+def test_threads_cutting_windows_on_one_ray_get_their_own_records():
+    g = quadratic_well_ray()
+    wrong = []
+
+    def cut(base):
+        for k in range(300):
+            win = g.hop_window(base + 3000 * k, 2000)
+            if not np.array_equal(win.q, win.ids.astype(float) ** 2):
+                wrong.append(base + 3000 * k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=cut, args=(base,))
+                   for base in (5000, 10**6, 10**7, 3 * 10**7)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_hop_window_slices_the_prefix():
@@ -82,7 +120,7 @@ def test_prefix_stops_before_an_expression_error(monkeypatch):
     g = make_family({"family": "path-nat", "W": "1/(n-3000)"})
     assert g.hop_window(1, 2500) is not None
     assert g.hop_window(1, 5000) is None and g.hop_window(2990, 100) is None
-    assert block_span(g) == (1, 2501)
+    assert g.hop_window(2990, 9).W[-1] == -1.0 and g.hop_window(2990, 10) is None
     assert g.hop_window(10**6, 5000).W[5000] == 1 / (10**6 - 3000)
     assert g.vertex(2999).potential == -1.0
     for _ in range(2):  # an error is raised on every read, never kept
@@ -101,22 +139,24 @@ def test_prefix_stops_before_an_expression_error(monkeypatch):
 
 def test_prefix_stops_before_an_invalid_record():
     g = make_family({"family": "path-nat", "w": "abs(n - 3000)"})
-    assert g.hop_window(1, 4000) is None and block_span(g) == (1, 1024)
+    assert g.hop_window(1, 4000) is None and g.hop_window(2000, 1000) is None
+    assert g.hop_window(2000, 999).w[-1] == 1.0 and g.hop_window(500, 500) is not None
     assert g.hop_window(10**6, 100) is not None
     assert g.neighbors(2999)[1] == (OrientedEdge(2999, 3000), EdgeData(1.0, 1.0))
     with pytest.raises(GraphStructureError, match=r"w\(3000\) = 0.0 is not positive"):
         g.vertex(3000)
 
 
-def test_far_vertices_are_evaluated_singly():
+def test_far_vertices_are_evaluated_singly(monkeypatch):
     g = quadratic_well_ray()
-    assert g.vertex(5) == VertexData(1.0, -25.0, 25.0)
-    span = block_span(g)
+    evaluated = count_evaluations(monkeypatch, g)
+    held = dict(vars(g))
+    assert g.vertex(5) == VertexData(1.0, -25.0, 25.0) and evaluated == []
     far = 1 << 45
     assert g.vertex(far) == VertexData(1.0, -float(far) ** 2, float(far) ** 2)
     assert g.vertex(2000).minorant == 2000.0 ** 2
     assert g.edge_data((far, far + 1)).weight == 1.0
-    assert block_span(g) == span
+    assert evaluated == [far, 2000] and vars(g) == held
 
 
 @pytest.mark.parametrize("spec, error, message", [

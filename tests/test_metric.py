@@ -348,6 +348,38 @@ def test_window_path_matches_the_frontier(w, a, W, q, x0, q_mode, stop, offset, 
         assert method in ("frontier", None)
 
 
+def _asked_hops(monkeypatch, g):
+    """The hops that each window ``g`` cuts from now on was asked for."""
+    asked = []
+    cut = g.hop_window
+    monkeypatch.setattr(g, "hop_window", lambda x0, hops: asked.append(hops) or cut(x0, hops))
+    return asked
+
+
+def test_a_target_sizes_the_first_window(monkeypatch):
+    g = quadratic_well_ray()
+    asked = _asked_hops(monkeypatch, g)
+    # one window of the target's 5000 hops, whatever the budget allows
+    found = distance(g, 1, 5000, budget=10**8)
+    assert asked == [5000]
+    monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
+    assert found == distance(g, 1, 5000, budget=10**8) == pytest.approx(
+        math.fsum(1 / n for n in range(2, 5001)), rel=1e-12)
+
+
+def test_a_target_behind_cheap_edges_retries_wider(monkeypatch):
+    # edges to the right of 2000 are shorter, so about 3,800 vertices there
+    # settle before the target 1000: the target's 1001 hops are too few
+    spec = {"family": "path-nat", "a": "n^3"}
+    g = make_family(spec)
+    asked = _asked_hops(monkeypatch, g)
+    res = shortest_paths(g, 2000, target=1000)
+    assert res.method == "window" and asked == [1001, 2002, 4004] and res.hops == 4004
+    assert max(res.distances) - 2000 > 1001
+    windowed, _ = _outcome(spec, 2000, frontier_only=False, target=1000)
+    assert windowed == _outcome(spec, 2000, frontier_only=True, target=1000)[0]
+
+
 def test_search_reports_its_path():
     g = quadratic_well_ray()
     assert shortest_paths(g, 1, budget=metric.WINDOW_MIN).method == "frontier"
@@ -360,7 +392,7 @@ def test_search_reports_its_path():
     res = shortest_paths(free, 50, budget=5000)
     assert res.method == "window"
     assert list(res.distances)[:5] == [50, 49, 51, 48, 52]
-    # the hops double from 2 * WINDOW_MIN until 50 + 4950 is interior, capped at the budget
+    # a search without a radius asks its first window for the budget's hops
     assert res.hops == 5000
     # an explicit graph cuts its windows from its arrays; exact data stay on the frontier
     explicit = random_connected_graph(np.random.default_rng(3), min_vertices=300,
