@@ -84,7 +84,7 @@ def _closure(g, window):
 
 def _explored(g, found):
     """The window of a search with the mask of the vertices it settled: the
-    window search's own, else the closure of the frontier's."""
+    window it ran on, else the closure of the frontier's."""
     if found.method == "window":
         member = np.zeros(len(found.window.ids), dtype=bool)
         member[found.order] = True
@@ -145,7 +145,6 @@ class SearchSummary:
 
     method: str  # "frontier" or "window", as SearchResult.method
     settled: int
-    hops: Optional[int]  # hops the window searched was asked to cover; None on the frontier
     wall_s: float
 
 
@@ -179,7 +178,7 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
         raise UnknownVertexError(x0)
     start = perf_counter()
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget)
-    search = SearchSummary(explored.method, len(explored.settled_distances()), explored.hops,
+    search = SearchSummary(explored.method, len(explored.settled_distances()),
                            perf_counter() - start)
     completeness = _completeness_report(g, x0, budget, explored)
     win, member = _explored(g, explored)

@@ -4,8 +4,8 @@ A family spec names a shape (``path-nat``, ``path``, ``cycle``, ``star``,
 ``binary-tree``) and supplies expressions in the vertex index ``n`` for the
 vertex weight ``w``, the edge weight ``a``, the potential ``W`` and the
 minorant ``q``.  Finite shapes are materialized as explicit graphs; the
-half-line ``path-nat`` stays lazy and is only ever explored through metric
-or hop windows.
+half-line ``path-nat`` stays lazy and is only ever explored through finite
+windows and searches.
 
 Edge weights are indexed by the smaller endpoint of an edge, so on a path
 ``a(n)`` is the weight of the edge between ``n`` and ``n + 1``.
@@ -41,13 +41,13 @@ class PathRayGraph(WeightedGraph):
 
     The records of 1..``_HEAD_SIZE`` are evaluated once, as read-only
     arrays (w, W, q and a(n) for the edge n ~ n + 1) and as tuples, which
-    small searches read as fast as a dict.  A hop window, or the closure
-    window of a run of vertices, that ends inside them is sliced from those
-    arrays; any other evaluates its own range once and keeps nothing, as
-    ``vertex``, ``neighbors`` and ``edge_data`` do past the prefix.  So no
-    attribute changes after construction.  An n where an expression raises
-    or a record is invalid has no window over it, so its error is raised
-    only when something reads it.
+    small searches read as fast as a dict.  Records that a search or the
+    closure window of a run of vertices reads (:meth:`_records`) are sliced
+    from those arrays when they end inside them; any others are evaluated
+    and nothing is kept, as ``vertex``, ``neighbors`` and ``edge_data`` do
+    past the prefix.  So no attribute changes after construction.  An n
+    where an expression raises or a record is invalid has no window over
+    it, so its error is raised only when something reads it.
     """
 
     degree_bound = 2
@@ -64,6 +64,7 @@ class PathRayGraph(WeightedGraph):
         self._W = compile_text(spec.W)
         self._q = compile_text(spec.q)
         self._sample_check()
+        self._head = ()  # so that _records evaluates the prefix
         self._prefix = self._records(1, _HEAD_SIZE)  # the records of 1..len(_head)
         for values in self._prefix:
             values.flags.writeable = False  # windows share them
@@ -91,8 +92,11 @@ class PathRayGraph(WeightedGraph):
                 raise InputError(f"family {self.spec.family!r}: a({n}) = {a} is not positive")
 
     def _records(self, lo, hi):
-        """w, W, q and a over lo..hi, cut before the first n where an
-        expression raises or a record is invalid."""
+        """w, W, q and a over lo..hi, cut before the first n where an expression
+        raises or a record is invalid: slices of the prefix when hi lies in it,
+        else evaluated.  hi < 2**63 - 1, past which ``np.arange`` makes floats."""
+        if hi <= len(self._head):
+            return [values[lo - 1:hi] for values in self._prefix]
         ns = np.arange(lo, hi + 1)
         while True:
             try:
@@ -140,17 +144,11 @@ class PathRayGraph(WeightedGraph):
             raise InputError(f"no edge {o!r} -> {t!r}")
         return EdgeData(self._edge_weight(min(o, t)), 1.0)
 
-    def hop_window(self, x0, hops):
-        """The vertices within ``hops`` of ``x0`` as a :class:`Window`, or None
-        when an n in that range is invalid or ``x0 + hops`` reaches the
-        largest int64."""
-        return self._cut(max(1, x0 - hops), x0 + hops)
-
     def closure_window(self, vertices, extra=()):
-        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut as a hop
-        window is when ``extra`` lies in it, with int64 rows and float phases
-        as the neighbor oracle's read holds them; other sets are read from
-        the oracle, which also raises the errors of invalid records."""
+        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut from
+        its records when ``extra`` lies in it, with int64 rows and float
+        phases as the neighbor oracle's read holds them; other sets are read
+        from the oracle, which also raises the errors of invalid records."""
         run = set(vertices)
         if run and all(type(x) is int for x in run):
             lo, hi = min(run), max(run)
@@ -165,16 +163,17 @@ class PathRayGraph(WeightedGraph):
         return super().closure_window(vertices, extra)
 
     def _cut(self, lo, hi):
-        """The window over lo..hi, or None (see :meth:`hop_window`)."""
-        if hi >= np.iinfo(np.int64).max:  # np.arange(lo, hi + 1) would turn to floats
+        """The window over lo..hi, or None when an n in it is invalid or hi reaches 2**63 - 1."""
+        if hi >= np.iinfo(np.int64).max:
             return None
-        if hi <= len(self._head):
-            w, W, q, a = (values[lo - 1:hi] for values in self._prefix)
-        else:
-            w, W, q, a = self._records(lo, hi)
-            if len(w) <= hi - lo:
-                return None  # an n in lo..hi is invalid
-        m = hi - lo + 1
+        records = self._records(lo, hi)
+        return self._window(lo, *records) if len(records[0]) > hi - lo else None
+
+    @staticmethod
+    def _window(lo, w, W, q, a):
+        """The window over the run from lo with these records, a(n) weighting
+        n ~ n + 1: its last row is not interior, nor its first unless lo is 1."""
+        m = len(w)
         # row i holds i - 1 (if i > 0) and i + 1 (if i < m - 1), so each edge
         # weight a(lo + i) appears twice in a row, as i -> i + 1 then i + 1 -> i
         indptr = np.arange(-1, 2 * m, 2, dtype=np.int32)
@@ -185,7 +184,7 @@ class PathRayGraph(WeightedGraph):
         interior = np.ones(m, dtype=bool)
         interior[-1] = False
         interior[0] = lo == 1
-        return Window(ids=np.arange(lo, hi + 1), indptr=indptr, indices=indices[1:-1],
+        return Window(ids=np.arange(lo, lo + m), indptr=indptr, indices=indices[1:-1],
                       w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
                       sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -203,14 +202,9 @@ class WeightedGraph:
         rank = dict(zip(vertices, range(len(vertices))))
         return [e for x, r in rank.items() for e, _ in self.neighbors(x) if rank[e.terminus] > r]
 
-    def hop_window(self, x0, hops):
-        """A :class:`Window` that holds every vertex within ``hops`` edges of
-        ``x0``, those within fewer hops interior to it.
-
-        None when the graph cannot cut that window, for instance when one of
-        its records is invalid; searches then stay on the neighbor oracle,
-        which reads records one at a time and raises their errors.
-        """
+    def whole_window(self):
+        """The whole graph as one :class:`Window` for a search to run on, or
+        None (an infinite graph has none): searches then stay on the oracle."""
         return None
 
     def closure_window(self, vertices, extra=()) -> "Window":
@@ -221,7 +215,7 @@ class WeightedGraph:
         calculus operator on functions supported there, a scan of the
         criteria over them or their truncation needs.  A graph that holds
         arrays cuts the window from them instead, with the same fields: the
-        lazy ray as it cuts a hop window, an explicit graph from its CSR arrays.
+        lazy ray from its records, an explicit graph from its CSR arrays.
         """
         lists = {x: self.neighbors(x) for x in vertices}
         found = set(extra).union(lists)
@@ -308,16 +302,8 @@ class Window:
                 return self.row_by_id.get(x)
             except TypeError:  # unhashable, so equal to no id
                 return None
-        try:
-            n = operator.index(x)
-        except TypeError:
-            try:
-                n = int(x.real)  # floats, numpy scalars, fractions
-            except (AttributeError, TypeError, ValueError, OverflowError):
-                return None
-            if n != x:
-                return None
-        if not len(ids) or not int(ids[0]) <= n <= int(ids[-1]):
+        n = int_id(x)
+        if n is None or not len(ids) or not int(ids[0]) <= n <= int(ids[-1]):
             return None
         row = int(np.searchsorted(ids, n))
         return row if ids[row] == n else None
@@ -326,6 +312,15 @@ class Window:
     def row_by_id(self) -> dict:
         """The row of each id, keyed by ``ids.tolist()``; built on first read."""
         return dict(zip(self.ids.tolist(), range(len(self.ids))))
+
+
+def int_id(x):
+    """The int that equals ``x`` as the frontier compares vertices, or None."""
+    try:
+        n = int(x.real)  # ints, floats, numpy scalars, fractions
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
 
 
 def _finite_edge(data) -> bool:
@@ -589,15 +584,10 @@ class ExplicitGraph(WeightedGraph):
         return list(map(OrientedEdge, map(ids.__getitem__, rows[later].tolist()),
                         map(ids.__getitem__, self._indices[later].tolist())))
 
-    def hop_window(self, x0, hops):
-        """The whole graph as one :class:`Window`, built with the graph: it
-        holds every vertex, each of them interior, so it serves any ``hops``.
-
-        None when w, q or a do not hold floats: searches on exact data stay
-        on the neighbor oracle, which computes their lengths exactly.
-        """
-        if x0 not in self._row:
-            raise UnknownVertexError(x0)
+    def whole_window(self):
+        """The whole graph as one :class:`Window`, built with the graph; None
+        unless w, q and a hold floats, so that searches on exact data stay on
+        the neighbor oracle, which computes their lengths exactly."""
         if any(c.dtype.kind != "f" for c in (self._w, self._q, self._a)):
             return None
         return self._whole

@@ -15,17 +15,16 @@ that lazily generated infinite graphs are only ever explored on finite
 windows, and every result records whether it is complete or truncated.
 
 Searches start on the neighbor oracle (``_Frontier``).  One that is still
-going after ``WINDOW_MIN`` settled vertices restarts on a hop window, when
-the graph can cut one: arrays searched by ``scipy.sparse.csgraph.dijkstra``.
-An explicit graph with float data hands over its whole graph, one window
-built with it.  The lazy ray evaluates each window it cuts, so the first
-covers the hops the search can need (the budget's or, with int ends, the
-target's; ``2 * WINDOW_MIN`` for a radius), doubled while a reported vertex
-is not interior to it.  Both paths settle in one order: by distance, ties
-by id (:func:`~magschro.graphs.vertex_sort_key`), which a window's rows
-hold by construction.  The frontier keeps it wherever each edge length
-changes the distance it is added to; one below half an ulp of it lets the
-frontier settle a tie late.  ``SearchResult.method`` says which path ran.
+going after ``WINDOW_MIN`` settled vertices restarts on arrays: on the lazy
+ray as running sums of edge lengths on each side of x0, evaluated a block
+at a time, and on an explicit graph with float data as its whole graph,
+one window built with it, searched by ``scipy.sparse.csgraph.dijkstra``.
+Both paths settle in one order: by distance, ties by id
+(:func:`~magschro.graphs.vertex_sort_key`), which a stable sort of
+distances in id order gives.  The frontier keeps it wherever each edge
+length changes the distance it is added to; one below half an ulp of it
+lets the frontier settle a tie late.  ``SearchResult.method`` says which
+path ran.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, InputError, UnknownVertexError
 from .functions import VertexFunction
-from .graphs import OrientedEdge, as_edge, normalize_edge, vertex_sort_key
+from .graphs import OrientedEdge, as_edge, int_id, normalize_edge, vertex_sort_key
 
 WITH_Q = "with-q"
 UNIT_Q = "unit-q"
@@ -153,21 +152,19 @@ class SearchResult:
     (by distance, ties by id), and :meth:`settled_distances` gives those
     distances as one array; a caller that wants checkpoints reads them from
     it.  ``method`` names the path that produced it: ``"frontier"``
-    (Dijkstra over the neighbor oracle) or ``"window"`` (a hop window
-    searched as arrays).  A window result keeps its settled vertices as the
-    rows ``order`` of ``window`` and builds ``distances`` only when it is
-    read; ``hops`` is what the search asked that window to cover (None on
-    the frontier).
+    (Dijkstra over the neighbor oracle) or ``"window"`` (arrays: an explicit
+    graph's whole window or the span of the ray that the search evaluated).
+    A window result keeps its settled vertices as the rows ``order`` of
+    ``window`` and builds ``distances`` only when it is read.
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
-                 window=None, order=None, settled=None, hops=None):
+                 window=None, order=None, settled=None):
         self.complete = complete  # the explored region was exhausted (no open frontier left)
         self.budget_hit = budget_hit
         self.settled_radius = settled_radius  # the next frontier distance; all below are final
         self.method = "frontier" if window is None else "window"
         self.window = window
-        self.hops = hops
         self.order = order
         self._distances = distances
         self._settled = settled  # settled distances in settle order
@@ -196,8 +193,8 @@ class SearchResult:
             return None
 
 
-#: settled vertices after which a search restarts on a hop window, when the
-#: graph can cut one: the measured crossover of the two paths (see ROADMAP)
+#: settled vertices after which a search restarts on arrays, when the graph
+#: holds them: the measured crossover of the two paths (see ROADMAP)
 WINDOW_MIN = 256
 
 
@@ -212,9 +209,8 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
     distance in settle order, so the search itself keeps no checkpoints.
 
     Once ``WINDOW_MIN`` vertices have settled, a search that is still going
-    restarts on a hop window of the graph if it can cut one (see
-    :func:`_window_search`), and otherwise goes on here; the result is the
-    same, ties included.
+    restarts on the ray's running sums or an explicit graph's whole window
+    when it can, and otherwise goes on here; the result is the same.
     """
     _check_q_mode(q_mode)
     budget = _resolve_budget(budget)
@@ -229,13 +225,8 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
         if radius is not None and frontier.peek_distance() > radius:
             return SearchResult(True, False, frontier.peek_distance(), distances=settled)
         if count == WINDOW_MIN:
-            if radius is not None:
-                hops = 2 * count
-            elif type(x0) is int and type(target) is int:  # the ray's target is this far out
-                hops = max(2 * count, min(budget, abs(target - x0) + 1))
-            else:  # no vertex settles budget hops out
-                hops = budget
-            found = _window_search(g, x0, q_mode, budget, radius, target, hops)
+            ray = getattr(g, "is_metric_ray", False)
+            found = (_ray_search if ray else _search_window)(g, x0, q_mode, budget, radius, target)
             if found is not None:
                 return found
         step = frontier.settle_next()
@@ -245,89 +236,109 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
             return SearchResult(False, False, frontier.peek_distance(), distances=settled)
 
 
-def _window_search(g, x0, q_mode, budget, radius, target, hops):
-    """:func:`shortest_paths` on hop windows around ``x0``.
-
-    The first window covers ``hops``; they double while a vertex the search
-    reports is not interior to the window.  Up to there the window search
-    settles exactly what the frontier would, in the same order, and its next
-    distance is the frontier's.  Returns the :class:`SearchResult`, or None
-    when the graph cannot cut a window that wide or an edge of it has a
-    zero or infinite length.
-    """
-    while True:
-        found = g.hop_window(x0, hops)  # one window alive at a time
-        if found is None:
-            return None
-        found = _search_window(found, x0, q_mode, budget, radius, target, hops)
-        if found is not _WIDER:
-            return found
-        if hops >= budget:  # the settled tree has fewer than budget hops
-            return None
-        hops = min(2 * hops, budget)
+def _lengths(w, q, w_to, q_to, a, with_q):
+    """Edge lengths sqrt(min w) / sqrt(a * max q) per entry, as _Frontier
+    computes them (q = 1 in unit-q mode)."""
+    return np.sqrt(np.minimum(w, w_to)) / np.sqrt(a * np.maximum(q, q_to) if with_q else a)
 
 
-def _blocks(size):
-    """Slices covering range(size): per-entry passes run in blocks to bound temporaries."""
-    step = 1 << 18
-    return (slice(start, start + step) for start in range(0, size, step))
-
-
-_WIDER = object()  # the window search reached a vertex that is not interior
-
-
-def _search_window(win, x0, q_mode, budget, radius, target, hops):
-    # imported here: the import costs a few ms and small searches never need it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    m = len(win.ids)
-    rows, cols = win.rows(), win.indices
-    # sqrt(min(w)) / sqrt(a * max(q)) per entry, as _Frontier computes it
-    lengths = np.empty(len(cols))
-    for b in _blocks(len(cols)):
-        r, c = rows[b], cols[b]
-        part = np.minimum(win.w[r], win.w[c])
-        np.sqrt(part, out=part)
-        scale = win.a[b] * np.maximum(win.q[r], win.q[c]) if q_mode == WITH_Q else win.a[b]
-        lengths[b] = part / np.sqrt(scale)
-    if not np.all((lengths > 0) & (lengths < math.inf)):
-        return None  # csgraph drops zero lengths, and the frontier divides by zero weights
-    source = win.row_of(x0)
-    dist = dijkstra(csr_matrix((lengths, cols, win.indptr), shape=(m, m)), indices=source)
-    order = np.argsort(dist, kind="stable")  # by distance, then by row, which is id order
+def _settle(dist, row, budget, radius):
+    """The frontier loop replayed on the distances of a window's rows, in id
+    order, with the target at ``row`` (or None): a stable sort settles by
+    distance, ties by id; budget, radius and exhaustion stop before a
+    settle, the target after it.  Returns the settled rows and distances in
+    settle order, then ``complete``, ``budget_hit`` and the settled radius."""
+    order = np.argsort(dist, kind="stable")
     ds = dist[order]
     reach = int(np.searchsorted(ds, math.inf))
-
-    # replay the frontier loop's stop tests: budget, then radius, then
-    # exhaustion, before each settle; the target after it
     stop = reach if radius is None else min(reach, int(np.searchsorted(ds, radius, side="right")))
-    t = reach
-    row = win.row_of(target)
-    if row is not None:
-        t = int(np.flatnonzero(order == row)[0])
-    if t < budget and t < stop and t < reach:
+    t = reach if row is None else int(np.flatnonzero(order == row)[0])
+    k, complete, budget_hit = min(budget, stop), budget > stop, budget <= stop
+    if t < k:  # stop <= reach
         k, complete, budget_hit = t + 1, False, False
-    elif budget <= stop:
-        k, complete, budget_hit = budget, False, True
-    else:
-        k, complete, budget_hit = stop, True, False
-    if not np.all(win.interior[order[:k]]):
-        return _WIDER
+    return order[:k], ds[:k], complete, budget_hit, float(ds[k]) if k < reach else math.inf
 
-    settled_radius = float(ds[k]) if k < reach else math.inf
-    return SearchResult(complete, budget_hit, settled_radius, window=win,
-                        order=order[:k], settled=ds[:k], hops=hops)
+
+def _search_window(g, x0, q_mode, budget, radius, target):
+    """:func:`shortest_paths` on the graph's whole window, searched by
+    ``scipy.sparse.csgraph.dijkstra``; None when it has none or a length is
+    zero or infinite."""
+    win = g.whole_window()
+    if win is None:
+        return None
+    rows, cols = win.rows(), win.indices
+    lengths = np.empty(len(cols))
+    for b in (slice(i, i + (1 << 18)) for i in range(0, len(cols), 1 << 18)):  # bounds temporaries
+        r, c = rows[b], cols[b]
+        lengths[b] = _lengths(win.w[r], win.q[r], win.w[c], win.q[c], win.a[b], q_mode == WITH_Q)
+    if not np.all((lengths > 0) & (lengths < math.inf)):
+        return None  # csgraph drops zero lengths, and the frontier divides by zero weights
+    from scipy.sparse import csgraph, csr_matrix  # imported here: small searches never pay for it
+
+    dist = csgraph.dijkstra(csr_matrix((lengths, cols, win.indptr), shape=(len(win.ids),) * 2),
+                            indices=win.row_of(x0))
+    order, ds, *flags = _settle(dist, win.row_of(target), budget, radius)
+    return SearchResult(*flags, window=win, order=order, settled=ds)
+
+
+def _ray_search(g, x0, q_mode, budget, radius, target):
+    """:func:`shortest_paths` on the lazy ray ``g`` as two running sums: each
+    side of ``x0`` is evaluated ``2 * WINDOW_MIN`` vertices out, then doubles
+    while the search settles its end (:func:`_grow`).  None when a length is
+    zero or infinite, an invalid record cuts a left growth or ends the right
+    side where the search settles, or ids would pass int64; the frontier then
+    goes on, and raises a record's error."""
+    top = np.iinfo(np.int64).max  # np.arange makes floats past it
+    if x0 + 2 * WINDOW_MIN >= top:
+        return None
+    n = int_id(target)
+    # the blocks of w, W, q, a and the distances over lo..hi, in id order
+    columns = [[column] for column in (*g._records(x0, x0), np.zeros(1))]
+    lo = hi = x0
+    cut, grow = False, (x0 > 1, True)  # cut: the right side ends before an invalid record
+    while True:
+        for step in [step for step, on in zip((-1, 1), grow) if on]:
+            end = hi if step > 0 else lo
+            far = max(1, x0 + step * max(2 * WINDOW_MIN, 2 * abs(end - x0)))
+            added = None if far >= top or step > 0 and cut else _grow(g, columns, end, far, q_mode)
+            if added is None:
+                return None
+            cut, lo, hi = (added < far - hi, lo, hi + added) if step > 0 else (cut, far, hi)
+        order, ds, *flags = _settle(np.concatenate(columns[4]),
+                                    n - lo if n is not None and lo <= n <= hi else None,
+                                    budget, radius)
+        grow = lo > 1 and bool(np.any(order == 0)), bool(np.any(order == hi - lo))
+        if not any(grow):  # join one column at a time, freeing its blocks
+            records = [np.concatenate(columns.pop(0)) for _ in range(4)]
+            return SearchResult(*flags, window=g._window(lo, *records), order=order, settled=ds)
+
+
+def _grow(g, columns, end, far, q_mode):
+    """Add the ray's records past ``end`` up to ``far`` and their distances to
+    ``columns``: ``np.cumsum`` adds left to right from the earlier blocks'
+    carry, as the frontier adds ``d + len``, so the bits are the frontier's.
+    Returns how many it added, fewer on the right before an invalid record,
+    or None when one cuts a left growth or a length is zero or infinite."""
+    step = 1 if far > end else -1
+    new = g._records(min(end + step, far), max(end + step, far))
+    if step < 0 and len(new[0]) < end - far:
+        return None
+    tip = [column[-1][-1:] if step > 0 else column[0][:1] for column in columns]
+    w, q, a = (np.concatenate([tip[k], new[k]][::step]) for k in (0, 2, 3))
+    lengths = _lengths(w[:-1], q[:-1], w[1:], q[1:], a[:-1], q_mode == WITH_Q)
+    if not np.all((lengths > 0) & (lengths < math.inf)):
+        return None
+    d = np.cumsum(np.concatenate([tip[4], lengths[::step]]))[1:][::step]
+    for column, block in zip(columns, (*new, d)):
+        column.insert(len(column) if step > 0 else 0, block)
+    return len(d)
 
 
 def distance(g, x, y, *, q_mode=WITH_Q, budget=None) -> Optional[float]:
     """Shortest-path distance, or None when unresolved within the budget."""
-    if not g.has_vertex(x):
-        raise UnknownVertexError(x)
-    if not g.has_vertex(y):
-        raise UnknownVertexError(y)
-    if x == y:
-        return 0.0
+    for vertex in (x, y):
+        if not g.has_vertex(vertex):
+            raise UnknownVertexError(vertex)
     return shortest_paths(g, x, q_mode=q_mode, budget=budget, target=y).get(y)
 
 

@@ -13,10 +13,11 @@ from magschro.criteria import (
     selfadjointness_criteria,
     semibounded_probe,
 )
-from magschro.errors import InputError
+from magschro.errors import GraphStructureError, InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
+from search_probes import count_records
 
 
 def test_positive_part():
@@ -201,7 +202,7 @@ def _count_reads(monkeypatch, g):
 
 def test_selfadjointness_criteria_reads_the_window_once(monkeypatch):
     # on the frontier path the scan runs on the closure of the settled run
-    # 1..2000, which the ray cuts from its block without the oracle
+    # 1..2000, which the ray cuts from its records without the oracle
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
     g = quadratic_well_ray()
     calls = _count_reads(monkeypatch, g)
@@ -238,6 +239,30 @@ def test_selfadjointness_criteria_window_path_reads_arrays(monkeypatch):
     # 38 edges reach the oracle
     assert calls["neighbors"] == metric.WINDOW_MIN
     assert calls["vertex"] == 2 * metric.WINDOW_MIN + 2 * 38
+
+
+def test_an_invalid_record_near_the_start_costs_its_own_span(monkeypatch):
+    # the sums double up to the block that holds 3000, which ends the right
+    # side at 2999; settling 2999 hands the search to the frontier, which
+    # raises, and nothing near the budget's 5,000,000 records is evaluated
+    g = make_family({"family": "path-nat", "w": "abs(n - 3000)"})
+    evaluated = count_records(monkeypatch, g)
+    with pytest.raises(GraphStructureError, match=r"^w\(3000\) = 0.0 is not positive$"):
+        selfadjointness_criteria(g, 1, budget=5_000_000)
+    assert 0 < len(evaluated) < 10**4
+
+
+def test_a_far_check_evaluates_about_what_it_settles(monkeypatch):
+    x0 = 10**7
+    g = quadratic_well_ray()
+    evaluated = count_records(monkeypatch, g)
+    report = selfadjointness_criteria(g, x0)
+    assert report.search.method == "window" and report.overall == "pass"
+    explored = metric.shortest_paths(quadratic_well_ray(), x0)
+    for side in (lambda n: n < x0, lambda n: n > x0):
+        settled = sum(map(side, explored.distances))
+        assert settled > 10**5
+        assert sum(map(side, evaluated)) <= 2 * settled + 2 * metric.WINDOW_MIN
 
 
 @pytest.mark.parametrize("spec, x0", [

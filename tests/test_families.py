@@ -10,14 +10,12 @@ from magschro.exprlang import eval_expr, parse_expr
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import EdgeData, OrientedEdge, VertexData
 from magschro.metric import shortest_paths
+from search_probes import count_records
 
 
-def count_evaluations(monkeypatch, g):
-    """The n at which ``g`` evaluates w from now on, one entry per element."""
-    evaluated = []
-    w = g._w
-    monkeypatch.setattr(g, "_w", lambda ns: evaluated.extend(np.atleast_1d(ns).tolist()) or w(ns))
-    return evaluated
+def _hop_window(g, x0, hops):
+    """The vertices within ``hops`` of ``x0``, cut from the ray's records."""
+    return g._cut(max(1, x0 - hops), x0 + hops)
 
 
 def test_prefix_records_match_single_evaluation():
@@ -25,7 +23,7 @@ def test_prefix_records_match_single_evaluation():
             "q": "n^2 + 0.1"}
     g = make_family(spec)
     for x0, xs in ((1, (1, 2, 3, 777, 4096, 5000)), (10**6, (10**6 - 5000, 10**6, 10**6 + 4999))):
-        win = g.hop_window(x0, 5000)
+        win = _hop_window(g, x0, 5000)
         for x in xs:
             row = x - win.ids[0]
             expected = tuple(eval_expr(parse_expr(spec[k]), x) for k in ("w", "W", "q"))
@@ -36,13 +34,16 @@ def test_prefix_records_match_single_evaluation():
 
 def test_windows_inside_the_prefix_evaluate_nothing(monkeypatch):
     g = quadratic_well_ray()
-    evaluated = count_evaluations(monkeypatch, g)
+    evaluated = count_records(monkeypatch, g)
     held = dict(vars(g))
-    win = g.hop_window(600, 424)  # 176..1024 ends inside the prefix 1..1024
+    win = g._cut(176, 1024)  # ends inside the prefix 1..1024
     assert win.ids.tolist() == list(range(176, 1025))
     assert win.q.tolist() == [float(n) ** 2 for n in range(176, 1025)]
     assert not (win.w.flags.writeable or win.W.flags.writeable or win.q.flags.writeable)
     assert g.closure_window(range(10, 20)).ids.tolist() == list(range(9, 21))
+    # a search whose sums end inside the prefix reads them there
+    res = shortest_paths(g, 300, budget=700)
+    assert res.method == "window" and res.window.ids[-1] == 300 + 2 * metric.WINDOW_MIN
     # the records of 1..1024 are read as kept tuples
     assert g.vertex(7) == VertexData(1.0, -49.0, 49.0)
     assert evaluated == [] and vars(g) == held
@@ -50,18 +51,23 @@ def test_windows_inside_the_prefix_evaluate_nothing(monkeypatch):
 
 def test_windows_past_the_prefix_evaluate_their_range_once(monkeypatch):
     g = quadratic_well_ray()
-    evaluated = count_evaluations(monkeypatch, g)
+    evaluated = count_records(monkeypatch, g)
     held = dict(vars(g))
     for _ in range(2):  # nothing is kept, so a second cut evaluates again
         evaluated.clear()
-        g.hop_window(1, 2000)
+        g._cut(1, 2001)
         assert evaluated == list(range(1, 2002))
     evaluated.clear()
-    win = g.hop_window(2500, 900)
+    win = g._cut(1600, 3400)
     assert evaluated == list(range(1600, 3401))
     assert win.ids.tolist() == list(range(1600, 3401)) and win.q.tolist() == [
         float(n) ** 2 for n in range(1600, 3401)]
     assert win.interior.tolist() == [False] + [True] * 1799 + [False]
+    for _ in range(2):  # a search evaluates each block that passes the prefix once:
+        evaluated.clear()  # 1..513 is sliced, then 514..1025 and 1026..2049 evaluated
+        res = shortest_paths(g, 1, budget=2000)
+        assert res.window.ids.tolist() == list(range(1, 2050))
+        assert evaluated == list(range(514, 2050))
     assert vars(g) == held
 
 
@@ -71,7 +77,7 @@ def test_threads_cutting_windows_on_one_ray_get_their_own_records():
 
     def cut(base):
         for k in range(300):
-            win = g.hop_window(base + 3000 * k, 2000)
+            win = _hop_window(g, base + 3000 * k, 2000)
             if not np.array_equal(win.q, win.ids.astype(float) ** 2):
                 wrong.append(base + 3000 * k)
 
@@ -91,7 +97,7 @@ def test_threads_cutting_windows_on_one_ray_get_their_own_records():
 
 def test_hop_window_slices_the_prefix():
     g = quadratic_well_ray()
-    win = g.hop_window(3, 4)
+    win = _hop_window(g, 3, 4)
     assert win.ids.tolist() == [1, 2, 3, 4, 5, 6, 7]
     assert win.indptr.tolist() == [0, 1, 3, 5, 7, 9, 11, 12]
     assert win.indices.tolist() == [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5]
@@ -99,7 +105,7 @@ def test_hop_window_slices_the_prefix():
     assert win.W.tolist() == [-1.0, -4.0, -9.0, -16.0, -25.0, -36.0, -49.0]
     assert win.a.tolist() == [1.0] * 12 and win.sigma.tolist() == [1.0] * 12
     assert win.interior.tolist() == [True] * 6 + [False]
-    assert g.hop_window(10, 4).interior.tolist() == [False] + [True] * 7 + [False]
+    assert _hop_window(g, 10, 4).interior.tolist() == [False] + [True] * 7 + [False]
     for x in win.ids.tolist():
         row = slice(win.indptr[x - 1], win.indptr[x])
         assert [win.ids[j] for j in win.indices[row]] == [e.terminus for e, _ in g.neighbors(x)
@@ -109,26 +115,26 @@ def test_hop_window_slices_the_prefix():
 def test_hop_window_stays_within_int64():
     g = quadratic_well_ray()
     top = np.iinfo(np.int64).max
-    assert g.hop_window(2**63 - 10, 512) is None  # x0 + hops passes 2**63
-    assert g.hop_window(top - 512, 512) is None
-    win = g.hop_window(top - 513, 512)
+    assert _hop_window(g, 2**63 - 10, 512) is None  # x0 + hops passes 2**63
+    assert _hop_window(g, top - 512, 512) is None
+    win = _hop_window(g, top - 513, 512)
     assert win.ids[-1] == top - 1 and win.ids.dtype == np.int64
     assert win.q[-1] == float(top - 1) ** 2
 
 
 def test_prefix_stops_before_an_expression_error(monkeypatch):
     g = make_family({"family": "path-nat", "W": "1/(n-3000)"})
-    assert g.hop_window(1, 2500) is not None
-    assert g.hop_window(1, 5000) is None and g.hop_window(2990, 100) is None
-    assert g.hop_window(2990, 9).W[-1] == -1.0 and g.hop_window(2990, 10) is None
-    assert g.hop_window(10**6, 5000).W[5000] == 1 / (10**6 - 3000)
+    assert _hop_window(g, 1, 2500) is not None
+    assert _hop_window(g, 1, 5000) is None and _hop_window(g, 2990, 100) is None
+    assert _hop_window(g, 2990, 9).W[-1] == -1.0 and _hop_window(g, 2990, 10) is None
+    assert _hop_window(g, 10**6, 5000).W[5000] == 1 / (10**6 - 3000)
     assert g.vertex(2999).potential == -1.0
     for _ in range(2):  # an error is raised on every read, never kept
         with pytest.raises(ExprEvalError) as exc:
             g.vertex(3000)
         assert str(exc.value) == "division by zero in '1/(n-3000)' (at n=3000)"
     assert g.vertex(3001).potential == 1.0
-    # a search whose window would hold 3000 raises the frontier's error
+    # a search that reaches 3000 raises the frontier's error
     with pytest.raises(ExprEvalError, match=r"\(at n=3000\)") as windowed:
         shortest_paths(g, 2000, budget=5000)
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
@@ -139,9 +145,9 @@ def test_prefix_stops_before_an_expression_error(monkeypatch):
 
 def test_prefix_stops_before_an_invalid_record():
     g = make_family({"family": "path-nat", "w": "abs(n - 3000)"})
-    assert g.hop_window(1, 4000) is None and g.hop_window(2000, 1000) is None
-    assert g.hop_window(2000, 999).w[-1] == 1.0 and g.hop_window(500, 500) is not None
-    assert g.hop_window(10**6, 100) is not None
+    assert _hop_window(g, 1, 4000) is None and _hop_window(g, 2000, 1000) is None
+    assert _hop_window(g, 2000, 999).w[-1] == 1.0 and _hop_window(g, 500, 500) is not None
+    assert _hop_window(g, 10**6, 100) is not None
     assert g.neighbors(2999)[1] == (OrientedEdge(2999, 3000), EdgeData(1.0, 1.0))
     with pytest.raises(GraphStructureError, match=r"w\(3000\) = 0.0 is not positive"):
         g.vertex(3000)
@@ -149,7 +155,7 @@ def test_prefix_stops_before_an_invalid_record():
 
 def test_far_vertices_are_evaluated_singly(monkeypatch):
     g = quadratic_well_ray()
-    evaluated = count_evaluations(monkeypatch, g)
+    evaluated = count_records(monkeypatch, g)
     held = dict(vars(g))
     assert g.vertex(5) == VertexData(1.0, -25.0, 25.0) and evaluated == []
     far = 1 << 45

@@ -3,9 +3,9 @@
 The builder must refuse what the dict-backed ``graph_oracle.DictGraph``
 refuses, with the same first message, build the same graph otherwise, and
 hand unchecked broken graphs to ``validate`` unchanged.  Edge lookups must
-find what a scan of the neighbor list finds, and hop and closure windows
-must hold what the base class reads from the neighbor oracle; the hop window
-of a float graph is its whole graph, built once.
+find what a scan of the neighbor list finds, and closure windows must hold
+what the base class reads from the neighbor oracle; the whole window of a
+float graph, which searches run on, is built once.
 """
 
 import cmath
@@ -24,6 +24,7 @@ from magschro.errors import GraphStructureError, InputError, UnknownVertexError
 from magschro.exact import FOURTH_ROOTS
 from magschro.families import make_family
 from magschro.graphs import ExplicitGraph, WeightedGraph, sorted_ids, validate
+from magschro.metric import shortest_paths
 from magschro.randomgraphs import gauge_transformed, random_connected_graph, random_gauge
 
 FAULTS = ("vertex", "loop", "duplicate", "unknown", "phase", "edge-data", "asymmetry",
@@ -230,14 +231,12 @@ def _assert_same_window(new, old):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ids=_ID_KINDS)
-def test_hop_windows_are_the_whole_graph(seed, ids):
+def test_whole_window_is_the_graph(seed, ids):
     rng = np.random.default_rng(seed)
     g = _relabelled(random_connected_graph(rng, max_vertices=30), ids)
     names = g.vertices()
-    win = g.hop_window(names[0], 0)
-    for x0 in names:
-        for hops in (0, 1, 3, 512):
-            assert g.hop_window(x0, hops) is win
+    win = g.whole_window()
+    assert g.whole_window() is win and win.ids.tolist() == names
     # it shares the graph's arrays and its id -> row dict
     assert win.w is g._w and win.a is g._a and win.indices is g._indices
     assert win.row_by_id is g._row and all(win.row_of(x) == r for r, x in enumerate(names))
@@ -245,7 +244,7 @@ def test_hop_windows_are_the_whole_graph(seed, ids):
     _assert_same_window(win, WeightedGraph.closure_window(g, names))
     exact = ExplicitGraph({x: tuple(map(Fraction, g.vertex(x))) for x in names},
                           {e: (Fraction(g.edge_data(e).weight), 1) for e in g.edges()})
-    assert exact.hop_window(names[0], 4) is None
+    assert exact.whole_window() is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -273,20 +272,20 @@ def test_closure_window_refuses_unknown_vertices_as_the_oracle_read():
 
 def test_windows_share_read_only_arrays():
     g = make_family({"family": "path", "size": 40})
-    whole = g.hop_window(1, 100)
+    whole = g.whole_window()
     assert whole.ids.tolist() == list(range(1, 41)) and whole.interior.all()
     assert whole.w is g.closure_window(g.vertices()).w
     with pytest.raises(ValueError):
         whole.w[0] = 2.0
     with pytest.raises(UnknownVertexError):
-        g.hop_window(0, 3)
+        shortest_paths(g, 0, budget=300)
 
 
-def test_exact_graphs_cut_no_hop_window():
+def test_exact_graphs_hand_over_no_whole_window():
     g = ExplicitGraph({1: (Fraction(1), Fraction(0), Fraction(1)),
                        2: (Fraction(2), Fraction(0), Fraction(1))},
                       {(1, 2): (Fraction(3), FOURTH_ROOTS[1])})
-    assert g.hop_window(1, 4) is None
+    assert g.whole_window() is None
     win = g.closure_window([1])
     assert win.w.dtype == object
     assert win.sigma.tolist() == [FOURTH_ROOTS[1], FOURTH_ROOTS[1].conjugate()]

@@ -25,6 +25,7 @@ from magschro.metric import (
     shortest_paths,
 )
 from magschro.randomgraphs import random_connected_graph
+from search_probes import count_records
 
 
 def unit_path(n):
@@ -279,6 +280,17 @@ def test_budget_must_be_a_positive_integer():
     assert AnchorFunction(g, 1, budget=1)(1) == 0.0
 
 
+def test_distance_to_itself_checks_its_arguments():
+    g = quadratic_well_ray()
+    for y in (5, 6):
+        for budget in (0, -3, 2.5):
+            with pytest.raises(InputError, match="budget must be a positive integer"):
+                distance(g, 5, y, budget=budget)
+        with pytest.raises(InputError, match="q_mode must be"):
+            distance(g, 5, y, q_mode="bogus")
+    assert distance(g, 5, 5, budget=1) == 0.0
+
+
 def test_nan_radius_is_an_input_error():
     g = make_family({"family": "path-nat"})
     with pytest.raises(InputError, match="must be nonnegative, got nan"):
@@ -348,20 +360,13 @@ def test_window_path_matches_the_frontier(w, a, W, q, x0, q_mode, stop, offset, 
         assert method in ("frontier", None)
 
 
-def _asked_hops(monkeypatch, g):
-    """The hops that each window ``g`` cuts from now on was asked for."""
-    asked = []
-    cut = g.hop_window
-    monkeypatch.setattr(g, "hop_window", lambda x0, hops: asked.append(hops) or cut(x0, hops))
-    return asked
-
-
-def test_a_target_sizes_the_first_window(monkeypatch):
+def test_a_target_search_evaluates_one_doubling_past_the_target(monkeypatch):
     g = quadratic_well_ray()
-    asked = _asked_hops(monkeypatch, g)
-    # one window of the target's 5000 hops, whatever the budget allows
+    evaluated = count_records(monkeypatch, g)
+    # the sums double from 512 hops to 8192, the first span past the target's
+    # 4999 hops, whatever the budget allows; 1..513 is read from the prefix
     found = distance(g, 1, 5000, budget=10**8)
-    assert asked == [5000]
+    assert evaluated == list(range(514, 8194))
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
     assert found == distance(g, 1, 5000, budget=10**8) == pytest.approx(
         math.fsum(1 / n for n in range(2, 5001)), rel=1e-12)
@@ -369,12 +374,12 @@ def test_a_target_sizes_the_first_window(monkeypatch):
 
 def test_a_target_behind_cheap_edges_retries_wider(monkeypatch):
     # edges to the right of 2000 are shorter, so about 3,800 vertices there
-    # settle before the target 1000: the target's 1001 hops are too few
+    # settle before the target 1000: the right side doubles to 4096 hops
+    # while the left one stops at the 1024 that reach the target
     spec = {"family": "path-nat", "a": "n^3"}
     g = make_family(spec)
-    asked = _asked_hops(monkeypatch, g)
     res = shortest_paths(g, 2000, target=1000)
-    assert res.method == "window" and asked == [1001, 2002, 4004] and res.hops == 4004
+    assert res.method == "window" and res.window.ids[[0, -1]].tolist() == [976, 6096]
     assert max(res.distances) - 2000 > 1001
     windowed, _ = _outcome(spec, 2000, frontier_only=False, target=1000)
     assert windowed == _outcome(spec, 2000, frontier_only=True, target=1000)[0]
@@ -392,14 +397,15 @@ def test_search_reports_its_path():
     res = shortest_paths(free, 50, budget=5000)
     assert res.method == "window"
     assert list(res.distances)[:5] == [50, 49, 51, 48, 52]
-    # a search without a radius asks its first window for the budget's hops
-    assert res.hops == 5000
+    # the left side is 1..49; the right one doubles until its end is not settled
+    assert res.window.ids[[0, -1]].tolist() == [1, 50 + 8192] and max(res.distances) == 5000
     # an explicit graph cuts its windows from its arrays; exact data stay on the frontier
     explicit = random_connected_graph(np.random.default_rng(3), min_vertices=300,
                                       max_vertices=300)
     res = shortest_paths(explicit, explicit.vertices()[0])
     assert res.method == "window" and res.complete and len(res.distances) == 300
-    assert shortest_paths(explicit, explicit.vertices()[0], budget=10).hops is None
+    small = shortest_paths(explicit, explicit.vertices()[0], budget=10)
+    assert small.method == "frontier" and small.window is None
 
 
 def test_ties_settle_by_id_on_both_paths(monkeypatch):

@@ -173,8 +173,8 @@ def _assert_same_window(new, old):
        extra=st.lists(st.floats(0, 1), max_size=2))
 def test_ray_run_cut_equals_the_oracle_read(spec, lo, length, before, extra):
     g = make_family(spec)
-    if before is not None:  # leave the block elsewhere first
-        g.hop_window(before, 300)
+    if before is not None:  # search elsewhere first
+        metric.shortest_paths(g, before, budget=600)
     g.neighbors = lambda x: pytest.fail("the cut reads the oracle")
     run = range(lo, lo + length)
     first = max(1, lo - 1)

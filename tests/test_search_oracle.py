@@ -1,16 +1,16 @@
-"""Searches on explicit graphs against networkx.
+"""Searches against networkx and against the frontier.
 
 ``shortest_paths`` and ``ball`` on random explicit graphs must settle
 networkx's ``single_source_dijkstra`` distances, bit for bit, on both of
-their paths: the frontier over the neighbor oracle and the window cut from
-the graph's arrays.  The two paths must agree on everything they report,
-ties included; lengths drawn from a few powers of two make distances tie.
-Paths and cycles of 1500 vertices reach past 512 hops, the first window of
-a radius search, which on an explicit graph holds the whole graph.  Both paths settle
-by distance, ties by id, so tied graphs take the window too.
+their paths: the frontier over the neighbor oracle and the graph's whole
+window searched as arrays.  The two paths must agree on everything they
+report, ties included; lengths drawn from a few powers of two make
+distances tie.  Both paths settle by distance, ties by id, so tied graphs
+take the window too.  On power-law rays the running sums must settle what
+the frontier and networkx settle, from near and far starts, with every
+kind of stop, with ties, beside invalid records and near the end of int64.
 """
 
-import copy
 import dataclasses
 import json
 import math
@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 
 from magschro import metric
 from magschro.criteria import selfadjointness_criteria
+from magschro.errors import ExprEvalError
 from magschro.families import make_family
 from magschro.graphio import parse_graph
-from magschro.graphs import ExplicitGraph, vertex_sort_key
+from magschro.graphs import ExplicitGraph, OrientedEdge, vertex_sort_key
 from magschro.metric import UNIT_Q, WITH_Q, ball, edge_length, shortest_paths
+from search_probes import frontier_only as _frontier_only
 
 
 def _name(x, ids):
@@ -57,13 +59,6 @@ def _graph(seed, n, ids, ties, shape="tree"):
     return ExplicitGraph(
         {x: rec for x, rec in zip(names, zip(draw(n), draw(n), draw(n, low=0.0)))},
         {(names[u], names[v]): (a, 1.0) for (u, v), a in zip(pairs, draw(len(pairs)))})
-
-
-def _frontier_only(g):
-    """A view of ``g`` that cuts no window, so that its searches stay on the frontier."""
-    view = copy.copy(g)
-    view.hop_window = lambda x0, hops: None
-    return view
 
 
 def _networkx(g, x0, q_mode, cutoff=None):
@@ -126,7 +121,6 @@ def test_balls_hold_the_networkx_ball(seed, n, ids, ties, radius):
        ids=st.sampled_from(["int", "str", "mixed"]), ties=st.booleans(),
        stop=st.sampled_from(["budget", "radius", "target"]))
 def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, ties, stop):
-    # 1500 vertices: the 512-hop ball around any vertex is not the whole graph
     n = 1500
     g = _graph(seed, n, ids, ties, shape)
     names = g.vertices()
@@ -149,15 +143,7 @@ def test_long_paths_and_cycles_settle_the_networkx_distances(seed, shape, ids, t
             _networkx(g, x0, WITH_Q, cutoff=stops["radius"])
     else:
         assert got[stops["target"]] == want[stops["target"]]
-    if res.method == "window":  # the hops the search can need, doubled from 512 for a radius
-        target = stops.get("target")
-        hops = {"budget": stops.get("budget"), "radius": 2 * metric.WINDOW_MIN,
-                "target": metric.default_budget()}[stop]
-        if type(x0) is type(target) is int:
-            hops = max(2 * metric.WINDOW_MIN, min(hops, abs(target - x0) + 1))
-        assert res.hops == hops
-    elif len(got) > metric.WINDOW_MIN:
-        assert ties
+    assert res.method == ("window" if len(got) > metric.WINDOW_MIN else "frontier")
 
 
 def test_tied_graphs_take_the_window():
@@ -229,7 +215,86 @@ def test_window_path_runs_on_every_kind_of_id(ids):
     x0 = g.vertices()[3]
     res = shortest_paths(g, x0)
     assert res.method == "window" and res.complete and len(res.distances) == 900
-    assert res.hops >= 2 * metric.WINDOW_MIN
+    assert res.window is g.whole_window()
     assert res.get(x0) == 0.0 and res.get("nowhere") is None and res.get(math.nan) is None
     far = max(res.distances, key=res.distances.get)
     assert res.get(far) == res.distances[far] == max(_networkx(g, x0, WITH_Q).values())
+
+
+def _ray_networkx(g, lo, hi, x0, q_mode):
+    """networkx's distances from ``x0`` on the run lo..hi of the ray ``g``."""
+    lengths = nx.Graph()
+    lengths.add_weighted_edges_from((n, n + 1, edge_length(g, OrientedEdge(n, n + 1), q_mode))
+                                    for n in range(lo, hi))
+    return nx.single_source_dijkstra_path_length(lengths, x0)
+
+
+def _ray_stops(frontier, stop, kind):
+    """The stops of a search: a budget, a radius that the frontier reaches
+    past ``WINDOW_MIN``, or a target of the given kind, left or right of x0."""
+    if stop == "budget":
+        return {"budget": 3000}
+    settled = list(frontier.distances.items())
+    if stop == "radius":
+        return {"radius": settled[1500][1], "budget": 10**6}
+    x = settled[1200 if kind == "int" else 1700][0]
+    return {"target": {"int": x, "float": float(x), "int64": np.int64(x)}[kind], "budget": 10**6}
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]),
+       beta=st.sampled_from([-1.0, 0.0, 1.0, 3.0]),
+       gamma=st.sampled_from([0.0, 1.0, 2.0]),
+       x0=st.sampled_from([1, 2, 600, 3000, 10**7]),
+       q_mode=st.sampled_from([WITH_Q, UNIT_Q]),
+       stop=st.sampled_from(["budget", "radius", "target"]),
+       kind=st.sampled_from(["int", "float", "int64"]))
+def test_power_law_rays_settle_the_frontier_and_networkx_distances(alpha, beta, gamma, x0,
+                                                                   q_mode, stop, kind):
+    g = make_family({"family": "path-nat", "w": f"n^{alpha}", "a": f"n^{beta}",
+                     "q": f"n^{gamma}"})
+    frontier = shortest_paths(_frontier_only(g), x0, q_mode=q_mode, budget=3000)
+    stops = _ray_stops(frontier, stop, kind)
+    res = shortest_paths(g, x0, q_mode=q_mode, **stops)
+    oracle = shortest_paths(_frontier_only(g), x0, q_mode=q_mode, **stops)
+    assert res.method == "window" and oracle.method == "frontier"
+    assert _summary(res) == _summary(oracle)
+    got = res.distances
+    want = _ray_networkx(g, max(1, min(got) - 1), max(got) + 1, x0, q_mode)
+    assert all(got[x] == want[x] for x in got)
+    assert _in_settle_order(got)
+
+
+def test_ties_on_the_free_ray_settle_left_first():
+    g = make_family({"family": "path-nat"})
+    for x0 in (3000, 10**7):
+        res = shortest_paths(g, x0, budget=4001)
+        assert res.method == "window"
+        assert list(res.distances)[:5] == [x0, x0 - 1, x0 + 1, x0 - 2, x0 + 2]
+        assert list(res.distances)[-2:] == [x0 - 2000, x0 + 2000]
+        assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=4001))
+
+
+@pytest.mark.parametrize("x0, method", [(2000, "window"), (4000, "frontier")])
+def test_a_cut_record_on_either_side_of_the_start(x0, method):
+    # W raises at 3000: the right side of 2000 ends at 2999, and a search
+    # from 4000 whose left side would hold 3000 stays on the frontier
+    g = make_family({"family": "path-nat", "W": "1/(n-3000)"})
+    res = shortest_paths(g, x0, budget=1500)
+    assert res.method == method
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=1500))
+    if method == "window":
+        assert res.window.ids[-1] == 2999 and max(res.distances) < 2999
+    for budget in (2500, 10**6):  # the search settles the cut end, and raises the frontier's error
+        with pytest.raises(ExprEvalError, match=r"\(at n=3000\)"):
+            shortest_paths(g, x0, budget=budget)
+
+
+@pytest.mark.parametrize("x0, budget, method", [
+    (2**63 - 2000, 1000, "window"), (2**63 - 2000, 3000, "frontier"),
+    (2**63 - 600, 2000, "frontier"), (2**63 - 10, 1000, "frontier")])
+def test_starts_near_the_end_of_int64(x0, budget, method):
+    g = make_family({"family": "path-nat", "w": "1 + 1/n", "q": "n^0.5"})
+    res = shortest_paths(g, x0, budget=budget)
+    assert res.method == method
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=budget))
