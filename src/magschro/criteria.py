@@ -117,7 +117,9 @@ def _scan(g, win, member):
     taken = np.flatnonzero(member[src] & ((dst > src) | ~member[dst]))
     o = np.minimum(src[taken], dst[taken])
     t = np.maximum(src[taken], dst[taken])
-    touched = np.unique(np.concatenate([o, t]))
+    hit = np.zeros(len(win.ids), dtype=bool)  # the rows an edge touches
+    hit[o] = hit[t] = True
+    touched = np.flatnonzero(hit)
     root = np.zeros(len(win.ids))
     root[touched] = power(win.q[touched], -0.5, len(touched))
     scale = power(np.minimum(win.w[o], win.w[t]) / win.a[taken], 0.5, len(taken))

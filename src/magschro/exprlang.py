@@ -252,14 +252,34 @@ def _eval(node: ExprAst, n):
 #: elements per block of an array evaluation; bounds the Python lists ``^`` builds
 _CHUNK = 1 << 16
 
+#: the largest exponent that :func:`power` tries by multiplication: 2**52 is
+#: the largest power of an integer base of magnitude 2 or more below 2**53
+_EXACT_MAX = 52
+
 
 def power(base, exponent, count):
     """``base ** exponent`` over ``count`` elements through ``math.pow``, as
     Python floats compute it; either side may be a scalar.
 
     numpy's ``power`` differs from ``math.pow`` in the last bit on some
-    inputs (for example ``x ** -0.5`` and ``x ** 2``).
+    inputs (for example ``x ** -0.5`` and ``x ** 2``).  A float64 array
+    raised to a scalar integer 0.._EXACT_MAX is multiplied out, and the
+    product kept where the base is integral (``b == trunc(b)``) and the
+    product below 2**53 in magnitude: there every partial product is an
+    exact integer, so both give the exact power.  Every other element (NaN,
+    non-integral, a product at or above 2**53 or overflowing) goes through
+    ``math.pow``, which raises ``OverflowError`` on overflow.
     """
+    if (np.ndim(base) and not np.ndim(exponent) and base.dtype == np.float64
+            and float(exponent).is_integer() and 0 <= exponent <= _EXACT_MAX):
+        out = np.ones(count)
+        with np.errstate(over="ignore"):
+            for _ in range(int(exponent)):
+                out *= base
+        slow = np.flatnonzero(~((np.abs(out) < 2.0 ** 53) & (base == np.trunc(base))))
+        out[slow] = np.fromiter(map(math.pow, base[slow].tolist(), repeat(float(exponent))),
+                                float, count=len(slow))
+        return out
     base = base.tolist() if np.ndim(base) else repeat(float(base))
     exponent = exponent.tolist() if np.ndim(exponent) else repeat(float(exponent))
     return np.fromiter(map(math.pow, base, exponent), float, count=count)
@@ -270,10 +290,11 @@ def compile_text(text: str):
 
     The evaluator takes an ``int`` (evaluated by :func:`eval_expr`) or an
     int64 array, which the same walker evaluates element-wise, bit for bit
-    the same, in blocks of ``_CHUNK``.  Errors are those of
-    :func:`eval_expr` with the text appended; a block that raises or holds
-    a non-finite value is re-run one element at a time, so the error raised
-    is that of the smallest failing element.
+    the same, in blocks of ``_CHUNK``; ``^`` multiplies out small integer
+    powers of integral bases below 2**53, which is exact (:func:`power`).
+    Errors are those of :func:`eval_expr` with the text appended; a block
+    that raises or holds a non-finite value is re-run one element at a
+    time, so the error raised is that of the smallest failing element.
     """
     node = parse_expr(text)
     where = f" in {text!r}"

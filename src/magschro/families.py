@@ -93,10 +93,15 @@ class PathRayGraph(WeightedGraph):
 
     def _records(self, lo, hi):
         """w, W, q and a over lo..hi, cut before the first n where an expression
-        raises or a record is invalid: slices of the prefix when hi lies in it,
-        else evaluated.  hi < 2**63 - 1, past which ``np.arange`` makes floats."""
-        if hi <= len(self._head):
+        raises or a record is invalid: sliced from the prefix where lo..hi lies
+        in it, evaluated past it.  hi < 2**63 - 1, past which ``np.arange``
+        makes floats."""
+        head = len(self._head)
+        if hi <= head:
             return [values[lo - 1:hi] for values in self._prefix]
+        if lo <= head:
+            return [np.concatenate(parts) for parts in
+                    zip(self._records(lo, head), self._records(head + 1, hi))]
         ns = np.arange(lo, hi + 1)
         while True:
             try:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exprlang_oracle
+from magschro import exprlang
 from magschro.errors import ExprEvalError, ExprSyntaxError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
 
@@ -172,10 +174,70 @@ def test_array_evaluation_is_bit_exact_with_scalars():
         assert values[picks].tolist() == expected, text
 
 
+def _largest_root(k):
+    """The largest integer whose k-th power is below 2**53."""
+    r = int(2 ** (53 / k))
+    while r ** k >= 2 ** 53:
+        r -= 1
+    while (r + 1) ** k < 2 ** 53:
+        r += 1
+    return r
+
+
+def _overflows(b, k):
+    try:
+        math.pow(b, k)
+    except OverflowError:
+        return True
+    return False
+
+
+def _multiplied(b, k):
+    """Whether ``power`` keeps the product for the base b: b == trunc(b),
+    which holds for inf, and |b**k| < 2**53."""
+    if math.isnan(b) or math.isfinite(b) and b != int(b):
+        return False
+    return k == 0 or math.isfinite(b) and abs(int(b)) ** k < 2 ** 53
+
+
+def test_exact_powers_are_bit_identical_to_math_pow(monkeypatch):
+    """Integral bases whose power is below 2**53 are multiplied out, and
+    every other element goes through ``math.pow``; both give its bits."""
+    slow = []
+    monkeypatch.setattr(exprlang, "math", SimpleNamespace(
+        pow=lambda b, k: slow.append(b) or math.pow(b, k)))
+    rng = np.random.default_rng(7)
+    odd = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, 94906265.5, math.nan, math.inf, -math.inf]
+    ranges = [(0, 2 ** 26), (2 ** 26, 2 ** 27), (2 ** 27, 2 ** 40)]
+    drawn = np.concatenate([rng.integers(lo, hi, 20_000) for lo, hi in ranges])
+    drawn = (drawn * rng.choice([-1, 1], len(drawn))).astype(float)
+    for k in (0, 1, 2, 3, exprlang._EXACT_MAX, exprlang._EXACT_MAX + 1):
+        edge = _largest_root(k) if k > 1 else 2 ** 52
+        near = np.arange(edge - 300, edge + 300, dtype=float)
+        base = np.concatenate([near, -near, odd, [2.0, -2.0, 3.0], drawn])
+        over = np.array([_overflows(b, k) for b in base.tolist()])
+        if over.any():  # as math.pow does on its own
+            with pytest.raises(OverflowError, match="math range error"):
+                exprlang.power(base, float(k), len(base))
+            base = base[~over]
+        slow.clear()
+        got = exprlang.power(base, float(k), len(base))
+        expected = np.array([math.pow(b, k) for b in base.tolist()])
+        assert got.tobytes() == expected.tobytes(), k
+        if k <= exprlang._EXACT_MAX:  # the multiplied-out elements are exactly these
+            exact = np.array([_multiplied(b, k) for b in base.tolist()])
+            assert np.array(slow).tobytes() == base[~exact].tobytes(), k
+            assert k < 2 or (-edge in base[exact] and -edge - 1 in base[~exact])
+        else:
+            assert len(slow) == len(base)
+
+
 @pytest.mark.parametrize("text, n, message", [
     ("1/(n-3000)", 3000, "division by zero in '1/(n-3000)'"),
     ("sqrt(n-70001) + 1/(n-90000)", 1, "math domain error in 'sqrt(n-70001) + 1/(n-90000)'"),
     ("n^150", 114, "math range error in 'n^150'"),
+    ("(n*1e150)^2", 13408, "math range error in '(n*1e150)^2'"),
+    ("(n*10)^52", 84718, "math range error in '(n*10)^52'"),
     ("(n-5)^-1", 5, "math domain error in '(n-5)^-1'"),
     ("n^150*n^150", 11, "non-finite result inf in 'n^150*n^150'"),
 ])
@@ -190,14 +252,14 @@ def test_array_evaluation_raises_at_the_smallest_failing_n(text, n, message):
 
 
 _LEAVES = st.sampled_from(["n", "1", "2", "0", "0.5", "1e-3", "(n - 3)", "(n - 30)", "(2 - n)",
-                           "n^150"])
+                           "n^150", "(n*94906265)"])
 
 
 def _expressions():
     def extend(inner):
         return st.one_of(
             st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-            st.tuples(inner, st.sampled_from(["2", "-1", "0.5", "150", "-0.5", "n", "(n - 20)"]))
+            st.tuples(inner, st.sampled_from(["2", "3", "-1", "0.5", "150", "-0.5", "n", "(n - 20)"]))
             .map(lambda t: f"({t[0]})^{t[1]}"),
             inner.map(lambda e: f"-({e})"),
             st.tuples(st.sampled_from(["sqrt", "abs"]), inner).map(lambda t: f"{t[0]}({t[1]})"),

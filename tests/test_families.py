@@ -54,20 +54,21 @@ def test_windows_past_the_prefix_evaluate_their_range_once(monkeypatch):
     evaluated = count_records(monkeypatch, g)
     held = dict(vars(g))
     for _ in range(2):  # nothing is kept, so a second cut evaluates again
-        evaluated.clear()
-        g._cut(1, 2001)
-        assert evaluated == list(range(1, 2002))
+        evaluated.clear()  # the prefix 1..1024 is sliced, 1025..2001 evaluated
+        win = g._cut(1, 2001)
+        assert evaluated == list(range(1025, 2002))
+        assert win.q.tolist() == [float(n) ** 2 for n in range(1, 2002)]
     evaluated.clear()
     win = g._cut(1600, 3400)
     assert evaluated == list(range(1600, 3401))
     assert win.ids.tolist() == list(range(1600, 3401)) and win.q.tolist() == [
         float(n) ** 2 for n in range(1600, 3401)]
     assert win.interior.tolist() == [False] + [True] * 1799 + [False]
-    for _ in range(2):  # a search evaluates each block that passes the prefix once:
-        evaluated.clear()  # 1..513 is sliced, then 514..1025 and 1026..2049 evaluated
+    for _ in range(2):  # a search evaluates each block past the prefix once: 1..513
+        evaluated.clear()  # and 514..1024 are sliced, 1025 and 1026..2049 evaluated
         res = shortest_paths(g, 1, budget=2000)
         assert res.window.ids.tolist() == list(range(1, 2050))
-        assert evaluated == list(range(514, 2050))
+        assert evaluated == list(range(1025, 2050))
     assert vars(g) == held
 
 

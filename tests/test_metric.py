@@ -364,9 +364,9 @@ def test_a_target_search_evaluates_one_doubling_past_the_target(monkeypatch):
     g = quadratic_well_ray()
     evaluated = count_records(monkeypatch, g)
     # the sums double from 512 hops to 8192, the first span past the target's
-    # 4999 hops, whatever the budget allows; 1..513 is read from the prefix
+    # 4999 hops, whatever the budget allows; 1..1024 is read from the prefix
     found = distance(g, 1, 5000, budget=10**8)
-    assert evaluated == list(range(514, 8194))
+    assert evaluated == list(range(1025, 8194))
     monkeypatch.setattr(metric, "WINDOW_MIN", 10**9)
     assert found == distance(g, 1, 5000, budget=10**8) == pytest.approx(
         math.fsum(1 / n for n in range(2, 5001)), rel=1e-12)

@@ -20,7 +20,7 @@ from magschro.errors import InputError, UnknownVertexError
 from magschro.exact import FOURTH_ROOTS, pythagorean_phase
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import VertexFunction
-from magschro.graphs import ExplicitGraph, WeightedGraph
+from magschro.graphs import ExplicitGraph, OrientedEdge, WeightedGraph
 from magschro.operators import schrodinger_apply
 from magschro.spectral import assemble_truncation
 
@@ -151,6 +151,20 @@ def test_empty_windows_pass_as_the_walk_does():
     g = make_family({"family": "path", "size": 6})
     _assert_same_checks((criteria.degree_bound_check(g, []), criteria.minorant_check(g, []),
                          criteria.lipschitz_best_constant(g, [])), window_walk(g, []))
+
+
+def test_edges_to_rows_outside_the_members_are_scanned_at_their_member_end():
+    # the members 3..5 reach 2 and 6, touched rows that are not members; the
+    # largest ratio is on 5 ~ 6, the largest gaps -q - W at 2 and 7 do not count,
+    # and 1, 7 and 8 are rows of the whole window that no edge touches
+    q = {1: 1.0, 2: 100.0, 3: 4.0, 4: 4.0, 5: 1.0, 6: 400.0, 7: 1.0, 8: 9.0}
+    g = ExplicitGraph({x: (1.0, -q[x] - 50.0 * (x in (2, 7)), q[x]) for x in q},
+                      {(x, x + 1): (1.0, 1.0) for x in range(1, 8)})
+    win = g.whole_window()
+    checks = criteria._scan(g, win, win.holds({3, 4, 5}))
+    _assert_same_checks(checks, window_walk(g, [3, 4, 5]))
+    assert checks[1].passed and checks[2] == criteria.LipschitzCheck(0.95, OrientedEdge(5, 6))
+    _check_views(g, [3, 4, 5], 3)
 
 
 RAY_SPECS = [
