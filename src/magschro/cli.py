@@ -182,8 +182,12 @@ def _cmd_verify_identities(args) -> int:
     for name in sorted(result.residuals):
         print(f"{name}: max relative residual {result.residuals[name]:.3e}")
     sq = square_average_suite(seed=args.seed)
-    print(f"square-average: {sq.violations} violations over {sq.samples} samples")
-    print(f"elapsed {result.elapsed:.2f}s over {result.graphs} graphs (seed {result.seed})")
+    print(f"square-average: {sq.violations} violations over {sq.samples} samples; "
+          f"{sq.degenerate} degenerate, worst margin {sq.worst_margin:.3e} over the rest")
+    print(f"elapsed {result.elapsed:.2f}s over {result.graphs} graphs (seed {result.seed}): "
+          f"draws {result.draw_s:.2f}s, residuals {result.residual_s:.2f}s "
+          f"(stacked patches {result.chunks}, vertices {result.vertices}, "
+          f"edges {result.edges})")
     ok = result.passed and sq.passed
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

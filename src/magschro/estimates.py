@@ -24,7 +24,7 @@ from .criteria import lipschitz_best_constant, positive_part
 from .errors import InputError, MinorantViolationError, require_finite, require_nonnegative
 from .functions import VertexFunction, norm_w, support_union
 from .metric import AnchorFunction, WITH_Q
-from .operators import Patch, _sum, schrodinger_apply
+from .operators import Patch, schrodinger_apply
 
 SLACK_TOL = 1e-10
 
@@ -71,6 +71,11 @@ def _gradient(g, u: VertexFunction, patch):
     return P, at, np.array(du2)
 
 
+def _sum(P, terms, at):
+    """The sum of a loop over the ``terms`` of the edges ``at`` of ``P``, in order."""
+    return P.sums((terms, P.edge_block[at])).tolist()[0]
+
+
 def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     """The squared energy and its per-edge contributions.
 
@@ -82,7 +87,8 @@ def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
     P, at, du2 = _gradient(g, u, patch)
     q = P.window.q
     terms = 1.0 / np.maximum(q[P.o[at]], q[P.t[at]]) * P.ca[at] * du2
-    return float(_sum(terms)), dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist()))
+    return (float(_sum(P, terms, at)),
+            dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist())))
 
 
 def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
@@ -95,7 +101,7 @@ def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
     P, at, du2 = _gradient(g, u, patch)
     ids = P.window.ids
     po, pt = (np.array([phi(x) for x in ids[end[at]].tolist()]) for end in (P.o, P.t))
-    return math.sqrt(_sum(P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2)))
+    return math.sqrt(_sum(P, P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2), at))
 
 
 @dataclass

@@ -427,20 +427,23 @@ class ExplicitGraph(WeightedGraph):
 
     @classmethod
     def from_columns(cls, ids, w, W, q, origins, termini, a, sigma, *, degree_bound=None,
-                     check=True) -> "ExplicitGraph":
+                     check=True, blocks=None) -> "ExplicitGraph":
         """The graph on the vertices ``ids`` with the oriented edges
         ``origins[k] -> termini[k]``, as the constructor builds it.
 
         ``ids``, ``origins`` and ``termini`` are sequences of ids; w, W and q
         run along ``ids`` and a and sigma along the edges, as sequences or
-        arrays.
+        arrays.  ``blocks`` makes the graph a disjoint union: the numbers of
+        vertices of its parts, whose ids run one part after another in
+        ``ids``.  Each part must then be connected, and no edge may join two.
         """
         g = cls.__new__(cls)
         WeightedGraph.__init__(g)
-        g._build(ids, w, W, q, origins, termini, a, sigma, degree_bound, check)
+        g._build(ids, w, W, q, origins, termini, a, sigma, degree_bound, check, blocks)
         return g
 
-    def _build(self, ids, w, W, q, origins, termini, a, sigma, degree_bound, check):
+    def _build(self, ids, w, W, q, origins, termini, a, sigma, degree_bound, check,
+               blocks=None):
         m, k = len(ids), len(origins)
         try:
             order = sorted(range(m), key=ids.__getitem__)
@@ -493,7 +496,8 @@ class ExplicitGraph(WeightedGraph):
             fault = (_vertex_fault(ids, (w, W, q), columns)
                      or _edge_fault(origins, termini, src == dst, a_given, sigma_given,
                                     self._a[back], self._sigma[back], sigma)
-                     or self._split(row[ids[0]]))
+                     or (self._split(row[ids[0]]) if blocks is None
+                         else self._block_fault(order, blocks, src, dst)))
             if fault:
                 raise GraphStructureError(fault)
         order = np.array(order, dtype=np.int64)
@@ -525,6 +529,23 @@ class ExplicitGraph(WeightedGraph):
         missing = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)[:5].tolist()
         if missing:
             return f"graph is not connected; unreachable: {[self._ids[r] for r in missing]}"
+        return None
+
+    def _block_fault(self, order, sizes, src, dst):
+        """The fault of a union of parts of ``sizes`` vertices, given one after
+        another (``order``: the given place of each row), or None: an edge
+        that joins two parts, or a part that is not connected."""
+        from scipy.sparse import csgraph, csr_matrix  # imported here: only unions pay for it
+        part = np.repeat(np.arange(len(sizes)), sizes)[order]
+        if (part[src] != part[dst]).any():
+            return "an edge joins two parts of the union"
+        m = len(order)
+        count, _ = csgraph.connected_components(
+            csr_matrix((np.ones(len(self._indices)), self._indices, self._indptr), shape=(m, m)),
+            directed=False)
+        # with no edge between them, nonempty parts are one component each iff connected
+        if count != len(sizes) or 0 in sizes:
+            return "a part of the union is not connected"
         return None
 
     def has_vertex(self, x) -> bool:

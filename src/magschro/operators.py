@@ -16,7 +16,21 @@ Each residual helper evaluates both sides of one defining identity and
 returns the largest pointwise deviation: zero in exact arithmetic, at
 rounding level in double precision.  With ``relative=True`` the deviation is
 normalized by the magnitude of the terms entering the comparison, which is
-the right yardstick for accumulated floating-point error.
+the right yardstick for accumulated floating-point error.  A patch of a
+disjoint union of graphs (``Patch.closure(..., starts=)``) reduces each
+graph's block alone, maxima by ``np.maximum.at`` and sums in each block's
+loop order, and a residual returns the largest over the blocks: the value
+the largest of one patch per graph would give, bit for bit.
+
+Bit reproducibility rests on each array operation giving every element the
+bits it gives that element in any array, which numpy does for the
+elementwise operations here, except one way: for an operand that is a
+temporary of 256 KiB or more (16,384 complex128), numpy reuses its buffer
+(temporary elision), and ``x * tmp`` computed in place as ``tmp *= x``
+rounds complex products differently in the last bit (numpy 2.4).  The
+residuals of a patch whose arrays reach that size can therefore differ in
+the last bits from those of a smaller patch; the identity suite keeps its
+stacked patches below it.
 """
 
 from __future__ import annotations
@@ -33,11 +47,14 @@ from .graphs import OrientedEdge
 _TINY = 1e-300
 
 
-def _residual(dev, scale, relative):
-    require_finite(dev, scale)
-    if not relative:
-        return dev
-    return 0.0 if dev == 0.0 else dev / max(scale, _TINY)
+def _residual(devs, scales, relative):
+    """The largest deviation over the blocks, each relative to its block's scale
+    with ``relative``."""
+    require_finite(*devs, *scales)
+    if relative:
+        devs = [0.0 if dev == 0.0 else dev / max(scale, _TINY)
+                for dev, scale in zip(devs, scales)]
+    return max(devs)
 
 
 class Patch:
@@ -51,10 +68,16 @@ class Patch:
     ``o[k] < t[k]``, with ``sigma[k]`` the phase of o -> t.  ``co``, ``ct``,
     ``ca`` and ``csigma`` are the rows and data of its canonical orientation,
     which is t -> o where ``flipped`` (None when no edge of the window is).
+    ``block`` numbers the graph of each row when ``g`` is a disjoint union of
+    ``blocks`` graphs on runs of int ids that begin at ``starts``; else all
+    rows are block 0 of one.
     """
 
-    def __init__(self, g, win):
+    def __init__(self, g, win, starts=None):
         self.window, self.m = win, len(win.ids)
+        self.blocks = 1 if starts is None else len(starts)
+        self.block = (np.zeros(self.m, np.int64) if starts is None
+                      else np.searchsorted(starts, win.ids, side="right") - 1)
         self.row = win.row_by_id
         self.rows = win.rows()
         e = np.flatnonzero(self.rows < win.indices)
@@ -73,11 +96,41 @@ class Patch:
         self.ca, self.csigma = win.a[e], win.sigma[e]
 
     @classmethod
-    def closure(cls, g, vertices, edges=()) -> "Patch":
+    def closure(cls, g, vertices, edges=(), starts=None) -> "Patch":
         """The patch of the one-hop closure of ``vertices`` with the ends of
         the id-ordered ``edges``: it covers vertex functions supported in
-        ``vertices`` and edge functions on ``edges``."""
-        return cls(g, g.closure_window(vertices, [x for k in edges for x in k]))
+        ``vertices`` and edge functions on ``edges``.  ``starts``: the first id
+        of each graph, where ``g`` is a disjoint union of graphs on runs of ids."""
+        return cls(g, g.closure_window(vertices, [x for k in edges for x in k]), starts)
+
+    @cached_property
+    def edge_block(self):
+        """The block of each edge, by edge number."""
+        return self.block[self.o]
+
+    def maxima(self, values, block):
+        """Per block, the running maximum of a loop over the ``values`` in it
+        (``block``: the block of each) that starts at 0.0."""
+        if values.dtype == object or not np.isfinite(values).all():
+            require_finite(*values.tolist())  # np.maximum would pass a NaN on
+        out = np.full(self.blocks, 0.0, dtype=values.dtype)
+        np.maximum.at(out, block, values)
+        return out.tolist()
+
+    def sums(self, *parts):
+        """Per block, the sum of a loop that adds, starting at 0, its values
+        of each part in turn; a part is ``(values, block)``, in block order.
+
+        Each block's values go to one row of a zero-padded array, and the
+        last column of its ``cumsum`` adds them as the loop does."""
+        values = np.concatenate([v for v, _ in parts])
+        block = np.concatenate([b for _, b in parts])
+        order = block.argsort(kind="stable")
+        block = block[order]
+        counts = np.bincount(block, minlength=self.blocks)
+        padded = np.zeros((self.blocks, max(counts.max(), 1)), values.dtype)
+        padded[block, np.arange(len(block)) - (counts.cumsum() - counts)[block]] = values[order]
+        return padded.cumsum(axis=1)[:, -1]
 
     @cached_property
     def ends(self):
@@ -170,21 +223,15 @@ class Patch:
         return self.laplacian(u) + self.window.W * u
 
 
+def _moduli(values):
+    """Python's ``abs`` of each value: ``np.abs`` of a complex128 can differ
+    from it in the last bit."""
+    return list(map(abs, values.tolist()))
+
+
 def _vertex_function(P: Patch, values) -> VertexFunction:
     nz = np.flatnonzero(values != 0)
     return VertexFunction(dict(zip(P.window.ids[nz].tolist(), values[nz].tolist())))
-
-
-def _max(values):
-    """The running maximum of a loop over ``values`` that starts at 0.0."""
-    values = values.tolist()
-    require_finite(*values)  # max() would pass over a NaN
-    return max([0.0, *values])
-
-
-def _sum(values):
-    """The sum of a loop that adds ``values`` in order, starting at 0."""
-    return values.cumsum()[-1:].tolist()[0] if len(values) else 0
 
 
 # -- public operators -----------------------------------------------------------
@@ -247,8 +294,8 @@ def leibniz_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False,
     lhs = phase * uv[t] - uv[o]
     first = (phase * ut - uo) * ((vt + vo) / 2)
     second = ((phase * ut + uo) / 2) * (vt - vo)
-    dev = _max(np.abs(lhs - (first + second)))
-    scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
+    dev = P.maxima(np.abs(lhs - (first + second)), P.edge_block)
+    scale = P.maxima(np.abs(lhs) + np.abs(first) + np.abs(second), P.edge_block)
     return _residual(dev, scale, relative)
 
 
@@ -269,8 +316,8 @@ def product_rule_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fal
     lhs = P.star_sums(flow, -flow) / w
     first = uu * P.codifferential(yc)
     second = P.star_sums(corr, corr) / (2 * w)
-    dev = _max(np.abs(lhs - (first - second)))
-    scale = _max(np.abs(lhs) + np.abs(first) + np.abs(second))
+    dev = P.maxima(np.abs(lhs - (first - second)), P.block)
+    scale = P.maxima(np.abs(lhs) + np.abs(first) + np.abs(second), P.block)
     return _residual(dev, scale, relative)
 
 
@@ -282,8 +329,9 @@ def adjointness_residual(g, u: VertexFunction, Y: EdgeFunction, *, relative=Fals
     yc = P.edge_vector(Y)
     edge_terms = P.ca * P.canonical(P.differential(uu), 1) * np.conj(yc)
     vertex_terms = P.window.w * uu * np.conj(P.codifferential(yc))
-    dev = abs(_sum(edge_terms) - _sum(vertex_terms))
-    scale = _sum(np.abs(np.concatenate((edge_terms, vertex_terms))))
+    edges, vertices = P.edge_block, P.block
+    dev = _moduli(P.sums((edge_terms, edges)) - P.sums((vertex_terms, vertices)))
+    scale = P.sums((np.abs(edge_terms), edges), (np.abs(vertex_terms), vertices)).tolist()
     return _residual(dev, scale, relative)
 
 
@@ -293,8 +341,8 @@ def composition_residual(g, u: VertexFunction, *, relative=False, patch=None) ->
     uu = P.vector(u)
     left = P.codifferential(P.canonical(P.differential(uu), 1))
     right = P.laplacian(uu)
-    dev = _max(np.abs(left - right))
-    scale = _max(np.abs(left) + np.abs(right))
+    dev = P.maxima(np.abs(left - right), P.block)
+    scale = P.maxima(np.abs(left) + np.abs(right), P.block)
     return _residual(dev, scale, relative)
 
 
@@ -306,8 +354,8 @@ def symmetry_residual(g, u: VertexFunction, v: VertexFunction, *, relative=False
     w = P.window.w
     lhs_terms = w * P.schrodinger(uu) * np.conj(vv)
     rhs_terms = w * uu * np.conj(P.schrodinger(vv))
-    dev = abs(_sum(lhs_terms) - _sum(rhs_terms))
-    scale = _sum(np.abs(np.concatenate((lhs_terms, rhs_terms))))
+    dev = _moduli(P.sums((lhs_terms, P.block)) - P.sums((rhs_terms, P.block)))
+    scale = P.sums((np.abs(lhs_terms), P.block), (np.abs(rhs_terms), P.block)).tolist()
     return _residual(dev, scale, relative)
 
 

@@ -67,7 +67,8 @@ def test_criterion_02_square_average():
     result = square_average_suite(seed=7, samples=10_000)
     report("02 square-average", result.passed,
            f"{result.violations} violations over {result.samples} samples, "
-           f"worst margin {result.worst_margin:.3e}")
+           f"{result.degenerate} degenerate, worst margin {result.worst_margin:.3e} "
+           f"over the rest")
 
 
 def test_criterion_03_reference_metric():

@@ -1,0 +1,157 @@
+"""The stacked property suites against the per-graph loops in ``suite_oracle``.
+
+The identity suite must give maxima equal to the oracle's, not only close:
+each graph is a block of a stacked patch, and every block is reduced in the
+loop's order.  The stacked graph must refuse what each graph alone refuses,
+with the same message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import suite_oracle as oracle
+from magschro import randomgraphs, suites
+from magschro.errors import GraphStructureError
+from magschro.graphs import ExplicitGraph
+from magschro.randomgraphs import random_columns, random_connected_graph
+
+
+def _first_stack(seed, max_vertices, limit):
+    """How many graphs the suite's first stack holds under ``limit`` CSR
+    entries, from the oracle's draws of the same seed."""
+    rng = np.random.default_rng(seed)
+    held = entries = 0
+    while True:
+        g = oracle.random_connected_graph(rng, max_vertices=max_vertices)
+        entries += 2 * len(g.edges())
+        if held and entries > limit:
+            return held
+        held += 1
+        oracle.random_vertex_function(rng, g)
+        oracle.random_vertex_function(rng, g)
+        oracle.random_edge_function(rng, g)
+
+
+def _check_identities(seed, graphs, max_vertices, chunks):
+    result = suites.identity_suite(seed=seed, graphs=graphs, max_vertices=max_vertices)
+    assert result.residuals == oracle.identity_residuals(seed=seed, graphs=graphs,
+                                                        max_vertices=max_vertices)
+    assert result.chunks == chunks
+    assert result.graphs == graphs and result.passed
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), max_vertices=st.integers(4, 40),
+       limit=st.sampled_from([250, 1500]),
+       where=st.sampled_from(["one", "below", "at", "past", "several"]))
+def test_identity_suite_matches_the_per_graph_loop(seed, max_vertices, limit, where):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "CHUNK_ENTRIES", limit)
+        held = _first_stack(seed, max_vertices, limit)
+        graphs, chunks = {"one": (1, 1), "below": (max(held - 1, 1), 1), "at": (held, 1),
+                          "past": (held + 1, 2), "several": (3 * held + 1, None)}[where]
+        if chunks is None:
+            chunks = suites.identity_suite(seed=seed, graphs=graphs,
+                                           max_vertices=max_vertices).chunks
+            assert chunks >= 3
+        _check_identities(seed, graphs, max_vertices, chunks)
+
+
+def test_identity_suite_at_its_own_stack_size():
+    held = _first_stack(42, 40, suites.CHUNK_ENTRIES)
+    for graphs, chunks in ((held, 1), (held + 1, 2)):
+        _check_identities(42, graphs, 40, chunks)
+    result = suites.identity_suite(seed=42, graphs=1000)
+    assert result.chunks == 4 and result.edges < 4 * suites.CHUNK_ENTRIES / 2
+    assert result.draw_s + result.residual_s == pytest.approx(result.elapsed)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 3000))
+def test_square_average_suite_matches_the_per_sample_loop(seed, samples):
+    (done, violations, _), margins, equal = oracle.square_average(seed=seed, samples=samples)
+    result = suites.square_average_suite(seed=seed, samples=samples)
+    lhs, rhs, degenerate = suites._square_sides(np.random.default_rng(seed), samples)
+    assert (rhs - lhs).tolist() == margins
+    assert degenerate.tolist() == equal
+    rest = [m for m, same in zip(margins, equal) if not same]
+    assert (result.samples, result.violations) == (done, violations)
+    assert result.worst_margin == min(rest, default=math.inf)
+    assert result.degenerate == sum(equal)
+
+
+def test_square_average_worst_margin_leaves_out_equal_ends():
+    result = suites.square_average_suite(seed=7, samples=10_000)
+    assert result.passed and result.degenerate == 2533
+    assert result.worst_margin == pytest.approx(3.99299800119483e-08)
+
+
+def _faulty(mp, faults):
+    """Draw the suite's columns with ``faults[k](columns)`` for the k-th graph."""
+    drawn = []
+
+    def draw(rng, **kwargs):
+        columns = random_columns(rng, **kwargs)
+        drawn.append(columns)
+        return faults.get(len(drawn) - 1, lambda c: c)(columns)
+
+    mp.setattr(suites, "random_columns", draw)
+    return drawn
+
+
+def _message(columns):
+    """The refusal of ``random_connected_graph`` for a draw of ``columns``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomgraphs, "random_columns", lambda rng, **kwargs: columns)
+        with pytest.raises(GraphStructureError) as refused:
+            random_connected_graph(np.random.default_rng(0))
+    return str(refused.value)
+
+
+def _set(column, i, value):
+    return lambda c: c._replace(**{column: [*getattr(c, column)[:i], value,
+                                            *getattr(c, column)[i + 1:]]})
+
+
+def _isolated(c):
+    """One vertex more, joined to nothing."""
+    return c._replace(n=c.n + 1, w=[*c.w, 1.0], W=[*c.W, 0.0], q=[*c.q, 1.0])
+
+
+def _stray(c):
+    """The first edge led to the vertex after the last."""
+    return c._replace(termini=[c.n + 1, *c.termini[1:]])
+
+
+@pytest.mark.parametrize("faults, bad", [
+    ({2: _set("w", 1, -0.5)}, 2),  # a weight that is not positive
+    ({1: _set("W", 0, math.inf)}, 1),  # a potential that is not finite
+    ({300: _set("a", 3, math.nan)}, 300),  # an edge weight that is not finite, second stack
+    ({5: _isolated}, 5),  # a graph that is not connected
+    ({6: _stray}, 6),  # an edge to a vertex of the next graph
+    ({4: _isolated, 7: _set("w", 0, 0.0)}, 4),  # the first fault wins
+])
+def test_stacked_graphs_refuse_as_each_graph_alone(faults, bad):
+    assert _first_stack(3, 40, suites.CHUNK_ENTRIES) < 300
+    with pytest.MonkeyPatch.context() as mp:
+        drawn = _faulty(mp, faults)
+        with pytest.raises(GraphStructureError) as refused:
+            suites.identity_suite(seed=3, graphs=400)
+    assert str(refused.value) == _message(faults[bad](drawn[bad]))
+
+
+def test_a_union_refuses_an_edge_between_parts_and_a_split_part():
+    ids, ones = range(1, 7), [1.0] * 6
+    with pytest.raises(GraphStructureError, match="joins two parts"):
+        ExplicitGraph.from_columns(ids, ones, ones, ones, [1, 2, 3, 4, 5], [2, 3, 4, 5, 6],
+                                   [1.0] * 5, [1.0] * 5, blocks=[3, 3])
+    with pytest.raises(GraphStructureError, match="not connected"):
+        ExplicitGraph.from_columns(ids, ones, ones, ones, [1, 2, 4], [2, 3, 5], [1.0] * 3,
+                                   [1.0] * 3, blocks=[3, 3])
+    g = ExplicitGraph.from_columns(ids, ones, ones, ones, [1, 2, 4, 5], [2, 3, 5, 6], [1.0] * 4,
+                                   [1.0] * 4, blocks=[3, 3])
+    assert g.edges() == [(1, 2), (2, 3), (4, 5), (5, 6)]
