@@ -352,6 +352,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except MagschroError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,9 +83,10 @@ class Patch:
         e = np.flatnonzero(self.rows < win.indices)
         self.o, self.t, self.sigma = self.rows[e], win.indices[e], win.sigma[e]
         self.kinds = "".join(a.dtype.kind for a in (win.w, win.W, win.a, win.sigma))
-        flipped = [self.number[k] for k in g._flipped if k in self.number]
+        flipped = self.numbers(g._flipped) if g._flipped else np.zeros(0, np.int64)
+        flipped = flipped[flipped >= 0]
         self.flipped = None
-        if flipped:
+        if len(flipped):
             self.flipped = np.zeros(len(e), dtype=bool)
             self.flipped[flipped] = True
             # the window holds both orientations of each of its edges, so its
@@ -143,9 +144,16 @@ class Patch:
         ids = self.window.ids
         return list(map(OrientedEdge, ids[self.o].tolist(), ids[self.t].tolist()))
 
-    @cached_property
-    def number(self) -> dict:
-        return dict(zip(self.keys, range(len(self.keys))))
+    def numbers(self, edges):
+        """The number of each id-ordered edge of ``edges``, -1 where the window
+        has none: a search of the edges' row codes ``o * m + t``, which ascend."""
+        row, m = self.row, self.m
+        ends = np.array([row.get(x, -1) for k in edges for x in k], np.int64).reshape(-1, 2)
+        codes, wanted = self.o * m + self.t, ends[:, 0] * m + ends[:, 1]
+        at = codes.searchsorted(wanted)
+        found = (ends >= 0).all(axis=1) & (at < len(codes))
+        found[found] = codes[at[found]] == wanted[found]
+        return np.where(found, at, -1)
 
     def _filled(self, size, at, values):
         """``values`` at ``at`` among zeros: objects if the graph or ``values``
@@ -174,10 +182,9 @@ class Patch:
 
     def edge_vector(self, Y: EdgeFunction):
         """The values of ``Y`` on the canonical orientations, by edge number."""
-        try:
-            at = [self.number[k] for k in Y._values]
-        except KeyError:
-            raise InputError("the window does not hold every edge of the edge function") from None
+        at = self.numbers(Y._values)
+        if (at < 0).any():
+            raise InputError("the window does not hold every edge of the edge function")
         return self.canonical(self._filled(len(self.o), at, np.array(list(Y._values.values()))),
                               Y.twist)
 

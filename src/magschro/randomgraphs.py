@@ -1,15 +1,22 @@
 """Seeded random graphs, functions and gauges for the property suites.
 
-Everything here is driven by a numpy Generator, so suites are bit
-reproducible given a seed.  Consecutive draws from one distribution are
-made in one call, which draws the same numbers as one call per number.
+Each run of draws from one distribution is one array call of a numpy
+Generator, so suites are bit reproducible given a seed.  The stream, in draw
+order (integers uniform on the bounds given):
+
+* a graph (:func:`random_columns`): n in [min_vertices, max_vertices]; the parent
+  of each vertex k = 2..n in [1, k); a count in [0, n) of extra pairs, then their
+  two ends in [1, n], pair by pair; n uniform log weights, n normal draws for q,
+  n potentials W (normal, or exponential with ``ensure_minorant``); per sorted
+  edge a uniform log weight, then a uniform angle.
+* a function (:func:`random_entries`): the support size in [1, cap]; a uniform
+  key per candidate, the support being the first ``size`` of a stable argsort
+  of the keys; a normal value per point of it (real, then imaginary part if complex).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -18,54 +25,43 @@ from .errors import GraphStructureError
 from .functions import EdgeFunction, VertexFunction
 from .graphs import ExplicitGraph
 
-
-def _log_uniform(rng, low=0.1, high=10.0):
-    return math.exp(rng.uniform(math.log(low), math.log(high)))
-
-
-# the bounds of an edge's two uniform draws: its log weight, then its phase angle
-_EDGE_LOW, _EDGE_HIGH = (math.log(0.1), 0.0), (math.log(10.0), 2.0 * math.pi)
+# the bounds of the uniform draws of a log weight (of a vertex or an edge), then of an angle
+_LOW, _HIGH = (math.log(0.1), 0.0), (math.log(10.0), 2.0 * math.pi)
 
 
 class GraphColumns(NamedTuple):
-    """The columns of a graph on the vertices 1..n: w, W and q by vertex, and the
-    edges ``origins[k] < termini[k]`` in sorted order with their a and sigma."""
+    """The columns of a graph on the vertices 1..n as arrays: w, W and q by vertex,
+    and the sorted edges ``origins[k] < termini[k]`` with their a and sigma."""
 
     n: int
-    w: list
-    W: list
-    q: list
-    origins: list
-    termini: list
-    a: list
-    sigma: list
+    w: np.ndarray
+    W: np.ndarray
+    q: np.ndarray
+    origins: np.ndarray
+    termini: np.ndarray
+    a: np.ndarray
+    sigma: np.ndarray
 
-    def graph(self) -> ExplicitGraph:
-        return ExplicitGraph.from_columns(range(1, self.n + 1), *self[1:])
+    def graph(self, blocks=None) -> ExplicitGraph:
+        """The graph; with ``blocks``, a disjoint union of parts of those sizes."""
+        return ExplicitGraph.from_columns(range(1, self.n + 1), self.w, self.W, self.q,
+                                          self.origins.tolist(), self.termini.tolist(),
+                                          self.a, self.sigma, blocks=blocks)
 
 
 def random_columns(rng: np.random.Generator, *, min_vertices=4, max_vertices=40,
                    ensure_minorant=False) -> GraphColumns:
     """The columns of :func:`random_connected_graph`, drawn as it draws them."""
     n = int(rng.integers(min_vertices, max_vertices + 1))
-    pairs = set(zip(rng.integers(1, np.arange(2, n + 1)).tolist(), range(2, n + 1)))
-    extra = int(rng.integers(0, n))
-    for u, v in rng.integers(1, n + 1, size=(extra, 2)).tolist():
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-
-    w, W, q = [], [], []
-    for _ in range(n):
-        w.append(_log_uniform(rng))
-        q.append(1.0 + abs(rng.normal(0.0, 2.0)))
-        W.append(-q[-1] + rng.exponential(2.0) if ensure_minorant else rng.normal(0.0, 5.0))
-
-    pairs = sorted(pairs)
-    # per edge a log-uniform weight, then a uniform angle: one uniform draw each, in turn
-    drawn = rng.uniform(_EDGE_LOW, _EDGE_HIGH, size=(len(pairs), 2)).tolist()
-    a = [math.exp(x) for x, _ in drawn]
-    sigma = [cmath.exp(1j * angle) for _, angle in drawn]
-    return GraphColumns(n, w, W, q, [o for o, _ in pairs], [t for _, t in pairs], a, sigma)
+    tree = np.stack([rng.integers(1, np.arange(2, n + 1)), np.arange(2, n + 1)], axis=1)
+    ends = rng.integers(1, n + 1, size=(int(rng.integers(0, n)), 2))
+    low, high = np.sort(np.concatenate([tree, ends]), axis=1).T
+    origins, termini = np.divmod(np.unique((low * (n + 1) + high)[low != high]), n + 1)
+    w = np.exp(rng.uniform(_LOW[0], _HIGH[0], size=n))
+    q = 1.0 + np.abs(rng.normal(0.0, 2.0, size=n))
+    W = -q + rng.exponential(2.0, size=n) if ensure_minorant else rng.normal(0.0, 5.0, size=n)
+    log_a, angle = rng.uniform(_LOW, _HIGH, size=(len(origins), 2)).T
+    return GraphColumns(n, w, W, q, origins, termini, np.exp(log_a), np.exp(1j * angle))
 
 
 def random_connected_graph(rng: np.random.Generator, *, min_vertices=4, max_vertices=40,
@@ -90,17 +86,11 @@ def stacked_graph(drawn) -> tuple:
     names it for the first graph that has one.
     """
     sizes = [c.n for c in drawn]
-    counts = [len(c.origins) for c in drawn]
     offsets = np.cumsum([0, *sizes[:-1]])
-    shift = np.repeat(offsets, counts)
-    origins, termini = (np.fromiter(chain.from_iterable(getattr(c, name) for c in drawn),
-                                    np.int64, sum(counts)) + shift
-                        for name in ("origins", "termini"))
-    w, W, q, a, sigma = (list(chain.from_iterable(getattr(c, name) for c in drawn))
-                         for name in ("w", "W", "q", "a", "sigma"))
+    shift = np.repeat(offsets, [len(c.origins) for c in drawn])
+    w, W, q, origins, termini, a, sigma = map(np.concatenate, zip(*(c[1:] for c in drawn)))
     try:
-        g = ExplicitGraph.from_columns(range(1, sum(sizes) + 1), w, W, q, origins.tolist(),
-                                       termini.tolist(), a, sigma, blocks=sizes)
+        g = GraphColumns(len(w), w, W, q, origins + shift, termini + shift, a, sigma).graph(sizes)
     except GraphStructureError:
         for c in drawn:
             c.graph()  # raises the first graph's own fault
@@ -108,23 +98,26 @@ def stacked_graph(drawn) -> tuple:
     return g, (offsets + 1).tolist()
 
 
+def random_entries(rng: np.random.Generator, count, *, max_support=None, real=False) -> tuple:
+    """A random support of at most ``max_support`` of ``count`` keys, as an
+    array of their indices, and Normal(0, 2) values on it, complex unless ``real``."""
+    cap = count if max_support is None else min(max_support, count)
+    size = int(rng.integers(1, cap + 1))
+    chosen = rng.random(count).argsort(kind="stable")[:size]
+    values = rng.normal(0.0, 2.0, size=size if real else (size, 2))
+    return chosen, values if real else values.view(np.complex128)[:, 0]
+
+
+def random_values(rng: np.random.Generator, keys, *, max_support=None, real=False) -> dict:
+    """The values of :func:`random_entries` on the sequence ``keys``, by key."""
+    chosen, values = random_entries(rng, len(keys), max_support=max_support, real=real)
+    return dict(zip(map(keys.__getitem__, chosen.tolist()), values.tolist()))
+
+
 def random_function(rng: np.random.Generator, ids, *, max_support=None,
                     real=False) -> VertexFunction:
     """The vertex function of :func:`random_values` on ``ids``."""
     return VertexFunction(random_values(rng, ids, max_support=max_support, real=real))
-
-
-def random_values(rng: np.random.Generator, keys, *, max_support=None, real=False) -> dict:
-    """Normal(0, 2) values, complex unless ``real``, on a random subset of the
-    sequence ``keys`` of at most ``max_support`` keys, by key."""
-    cap = len(keys) if max_support is None else min(max_support, len(keys))
-    size = int(rng.integers(1, cap + 1))
-    chosen = rng.choice(len(keys), size=size, replace=False).tolist()
-    if real:
-        values = rng.normal(0.0, 2.0, size=size).tolist()
-    else:  # the real and imaginary part of each value in turn
-        values = rng.normal(0.0, 2.0, size=(size, 2)).view(np.complex128)[:, 0].tolist()
-    return dict(zip(map(keys.__getitem__, chosen), values))
 
 
 def random_vertex_function(rng: np.random.Generator, g, *, max_support=None,
@@ -138,8 +131,9 @@ def random_edge_function(rng: np.random.Generator, g, *, max_support=None,
 
 
 def random_gauge(rng: np.random.Generator, g) -> dict:
-    """A random unit scalar per vertex."""
-    return {x: cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for x in g.vertices()}
+    """A random unit scalar per vertex, from one uniform angle each."""
+    ids = list(g.vertices())
+    return dict(zip(ids, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=len(ids))).tolist()))
 
 
 def gauge_transformed(g: ExplicitGraph, tau: dict) -> ExplicitGraph:

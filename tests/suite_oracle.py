@@ -4,13 +4,17 @@ The two suite loops of :mod:`magschro.suites` written one graph and one
 sample at a time: one graph, one patch and five residual calls per random
 graph, one vertex function and two ``edge_average`` calls per square-average
 sample.  The random graphs and functions are drawn one number per call, as
-loops over scalar draws.  The suites draw the same numbers in the same order,
-so their stacked evaluation can be checked against these loops for equality.
-The square-average loop also records each sample's margin and whether the
-edge's two end values are equal.
+loops over scalar draws, in the order of the stream that
+:mod:`magschro.randomgraphs` documents; the extra pairs are gathered in a set,
+a support by a stable sort of its keys.  numpy draws the same numbers one
+call at a time as in one array call.  Weights and phases come from the drawn
+logs and angles by the library's formula, ``np.exp`` of an array, since
+``math.exp`` can differ from it in the last bit.  The suites draw the same
+numbers in the same order, so their stacked evaluation can be checked against
+these loops for equality.  The square-average loop also records each sample's
+margin and whether the edge's two end values are equal.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -27,8 +31,7 @@ from magschro.operators import (
 )
 
 
-def _log_uniform(rng, low=0.1, high=10.0):
-    return math.exp(rng.uniform(math.log(low), math.log(high)))
+_LOG_LOW, _LOG_HIGH = math.log(0.1), math.log(10.0)
 
 
 def random_connected_graph(rng, *, min_vertices=4, max_vertices=40, ensure_minorant=False):
@@ -45,28 +48,36 @@ def random_connected_graph(rng, *, min_vertices=4, max_vertices=40, ensure_minor
             continue
         pairs.add((min(u, v), max(u, v)))
 
-    w, W, q = [], [], []
-    for _ in range(n):
-        w.append(_log_uniform(rng))
-        q.append(1.0 + abs(rng.normal(0.0, 2.0)))
-        W.append(-q[-1] + rng.exponential(2.0) if ensure_minorant else rng.normal(0.0, 5.0))
+    logs = [rng.uniform(_LOG_LOW, _LOG_HIGH) for _ in range(n)]
+    q = [1.0 + abs(rng.normal(0.0, 2.0)) for _ in range(n)]
+    if ensure_minorant:
+        W = [-q[i] + rng.exponential(2.0) for i in range(n)]
+    else:
+        W = [rng.normal(0.0, 5.0) for _ in range(n)]
 
     pairs = sorted(pairs)
-    a, sigma = [], []
+    edge_logs, angles = [], []
     for _ in pairs:
-        a.append(_log_uniform(rng))
-        sigma.append(cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        edge_logs.append(rng.uniform(_LOG_LOW, _LOG_HIGH))
+        angles.append(rng.uniform(0.0, 2.0 * math.pi))
+    w, a = np.exp(np.array(logs)).tolist(), np.exp(np.array(edge_logs)).tolist()
+    sigma = np.exp(1j * np.array(angles)).tolist()
     return ExplicitGraph.from_columns(list(range(1, n + 1)), w, W, q, [o for o, _ in pairs],
                                       [t for _, t in pairs], a, sigma)
 
 
+def random_support(rng, count, cap):
+    """The indices of a random support among ``count`` keys, of at most ``cap``."""
+    size = int(rng.integers(1, min(cap, count) + 1))
+    keys = [rng.random() for _ in range(count)]
+    return sorted(range(count), key=keys.__getitem__)[:size]
+
+
 def random_function(rng, ids, *, max_support=None, real=False):
-    cap = len(ids) if max_support is None else min(max_support, len(ids))
-    size = int(rng.integers(1, cap + 1))
-    chosen = rng.choice(len(ids), size=size, replace=False)
+    chosen = random_support(rng, len(ids), len(ids) if max_support is None else max_support)
     if real:
-        return VertexFunction({ids[int(i)]: float(rng.normal(0.0, 2.0)) for i in chosen})
-    return VertexFunction({ids[int(i)]: complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
+        return VertexFunction({ids[i]: float(rng.normal(0.0, 2.0)) for i in chosen})
+    return VertexFunction({ids[i]: complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
                            for i in chosen})
 
 
@@ -76,11 +87,8 @@ def random_vertex_function(rng, g, *, max_support=None, real=False):
 
 def random_edge_function(rng, g, *, max_support=None, twist=1):
     keys = g.edges()
-    cap = len(keys) if max_support is None else min(max_support, len(keys))
-    size = int(rng.integers(1, cap + 1))
-    chosen = rng.choice(len(keys), size=size, replace=False)
-    values = {keys[int(i)]: complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0))
-              for i in chosen}
+    chosen = random_support(rng, len(keys), len(keys) if max_support is None else max_support)
+    values = {keys[i]: complex(rng.normal(0.0, 2.0), rng.normal(0.0, 2.0)) for i in chosen}
     return EdgeFunction(g, values, twist=twist)
 
 
@@ -107,7 +115,11 @@ def identity_residuals(*, seed=42, graphs=200, max_vertices=40) -> dict:
 
 def square_average(*, seed=7, samples=10_000):
     """``(samples, violations, worst_margin)`` as the loop counts them over all
-    samples, then each sample's margin and whether its two end values are equal."""
+    samples, then each sample's margin and whether its two end values are equal.
+
+    A graph's samples are drawn together after it: each one's support size,
+    then each one's key per vertex, each one's value per vertex, and each
+    one's edge."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = float("inf")
@@ -115,10 +127,16 @@ def square_average(*, seed=7, samples=10_000):
     margins, equal = [], []
     while done < samples:
         g = random_connected_graph(rng, max_vertices=12)
-        edges = g.edges()
-        for _ in range(min(len(edges) * 4, samples - done)):
-            phi = random_vertex_function(rng, g, real=True)
-            e = edges[int(rng.integers(0, len(edges)))]
+        edges, n = g.edges(), len(g.vertices())
+        k = min(len(edges) * 4, samples - done)
+        sizes = [int(rng.integers(1, n + 1)) for _ in range(k)]
+        keys = [[rng.random() for _ in range(n)] for _ in range(k)]
+        values = [[float(rng.normal(0.0, 2.0)) for _ in range(n)] for _ in range(k)]
+        picks = [int(rng.integers(0, len(edges))) for _ in range(k)]
+        for size, key, value, pick in zip(sizes, keys, values, picks):
+            support = sorted(range(n), key=key.__getitem__)[:size]
+            phi = VertexFunction({x + 1: value[x] for x in support})
+            e = edges[pick]
             lhs = edge_average(phi, e) ** 2
             rhs = edge_average(phi.pointwise(phi), e)
             margin = rhs - lhs

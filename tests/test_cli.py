@@ -340,7 +340,16 @@ def test_far_end_inputs(capsys):
     (["verify-identities", "--graphs", "0"], "needs at least 1 graph, got 0"),
     (["verify-identities", "--max-vertices", "3"], "max_vertices=3"),
     (["reproduce", "paper-example", "--graphs", "0"], "needs at least 1 graph, got 0"),
-], ids=["identities-negative", "identities-0", "max-vertices-3", "reproduce-0"])
+    (["verify-identities", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    (["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+    (["reproduce", "paper-example", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+    (["spectrum", "--family", "path-nat", "--windows", "10", "--seed", "-2"],
+     "--seed must be a non-negative integer, got -2"),
+], ids=["identities-negative", "identities-0", "max-vertices-3", "reproduce-0",
+        "identities-seed-negative", "estimate-seed-negative", "reproduce-seed-negative",
+        "spectrum-seed-negative"])
 def test_suite_sizes_below_minimum_exit_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import EdgeFunction, VertexFunction, inner_a, inner_w, norm_a
 from magschro.graphs import ExplicitGraph
 from magschro.operators import (
+    Patch,
     adjointness_residual,
     codifferential,
     composition_residual,
@@ -247,6 +248,18 @@ def test_symmetry_residual_equal_real_inputs():
     g = unit_path(6)
     u = VertexFunction({2: 1.5, 3: -0.25, 4: 2.0})
     assert symmetry_residual(g, u, u) <= 1e-12
+
+
+def test_a_patch_numbers_only_its_own_edges():
+    g = unit_path(6)
+    P = Patch.closure(g, [3])  # the window 2, 3, 4 with its edges (2, 3) and (3, 4)
+    # (4, 5) leaves the window at the row code of (3, 4); (2, 4) is no edge
+    assert P.numbers([(2, 3), (3, 4), (4, 5), (1, 2), (2, 4)]).tolist() == [0, 1, -1, -1, -1]
+    assert P.numbers([]).tolist() == []
+    for edge in ((4, 5), (1, 2)):
+        with pytest.raises(InputError, match="does not hold every edge"):
+            P.edge_vector(EdgeFunction(g, {(2, 3): 1.0, edge: 2.0}))
+    assert P.edge_vector(EdgeFunction(g, {(3, 4): 2.0})).tolist() == [0.0, 2.0]
 
 
 def test_residuals_refuse_overflowing_inputs():

@@ -3,7 +3,8 @@
 The identity suite must give maxima equal to the oracle's, not only close:
 each graph is a block of a stacked patch, and every block is reduced in the
 loop's order.  The stacked graph must refuse what each graph alone refuses,
-with the same message.
+with the same message.  The array draws must give graphs and supports in
+range, and a lone graph must equal each suite's first.
 """
 
 import math
@@ -17,7 +18,7 @@ import suite_oracle as oracle
 from magschro import randomgraphs, suites
 from magschro.errors import GraphStructureError
 from magschro.graphs import ExplicitGraph
-from magschro.randomgraphs import random_columns, random_connected_graph
+from magschro.randomgraphs import random_columns, random_connected_graph, random_entries
 
 
 def _first_stack(seed, max_vertices, limit):
@@ -86,8 +87,55 @@ def test_square_average_suite_matches_the_per_sample_loop(seed, samples):
 
 def test_square_average_worst_margin_leaves_out_equal_ends():
     result = suites.square_average_suite(seed=7, samples=10_000)
-    assert result.passed and result.degenerate == 2533
-    assert result.worst_margin == pytest.approx(3.99299800119483e-08)
+    assert result.passed and result.degenerate == 2563
+    assert result.worst_margin == pytest.approx(1.0978722042327005e-08)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), low=st.integers(1, 30), span=st.integers(0, 30),
+       ensure_minorant=st.booleans(), cap=st.sampled_from([None, 1, 3, 50]))
+def test_the_draws_give_graphs_and_supports_in_range(seed, low, span, ensure_minorant, cap):
+    rng = np.random.default_rng(seed)
+    c = random_columns(rng, min_vertices=low, max_vertices=low + span,
+                       ensure_minorant=ensure_minorant)
+    assert low <= c.n <= low + span
+    pairs = list(zip(c.origins.tolist(), c.termini.tolist()))
+    assert pairs == sorted(set(pairs)) and all(1 <= o < t <= c.n for o, t in pairs)
+    assert len(pairs) >= c.n - 1
+    assert c.graph().edges() == pairs  # refused unless connected, with every other check
+    if ensure_minorant:
+        assert (c.W >= -c.q).all()
+    for count in (c.n, len(pairs)):
+        if count:
+            chosen, values = random_entries(rng, count, max_support=cap)
+            assert len(set(chosen.tolist())) == len(chosen) == len(values)
+            assert 1 <= len(chosen) <= (count if cap is None else min(cap, count))
+            assert ((0 <= chosen) & (chosen < count)).all()
+
+
+_WINDOW_FIELDS = ("ids", "indptr", "indices", "w", "W", "q", "a", "sigma")
+
+
+@pytest.mark.parametrize("suite, max_vertices", [
+    (lambda seed: suites.identity_suite(seed=seed, graphs=3, max_vertices=25), 25),
+    (lambda seed: suites.square_average_suite(seed=seed, samples=100), 12),
+], ids=["identity", "square-average"])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_a_lone_graph_is_the_suites_first_graph(suite, max_vertices, seed):
+    stacks = []
+
+    def stack(drawn):
+        stacks.append(randomgraphs.stacked_graph(drawn))
+        return stacks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "stacked_graph", stack)
+        suite(seed)
+    lone = random_connected_graph(np.random.default_rng(seed), max_vertices=max_vertices)
+    ids = lone.vertices()
+    first, alone = stacks[0][0].closure_window(ids), lone.closure_window(ids)
+    for name in _WINDOW_FIELDS:
+        assert np.array_equal(getattr(first, name), getattr(alone, name)), name
 
 
 def _faulty(mp, faults):
@@ -113,18 +161,22 @@ def _message(columns):
 
 
 def _set(column, i, value):
-    return lambda c: c._replace(**{column: [*getattr(c, column)[:i], value,
-                                            *getattr(c, column)[i + 1:]]})
+    def fault(c):
+        changed = getattr(c, column).copy()
+        changed[i] = value
+        return c._replace(**{column: changed})
+    return fault
 
 
 def _isolated(c):
     """One vertex more, joined to nothing."""
-    return c._replace(n=c.n + 1, w=[*c.w, 1.0], W=[*c.W, 0.0], q=[*c.q, 1.0])
+    return c._replace(n=c.n + 1, w=np.append(c.w, 1.0), W=np.append(c.W, 0.0),
+                      q=np.append(c.q, 1.0))
 
 
 def _stray(c):
     """The first edge led to the vertex after the last."""
-    return c._replace(termini=[c.n + 1, *c.termini[1:]])
+    return _set("termini", 0, c.n + 1)(c)
 
 
 @pytest.mark.parametrize("faults, bad", [
