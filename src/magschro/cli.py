@@ -80,25 +80,24 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if path == "-":
+def _write(path, text):
+    """Write ``text`` to the file ``path``, or to stdout where it is None or "-"."""
+    if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _emit_json(path, payload):
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _emit_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _windows_for(g, sizes):
@@ -168,6 +167,8 @@ def _cmd_spectrum(args) -> int:
             sizes.append(int(tok))
         except ValueError:
             raise InputError(f"--windows: {tok!r} is not an integer window size") from None
+        if sizes[-1] < 1:
+            raise InputError(f"--windows: window size {sizes[-1]} must be at least 1")
     if not sizes:
         raise InputError("--windows must list at least one window size")
     rows = spectral_trend(g, _windows_for(g, sizes), seed=args.seed)

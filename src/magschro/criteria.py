@@ -89,8 +89,7 @@ def _explored(g, found):
         member = np.zeros(len(found.window.ids), dtype=bool)
         member[found.order] = True
         return found.window, member
-    win = g.closure_window(found.distances)
-    return win, win.holds(found.distances)
+    return _closure(g, found.distances)
 
 
 def _scan(g, win, member):
@@ -232,7 +231,7 @@ class SemiboundedProbe:
     verdict: str
 
 
-def semibounded_probe(g, windows, *, seed=0) -> SemiboundedProbe:
+def semibounded_probe(g, windows) -> SemiboundedProbe:
     """Track the bottom of the spectrum across nested windows.
 
     A lower bound k with (Hu, u) >= k (u, u) for all finitely supported u
@@ -246,7 +245,7 @@ def semibounded_probe(g, windows, *, seed=0) -> SemiboundedProbe:
     for window in windows:
         window = sorted(set(window), key=vertex_sort_key)
         trunc = assemble_truncation(g, window)
-        ext = eigen_extremes(trunc, seed=seed)
+        ext = eigen_extremes(trunc)
         ray = float(trunc.matrix.diagonal().real.min())
         rows.append(SemiboundedRow(len(window), ext.lambda_min, ray))
 

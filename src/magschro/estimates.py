@@ -220,8 +220,7 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
 
 
 def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
-                            *, budget=None, anchor_fn: Optional[AnchorFunction] = None,
-                            patch=None):
+                            *, anchor_fn: Optional[AnchorFunction] = None, patch=None):
     """The ramp-weighted symmetry defect at taper radius s.
 
     Sums (1 - P(x)/s)^+ ((Hu)(x) conj(v(x)) - u(x) conj((Hv)(x))) w(x) in
@@ -233,7 +232,7 @@ def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
     if not s > 0:
         raise InputError(f"taper radius must be positive, got {s}")
     if anchor_fn is None:
-        anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q, budget=budget)
+        anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q)
     Hu = schrodinger_apply(g, u, patch=patch)
     Hv = schrodinger_apply(g, v, patch=patch)
     total = 0
@@ -256,14 +255,12 @@ class TaperedDefectReport:
     passed: bool
 
 
-def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *,
-                         budget=None, degree_bound=None,
+def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *, degree_bound=None,
                          anchor_fn: Optional[AnchorFunction] = None) -> TaperedDefectReport:
     """Check the tapered defect against its energy bound at radius s."""
     degree_bound = _degree_bound(g, degree_bound)
     patch = Patch.closure(g, support_union(u, v))
-    value = tapered_symmetry_defect(g, u, v, x0, s, budget=budget, anchor_fn=anchor_fn,
-                                    patch=patch)
+    value = tapered_symmetry_defect(g, u, v, x0, s, anchor_fn=anchor_fn, patch=patch)
     eu = math.sqrt(minorant_weighted_energy(g, u, patch=patch)[0])
     ev = math.sqrt(minorant_weighted_energy(g, v, patch=patch)[0])
     bound = math.sqrt(degree_bound) / s * (norm_w(g, v) * eu + norm_w(g, u) * ev)

@@ -84,11 +84,11 @@ class GraphFile:
     def edges(self) -> list:
         return list(map(EdgeRecord, self.u, self.v, self.a, self.sigma))
 
-    def to_graph(self, *, check=True) -> ExplicitGraph:
+    def to_graph(self) -> ExplicitGraph:
         """The graph of these columns; a duplicate vertex id or edge record is a
         :class:`GraphStructureError`."""
         return ExplicitGraph.from_columns(self.ids, self.w, self.W, self.q,
-                                          self.u, self.v, self.a, self.sigma, check=check)
+                                          self.u, self.v, self.a, self.sigma)
 
 
 class _Refused(Exception):
@@ -294,11 +294,11 @@ def serialize_graph(gf: GraphFile) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
-def load_graph(path, *, check=True) -> ExplicitGraph:
+def load_graph(path) -> ExplicitGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise InputError(f"cannot read graph file {str(path)!r}: {reason}") from None
-    return parse_graph(text).to_graph(check=check)
+    return parse_graph(text).to_graph()

@@ -496,8 +496,7 @@ class ExplicitGraph(WeightedGraph):
             fault = (_vertex_fault(ids, (w, W, q), columns)
                      or _edge_fault(origins, termini, src == dst, a_given, sigma_given,
                                     self._a[back], self._sigma[back], sigma)
-                     or (self._split(row[ids[0]]) if blocks is None
-                         else self._block_fault(order, blocks, src, dst)))
+                     or self._connectivity_fault(order, blocks, src, dst))
             if fault:
                 raise GraphStructureError(fault)
         order = np.array(order, dtype=np.int64)
@@ -514,37 +513,27 @@ class ExplicitGraph(WeightedGraph):
         self.degree_bound = (degree_bound if degree_bound is not None
                              else max(counts.tolist(), default=0))
 
-    def _split(self, start):
-        """The connectivity fault: None, or the first unreachable ids from ``start``."""
-        indptr, indices = self._indptr.tolist(), self._indices.tolist()
-        seen = bytearray(len(self._ids))
-        seen[start] = 1
-        todo = [start]
-        while todo:
-            r = todo.pop()
-            for c in indices[indptr[r]:indptr[r + 1]]:
-                if not seen[c]:
-                    seen[c] = 1
-                    todo.append(c)
-        missing = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)[:5].tolist()
-        if missing:
-            return f"graph is not connected; unreachable: {[self._ids[r] for r in missing]}"
-        return None
-
-    def _block_fault(self, order, sizes, src, dst):
-        """The fault of a union of parts of ``sizes`` vertices, given one after
-        another (``order``: the given place of each row), or None: an edge
-        that joins two parts, or a part that is not connected."""
-        from scipy.sparse import csgraph, csr_matrix  # imported here: only unions pay for it
+    def _connectivity_fault(self, order, blocks, src, dst):
+        """The connectivity fault, or None.  A lone graph (``blocks`` None) is
+        one part, and its fault names the first rows the first given vertex
+        does not reach.  A union's parts have ``blocks`` vertices, given one
+        after another (``order``: the given place of each row); its fault is
+        an edge that joins two parts, or a part that is not connected."""
+        from scipy.sparse import csgraph, csr_matrix  # imported here: lazy graphs never pay for it
+        m = len(order)
+        sizes = [m] if blocks is None else blocks
         part = np.repeat(np.arange(len(sizes)), sizes)[order]
         if (part[src] != part[dst]).any():
             return "an edge joins two parts of the union"
-        m = len(order)
-        count, _ = csgraph.connected_components(
+        count, label = csgraph.connected_components(
             csr_matrix((np.ones(len(self._indices)), self._indices, self._indptr), shape=(m, m)),
             directed=False)
+        if blocks is None:
+            missing = np.flatnonzero(label != label[order.index(0)])[:5].tolist()
+            if missing:
+                return f"graph is not connected; unreachable: {[self._ids[r] for r in missing]}"
         # with no edge between them, nonempty parts are one component each iff connected
-        if count != len(sizes) or 0 in sizes:
+        elif count != len(sizes) or 0 in sizes:
             return "a part of the union is not connected"
         return None
 

@@ -459,11 +459,6 @@ class CompletenessReport:
         return self.verdict.endswith("(exact)")
 
 
-def _probe_trail_every(budget) -> int:
-    """Trail cadence of the completeness probe: 64 checkpoints over the budget."""
-    return max(1, budget // 64)
-
-
 def completeness_probe(g, x0, budget=None) -> CompletenessReport:
     """Gather evidence for or against completeness of the weighted metric.
 
@@ -482,12 +477,12 @@ def completeness_probe(g, x0, budget=None) -> CompletenessReport:
 def _completeness_report(g, x0, budget, result) -> CompletenessReport:
     """The probe's verdict on a finished with-q search from ``x0`` with ``budget``.
 
-    The radius trail checkpoints the settled distances every
-    :func:`_probe_trail_every` vertices.
+    The radius trail checkpoints the settled distances 64 times over the
+    budget.
     """
     dists = result.settled_distances()
     count = len(dists)
-    every = _probe_trail_every(budget)
+    every = max(1, budget // 64)
     trail = [(j, dists[j - 1].item()) for j in range(every, count + 1, every)]
     radius = result.settled_radius if result.budget_hit else (
         dists[-1].item() if count else 0.0)
@@ -592,11 +587,6 @@ class CutoffCheckReport:
         return not self.violations
 
 
-def _pair_distance(g, x, y, q_mode, budget) -> float:
-    found = distance(g, x, y, q_mode=q_mode, budget=budget)
-    return edge_length(g, OrientedEdge(x, y), q_mode) if found is None else found
-
-
 def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
     """Verify the defining properties of the cut-off bump around ``x0``.
 
@@ -613,11 +603,12 @@ def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
     if not result.complete:
         raise BudgetExhaustedError(
             f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
-    chi = CutoffFunction(g, x0, n, budget=budget)
     dists = result.distances
+    # chi from this search: its distances up to 2n are those of the 2n-ball's
+    chi = {x: _ramp(n, d) for x, d in dists.items()}
 
     for x, d in dists.items():
-        val = chi.value(x) if d <= 2.0 * n else _ramp(n, d)
+        val = chi[x]
         if not (0.0 <= val <= 1.0):
             violations.append(("range", x, val))
         if d <= n and val != 1.0:
@@ -634,7 +625,7 @@ def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
         if _ramp(m_limit, d) != 1.0:
             violations.append(("limit", x, _ramp(m_limit, d)))
 
-    support = chi.support()
+    support = sorted((x for x, d in dists.items() if d < 2.0 * n), key=vertex_sort_key)
     seen = set()
     for x in support:
         for e, _ in g.neighbors(x):
@@ -642,9 +633,10 @@ def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
             if key in seen:
                 continue
             seen.add(key)
-            co = chi.value(e.origin)
-            ct = chi.value(e.terminus)
-            bound = _pair_distance(g, e.origin, e.terminus, UNIT_Q, budget) / n
+            co = chi.get(e.origin, 0.0)
+            ct = chi.get(e.terminus, 0.0)
+            found = distance(g, e.origin, e.terminus, q_mode=UNIT_Q, budget=budget)
+            bound = (edge_length(g, e, UNIT_Q) if found is None else found) / n
             if abs(ct - co) > bound + CUTOFF_SLACK:
                 violations.append(("gradient", e, abs(ct - co) - bound))
 

@@ -7,7 +7,7 @@ support (:meth:`~magschro.graphs.WeightedGraph.closure_window`), read once;
 :func:`schrodinger_apply` and the residuals also take, as ``patch=``, one
 built for several calls.  Formulas are array expressions over its vertices
 and numbered edges; sums keep the order of the defining loops
-(``np.add.at`` per vertex, ``cumsum`` across).  Float data run in float64,
+(``np.add.at`` per vertex and per block).  Float data run in float64,
 or complex128 when a phase or value is complex; exact scalars
 (``Fraction``, :class:`~magschro.exact.ComplexRational`) go through object
 arrays and keep their exact arithmetic.  Results are Python scalars.
@@ -122,16 +122,12 @@ class Patch:
         """Per block, the sum of a loop that adds, starting at 0, its values
         of each part in turn; a part is ``(values, block)``, in block order.
 
-        Each block's values go to one row of a zero-padded array, and the
-        last column of its ``cumsum`` adds them as the loop does."""
-        values = np.concatenate([v for v, _ in parts])
-        block = np.concatenate([b for _, b in parts])
-        order = block.argsort(kind="stable")
-        block = block[order]
-        counts = np.bincount(block, minlength=self.blocks)
-        padded = np.zeros((self.blocks, max(counts.max(), 1)), values.dtype)
-        padded[block, np.arange(len(block)) - (counts.cumsum() - counts)[block]] = values[order]
-        return padded.cumsum(axis=1)[:, -1]
+        ``np.add.at`` adds repeated indices one at a time in index order, so
+        each block's sum is the loop's."""
+        out = np.zeros(self.blocks, np.result_type(*(v for v, _ in parts)))
+        for values, block in parts:
+            np.add.at(out, block, values)
+        return out
 
     @cached_property
     def ends(self):

@@ -347,9 +347,13 @@ def test_far_end_inputs(capsys):
      "--seed must be a non-negative integer, got -1"),
     (["spectrum", "--family", "path-nat", "--windows", "10", "--seed", "-2"],
      "--seed must be a non-negative integer, got -2"),
+    (["spectrum", "--family", "path", "--size", "10", "--windows=-3,5"],
+     "--windows: window size -3 must be at least 1"),
+    (["spectrum", "--family", "path-nat", "--windows", "5,0"],
+     "--windows: window size 0 must be at least 1"),
 ], ids=["identities-negative", "identities-0", "max-vertices-3", "reproduce-0",
         "identities-seed-negative", "estimate-seed-negative", "reproduce-seed-negative",
-        "spectrum-seed-negative"])
+        "spectrum-seed-negative", "spectrum-window-finite", "spectrum-window-infinite"])
 def test_suite_sizes_below_minimum_exit_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -262,6 +262,31 @@ def test_a_patch_numbers_only_its_own_edges():
     assert P.edge_vector(EdgeFunction(g, {(3, 4): 2.0})).tolist() == [0.0, 2.0]
 
 
+@pytest.mark.parametrize("kind", ["float64", "complex128", "fraction"])
+def test_patch_sums_add_each_part_in_loop_order(kind):
+    g = ExplicitGraph.from_columns([1, 2, 3, 4, 5, 6], [1.0] * 6, [0.0] * 6, [1.0] * 6,
+                                   [1, 3, 5], [2, 4, 6], [1.0] * 3, [1.0] * 3, blocks=[2, 2, 2])
+    P = Patch.closure(g, g.vertices(), starts=[1, 3, 5])
+    rng = np.random.default_rng(5)
+    parts = []
+    for size in (40, 25):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        if kind == "complex128":
+            values = values + 1j * rng.standard_normal(size)
+        elif kind == "fraction":
+            values = np.array([Fraction(x) for x in values.tolist()], dtype=object)
+        parts.append((values, rng.integers(0, 3, size)))  # interleaved block labels
+    want = [Fraction(0) if kind == "fraction" else 0] * 3
+    for values, block in parts:
+        for x, b in zip(values.tolist(), block.tolist()):
+            want[b] = want[b] + x
+    got = P.sums(*parts).tolist()
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_residuals_refuse_overflowing_inputs():
     g = unit_path(3)
     u = VertexFunction({1: 1e308, 2: -1e308})
