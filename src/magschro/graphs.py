@@ -402,10 +402,11 @@ class ExplicitGraph(WeightedGraph):
     sorted by column, that is by terminus.  Each column holds the given
     numbers as numpy infers one dtype for it over the whole graph: float64
     or complex128 for floats, objects for exact scalars such as
-    ``Fraction``.  ``vertex`` reads records built once, ``neighbors`` builds
-    the records of a row on its first read and keeps them, edge lookups
-    binary-search the row, and windows are sliced from the arrays but for the
-    whole graph's, built once, which shares them and the id -> row dict.
+    ``Fraction``.  The first ``vertex`` read builds every vertex record,
+    ``neighbors`` builds the records of a row on its first read and keeps
+    them, edge lookups binary-search the row, and windows are sliced from the
+    arrays but for the whole graph's, built once, which shares them and the
+    id -> row dict.
     """
 
     is_finite = True
@@ -507,8 +508,7 @@ class ExplicitGraph(WeightedGraph):
         for held in vars(self._whole).values():
             held.flags.writeable = False  # windows share them
         object.__setattr__(self._whole, "row_by_id", row)  # the graph's own id -> row dict
-        self._records = list(map(VertexData, self._w.tolist(), self._W.tolist(),
-                                 self._q.tolist()))
+        self._records = []  # vertex records, all built on the first read
         self._lists = [None] * m  # neighbor lists, built on first read
         self.degree_bound = (degree_bound if degree_bound is not None
                              else max(counts.tolist(), default=0))
@@ -545,6 +545,10 @@ class ExplicitGraph(WeightedGraph):
             return self._records[self._row[x]]
         except KeyError:
             raise UnknownVertexError(x) from None
+        except IndexError:  # no record built yet
+            self._records = list(map(VertexData, self._w.tolist(), self._W.tolist(),
+                                     self._q.tolist()))
+            return self._records[self._row[x]]
 
     def neighbors(self, x):
         try:

@@ -218,6 +218,15 @@ def test_spectrum_bad_window_token_exits_2(capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_spectrum_on_a_limit_circle_ray_exits_2_at_the_restart_cap(capsys):
+    argv = ["spectrum", "--family", "path-nat", "--w", "n^-2", "--a", "n^3",
+            "--windows", "2000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Lanczos did not converge within LANCZOS_MAXITER=" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_estimate_budget_exhausted_exits_1(capsys):
     code = main(["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)",
                  "--lipschitz-c", "1", "--trials", "2", "--window", "30", "--budget", "3"])

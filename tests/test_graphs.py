@@ -317,3 +317,16 @@ def test_edge_table_on_int_str_and_mixed_ids(graph):
             g.edge_data((x, x))
         with pytest.raises(InputError):
             g.edge_data(("nowhere", x))
+
+
+def test_vertex_records_are_built_on_the_first_read():
+    g = ExplicitGraph({"b": (2.0, -1.0, 3.0), "a": (1.0, 0.0, 1.0)},
+                      {("a", "b"): (1.0, 1.0)})
+    assert g._records == []  # building the graph builds no record
+    with pytest.raises(UnknownVertexError):
+        g.vertex("c")
+    assert g._records == []
+    assert g.vertex("b") == VertexData(2.0, -1.0, 3.0)
+    assert g._records == [VertexData(1.0, 0.0, 1.0), VertexData(2.0, -1.0, 3.0)]
+    with pytest.raises(UnknownVertexError):
+        g.vertex("c")

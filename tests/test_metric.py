@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_vertex_graph
+from lattices import flux_lattice
 from loop_oracles import window_walk
 from magschro import criteria, metric
 from magschro.criteria import selfadjointness_criteria
@@ -204,28 +205,10 @@ def test_cutoff_property_check_random_graphs(rng):
         assert report.ok, report.violations
 
 
-def _flux_lattice(side, seed):
-    """A seeded side x side lattice with a Landau-gauge flux on its vertical
-    edges and log-uniform w, a and q (q in [1, 4])."""
-    rng = np.random.default_rng(seed)
-    cells = [(r, c) for r in range(side) for c in range(side)]
-    ids = [r * side + c for r, c in cells]
-    w = np.exp(rng.uniform(math.log(0.5), math.log(2.0), len(ids)))
-    q = np.exp(rng.uniform(0.0, math.log(4.0), len(ids)))
-    pairs = [(x, x + 1) for x, (r, c) in zip(ids, cells) if c + 1 < side]
-    pairs += [(x, x + side) for x, (r, c) in zip(ids, cells) if r + 1 < side]
-    a = np.exp(rng.uniform(math.log(2.0), math.log(8.0), len(pairs)))
-    sigma = [1.0 if y == x + 1 else complex(math.cos(0.2 * math.pi * (x % side)),
-                                            math.sin(0.2 * math.pi * (x % side)))
-             for x, y in pairs]
-    return ExplicitGraph.from_columns(ids, w, -q + rng.exponential(1.0, len(ids)), q,
-                                      [x for x, _ in pairs], [y for _, y in pairs], a, sigma)
-
-
 def _cutoff_cases():
     well = quadratic_well_ray()
     yield from ((well, 1, n) for n in range(1, 61))
-    lattice = _flux_lattice(40, 1)
+    lattice = flux_lattice(40, 1)
     centres = np.random.default_rng(2).choice(lattice.vertices(), 20, replace=False).tolist()
     yield from ((lattice, x, n) for x in centres for n in (1, 2))
     rng = np.random.default_rng(3)

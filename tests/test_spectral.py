@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from lattices import flux_lattice
 from loop_oracles import loop_truncation
 from magschro import spectral
 from magschro.errors import EigensolveError, InputError
@@ -322,3 +323,58 @@ def test_scattered_ray_windows_are_read_from_the_oracle():
     g = quadratic_well_ray()
     g._cut = lambda lo, hi: pytest.fail("a scattered window has no run")
     assert assemble_truncation(g, [1, 2, 4]).size == 3
+
+
+def _hermitian_part(trunc):
+    S = trunc.symmetrized()
+    herm = ((S + S.conjugate().transpose()) / 2).tocsr()
+    return herm if np.any(herm.data.imag) else herm.real
+
+
+@pytest.mark.parametrize("case", ["well-5000", "flux-lattice-400"])
+def test_shift_factor_keeps_the_diagonal_pivots_of_a_definite_matrix(case):
+    # the factor behind each Lanczos shift: no row exchange, and every pivot
+    # carries the sign of H - sigma I (positive below the spectrum, negative
+    # above), so it counts inertia as well as solving
+    if case == "well-5000":
+        trunc = assemble_truncation(quadratic_well_ray(), range(1, 5001))
+    else:
+        g = flux_lattice(20, 1)
+        trunc = assemble_truncation(g, g.vertices())
+    assert trunc.size > spectral.DENSE_CUTOFF
+    herm = _hermitian_part(trunc)
+    assert herm.dtype == (np.float64 if case == "well-5000" else np.complex128)
+    shifts = eigen_extremes(trunc).shifts
+    for sign, sigma in zip((1, -1), shifts):
+        lu = spectral._shift_factor(herm, sigma)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        pivots = lu.U.diagonal()
+        assert np.all(sign * pivots.real > 0)
+        assert np.all(np.abs(pivots.imag) <= 1e-12 * np.abs(pivots.real))
+
+
+def test_flux_lattice_lanczos_agrees_with_dense_and_counts_its_solves(monkeypatch):
+    solves = []
+    factor = spectral._shift_factor
+
+    def counting_factor(herm, sigma):
+        lu = factor(herm, sigma)
+        solves.append(0)
+
+        class Counting:
+            def solve(self, rhs):
+                solves[-1] += 1
+                return lu.solve(rhs)
+
+        return Counting()
+
+    monkeypatch.setattr(spectral, "_shift_factor", counting_factor)
+    g = flux_lattice(20, 1)
+    trunc = assemble_truncation(g, g.vertices())
+    ext = eigen_extremes(trunc)
+    assert ext.method == "lanczos" and ext.residual <= spectral.RESIDUAL_CONTRACT
+    assert ext.solves == tuple(solves) and min(solves) > 0
+    vals = np.linalg.eigvalsh(trunc.symmetrized().toarray())
+    scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
+    assert abs(ext.lambda_min - vals[0]) <= spectral.RESIDUAL_CONTRACT * scale
+    assert abs(ext.lambda_max - vals[-1]) <= spectral.RESIDUAL_CONTRACT * scale
