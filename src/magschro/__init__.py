@@ -86,6 +86,7 @@ from .estimates import (
     gradient_energy_inequality,
     minorant_weighted_energy,
     tapered_defect_bound,
+    tapered_defect_profile,
     tapered_symmetry_defect,
     weighted_gradient_energy,
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .criteria import selfadjointness_criteria
 from .errors import BudgetExhaustedError, InputError, MagschroError
-from .estimates import energy_bound_check, tapered_defect_bound
+from .estimates import energy_bound_check, tapered_defect_profile
 from .families import FamilySpec, make_family
 from .graphio import load_graph
 from .metric import WITH_Q, UNIT_Q, AnchorFunction, ball, distance
@@ -240,12 +240,9 @@ def _cmd_estimate(args) -> int:
     sweep_reports = []
     for _ in range(pairs):
         u, v = draw(), draw()
-        sweep_reports = []
-        for s in radii:
-            rep = tapered_defect_bound(g, u, v, x0, s, anchor_fn=anchor_fn)
-            sweep_reports.append((s, rep))
-            if not rep.passed:
-                sweep_failures += 1
+        sweep_reports = list(zip(radii, tapered_defect_profile(g, u, v, x0, radii,
+                                                               anchor_fn=anchor_fn)))
+        sweep_failures += sum(not rep.passed for _, rep in sweep_reports)
     print(f"tapered defect bound: {sweep_failures} violations over {pairs} pairs "
           f"x {len(radii)} radii")
     ok = energy_failures == 0 and sweep_failures == 0

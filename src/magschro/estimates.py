@@ -9,7 +9,20 @@ u and Hu alone.  The tapered symmetry defect weights the pointwise defect
 (Hu) conj(v) - u conj(Hv) by a ramp that vanishes beyond metric radius s
 from a base vertex; its size is controlled by E(u), E(v) and 1/s, and it
 recovers the plain defect (which vanishes for finitely supported inputs) as
-s grows.
+s grows.  :func:`tapered_defect_profile` checks it at several radii, sharing
+everything but the ramp.
+
+Each check reads one :class:`~magschro.operators.Patch`, the one-hop closure
+of the supports (the gradient inequality also reads that of phi), and works
+on its arrays: u, v, Hu and Hv by row, the energies by edge, the weights
+from the window.  The results are those of the defining loops over Python
+scalars, bit for bit: sums run in the loop's order (vertices in id order,
+edges in edge order) from the loop's start (0, or 0.0 where the loop starts
+there), complex products go through
+:func:`~magschro.operators.python_product`, and moduli are Python's
+``abs(x) ** 2`` of each scalar.  Exact data go through object arrays, where
+an int weight of phi stays an int.  The anchor distance is read only where
+the defect is nonzero, in id order, as the loop reads it.
 """
 
 from __future__ import annotations
@@ -20,11 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import lipschitz_best_constant, positive_part
+from .criteria import lipschitz_best_constant
 from .errors import InputError, MinorantViolationError, require_finite, require_nonnegative
-from .functions import VertexFunction, norm_w, support_union
+from .functions import VertexFunction, support_union
 from .metric import AnchorFunction, WITH_Q
-from .operators import Patch, schrodinger_apply
+from .operators import Patch, python_product
 
 SLACK_TOL = 1e-10
 
@@ -58,50 +71,85 @@ def _degree_bound(g, degree_bound):
     return degree_bound
 
 
-def _gradient(g, u: VertexFunction, patch):
-    """The patch, the numbers of its edges where du is nonzero, and |du|^2 there.
+def _scalars(values, like=None) -> np.ndarray:
+    """The Python scalars ``values`` as an array to multiply ``like`` by: objects,
+    as they are, where ``like`` holds objects, since an exact number must meet
+    an int as an int and not as the float that numpy makes of it in a mix."""
+    return np.array(values, dtype=object if like is not None and like.dtype == object else None)
 
-    |du|^2 is taken of the Python scalars, as the differential returns them.
-    """
-    P = patch or Patch.closure(g, u.support)
-    du = P.differential(P.vector(u))
+
+def _squares(values, like=None) -> np.ndarray:
+    """``abs(x) ** 2`` of each value as a Python scalar (``np.abs`` of a complex128
+    can differ from Python's ``abs`` in the last bit), as :func:`_scalars`."""
+    return _scalars([abs(x) ** 2 for x in values.tolist()], like)
+
+
+def _sum(P, terms):
+    """The sum of a loop that adds the ``terms`` in turn to the int 0, as a
+    Python scalar (numpy's zero of their dtype adds as the int 0 does)."""
+    return P.sums((terms, np.zeros(len(terms), np.intp))).tolist()[0]
+
+
+def _float_sum(P, terms):
+    """The sum of a loop that adds the ``terms`` in turn to 0.0: each exact
+    term turns into a float as it is added, and a complex one makes it complex."""
+    return _sum(P, terms if terms.dtype.kind == "c" else terms.astype(np.float64))
+
+
+def _norm(P, values) -> float:
+    """The weighted norm of the function with ``values`` by row of ``P``."""
+    at = np.flatnonzero(values != 0)
+    w = P.window.w[at]
+    return math.sqrt(_float_sum(P, w * _squares(values[at], w)))
+
+
+def _gradient(P, uu):
+    """The numbers of the edges of ``P`` where du is nonzero, and |du|^2 there."""
+    du = P.differential(uu)
     at = np.flatnonzero(du != 0)
-    du2 = [abs(v) ** 2 for v in du[at].tolist()]
-    require_finite(*du2)
-    return P, at, np.array(du2)
+    du2 = _squares(du[at])
+    require_finite(*du2.tolist())
+    return at, du2
 
 
-def _sum(P, terms, at):
-    """The sum of a loop over the ``terms`` of the edges ``at`` of ``P``, in order."""
-    return P.sums((terms, P.edge_block[at])).tolist()[0]
+def _energy(P, uu):
+    """The squared minorant-weighted energy of the function with values ``uu``
+    by row of ``P``, the edges where du is nonzero and the energy's term on each."""
+    at, du2 = _gradient(P, uu)
+    q = P.window.q
+    terms = 1.0 / np.maximum(q[P.o[at]], q[P.t[at]]) * P.ca[at] * du2
+    return float(_sum(P, terms)), at, terms
 
 
-def minorant_weighted_energy(g, u: VertexFunction, *, patch=None):
+def _contributions(P, at, terms) -> dict:
+    """The energy's term on each edge ``at``, keyed by its ends in id order."""
+    ids = P.window.ids
+    return dict(zip(zip(ids[P.o[at]].tolist(), ids[P.t[at]].tolist()), terms.tolist()))
+
+
+def minorant_weighted_energy(g, u: VertexFunction):
     """The squared energy and its per-edge contributions.
 
     Returns ``(value, contributions)`` where contributions maps each
-    normalized edge to min(1/q(o), 1/q(t)) a(e) |du(e)|^2.  ``patch``, if
-    given, holds the one-hop closure of the support of u (see
-    :class:`~magschro.operators.Patch`).
+    normalized edge to min(1/q(o), 1/q(t)) a(e) |du(e)|^2.
     """
-    P, at, du2 = _gradient(g, u, patch)
-    q = P.window.q
-    terms = 1.0 / np.maximum(q[P.o[at]], q[P.t[at]]) * P.ca[at] * du2
-    return (float(_sum(P, terms, at)),
-            dict(zip([tuple(P.keys[k]) for k in at.tolist()], terms.tolist())))
+    P = Patch.closure(g, u.support)
+    energy_sq, at, terms = _energy(P, P.vector(u))
+    return energy_sq, _contributions(P, at, terms)
 
 
-def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction, *,
-                             patch=None) -> float:
-    """sqrt of sum over canonical edges of a(e) |du(e)|^2 mean(phi^2)(e).
-
-    ``patch``, if given, holds the one-hop closure of the support of u.
-    """
-    _require_real(phi)
-    P, at, du2 = _gradient(g, u, patch)
+def _weighted_gradient_energy(P, uu, phi: VertexFunction) -> float:
+    at, du2 = _gradient(P, uu)
     ids = P.window.ids
     po, pt = (np.array([phi(x) for x in ids[end[at]].tolist()]) for end in (P.o, P.t))
-    return math.sqrt(_sum(P, P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2), at))
+    return math.sqrt(_sum(P, P.ca[at] * du2 * ((po ** 2 + pt ** 2) / 2)))
+
+
+def weighted_gradient_energy(g, u: VertexFunction, phi: VertexFunction) -> float:
+    """sqrt of sum over canonical edges of a(e) |du(e)|^2 mean(phi^2)(e)."""
+    _require_real(phi)
+    P = Patch.closure(g, u.support)
+    return _weighted_gradient_energy(P, P.vector(u), phi)
 
 
 @dataclass
@@ -118,6 +166,14 @@ class GradientEnergyReport:
         return self.operator_term + self.minorant_term + self.commutator_term
 
 
+def _at_rows(values, rows, inside, w):
+    """``values`` at ``rows`` and 0 where not ``inside``: the int 0 of a missing
+    dict value where ``values`` or the weights ``w`` are objects."""
+    out = np.zeros(len(rows), np.result_type(values, w))
+    out[inside] = values[rows[inside]]
+    return out
+
+
 def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> GradientEnergyReport:
     """Check the localization inequality for the phi-weighted gradient energy.
 
@@ -129,33 +185,36 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     win = g.closure_window(phi.support)
     _require_minorant(win, "gradient energy inequality")
 
-    patch = Patch.closure(g, u.support)
-    energy = weighted_gradient_energy(g, u, phi, patch=patch)
+    P = Patch.closure(g, u.support)
+    uu = P.vector(u)
+    energy = _weighted_gradient_energy(P, uu, phi)
     energy_sq = energy ** 2
 
-    Hu = schrodinger_apply(g, u, patch=patch)
-    op_term = 0
-    minorant_term = 0.0
-    for x in support_union(Hu, u, phi):
-        rec = g.vertex(x)
-        phi2 = phi(x) ** 2
-        if phi2 == 0:
-            continue
-        op_term = op_term + rec.weight * phi2 * Hu(x) * u(x).conjugate()
-        minorant_term += rec.weight * phi2 * rec.minorant * abs(u(x)) ** 2
-    op_term = abs(op_term)
+    # phi, u and Hu by row of phi's window; u and Hu are the loop's 0 off u's patch
+    ids = win.ids.tolist()
+    ph = [phi(x) for x in ids]
+    rows = np.array([P.row.get(x, -1) for x in ids], np.int64)
+    inside = rows >= 0
+    uw, Huw = (_at_rows(f, rows, inside, win.w) for f in (uu, P.schrodinger(uu)))
+
+    phi2 = _scalars([p ** 2 for p in ph], win.w)
+    at = np.flatnonzero(phi2 != 0)
+    wp = win.w[at] * phi2[at]
+    op_term = abs(_sum(P, python_product(wp * Huw[at], np.conj(uw[at])))) if len(at) else 0
+    wpq = wp * win.q[at]
+    minorant_term = _float_sum(P, wpq * _squares(uw[at], wpq))
 
     # the entries o -> t with o < t, in edge order; dphi vanishes unless an end is in supp phi
     src, dst = win.rows(), win.indices
     at = np.flatnonzero(src < dst)
-    cross = 0.0
-    for o, t, a, sigma in zip(win.ids[src[at]].tolist(), win.ids[dst[at]].tolist(),
-                              win.a[at].tolist(), win.sigma[at].tolist()):
-        dphi = phi(t) - phi(o)
-        if dphi == 0:
-            continue
-        phased = (sigma * u(t).conjugate() + u(o).conjugate()) / 2
-        cross += a * abs(dphi) ** 2 * abs(phased) ** 2
+    o, t = src[at], dst[at]
+    ph = _scalars(ph, win.a)
+    dphi = ph[t] - ph[o]
+    moving = np.flatnonzero(dphi != 0)
+    o, t, at = o[moving], t[moving], at[moving]
+    phased = (python_product(win.sigma[at], np.conj(uw[t])) + np.conj(uw[o])) / 2
+    a = win.a[at] * _squares(dphi[moving], win.a)
+    cross = _float_sum(P, a * _squares(phased, a))
     commutator_term = 2.0 * energy * math.sqrt(cross)
 
     bound = op_term + minorant_term + commutator_term
@@ -193,8 +252,8 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
     Lipschitz constant that is NaN, infinite or negative.
     """
     require_nonnegative("the Lipschitz constant", lipschitz_constant)
-    patch = Patch.closure(g, u.support)
-    _require_minorant(patch.window, "energy bound")
+    P = Patch.closure(g, u.support)
+    _require_minorant(P.window, "energy bound")
 
     degree_bound = _degree_bound(g, degree_bound)
     if lipschitz_constant is None:
@@ -202,9 +261,9 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
             raise InputError("a Lipschitz constant is required on infinite graphs")
         lipschitz_constant = lipschitz_best_constant(g, g.vertices()).constant
 
-    energy_sq, contributions = minorant_weighted_energy(g, u, patch=patch)
-    nu = norm_w(g, u)
-    nHu = norm_w(g, schrodinger_apply(g, u, patch=patch))
+    uu = P.vector(u)
+    energy_sq, at, terms = _energy(P, uu)
+    nu, nHu = _norm(P, uu), _norm(P, P.schrodinger(uu))
     bound = 2.0 * ((2.0 * lipschitz_constant ** 2 * degree_bound + 1.0) * nu ** 2 + nHu * nu)
     slack = bound - energy_sq
     scale = max(energy_sq, bound, 1.0)
@@ -213,38 +272,47 @@ def energy_bound_check(g, u: VertexFunction, *, lipschitz_constant=None,
         bound=bound,
         lipschitz_constant=lipschitz_constant,
         degree_bound=degree_bound,
-        contributions=contributions,
+        contributions=_contributions(P, at, terms),
         slack=slack,
         passed=slack >= -SLACK_TOL * scale,
     )
 
 
+def _require_radius(s):
+    if not s > 0:
+        raise InputError(f"taper radius must be positive, got {s}")
+
+
+def _tapered_defects(g, P, uu, vv, x0, radii, anchor_fn):
+    """The tapered defect of the functions with values ``uu`` and ``vv`` by row
+    of ``P`` at each radius of ``radii``: the loop's int 0 where no term is left."""
+    if anchor_fn is None:
+        anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q)
+    Hu, Hv = P.schrodinger(uu), P.schrodinger(vv)
+    defect = python_product(Hu, np.conj(vv)) - python_product(uu, np.conj(Hv))
+    rows = np.flatnonzero(defect != 0)
+    d = np.array([anchor_fn(x) for x in P.window.ids[rows].tolist()])
+    defect, w = defect[rows], P.window.w[rows]
+    values = []
+    for s in radii:
+        ramp = 1.0 - d / s
+        kept = np.flatnonzero(ramp > 0)
+        values.append(_sum(P, ramp[kept] * defect[kept] * w[kept]) if len(kept) else 0)
+    return values
+
+
 def tapered_symmetry_defect(g, u: VertexFunction, v: VertexFunction, x0, s,
-                            *, anchor_fn: Optional[AnchorFunction] = None, patch=None):
+                            *, anchor_fn: Optional[AnchorFunction] = None):
     """The ramp-weighted symmetry defect at taper radius s.
 
     Sums (1 - P(x)/s)^+ ((Hu)(x) conj(v(x)) - u(x) conj((Hv)(x))) w(x) in
     ascending vertex order, with P the metric distance from x0.  The sum is
     finite because u and v are; vertices outside metric radius s contribute
-    nothing.  ``patch``, if given, holds the one-hop closure of the
-    supports of u and v.
+    nothing, and with no term left the sum is the int 0.
     """
-    if not s > 0:
-        raise InputError(f"taper radius must be positive, got {s}")
-    if anchor_fn is None:
-        anchor_fn = AnchorFunction(g, x0, q_mode=WITH_Q)
-    Hu = schrodinger_apply(g, u, patch=patch)
-    Hv = schrodinger_apply(g, v, patch=patch)
-    total = 0
-    for x in support_union(Hu, u, Hv, v):
-        defect = Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()
-        if defect == 0:
-            continue
-        ramp = positive_part(1.0 - anchor_fn(x) / s)
-        if ramp == 0:
-            continue
-        total = total + ramp * defect * g.vertex(x).weight
-    return total
+    _require_radius(s)
+    P = Patch.closure(g, support_union(u, v))
+    return _tapered_defects(g, P, P.vector(u), P.vector(v), x0, [s], anchor_fn)[0]
 
 
 @dataclass
@@ -255,20 +323,37 @@ class TaperedDefectReport:
     passed: bool
 
 
+def tapered_defect_profile(g, u: VertexFunction, v: VertexFunction, x0, radii, *,
+                           degree_bound=None, anchor_fn: Optional[AnchorFunction] = None
+                           ) -> list:
+    """Check the tapered defect against its energy bound at each radius of
+    ``radii``, one :class:`TaperedDefectReport` per radius.
+
+    The patch, Hu and Hv, the pointwise defect, the anchor distances, the
+    energies and the norms are taken once; only the ramp depends on the radius.
+    """
+    degree_bound = _degree_bound(g, degree_bound)
+    P = Patch.closure(g, support_union(u, v))
+    radii = list(radii)
+    for s in radii:
+        _require_radius(s)
+    uu, vv = P.vector(u), P.vector(v)
+    values = _tapered_defects(g, P, uu, vv, x0, radii, anchor_fn)
+    eu, ev = (math.sqrt(_energy(P, f)[0]) for f in (uu, vv))
+    energy_term = _norm(P, vv) * eu + _norm(P, uu) * ev
+    reports = []
+    for s, value in zip(radii, values):
+        bound = math.sqrt(degree_bound) / s * energy_term
+        slack = bound - abs(value)
+        scale = max(abs(value), bound, 1.0)
+        reports.append(TaperedDefectReport(value=value, bound=bound, slack=slack,
+                                           passed=slack >= -SLACK_TOL * scale))
+    return reports
+
+
 def tapered_defect_bound(g, u: VertexFunction, v: VertexFunction, x0, s, *, degree_bound=None,
                          anchor_fn: Optional[AnchorFunction] = None) -> TaperedDefectReport:
-    """Check the tapered defect against its energy bound at radius s."""
-    degree_bound = _degree_bound(g, degree_bound)
-    patch = Patch.closure(g, support_union(u, v))
-    value = tapered_symmetry_defect(g, u, v, x0, s, anchor_fn=anchor_fn, patch=patch)
-    eu = math.sqrt(minorant_weighted_energy(g, u, patch=patch)[0])
-    ev = math.sqrt(minorant_weighted_energy(g, v, patch=patch)[0])
-    bound = math.sqrt(degree_bound) / s * (norm_w(g, v) * eu + norm_w(g, u) * ev)
-    slack = bound - abs(value)
-    scale = max(abs(value), bound, 1.0)
-    return TaperedDefectReport(
-        value=value,
-        bound=bound,
-        slack=slack,
-        passed=slack >= -SLACK_TOL * scale,
-    )
+    """Check the tapered defect against its energy bound at radius s: the
+    profile at one radius."""
+    return tapered_defect_profile(g, u, v, x0, [s], degree_bound=degree_bound,
+                                  anchor_fn=anchor_fn)[0]

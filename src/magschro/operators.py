@@ -31,6 +31,13 @@ rounds complex products differently in the last bit (numpy 2.4).  The
 residuals of a patch whose arrays reach that size can therefore differ in
 the last bits from those of a smaller patch; the identity suite keeps its
 stacked patches below it.
+
+numpy's complex128 ``*`` is consistent with itself, but it is not Python's
+``complex * complex``: where numpy fuses the multiply and add (its AVX-512
+kernels do), about half of random products differ from Python's in the last
+bit.  Code that must equal a loop over Python scalars, as the estimates of
+:mod:`magschro.estimates` do, forms complex products by :func:`python_product`.
+A product of a real and a complex number is the same either way.
 """
 
 from __future__ import annotations
@@ -62,8 +69,8 @@ class Patch:
 
     Build one for the graph view ``g`` with :meth:`closure` and pass it as
     ``patch=`` to share it among calls on ``g`` whose functions it covers
-    (:func:`schrodinger_apply`, the residuals, the energies of
-    :mod:`magschro.estimates`).  The CSR entries with row < column are the window's unoriented edges, in
+    (:func:`schrodinger_apply`, the residuals).  The CSR entries with row <
+    column are the window's unoriented edges, in
     :func:`~magschro.graphs.edge_sort_key` order: edge k joins rows
     ``o[k] < t[k]``, with ``sigma[k]`` the phase of o -> t.  ``co``, ``ct``,
     ``ca`` and ``csigma`` are the rows and data of its canonical orientation,
@@ -224,6 +231,20 @@ class Patch:
 
     def schrodinger(self, u):
         return self.laplacian(u) + self.window.W * u
+
+
+def python_product(x, y):
+    """``x * y`` by element, each complex product rounded as Python's
+    ``complex * complex`` rounds it: (ar br - ai bi) + (ar bi + ai br) i, one
+    ufunc per step.  A real operand is complex with imaginary part 0.0, as
+    Python takes it; real and object operands multiply as they are."""
+    kinds = x.dtype.kind + y.dtype.kind
+    if "c" not in kinds or "O" in kinds:
+        return x * y
+    re = x.real * y.real - x.imag * y.imag
+    out = np.empty(re.shape, np.complex128)
+    out.real, out.imag = re, x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _moduli(values):

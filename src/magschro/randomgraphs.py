@@ -26,7 +26,7 @@ from .functions import EdgeFunction, VertexFunction
 from .graphs import ExplicitGraph
 
 # the bounds of the uniform draws of a log weight (of a vertex or an edge), then of an angle
-_LOW, _HIGH = (math.log(0.1), 0.0), (math.log(10.0), 2.0 * math.pi)
+_LOW, _HIGH = np.array([math.log(0.1), 0.0]), np.array([math.log(10.0), 2.0 * math.pi])
 
 
 class GraphColumns(NamedTuple):
@@ -60,7 +60,9 @@ def random_columns(rng: np.random.Generator, *, min_vertices=4, max_vertices=40,
     w = np.exp(rng.uniform(_LOW[0], _HIGH[0], size=n))
     q = 1.0 + np.abs(rng.normal(0.0, 2.0, size=n))
     W = -q + rng.exponential(2.0, size=n) if ensure_minorant else rng.normal(0.0, 5.0, size=n)
-    log_a, angle = rng.uniform(_LOW, _HIGH, size=(len(origins), 2)).T
+    # rng.uniform(_LOW, _HIGH, size) as numpy computes it, low + (high - low) * U,
+    # in three array operations, not its broadcast of the bounds element by element
+    log_a, angle = (_LOW + (_HIGH - _LOW) * rng.random((len(origins), 2))).T
     return GraphColumns(n, w, W, q, origins, termini, np.exp(log_a), np.exp(1j * angle))
 
 

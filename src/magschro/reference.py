@@ -20,8 +20,7 @@ from .errors import InputError
 from .estimates import (
     energy_bound_check,
     gradient_energy_inequality,
-    tapered_defect_bound,
-    tapered_symmetry_defect,
+    tapered_defect_profile,
 )
 from .families import quadratic_well_ray
 from .functions import VertexFunction, support_union
@@ -160,10 +159,9 @@ def run_reference_scenario(*, seed=42, identity_graphs=60):
         u = random_function(rng, list(range(1, 41)), max_support=MAX_SUPPORT)
         v = random_function(rng, list(range(1, 41)), max_support=MAX_SUPPORT)
         pairs += 1
-        for s in (1, 2, 4, 8, 16, 32, 64, 128):
-            if not tapered_defect_bound(g, u, v, 1, s, degree_bound=2,
-                                        anchor_fn=anchor_fn).passed:
-                sweep_failures += 1
+        *sweep, far = tapered_defect_profile(g, u, v, 1, (1, 2, 4, 8, 16, 32, 64, 128, 1e12),
+                                             degree_bound=2, anchor_fn=anchor_fn)
+        sweep_failures += sum(not rep.passed for rep in sweep)
         patch = Patch.closure(g, support_union(u, v))
         Hu = schrodinger_apply(g, u, patch=patch)
         Hv = schrodinger_apply(g, v, patch=patch)
@@ -171,10 +169,9 @@ def run_reference_scenario(*, seed=42, identity_graphs=60):
         # scale of the terms entering the defect sum, before their cancellation
         scale = sum((abs(Hu(x) * v(x).conjugate()) + abs(u(x) * Hv(x).conjugate()))
                     * g.vertex(x).weight for x in region)
-        far = tapered_symmetry_defect(g, u, v, 1, 1e12, anchor_fn=anchor_fn, patch=patch)
         plain = sum((Hu(x) * v(x).conjugate() - u(x) * Hv(x).conjugate()) * g.vertex(x).weight
                     for x in region)
-        if abs(far) > DEFECT_TOL * scale or abs(plain) > DEFECT_TOL * scale:
+        if abs(far.value) > DEFECT_TOL * scale or abs(plain) > DEFECT_TOL * scale:
             limit_failures += 1
     ok = sweep_failures == 0 and limit_failures == 0
     add(

@@ -1,7 +1,16 @@
+import dataclasses
+import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import estimate_oracle as oracle
+from magschro import estimates
+from magschro.cli import main
 from magschro.criteria import lipschitz_best_constant
 from magschro.errors import InputError, MinorantViolationError
 from magschro.estimates import (
@@ -9,14 +18,16 @@ from magschro.estimates import (
     gradient_energy_inequality,
     minorant_weighted_energy,
     tapered_defect_bound,
+    tapered_defect_profile,
     tapered_symmetry_defect,
     weighted_gradient_energy,
 )
+from magschro.exact import FOURTH_ROOTS, ComplexRational, pythagorean_phase
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import VertexFunction, norm_w
 from magschro.graphs import ExplicitGraph
 from magschro.metric import AnchorFunction, CutoffFunction, edge_length
-from magschro.operators import schrodinger_apply
+from magschro.operators import python_product, schrodinger_apply
 from magschro.randomgraphs import random_connected_graph, random_vertex_function
 
 
@@ -346,3 +357,194 @@ def test_commutator_term_matches_the_edge_loop(rng):
         report = gradient_energy_inequality(g, u, phi)
         energy = weighted_gradient_energy(g, u, phi)
         assert report.commutator_term == 2.0 * energy * math.sqrt(cross)
+
+
+# -- the array passes against the per-vertex loops of estimate_oracle, bit for bit
+
+def _bits(x):
+    """``x`` with every float spelled by ``float.hex``, every other value by type and repr."""
+    if isinstance(x, float):
+        return "float " + x.hex()
+    if isinstance(x, complex):
+        return f"complex {x.real.hex()} {x.imag.hex()}"
+    if isinstance(x, dict):
+        return [(_bits(k), _bits(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return [(f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    return f"{type(x).__name__} {x!r}"
+
+
+def _outcome(call, *args, **kwargs):
+    """The bits of what ``call`` returns, or the type and message of what it raises.
+
+    A TypeError, which ComplexRational raises when it meets a float, is
+    given by its type alone: its message names the first operation to meet
+    one, and the loop and the array pass take their products in another order.
+    """
+    try:
+        return _bits(call(*args, **kwargs))
+    except TypeError:
+        return "raises TypeError"
+    except Exception as error:  # the oracle must raise the same, with the same message
+        return f"raises {type(error).__name__}: {error}"
+
+
+def _assert_estimates_match(g, u, v, phi, x0, radii, **constants):
+    """Every estimate of ``u``, ``v`` and ``phi`` equals the oracle's, field by field."""
+    for f in (u, v):
+        assert (_outcome(energy_bound_check, g, f, **constants)
+                == _outcome(oracle.energy_bound_check, g, f, **constants))
+    assert (_outcome(gradient_energy_inequality, g, u, phi)
+            == _outcome(oracle.gradient_energy_inequality, g, u, phi))
+    degree = {k: c for k, c in constants.items() if k == "degree_bound"}
+    want = [_outcome(oracle.tapered_defect_bound, g, u, v, x0, s, **degree) for s in radii]
+    assert [_outcome(tapered_defect_bound, g, u, v, x0, s, **degree) for s in radii] == want
+    # the profile fails as its first radius to fail does
+    failed = [outcome for outcome in want if isinstance(outcome, str)]
+    profile = _outcome(tapered_defect_profile, g, u, v, x0, radii, **degree)
+    assert profile == (failed[0] if failed else want)
+    for s in radii:
+        assert (_outcome(tapered_symmetry_defect, g, u, v, x0, s)
+                == _outcome(oracle.tapered_symmetry_defect, g, u, v, x0, s))
+
+
+def _benchmark_draw(rng, limit):
+    """Up to 12 points of 1..limit with complex normal values, as the benchmark draws them."""
+    size = int(rng.integers(1, min(12, limit) + 1))
+    chosen = rng.choice(limit, size=size, replace=False)
+    return VertexFunction({int(i) + 1: complex(rng.normal(0, 2), rng.normal(0, 2))
+                           for i in chosen})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_inputs_match_the_loops_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    g = quadratic_well_ray()
+    for _ in range(40):
+        u = _benchmark_draw(rng, 200)
+        assert (_bits(energy_bound_check(g, u, lipschitz_constant=1.0))
+                == _bits(oracle.energy_bound_check(g, u, lipschitz_constant=1.0)))
+    for n in (1, 2, 4, 8):
+        phi = CutoffFunction(g, 1, n).tapered_profile()
+        for _ in range(5):
+            u = _benchmark_draw(rng, 16)
+            assert (_bits(gradient_energy_inequality(g, u, phi))
+                    == _bits(oracle.gradient_energy_inequality(g, u, phi)))
+    radii = [float(2 ** k) for k in range(8)]
+    anchor, oracle_anchor = AnchorFunction(g, 1), AnchorFunction(g, 1)
+    for _ in range(15):
+        u, v = _benchmark_draw(rng, 200), _benchmark_draw(rng, 200)
+        want = [_bits(oracle.tapered_defect_bound(g, u, v, 1, s, anchor_fn=oracle_anchor))
+                for s in radii]
+        assert [_bits(tapered_defect_bound(g, u, v, 1, s, anchor_fn=anchor))
+                for s in radii] == want
+        assert _bits(tapered_defect_profile(g, u, v, 1, radii, anchor_fn=anchor)) == want
+
+
+def _relabelled(g, ids):
+    """``g`` with its int ids x renamed "vx": all of them ("str") or the odd ones ("mixed")."""
+    def name(x):
+        return f"v{x}" if ids == "str" or x % 2 else x
+
+    return ExplicitGraph({name(x): g.vertex(x) for x in g.vertices()},
+                         {(name(e.origin), name(e.terminus)): g.edge_data(e)
+                          for e in g.edges()})
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), ids=st.sampled_from(["int", "str", "mixed"]),
+       real=st.booleans(), minorant=st.booleans(), flips=st.integers(0, 4),
+       radii=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+def test_complex_phase_graphs_match_the_loops_bit_for_bit(seed, ids, real, minorant, flips,
+                                                         radii):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, max_vertices=16, ensure_minorant=minorant)
+    if ids != "int":
+        g = _relabelled(g, ids)
+    n = len(g.vertices())
+    u = random_vertex_function(rng, g, max_support=int(rng.integers(1, n + 1)), real=real)
+    v = random_vertex_function(rng, g, max_support=int(rng.integers(1, n + 1)))
+    phi = random_vertex_function(rng, g, max_support=int(rng.integers(1, n + 1)), real=True)
+    kind = rng.random()
+    if kind < 0.3:  # int weights, as a cut-off profile may hold
+        phi = VertexFunction({x: int(round(p)) for x, p in phi.items()})
+    elif kind < 0.4:  # real values of complex type, which `_require_real` lets through
+        phi = VertexFunction({x: complex(p) for x, p in phi.items()})
+    edges = g.edges()
+    picks = rng.choice(len(edges), size=min(flips, len(edges)), replace=False)
+    g = g.with_flipped_orientation([edges[int(i)] for i in picks])
+    x0 = g.vertices()[int(rng.integers(n))]
+    _assert_estimates_match(g, u, v, phi, x0, radii)
+    _assert_estimates_match(g, u, v, phi, x0, radii, lipschitz_constant=1.5, degree_bound=7)
+
+
+def _fractions(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 9))
+
+
+@st.composite
+def _exact_cases(draw):
+    """A graph of Fraction data with u and v of Fraction or float values and phase
+    1, or of ComplexRational values and exact unit phases; W >= -q may fail."""
+    n = draw(st.integers(2, 6))
+    scalar, phases = draw(st.sampled_from([
+        (_fractions(-9, 9), (1,)),
+        (st.floats(-9, 9), (1,)),
+        (st.builds(ComplexRational, _fractions(-9, 9), _fractions(-9, 9)),
+         FOURTH_ROOTS + (pythagorean_phase(2, 1),))]))
+    q = {x: 1 + draw(_fractions(0, 9)) for x in range(1, n + 1)}
+    vertices = {x: (draw(_fractions(1, 9)), draw(_fractions(-1, 9)) - q[x], q[x]) for x in q}
+    edges = {(draw(st.integers(1, k - 1)), k): (draw(_fractions(1, 9)),
+                                                draw(st.sampled_from(phases)))
+             for k in range(2, n + 1)}
+    u, v = (VertexFunction(draw(st.dictionaries(st.integers(1, n), scalar, min_size=1,
+                                                max_size=n)))
+            for _ in range(2))
+    phi = VertexFunction(draw(st.dictionaries(st.integers(1, n),
+                                              st.one_of(st.integers(-3, 3), st.floats(-3, 3)),
+                                              max_size=n)))
+    radii = draw(st.lists(st.sampled_from([Fraction(1, 2), 1, 3.5, 1e6]), min_size=1,
+                          max_size=3))
+    return ExplicitGraph(vertices, edges), u, v, phi, draw(st.integers(1, n)), radii
+
+
+@settings(max_examples=60)
+@given(case=_exact_cases())
+def test_exact_data_match_the_loops_through_object_arrays(case):
+    _assert_estimates_match(*case)
+
+
+def test_tapered_defect_is_the_int_0_when_every_ramp_vanishes(capsys):
+    g = quadratic_well_ray()
+    u, v = VertexFunction({5: 1 + 2j, 6: -1.5}), VertexFunction({5: 0.5j, 7: 2.0})
+    assert tapered_symmetry_defect(g, u, v, 1, 3.0) != 0  # the defect itself is not zero
+    for rep in (tapered_defect_bound(g, u, v, 1, 1e-3),
+                *tapered_defect_profile(g, u, v, 1, [1e-3, 0.5])):
+        assert type(rep.value) is int and rep.value == 0 and rep.passed
+    assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--x0", "500",
+                 "--window", "20", "--trials", "2", "--json", "-"]) == 0
+    sweep = json.loads(capsys.readouterr().out.split("PASS\n", 1)[1])["tapered_defect"]
+    assert [point["value"] for point in sweep["last_sweep"]] == [0] * 8
+
+
+def test_python_product_rounds_as_python_does():
+    """The reason for ``python_product``: numpy's complex ``*`` can round a
+    product differently from Python's; the helper never does."""
+    rng = np.random.default_rng(5)
+    a, b = (rng.normal(size=(400, 2)) @ np.array([1, 1j]) for _ in range(2))
+    loop = [x * y for x, y in zip(a.tolist(), b.tolist())]
+    assert python_product(a, b).tolist() == loop
+    assert python_product(a.real, b).tolist() == [x * y for x, y in zip(a.real.tolist(),
+                                                                         b.tolist())]
+
+
+def test_gradient_energy_inequality_checks_phi_once(monkeypatch, rng):
+    calls = []
+    check = estimates._require_real
+    monkeypatch.setattr(estimates, "_require_real", lambda phi: calls.append(phi) or check(phi))
+    g = quadratic_well_ray()
+    phi = CutoffFunction(g, 1, 4).tapered_profile()
+    gradient_energy_inequality(g, random_ray_function(rng), phi)
+    assert calls == [phi]

@@ -113,6 +113,39 @@ def test_the_draws_give_graphs_and_supports_in_range(seed, low, span, ensure_min
             assert ((0 <= chosen) & (chosen < count)).all()
 
 
+class _EdgeDrawRecorder:
+    """A generator that records its state before each ``random`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.states = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size):
+        self.states.append(self.rng.bit_generator.state)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("max_vertices", [4, 12, 40, 80])
+def test_edge_draws_are_rng_uniform_with_the_bounds_as_tuples(max_vertices):
+    """``random_columns`` maps one ``rng.random`` array onto the bounds of an
+    edge's log weight and angle; ``rng.uniform`` with those bounds as tuples
+    draws the same numbers and leaves the stream where it does."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        recorder = _EdgeDrawRecorder(rng)
+        c = random_columns(recorder, max_vertices=max_vertices)
+        (state,) = recorder.states
+        reference = np.random.default_rng()
+        reference.bit_generator.state = state
+        log_a, angle = reference.uniform((math.log(0.1), 0.0), (math.log(10.0), 2.0 * math.pi),
+                                         size=(len(c.origins), 2)).T
+        assert c.a.tobytes() == np.exp(log_a).tobytes()
+        assert c.sigma.tobytes() == np.exp(1j * angle).tobytes()
+        assert reference.bit_generator.state == rng.bit_generator.state
+
+
 _WINDOW_FIELDS = ("ids", "indptr", "indices", "w", "W", "q", "a", "sigma")
 
 
