@@ -10,7 +10,11 @@ otherwise.
 
 The first three conditions are checked by one array scan over the rows of
 a window: the window a search ran on, or the closure of a vertex set that
-:meth:`~magschro.graphs.WeightedGraph.closure_window` reads.
+:meth:`~magschro.graphs.WeightedGraph.closure_window` reads.  On float data
+the Lipschitz ratios are bounded with numpy and decided with ``math.pow``:
+only the edges whose bounded ratio can reach the maximum are computed as
+the vertex walk computes them, which assumes that ``math.pow(x, ±0.5)`` is
+within 2**-44 of the true value, relative to it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layert
 from .spectral import assemble_truncation, eigen_extremes
 
 LIPSCHITZ_TOL = 1e-12
+
+_TINY = np.finfo(float).tiny
 
 
 def positive_part(x):
@@ -102,6 +108,19 @@ def _scan(g, win, member):
     member end when the other lies outside.  The float operations are the
     walk's, and exact data run through object arrays.  An edge whose scale
     (min(w) / a)**0.5 underflows to 0 raises :class:`InputError`.
+
+    On float64 data the Lipschitz ratios are bounded with numpy and decided
+    with ``math.pow``.  ``1 / np.sqrt`` gives each edge an approximate ratio
+    gap / scale, with gap = |root_t - root_o|, widened by 2**-40 ((max root +
+    gap) / scale + ratio) plus the smallest normal float (for subnormal
+    ratios).  The bound is absolute since the roots cancel: the error of gap
+    is relative to the larger root.  Only the edges whose widened ratio
+    reaches the largest lower bound can hold the maximum, and only their
+    ratios are computed as the walk computes them; edges whose ends have
+    equal q have ratio 0 and are skipped.  The one assumption is that
+    ``math.pow(x, ±0.5)`` lies within 2**-44 of the true value, relative to
+    it (a correctly rounded result is within 2**-53): the widening then
+    covers each ratio's error about eight times over.
     """
     rows = np.flatnonzero(member)  # row order is id order
     observed = int(np.diff(win.indptr)[rows].max(initial=0))
@@ -116,28 +135,44 @@ def _scan(g, win, member):
     taken = np.flatnonzero(member[src] & ((dst > src) | ~member[dst]))
     o = np.minimum(src[taken], dst[taken])
     t = np.maximum(src[taken], dst[taken])
-    hit = np.zeros(len(win.ids), dtype=bool)  # the rows an edge touches
-    hit[o] = hit[t] = True
-    touched = np.flatnonzero(hit)
-    root = np.zeros(len(win.ids))
-    root[touched] = power(win.q[touched], -0.5, len(touched))
-    scale = power(np.minimum(win.w[o], win.w[t]) / win.a[taken], 0.5, len(taken))
-    zero = np.flatnonzero(scale == 0)
-    if len(zero):
-        edge = tuple(win.ids[[o[zero[0]], t[zero[0]]]].tolist())
-        raise InputError(f"edge {edge!r}: the Lipschitz scale (min(w) / a)**0.5 "
-                         "underflows to 0")
-    ratios = np.abs(root[t] - root[o]) / scale
+    base = np.minimum(win.w[o], win.w[t]) / win.a[taken]
+    q = win.q
+    if q.dtype == base.dtype == np.float64:
+        _refuse_zero_scale(win, o, t, base == 0)
+        # the edges that can hold the largest ratio, in walk order
+        live = np.flatnonzero(q[o] != q[t])
+        root_o, root_t = 1 / np.sqrt(q[o[live]]), 1 / np.sqrt(q[t[live]])
+        scale = np.sqrt(base[live])
+        gap = np.abs(root_t - root_o)
+        ratio = gap / scale
+        slack = 2.0 ** -40 * ((np.maximum(root_o, root_t) + gap) / scale + ratio) + _TINY
+        edges = live[ratio + slack >= (ratio - slack).max(initial=-np.inf)]
+        scale = power(base[edges], 0.5, len(edges))
+    else:
+        edges = np.arange(len(taken))
+        scale = power(base, 0.5, len(edges))
+        _refuse_zero_scale(win, o, t, scale == 0)
+    roots = [power(q[ends[edges]], -0.5, len(edges)) for ends in (o, t)]
+    ratios = np.abs(roots[1] - roots[0]) / scale
     best, edge_witness = 0.0, None
     if len(ratios) and ratios.max() > 0:
         at = int(np.argmax(ratios))
         best = float(ratios[at])
-        edge_witness = OrientedEdge(*win.ids[[o[at], t[at]]].tolist())
+        edge_witness = OrientedEdge(*win.ids[[o[edges[at]], t[edges[at]]]].tolist())
     declared = g.degree_bound
     return (DegreeCheck(observed=observed, declared=declared,
                         passed=declared is None or observed <= declared),
             MinorantCheck(worst_violation=float(worst), witness=vertex_witness, passed=worst == 0),
             LipschitzCheck(constant=best, witness=edge_witness))
+
+
+def _refuse_zero_scale(win, o, t, zero):
+    """Raise at the first edge, in walk order, whose Lipschitz scale is 0."""
+    if zero.any():
+        at = int(np.argmax(zero))
+        edge = tuple(win.ids[[o[at], t[at]]].tolist())
+        raise InputError(f"edge {edge!r}: the Lipschitz scale (min(w) / a)**0.5 "
+                         "underflows to 0")
 
 
 @dataclass

@@ -23,11 +23,18 @@ there), complex products go through
 ``abs(x) ** 2`` of each scalar.  Exact data go through object arrays, where
 an int weight of phi stays an int.  The anchor distance is read only where
 the defect is nonzero, in id order, as the loop reads it.
+
+``ComplexRational`` takes no float factor.  The taper ramp (1 - d/s)^+ is a
+float, and so is a float weight of phi or a float phase; where one meets a
+``ComplexRational`` value, the tapered defect and the gradient inequality
+raise :class:`~magschro.errors.InputError` naming the limit.  Fraction data
+and the energy bound have no such limit.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +56,16 @@ def _require_real(phi: VertexFunction, name="phi"):
                 raise InputError(f"{name} must be real-valued; {name}({x!r}) = {v!r}")
         elif not isinstance(v, (int, float)):
             raise InputError(f"{name} must be real-valued; {name}({x!r}) = {v!r}")
+
+
+@contextmanager
+def _float_factors(limit):
+    """Raise an InputError naming ``limit`` for the TypeError that a
+    ComplexRational raises when it meets a float."""
+    try:
+        yield
+    except TypeError:
+        raise InputError(f"{limit}, and ComplexRational values take no float factor") from None
 
 
 def _require_minorant(win, context):
@@ -200,7 +217,9 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     phi2 = _scalars([p ** 2 for p in ph], win.w)
     at = np.flatnonzero(phi2 != 0)
     wp = win.w[at] * phi2[at]
-    op_term = abs(_sum(P, python_product(wp * Huw[at], np.conj(uw[at])))) if len(at) else 0
+    floats = "gradient energy inequality: a weight of phi or a phase is a float"
+    with _float_factors(floats):
+        op_term = abs(_sum(P, python_product(wp * Huw[at], np.conj(uw[at])))) if len(at) else 0
     wpq = wp * win.q[at]
     minorant_term = _float_sum(P, wpq * _squares(uw[at], wpq))
 
@@ -212,7 +231,8 @@ def gradient_energy_inequality(g, u: VertexFunction, phi: VertexFunction) -> Gra
     dphi = ph[t] - ph[o]
     moving = np.flatnonzero(dphi != 0)
     o, t, at = o[moving], t[moving], at[moving]
-    phased = (python_product(win.sigma[at], np.conj(uw[t])) + np.conj(uw[o])) / 2
+    with _float_factors(floats):
+        phased = (python_product(win.sigma[at], np.conj(uw[t])) + np.conj(uw[o])) / 2
     a = win.a[at] * _squares(dphi[moving], win.a)
     cross = _float_sum(P, a * _squares(phased, a))
     commutator_term = 2.0 * energy * math.sqrt(cross)
@@ -297,7 +317,8 @@ def _tapered_defects(g, P, uu, vv, x0, radii, anchor_fn):
     for s in radii:
         ramp = 1.0 - d / s
         kept = np.flatnonzero(ramp > 0)
-        values.append(_sum(P, ramp[kept] * defect[kept] * w[kept]) if len(kept) else 0)
+        with _float_factors("tapered defect: the taper ramp 1 - d/s is a float"):
+            values.append(_sum(P, ramp[kept] * defect[kept] * w[kept]) if len(kept) else 0)
     return values
 
 

@@ -13,7 +13,7 @@ Edge weights are indexed by the smaller endpoint of an edge, so on a path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -24,6 +24,9 @@ from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedG
 
 #: the records of 1..``_HEAD_SIZE`` that a ray keeps as tuples
 _HEAD_SIZE = 1024
+
+#: ids from here on are read from the oracle, since n + 1 must fit in int64
+_ID_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,9 @@ class PathRayGraph(WeightedGraph):
 
     The records of 1..``_HEAD_SIZE`` are evaluated once, as read-only
     arrays (w, W, q and a(n) for the edge n ~ n + 1) and as tuples, which
-    small searches read as fast as a dict.  Records that a search or the
-    closure window of a run of vertices reads (:meth:`_records`) are sliced
-    from those arrays when they end inside them; any others are evaluated
+    small searches read as fast as a dict.  Records that a search
+    (:meth:`_records`) or a closure window (:meth:`_at`) reads are taken
+    from those arrays where they lie inside them; any others are evaluated
     and nothing is kept, as ``vertex``, ``neighbors`` and ``edge_data`` do
     past the prefix.  So no attribute changes after construction.  An n
     where an expression raises or a record is invalid has no window over
@@ -150,29 +153,61 @@ class PathRayGraph(WeightedGraph):
         return EdgeData(self._edge_weight(min(o, t)), 1.0)
 
     def closure_window(self, vertices, extra=()):
-        """The closure of a run lo..hi of vertices, lo - 1..hi + 1, cut from
-        its records when ``extra`` lies in it, with int64 rows and float
-        phases as the neighbor oracle's read holds them; other sets are read
-        from the oracle, which also raises the errors of invalid records."""
-        run = set(vertices)
-        if run and all(type(x) is int for x in run):
-            lo, hi = min(run), max(run)
-            span = range(max(1, lo - 1), hi + 2)
-            if (lo >= 1 and hi - lo + 1 == len(run)
-                    and all(type(x) is int and x in span for x in extra)):
-                win = self._cut(span.start, span.stop - 1)
-                if win is not None:
-                    return replace(win, indptr=win.indptr.astype(np.int64),
-                                   indices=win.indices.astype(np.int64),
-                                   sigma=np.ones(len(win.a)))
+        """The closure of ``vertices`` with ``extra``: those ids and the ids
+        next to ``vertices``, cut from their records (:meth:`_at`) with int64
+        rows and float phases as the neighbor oracle's read holds them.  A
+        set with an id that is not an int of the ray, or a closure that meets
+        an invalid record, is read from the oracle, which raises its errors."""
+        inner, more = _ray_ids(vertices), _ray_ids(extra)
+        if inner is not None and more is not None:
+            ids = np.sort(np.concatenate([inner - 1, inner, inner + 1, more]))
+            keep = np.empty(len(ids), dtype=bool)  # each id once, and no id 0
+            keep[:1] = ids[:1] > 0
+            np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+            ids = ids[keep]
+            records = self._at(ids)
+            if records is not None:
+                return self._closure(ids, *records)
         return super().closure_window(vertices, extra)
 
-    def _cut(self, lo, hi):
-        """The window over lo..hi, or None when an n in it is invalid or hi reaches 2**63 - 1."""
-        if hi >= np.iinfo(np.int64).max:
+    def _at(self, ns):
+        """w, W, q and a at the sorted ids ``ns``: taken from the prefix,
+        evaluated past it; None when an expression raises or a record is
+        invalid at an n of ``ns``, or the weight a(n - 1) of its edge below."""
+        k = int(np.searchsorted(ns, len(self._head), "right"))
+        records = [values[ns[:k] - 1] for values in self._prefix]
+        if k == len(ns):
+            return records
+        rest = ns[k:]
+        # the oracle reads a(n - 1) with n's neighbors: below each run of rest too
+        below = rest[np.diff(rest, prepend=-1) != 1] - 1
+        below = below[below > len(self._head)]
+        try:
+            w, W, q = (f(rest) for f in (self._w, self._W, self._q))
+            a = self._a(np.concatenate([below, rest]))
+        except ExprEvalError:
             return None
-        records = self._records(lo, hi)
-        return self._window(lo, *records) if len(records[0]) > hi - lo else None
+        if not ((w > 0).all() and (q >= 1).all() and (a > 0).all()):
+            return None
+        return [np.concatenate(parts) for parts in zip(records, (w, W, q, a[len(below):]))]
+
+    @staticmethod
+    def _closure(ids, w, W, q, a):
+        """The window over the sorted ids with their records: row i lists the
+        rows of ids[i] - 1 and ids[i] + 1 where the window holds them."""
+        m = len(ids)
+        near = np.zeros((m, 2), dtype=bool)  # whether ids[i] - 1, ids[i] + 1 are rows
+        near[1:, 0] = near[:-1, 1] = ids[1:] - ids[:-1] == 1
+        rows = np.empty((m, 2), dtype=np.int64)  # the rows of ids[i] - 1, ids[i] + 1
+        rows[:, 0] = np.arange(-1, m - 1)
+        rows[:, 1] = rows[:, 0] + 2
+        weights = np.empty((m, 2))  # a(ids[i] - 1), a(ids[i])
+        weights[1:, 0], weights[:, 1] = a[:-1], a
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        indptr[1:] = near.cumsum()[1::2]
+        return Window(ids=ids, indptr=indptr, indices=rows[near], w=w, W=W, q=q,
+                      a=weights[near], sigma=np.ones(int(indptr[-1])),
+                      interior=(near[:, 0] | (ids == 1)) & near[:, 1])
 
     @staticmethod
     def _window(lo, w, W, q, a):
@@ -192,6 +227,17 @@ class PathRayGraph(WeightedGraph):
         return Window(ids=np.arange(lo, lo + m), indptr=indptr, indices=indices[1:-1],
                       w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
                       sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
+
+
+def _ray_ids(xs):
+    """``xs`` as an int64 array, or None unless each is an int of 1.._ID_LIMIT - 1."""
+    if not set(map(type, xs)) <= {int}:
+        return None
+    try:
+        ns = np.fromiter(xs, np.int64)
+    except OverflowError:
+        return None
+    return ns if np.all((ns >= 1) & (ns < _ID_LIMIT)) else None
 
 
 def _star(x, below, above):

@@ -379,16 +379,33 @@ def _bits(x):
 def _outcome(call, *args, **kwargs):
     """The bits of what ``call`` returns, or the type and message of what it raises.
 
-    A TypeError, which ComplexRational raises when it meets a float, is
-    given by its type alone: its message names the first operation to meet
-    one, and the loop and the array pass take their products in another order.
+    A TypeError is given by its type alone, and by whether a ComplexRational
+    raised it on meeting a float in the loops: its message names the first
+    operation to meet one, and the loop and the array pass take their
+    products in another order.
     """
     try:
         return _bits(call(*args, **kwargs))
-    except TypeError:
-        return "raises TypeError"
+    except TypeError as error:
+        return FLOAT_MET if "'ComplexRational'" in str(error) else "raises TypeError"
     except Exception as error:  # the oracle must raise the same, with the same message
         return f"raises {type(error).__name__}: {error}"
+
+
+FLOAT_MET = "raises TypeError: a ComplexRational met a float"
+NO_FLOAT_FACTOR = "and ComplexRational values take no float factor"
+REFUSED = {
+    "gradient": "raises InputError: gradient energy inequality: a weight of phi or a phase "
+                f"is a float, {NO_FLOAT_FACTOR}",
+    "tapered": f"raises InputError: tapered defect: the taper ramp 1 - d/s is a float, "
+               f"{NO_FLOAT_FACTOR}",
+}
+
+
+def _refused(outcome, check):
+    """The loop's outcome as the array pass gives it: where a ComplexRational
+    met a float in the loop, an InputError that names the float."""
+    return REFUSED[check] if outcome == FLOAT_MET else outcome
 
 
 def _assert_estimates_match(g, u, v, phi, x0, radii, **constants):
@@ -397,9 +414,10 @@ def _assert_estimates_match(g, u, v, phi, x0, radii, **constants):
         assert (_outcome(energy_bound_check, g, f, **constants)
                 == _outcome(oracle.energy_bound_check, g, f, **constants))
     assert (_outcome(gradient_energy_inequality, g, u, phi)
-            == _outcome(oracle.gradient_energy_inequality, g, u, phi))
+            == _refused(_outcome(oracle.gradient_energy_inequality, g, u, phi), "gradient"))
     degree = {k: c for k, c in constants.items() if k == "degree_bound"}
-    want = [_outcome(oracle.tapered_defect_bound, g, u, v, x0, s, **degree) for s in radii]
+    want = [_refused(_outcome(oracle.tapered_defect_bound, g, u, v, x0, s, **degree), "tapered")
+            for s in radii]
     assert [_outcome(tapered_defect_bound, g, u, v, x0, s, **degree) for s in radii] == want
     # the profile fails as its first radius to fail does
     failed = [outcome for outcome in want if isinstance(outcome, str)]
@@ -407,7 +425,7 @@ def _assert_estimates_match(g, u, v, phi, x0, radii, **constants):
     assert profile == (failed[0] if failed else want)
     for s in radii:
         assert (_outcome(tapered_symmetry_defect, g, u, v, x0, s)
-                == _outcome(oracle.tapered_symmetry_defect, g, u, v, x0, s))
+                == _refused(_outcome(oracle.tapered_symmetry_defect, g, u, v, x0, s), "tapered"))
 
 
 def _benchmark_draw(rng, limit):
@@ -527,6 +545,28 @@ def test_tapered_defect_is_the_int_0_when_every_ramp_vanishes(capsys):
                  "--window", "20", "--trials", "2", "--json", "-"]) == 0
     sweep = json.loads(capsys.readouterr().out.split("PASS\n", 1)[1])["tapered_defect"]
     assert [point["value"] for point in sweep["last_sweep"]] == [0] * 8
+
+
+def test_complex_rational_data_meeting_a_float_raise_an_input_error():
+    """The ramp and float phi weights cannot multiply ComplexRational values;
+    the checks say so, where the loops end in a bare TypeError."""
+    half = ComplexRational(Fraction(1, 2), Fraction(1, 3))
+    g = ExplicitGraph({1: (Fraction(1), Fraction(-1), Fraction(1)),
+                       2: (Fraction(2), Fraction(-3), Fraction(4)),
+                       3: (Fraction(1), Fraction(-1), Fraction(2))},
+                      {(1, 2): (Fraction(1), FOURTH_ROOTS[1]), (2, 3): (Fraction(1, 2), 1)})
+    u, v = VertexFunction({1: half, 2: ComplexRational(1)}), VertexFunction({2: half})
+    with pytest.raises(TypeError):
+        oracle.tapered_defect_bound(g, u, v, 1, 3.5, degree_bound=2)
+    with pytest.raises(InputError, match="the taper ramp 1 - d/s is a float, and "
+                                         "ComplexRational values take no float factor"):
+        tapered_defect_bound(g, u, v, 1, 3.5, degree_bound=2)
+    with pytest.raises(InputError, match="the taper ramp"):
+        tapered_defect_profile(g, u, v, 1, [1e-3, 3.5], degree_bound=2)
+    with pytest.raises(InputError, match="a weight of phi or a phase is a float"):
+        gradient_energy_inequality(g, u, VertexFunction({1: 0.5, 2: 1}))
+    phi = VertexFunction({1: 1, 2: 2})  # int weights and exact phases: no float
+    assert gradient_energy_inequality(g, u, phi) == oracle.gradient_energy_inequality(g, u, phi)
 
 
 def test_python_product_rounds_as_python_does():

@@ -13,9 +13,18 @@ from magschro.metric import shortest_paths
 from search_probes import count_records
 
 
+def _run_window(g, lo, hi):
+    """The window over lo..hi cut from the ray's records, as a search's window
+    is, or None when an n in it is invalid or hi reaches 2**63 - 1."""
+    if hi >= np.iinfo(np.int64).max:
+        return None
+    records = g._records(lo, hi)
+    return g._window(lo, *records) if len(records[0]) > hi - lo else None
+
+
 def _hop_window(g, x0, hops):
     """The vertices within ``hops`` of ``x0``, cut from the ray's records."""
-    return g._cut(max(1, x0 - hops), x0 + hops)
+    return _run_window(g, max(1, x0 - hops), x0 + hops)
 
 
 def test_prefix_records_match_single_evaluation():
@@ -36,7 +45,7 @@ def test_windows_inside_the_prefix_evaluate_nothing(monkeypatch):
     g = quadratic_well_ray()
     evaluated = count_records(monkeypatch, g)
     held = dict(vars(g))
-    win = g._cut(176, 1024)  # ends inside the prefix 1..1024
+    win = _run_window(g, 176, 1024)  # ends inside the prefix 1..1024
     assert win.ids.tolist() == list(range(176, 1025))
     assert win.q.tolist() == [float(n) ** 2 for n in range(176, 1025)]
     assert not (win.w.flags.writeable or win.W.flags.writeable or win.q.flags.writeable)
@@ -55,11 +64,11 @@ def test_windows_past_the_prefix_evaluate_their_range_once(monkeypatch):
     held = dict(vars(g))
     for _ in range(2):  # nothing is kept, so a second cut evaluates again
         evaluated.clear()  # the prefix 1..1024 is sliced, 1025..2001 evaluated
-        win = g._cut(1, 2001)
+        win = _run_window(g, 1, 2001)
         assert evaluated == list(range(1025, 2002))
         assert win.q.tolist() == [float(n) ** 2 for n in range(1, 2002)]
     evaluated.clear()
-    win = g._cut(1600, 3400)
+    win = _run_window(g, 1600, 3400)
     assert evaluated == list(range(1600, 3401))
     assert win.ids.tolist() == list(range(1600, 3401)) and win.q.tolist() == [
         float(n) ** 2 for n in range(1600, 3401)]

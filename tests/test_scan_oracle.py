@@ -7,15 +7,17 @@ a closure the fields and dtypes that the base class reads.
 """
 
 import cmath
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loop_oracles import loop_truncation, window_walk
-from magschro import criteria, metric
+from magschro import criteria, exprlang, metric
 from magschro.errors import InputError, UnknownVertexError
 from magschro.exact import FOURTH_ROOTS, pythagorean_phase
 from magschro.families import make_family, quadratic_well_ray
@@ -206,6 +208,154 @@ def test_ray_cut_stays_on_the_run():
     for vertices, extra in (([2.0], ()), ([5, 6], [True])):
         with pytest.raises(UnknownVertexError):
             g.closure_window(vertices, extra)
+
+
+# invalid records at 3000 (an expression error and w = 0), at 2000 (a = 0)
+# and at 700, inside the prefix 1..1024 that a ray evaluates first
+FAULTY_RAY_SPECS = [
+    {"family": "path-nat", "W": "1/(n-3000)"},
+    {"family": "path-nat", "w": "abs(n - 3000)", "q": "n"},
+    {"family": "path-nat", "a": "abs(n - 2000)"},
+    {"family": "path-nat", "w": "abs(n - 700)"},
+]
+FAULTS = (700, 2000, 3000)
+
+
+def _read(closure, *args):
+    """The window that ``closure`` reads, or the type and message of its error."""
+    try:
+        return closure(*args)
+    except Exception as error:
+        return f"raises {type(error).__name__}: {error}"
+
+
+@settings(max_examples=150)
+@given(spec=st.sampled_from(RAY_SPECS + FAULTY_RAY_SPECS),
+       support=st.lists(st.one_of(st.integers(1, 3200), st.sampled_from(FAULTS),
+                                  st.integers(1020, 1030)).flatmap(
+           lambda x: st.integers(max(1, x - 3), x + 3)), min_size=1, max_size=12),
+       extra=st.lists(st.integers(1, 3200), max_size=3),
+       before=st.sampled_from([None, 1, 2600]))
+@example(spec=FAULTY_RAY_SPECS[2], support=[2002], extra=[], before=None)  # reads a(2000) = 0
+def test_ray_closures_of_scattered_supports_equal_the_oracle_read(spec, support, extra,
+                                                                  before):
+    g = make_family(spec)
+    if before is not None:  # search elsewhere first
+        _read(lambda: metric.shortest_paths(g, before, budget=600))
+    cut = _read(g.closure_window, support, extra)
+    read = _read(WeightedGraph.closure_window, make_family(spec), support, extra)
+    if isinstance(read, str):
+        assert cut == read
+        return
+    _assert_same_window(cut, read)
+    if spec in RAY_SPECS:  # valid records are cut, never read from the oracle
+        g.neighbors = g.vertex = lambda x: pytest.fail("the cut reads the oracle")
+        _assert_same_window(g.closure_window(support, extra), read)
+
+
+def test_ray_closure_is_read_from_the_oracle_past_int64_ids():
+    g = quadratic_well_ray()
+    top = 2 ** 62
+    read = WeightedGraph.closure_window(quadratic_well_ray(), [top, top + 5])
+    _assert_same_window(g.closure_window([top, top + 5]), read)
+    assert read.ids.tolist() == [top - 1, top, top + 1, top + 4, top + 5, top + 6]
+    _assert_same_window(g.closure_window([top - 2]), WeightedGraph.closure_window(g, [top - 2]))
+    assert g.closure_window([]).ids.tolist() == [] and g.closure_window([], [4]).ids.tolist() == [4]
+
+
+# -- the Lipschitz scan's float filter: bounded with numpy, decided with math.pow
+
+@st.composite
+def _rounding_cases(draw):
+    """A connected graph whose minorants are adjacent floats, so that every
+    Lipschitz ratio is rounding, with extreme vertex and edge weights."""
+    n = draw(st.integers(2, 12))
+    ids = draw(st.sampled_from(["int", "str", "mixed"]))
+    names = [_name(x, ids) for x in range(1, n + 1)]
+    base = draw(st.sampled_from([1.0, 2.0, 3.3, 1e6, 2.0 ** 52, 1e300]))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    weight = st.sampled_from([1e-150, 0.5, 1.0, 3.7, 1e150])
+    q = dict.fromkeys(names, base)
+    for x, k in zip(names, steps):  # k floats above the base
+        for _ in range(k):
+            q[x] = float(np.nextafter(q[x], np.inf))
+    vertices = {x: (draw(weight), -q[x], q[x]) for x in names}
+    pairs = {(names[draw(st.integers(0, k - 1))], names[k]) for k in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if i != j and (names[j], names[i]) not in pairs:
+            pairs.add((names[i], names[j]))
+    a = st.sampled_from([1e-150, 0.3, 1.0, 1e150])
+    g = ExplicitGraph(vertices, {pair: (draw(a), 1.0) for pair in sorted(pairs, key=str)})
+    window = draw(st.lists(st.sampled_from(names), unique=True))
+    return g, window, draw(st.integers(1, n))
+
+
+@settings(max_examples=200)
+@given(case=_rounding_cases())
+def test_adjacent_float_minorants_match_the_walk(case):
+    _check_views(*case)
+
+
+def test_a_constant_minorant_gives_zero_and_no_witness():
+    g = make_family({"family": "path-nat"})
+    for window in (range(1, 3000), [5, 9, 10, 2000]):
+        checks = (criteria.lipschitz_best_constant(g, window),)
+        _assert_same_checks(checks, window_walk(g, window)[2:])
+        assert checks[0] == criteria.LipschitzCheck(0.0, None)
+    report = criteria.selfadjointness_criteria(g, 1)
+    assert report.lipschitz == criteria.LipschitzCheck(0.0, None)
+
+
+def test_tied_maxima_go_to_the_first_edge_in_walk_order():
+    # every edge has ratio |1 - 1/2| = 0.5, and member ends come before larger ids
+    q = {x: 4.0 if x % 2 else 1.0 for x in range(1, 9)}
+    g = ExplicitGraph({x: (1.0, -q[x], q[x]) for x in q},
+                      {**{(x, x + 1): (1.0, 1.0) for x in range(1, 8)}, (2, 7): (1.0, 1.0)})
+    for window, first in (([1, 2, 3], (1, 2)), ([4, 5], (3, 4)), ([7, 3], (2, 3)),
+                          ([6, 7], (5, 6)), ([7], (2, 7))):
+        checks = criteria.lipschitz_best_constant(g, window)
+        assert checks == criteria.LipschitzCheck(0.5, OrientedEdge(*first))
+        _check_views(g, window, 4)
+
+
+def test_scale_underflow_raises_at_the_first_edge_in_walk_order():
+    # min(w) / a underflows on 2 ~ 3 (equal q at both ends, ratio 0) and on 5 ~ 6;
+    # the walk over 3..6 meets 2 ~ 3 first, at its member end 3
+    tiny = {2, 3, 5}
+    for data in ("float", "fraction"):
+        small, big = (1e-200, 1e200) if data == "float" else (Fraction(1, 10 ** 200), 10 ** 200)
+        q = {x: 9.0 if x in (2, 3) else float(x * x) for x in range(1, 8)}
+        g = ExplicitGraph({x: (small if x in tiny else 1.0, 0.0, q[x]) for x in q},
+                          {(x, x + 1): (big if x in (2, 5) else 1.0, 1.0) for x in range(1, 7)})
+        for window in ([3, 4, 5, 6], range(1, 8), [2]):
+            with pytest.raises(InputError, match=r"edge \(2, 3\): the Lipschitz scale"):
+                criteria.lipschitz_best_constant(g, window)
+            with pytest.raises(ZeroDivisionError):
+                window_walk(g, window)
+        with pytest.raises(InputError, match=r"edge \(5, 6\)"):
+            criteria.lipschitz_best_constant(g, [5, 6, 7])
+        assert criteria.lipschitz_best_constant(g, [7]).witness == OrientedEdge(6, 7)
+
+
+def test_fraction_minorants_a_rounding_apart_match_the_walk():
+    eps = Fraction(1, 10 ** 17)
+    q = {1: Fraction(1), 2: 1 + eps, 3: 1 + 2 * eps, 4: Fraction(1), 5: 1 + eps}
+    g = ExplicitGraph({x: (Fraction(1), -q[x], q[x]) for x in q},
+                      {(x, x + 1): (Fraction(1, 3), 1) for x in range(1, 5)})
+    for window in ([1, 2, 3, 4, 5], [2, 3], [4]):
+        _check_views(g, window, 3)
+
+
+def test_a_default_budget_check_of_the_well_makes_few_pow_calls(monkeypatch):
+    """Only the edges whose bounded ratio can hold the maximum reach math.pow
+    (the unfiltered scan made 500,143 calls here)."""
+    calls = []
+    monkeypatch.setattr(exprlang, "math", SimpleNamespace(
+        **{**vars(math), "pow": lambda b, k: calls.append(b) or math.pow(b, k)}))
+    report = criteria.selfadjointness_criteria(quadratic_well_ray(), 1)
+    assert report.window_size == 250_000 and len(calls) < 1000
+    assert report.lipschitz == criteria.LipschitzCheck(0.5, OrientedEdge(1, 2))
 
 
 def test_delta_at_the_ray_origin_keeps_float_arithmetic():

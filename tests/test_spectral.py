@@ -319,10 +319,14 @@ def test_ray_runs_assemble_like_the_loop(spec, window):
     assert all(type(x) is int for x in fast.window)
 
 
-def test_scattered_ray_windows_are_read_from_the_oracle():
+def test_scattered_ray_windows_are_cut_from_the_records():
     g = quadratic_well_ray()
-    g._cut = lambda lo, hi: pytest.fail("a scattered window has no run")
-    assert assemble_truncation(g, [1, 2, 4]).size == 3
+    g.neighbors = g.vertex = lambda x: pytest.fail("a scattered window reads the oracle")
+    trunc = assemble_truncation(g, [1, 2, 4, 1500])
+    assert trunc.size == 4
+    assert trunc.matrix.toarray().real.tolist() == [[0.0, -1.0, 0.0, 0.0], [-1.0, -2.0, 0.0, 0.0],
+                                                    [0.0, 0.0, -14.0, 0.0],
+                                                    [0.0, 0.0, 0.0, 2.0 - 1500.0 ** 2]]
 
 
 def _hermitian_part(trunc):
