@@ -75,8 +75,6 @@ def _resolve_vertex(g, raw):
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 

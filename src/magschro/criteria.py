@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, UnknownVertexError, require_nonnegative
+from .errors import InputError, require_nonnegative
 from .exprlang import power
 from .graphs import OrientedEdge, sorted_ids, vertex_sort_key
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _resolve_budget,
@@ -210,8 +210,6 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
     """
     budget = _resolve_budget(budget)
     require_nonnegative("the Lipschitz budget", lipschitz_budget)
-    if not g.has_vertex(x0):
-        raise UnknownVertexError(x0)
     start = perf_counter()
     explored = shortest_paths(g, x0, q_mode=WITH_Q, budget=budget)
     search = SearchSummary(explored.method, len(explored.settled_distances()),

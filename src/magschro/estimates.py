@@ -34,6 +34,7 @@ and the energy bound have no such limit.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -49,13 +50,10 @@ from .operators import Patch, python_product
 SLACK_TOL = 1e-10
 
 
-def _require_real(phi: VertexFunction, name="phi"):
+def _require_real(phi: VertexFunction):
     for x, v in phi.items():
-        if isinstance(v, complex):
-            if v.imag != 0:
-                raise InputError(f"{name} must be real-valued; {name}({x!r}) = {v!r}")
-        elif not isinstance(v, (int, float)):
-            raise InputError(f"{name} must be real-valued; {name}({x!r}) = {v!r}")
+        if not isinstance(v, numbers.Real):
+            raise InputError(f"phi must be real-valued; phi({x!r}) = {v!r}")
 
 
 @contextmanager

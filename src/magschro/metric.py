@@ -238,8 +238,9 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
 
 def _lengths(w, q, w_to, q_to, a, with_q):
     """Edge lengths sqrt(min w) / sqrt(a * max q) per entry, as _Frontier
-    computes them (q = 1 in unit-q mode)."""
-    return np.sqrt(np.minimum(w, w_to)) / np.sqrt(a * np.maximum(q, q_to) if with_q else a)
+    computes them (q = 1 in unit-q mode); a product that overflows gives 0."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.minimum(w, w_to)) / np.sqrt(a * np.maximum(q, q_to) if with_q else a)
 
 
 def _settle(dist, row, budget, radius):
@@ -365,8 +366,7 @@ def ball(g, x0, radius, *, q_mode=WITH_Q, budget=None) -> MetricBall:
     if not radius >= 0:
         raise InputError(f"ball radius must be nonnegative, got {radius}")
     result = shortest_paths(g, x0, q_mode=q_mode, budget=budget, radius=radius)
-    members = {x: d for x, d in result.distances.items() if d <= radius}
-    return MetricBall(x0, radius, q_mode, members, result.complete)
+    return MetricBall(x0, radius, q_mode, result.distances, result.complete)
 
 
 class AnchorFunction:
@@ -381,7 +381,6 @@ class AnchorFunction:
         self.x0 = x0
         self.budget = _resolve_budget(budget)
         self._frontier = _Frontier(g, x0, q_mode)
-        self._exhausted = False
 
     def __call__(self, x) -> float:
         settled = self._frontier.settled
@@ -389,17 +388,14 @@ class AnchorFunction:
             return settled[x]
         if not self._frontier.g.has_vertex(x):
             raise UnknownVertexError(x)
-        while not self._exhausted:
-            if len(settled) >= self.budget:
-                raise BudgetExhaustedError(
-                    f"distance from {self.x0!r} to {x!r} unresolved within budget {self.budget}")
+        while len(settled) < self.budget:  # once exhausted, settle_next stays None
             step = self._frontier.settle_next()
             if step is None:
-                self._exhausted = True
-                break
+                raise InputError(f"vertex {x!r} is not reachable from {self.x0!r}")
             if step[0] == x:
                 return step[1]
-        raise InputError(f"vertex {x!r} is not reachable from {self.x0!r}")
+        raise BudgetExhaustedError(
+            f"distance from {self.x0!r} to {x!r} unresolved within budget {self.budget}")
 
 
 # -- series classification for one-dimensional ray families -----------------
@@ -533,6 +529,19 @@ def _ramp(n, d) -> float:
     return min(max((2.0 * n - d) / n, 0.0), 1.0)
 
 
+def _cutoff_ball(g, x0, n, budget, reach):
+    """The unit-q distances from ``x0`` up to ``reach * n`` for the cut-off
+    index ``n``, all settled; a search stopped by its radius settles nothing
+    past it, so every distance is within it."""
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        raise InputError(f"cut-off index must be a positive integer, got {n!r}")
+    result = shortest_paths(g, x0, q_mode=UNIT_Q, budget=budget, radius=reach * n)
+    if not result.complete:
+        raise BudgetExhaustedError(
+            f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
+    return result.distances
+
+
 class CutoffFunction:
     """Piecewise-linear bump: 1 on the n-ball around x0, 0 outside the 2n-ball.
 
@@ -542,16 +551,10 @@ class CutoffFunction:
     """
 
     def __init__(self, g, x0, n, *, budget=None):
-        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-            raise InputError(f"cut-off index must be a positive integer, got {n!r}")
+        self._distances = _cutoff_ball(g, x0, n, budget, 2.0)
         self.graph = g
         self.x0 = x0
         self.n = n
-        result = shortest_paths(g, x0, q_mode=UNIT_Q, budget=budget, radius=2.0 * n)
-        if not result.complete:
-            raise BudgetExhaustedError(
-                f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
-        self._distances = {x: d for x, d in result.distances.items() if d <= 2.0 * n}
 
     def value(self, x) -> float:
         d = self._distances.get(x)
@@ -595,15 +598,9 @@ def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
     of the support, and the per-edge gradient bound
     |chi(t) - chi(o)| <= d(o, t) / n in the unit-q metric.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise InputError(f"cut-off index must be a positive integer, got {n!r}")
-    violations = []
     # settle slightly past 2n so vertices just outside the support are visible
-    result = shortest_paths(g, x0, q_mode=UNIT_Q, budget=budget, radius=2.5 * n)
-    if not result.complete:
-        raise BudgetExhaustedError(
-            f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
-    dists = result.distances
+    dists = _cutoff_ball(g, x0, n, budget, 2.5)
+    violations = []
     # chi from this search: its distances up to 2n are those of the 2n-ball's
     chi = {x: _ramp(n, d) for x, d in dists.items()}
 

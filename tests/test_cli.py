@@ -218,6 +218,41 @@ def test_spectrum_bad_window_token_exits_2(capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_spectrum_windows_of_a_finite_family(capsys):
+    assert main(["spectrum", "--family", "path", "--size", "30", "--windows", "10,30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "window_size,lambda_min,lambda_max,residual"
+    assert [line.split(",")[0] for line in lines[1:]] == ["10", "30"]
+    assert main(["spectrum", "--family", "path", "--size", "30", "--windows", "10,40"]) == 2
+    captured = capsys.readouterr()
+    assert "error: window size 40 exceeds the graph's 30 vertices" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_json_reports_meet_no_type_but_complex(tmp_path, capsys, monkeypatch):
+    """``check`` hands JSON a dict of plain values and ``estimate`` plain values
+    with complex defects, which are written as {"re", "im"} objects."""
+    from magschro import cli
+
+    met = []
+    default = cli._json_default
+    monkeypatch.setattr(cli, "_json_default", lambda obj: met.append(type(obj)) or default(obj))
+    target = tmp_path / "out.json"
+    for argv in (["check", "--family", "path-nat", "--W=-(n^2)", "--q", "n^2"],
+                 ["check", "--family", "star", "--size", "6"]):
+        assert main(argv + ["--json", str(target)]) == 0
+    assert met == []
+    assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--trials", "4",
+                 "--window", "10", "--json", str(target)]) == 0
+    capsys.readouterr()
+    sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
+    written = [point["value"] for point in sweep if point["value"] != 0]  # 0 is the int 0
+    assert len(sweep) == 8 and len(written) == 7 and met == [complex] * 7
+    assert all(sorted(value) == ["im", "re"] for value in written)
+    with pytest.raises(TypeError, match="not JSON serializable: InputError"):
+        default(InputError("x"))
+
+
 def test_spectrum_on_a_limit_circle_ray_exits_2_at_the_restart_cap(capsys):
     argv = ["spectrum", "--family", "path-nat", "--w", "n^-2", "--a", "n^3",
             "--windows", "2000"]

@@ -13,7 +13,7 @@ from magschro.criteria import (
     selfadjointness_criteria,
     semibounded_probe,
 )
-from magschro.errors import GraphStructureError, InputError
+from magschro.errors import GraphStructureError, InputError, UnknownVertexError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
@@ -134,6 +134,19 @@ def test_hostile_lipschitz_budget_is_an_input_error(budget):
         selfadjointness_criteria(quadratic_well_ray(), 1, budget=300, lipschitz_budget=budget)
     assert selfadjointness_criteria(quadratic_well_ray(), 1, budget=300,
                                     lipschitz_budget=0.0).lipschitz_passed is False
+
+
+@pytest.mark.parametrize("g, x0", [(quadratic_well_ray(), 0), (quadratic_well_ray(), "1"),
+                                   (make_family({"family": "path", "size": 5}), 6),
+                                   (make_family({"family": "path", "size": 5}), "v1")])
+def test_an_unknown_start_is_refused_after_the_argument_checks(g, x0):
+    with pytest.raises(UnknownVertexError) as info:
+        selfadjointness_criteria(g, x0)
+    assert info.value.args == UnknownVertexError(x0).args
+    with pytest.raises(InputError, match="budget must be a positive integer"):
+        selfadjointness_criteria(g, x0, budget=0)
+    with pytest.raises(InputError, match="Lipschitz budget must be finite and nonnegative"):
+        selfadjointness_criteria(g, x0, lipschitz_budget=-1.0)
 
 
 def test_semibounded_probe_reference_ray():

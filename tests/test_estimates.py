@@ -63,6 +63,32 @@ def test_weighted_gradient_energy_rejects_complex_weight():
         weighted_gradient_energy(g, VertexFunction.delta(1), VertexFunction({1: 1j}))
 
 
+@pytest.mark.parametrize("value", [0.5 + 0j, complex(2), np.complex128(1.5), "1", None,
+                                   ComplexRational(Fraction(1, 2))])
+def test_phi_of_any_type_but_a_real_number_is_refused(value):
+    g = quadratic_well_ray()
+    u, phi = VertexFunction({1: 1.0, 2: 2j}), VertexFunction({1: 1, 2: value})
+    for check in (weighted_gradient_energy, gradient_energy_inequality):
+        with pytest.raises(InputError) as info:
+            check(g, u, phi)
+        assert str(info.value) == f"phi must be real-valued; phi(2) = {value!r}"
+
+
+def test_fraction_phi_matches_the_loops_bit_for_bit(rng):
+    """Fraction weights, as an exact cut-off profile holds them, with ints,
+    floats and numpy floats beside them: every ``numbers.Real`` is a weight."""
+    g = quadratic_well_ray()
+    for _ in range(20):
+        u = random_ray_function(rng, span=12)
+        phi = VertexFunction({x: Fraction(int(k), 7) for x, k in
+                              zip(range(1, 14), rng.integers(-9, 10, 13))})
+        phi = phi + VertexFunction({3: 1, 5: 0.25, 9: np.float64(1.5)})
+        assert (_bits(gradient_energy_inequality(g, u, phi))
+                == _bits(oracle.gradient_energy_inequality(g, u, phi)))
+        assert (_bits(weighted_gradient_energy(g, u, phi))
+                == _bits(oracle.weighted_gradient_energy(g, u, phi)))
+
+
 def test_gradient_energy_inequality_zero_function():
     g = quadratic_well_ray()
     phi = CutoffFunction(g, 1, 2).tapered_profile()
@@ -488,7 +514,7 @@ def test_complex_phase_graphs_match_the_loops_bit_for_bit(seed, ids, real, minor
     kind = rng.random()
     if kind < 0.3:  # int weights, as a cut-off profile may hold
         phi = VertexFunction({x: int(round(p)) for x, p in phi.items()})
-    elif kind < 0.4:  # real values of complex type, which `_require_real` lets through
+    elif kind < 0.4:  # real values of complex type, which both refuse
         phi = VertexFunction({x: complex(p) for x, p in phi.items()})
     edges = g.edges()
     picks = rng.choice(len(edges), size=min(flips, len(edges)), replace=False)

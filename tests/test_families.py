@@ -6,7 +6,7 @@ import pytest
 
 from magschro import metric
 from magschro.errors import ExprEvalError, GraphStructureError, InputError
-from magschro.exprlang import eval_expr, parse_expr
+from magschro.exprlang import compile_text, eval_expr, parse_expr
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import EdgeData, OrientedEdge, VertexData
 from magschro.metric import shortest_paths
@@ -173,6 +173,52 @@ def test_far_vertices_are_evaluated_singly(monkeypatch):
     assert g.vertex(2000).minorant == 2000.0 ** 2
     assert g.edge_data((far, far + 1)).weight == 1.0
     assert evaluated == [far, 2000] and vars(g) == held
+
+
+_SAMPLES = [*range(1, 33), *(1 << k for k in range(6, 21))]
+
+
+def _first_sample_error(spec):
+    """The error of the first sample n where an expression raises or w(n) > 0,
+    q(n) >= 1 or a(n) > 0 fails, as (type, message); None if there is none."""
+    w, q, a = (compile_text(spec.get(k, "1")) for k in "wqa")
+    for n in _SAMPLES:
+        try:
+            wn, qn, an = w(n), q(n), a(n)
+        except ExprEvalError as exc:
+            return ExprEvalError, str(exc)
+        for failed, text in ((not wn > 0, f"w({n}) = {wn} is not positive"),
+                             (qn < 1, f"q({n}) = {qn} is below 1"),
+                             (not an > 0, f"a({n}) = {an} is not positive")):
+            if failed:
+                return InputError, f"family 'path-nat': {text}"
+    return None
+
+
+@pytest.mark.parametrize("spec", [
+    {}, {"W": "-(n^2)", "q": "n^2"}, {"w": "abs(n - 40)"}, {"w": "abs(n - 64)"},
+    {"q": "n / 32"}, {"q": "2 - min(n, 2^19) / 2^18"}, {"a": "1 / abs(n - 2^20)"}, {"w": "2^n"},
+    {"a": "n^0.5 - 5"}, {"q": "1 + sqrt(n - 3)"}, {"W": "1 / (n - 5)"},
+    {"w": "n^-1.5", "a": "n^2.5", "q": "1 + n^0.1"}, {"w": "1e-300 / n^20"}])
+def test_the_ray_checks_its_samples_one_by_one(spec):
+    """A ray refuses the first failing sample's error; where every sample
+    passes when evaluated as one array, each passes on its own, bit for bit."""
+    spec = {"family": "path-nat", **spec}
+    try:
+        make_family(spec)
+    except InputError as exc:
+        got = type(exc), str(exc)
+    else:
+        got = None
+    assert got == _first_sample_error(spec)
+    try:
+        w, q, a = (compile_text(spec.get(k, "1"))(np.array(_SAMPLES)) for k in "wqa")
+    except ExprEvalError:
+        return
+    if np.all(w > 0) and np.all(q >= 1) and np.all(a > 0):
+        assert got is None
+        for k, values in zip("wqa", (w, q, a)):
+            assert list(map(compile_text(spec.get(k, "1")), _SAMPLES)) == values.tolist()
 
 
 @pytest.mark.parametrize("spec, error, message", [

@@ -26,6 +26,7 @@ from magschro.families import make_family
 from magschro.graphs import ExplicitGraph, WeightedGraph, sorted_ids, validate
 from magschro.metric import shortest_paths
 from magschro.randomgraphs import gauge_transformed, random_connected_graph, random_gauge
+from search_probes import frontier_only
 
 FAULTS = ("vertex", "loop", "duplicate", "unknown", "phase", "edge-data", "asymmetry",
           "conjugacy", "disconnected")
@@ -258,6 +259,27 @@ def test_closure_windows_match_the_oracle_read(seed, ids):
     extra = [names[int(i)] for i in rng.choice(len(names), size=2)]
     _assert_same_window(g.closure_window(vertices, extra),
                         WeightedGraph.closure_window(g, vertices, extra))
+
+
+def test_ids_past_int64_are_held_as_objects():
+    """A path on the int ids 2**70 + k: its windows hold them in an object
+    array, as the oracle read does, and a search past WINDOW_MIN runs on it."""
+    top = 2 ** 70
+    names = [top + k for k in range(400)]
+    g = ExplicitGraph.from_columns(names, np.linspace(1, 2, 400), [0.0] * 400,
+                                   np.linspace(1, 5, 400), names[:-1], names[1:],
+                                   np.linspace(0.5, 3, 399), [1.0] * 399)
+    whole = g.whole_window()
+    assert whole.ids.dtype == object and whole.ids.tolist() == names
+    _assert_same_window(whole, WeightedGraph.closure_window(g, names))
+    for vertices, extra in (([top + 7, top + 300], [top + 399]), ([top], [])):
+        _assert_same_window(g.closure_window(vertices, extra),
+                            WeightedGraph.closure_window(g, vertices, extra))
+    res = shortest_paths(g, top + 100)
+    assert res.method == "window" and len(res.distances) == 400
+    oracle = shortest_paths(frontier_only(g), top + 100).distances
+    assert list(res.distances.items()) == list(oracle.items())
+    assert res.get(top + 399) == oracle[top + 399] and res.get(399) is None
 
 
 def test_closure_window_refuses_unknown_vertices_as_the_oracle_read():

@@ -17,6 +17,7 @@ from magschro.metric import (
     UNIT_Q,
     WITH_Q,
     AnchorFunction,
+    CutoffCheckReport,
     CutoffFunction,
     ball,
     completeness_probe,
@@ -191,11 +192,13 @@ def test_cutoff_budget_error():
 
 
 def test_cutoff_property_check_reference():
+    """d(x0, k) = |k - x0| in unit-q on the well, so chi steps down by 1/n per
+    edge between n and 2n, which d / n bounds with equality."""
     g = quadratic_well_ray()
-    for n in (1, 2, 5):
-        report = cutoff_property_check(g, 1, n)
-        assert report.ok, report.violations
-        assert report.support_size == 2 * n
+    for x0 in (1, 1000):
+        for n in range(1, 21):
+            assert cutoff_property_check(g, x0, n) == CutoffCheckReport(
+                x0=x0, n=n, support_size=2 * n if x0 == 1 else 4 * n - 1, violations=[])
 
 
 def test_cutoff_property_check_random_graphs(rng):
@@ -235,6 +238,35 @@ def test_a_cutoff_check_searches_its_ball_once(monkeypatch):
         assert balls == [2.5 * n]
 
 
+def test_cutoff_function_and_check_refuse_as_one():
+    g = quadratic_well_ray()
+    for n in (0, -1, True, 1.5, "2"):
+        for build in (CutoffFunction, cutoff_property_check):
+            with pytest.raises(InputError) as info:
+                build(g, 1, n)
+            assert str(info.value) == f"cut-off index must be a positive integer, got {n!r}"
+    # both reach 10: 11 vertices, and the budget stops a search before the radius does
+    for build, n in ((CutoffFunction, 5), (cutoff_property_check, 4)):
+        with pytest.raises(BudgetExhaustedError) as info:
+            build(g, 1, n, budget=11)
+        assert str(info.value) == f"the 2n-ball around 1 (n={n}) was not settled within the budget"
+        build(g, 1, n, budget=12)
+
+
+def test_cutoff_check_reports_a_short_metric(monkeypatch):
+    """With every pair distance halved, the gradient bound d / n fails on each
+    of the n ramp edges (k, k + 1), d(1, k) = k - 1 from n to 2n - 1."""
+    g = quadratic_well_ray()
+    true = metric.distance
+    monkeypatch.setattr(metric, "distance", lambda *args, **kw: true(*args, **kw) / 2)
+    for n in range(1, 21):
+        report = cutoff_property_check(g, 1, n)
+        assert not report.ok and {kind for kind, *_ in report.violations} == {"gradient"}
+        ramp = [(k, k + 1) for k in range(n + 1, 2 * n + 1)]
+        assert [edge for _, edge, _ in report.violations] == ramp
+        assert all(excess == pytest.approx(0.5 / n) for *_, excess in report.violations)
+
+
 def test_cutoff_gradient_equality_case():
     # on a unit path with x0 = 1 and n = 1 the edge (2, 3) straddles the ramp:
     # chi(2) = 1, chi(3) = 0 and d(2, 3) = 1, so the gradient bound is tight
@@ -256,6 +288,26 @@ def test_anchor_function_incremental():
     tight = AnchorFunction(g, 1, budget=5)
     with pytest.raises(BudgetExhaustedError):
         tight(1000)
+
+
+def test_anchor_on_a_disjoint_union_refuses_the_other_part():
+    """Once the frontier is exhausted, every later read of the other part is
+    refused as the first was; a budget of the whole part runs out first."""
+    g = ExplicitGraph.from_columns(list(range(1, 9)), [1.0] * 8, [0.0] * 8, [1.0] * 8,
+                                   [1, 2, 3, 4, 6, 7], [2, 3, 4, 5, 7, 8], [1.0] * 6,
+                                   [1.0] * 6, blocks=[5, 3])
+    anchor = AnchorFunction(g, 1, q_mode=UNIT_Q)
+    for x in (7, 7, 6):
+        with pytest.raises(InputError, match=f"vertex {x} is not reachable from 1"):
+            anchor(x)
+    assert [anchor(x) for x in range(1, 6)] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    for budget, error in ((5, BudgetExhaustedError), (6, InputError)):
+        anchor = AnchorFunction(g, 1, budget=budget)
+        for _ in range(2):
+            with pytest.raises(error):
+                anchor(8)
+    with pytest.raises(BudgetExhaustedError, match="unresolved within budget 4"):
+        AnchorFunction(g, 1, budget=4)(5)
 
 
 def test_search_result_radius_semantics():

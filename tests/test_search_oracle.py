@@ -14,6 +14,7 @@ kind of stop, with ties, beside invalid records and near the end of int64.
 import dataclasses
 import json
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -298,3 +299,52 @@ def test_starts_near_the_end_of_int64(x0, budget, method):
     res = shortest_paths(g, x0, budget=budget)
     assert res.method == method
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=budget))
+
+
+@pytest.mark.parametrize("g, x0, q_mode, edge, method", [
+    (make_family({"family": "path", "size": 600}), 1, UNIT_Q, 300, "window"),
+    (_graph(3, 700, "mixed", ties=True), "v1", WITH_Q, 400, "window"),
+    (_graph(4, 200, "str", ties=False), "v0001", WITH_Q, 150, "frontier"),
+    (make_family({"family": "path-nat", "W": "-(n^2)", "q": "n^2"}), 1, WITH_Q, 700, "window"),
+    (make_family({"family": "path-nat", "a": "n^0.5"}), 5000, UNIT_Q, 400, "window")])
+def test_balls_are_the_vertices_their_searches_settle(g, x0, q_mode, edge, method):
+    """With the radius at a settled distance, so that d == radius is met, a
+    ball holds the search's own settled vertices in settle order: those that
+    the frontier settles at or within the radius."""
+    settled = list(shortest_paths(_frontier_only(g), x0, q_mode=q_mode, budget=2000)
+                   .distances.items())
+    radius = sorted(d for _, d in settled)[edge]
+    assert shortest_paths(g, x0, q_mode=q_mode, radius=radius).method == method
+    found = ball(g, x0, radius, q_mode=q_mode)
+    assert found.complete and list(found.members.items()) == [
+        (x, d) for x, d in settled if d <= radius]
+    assert max(found.members.values()) == radius and len(found) > edge
+
+
+@pytest.mark.parametrize("kind", ["a*q overflows", "w / a overflows", "ray a*q overflows"])
+def test_zero_and_infinite_lengths_keep_the_search_on_the_frontier(kind):
+    """An edge of length 0 (a * q overflows to inf) or inf (sqrt(w / a)
+    overflows), met past WINDOW_MIN, is one that neither array path takes:
+    the frontier goes on, without a numpy overflow warning, and never
+    crosses an infinite edge."""
+    if kind == "ray a*q overflows":
+        g, budget = make_family({"family": "path-nat", "a": "1e308", "q": "1e308"}), 1000
+    else:
+        w, a, q = {"a*q overflows": (1.0, 1e308, 10.0),
+                   "w / a overflows": (1e308, 5e-324, 1.0)}[kind]
+        g, budget = ExplicitGraph.from_columns(
+            list(range(1, 401)), [w] * 400, [0.0] * 400, [q] * 400, list(range(1, 400)),
+            list(range(2, 401)), [a if k == 350 else 1.0 for k in range(1, 400)],
+            [1.0] * 399), None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = shortest_paths(g, 1, budget=budget)
+    assert res.method == "frontier"
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), 1, budget=budget))
+    got = res.distances
+    if kind == "ray a*q overflows":
+        assert list(got.items()) == [(x, 0.0) for x in range(1, 1001)]
+    elif kind == "a*q overflows":
+        assert len(got) == 400 and got[351] == got[350]
+    else:
+        assert len(got) == 350 and res.complete
