@@ -90,7 +90,8 @@ def _closure(g, window):
 
 def _explored(g, found):
     """The window of a search with the mask of the vertices it settled: the
-    window it ran on, else the closure of the frontier's."""
+    window it ran on (a ray search's is built on this first read), else the
+    closure of the frontier's."""
     if found.method == "window":
         member = np.zeros(len(found.window.ids), dtype=bool)
         member[found.order] = True

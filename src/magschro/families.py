@@ -87,27 +87,31 @@ class PathRayGraph(WeightedGraph):
             if not a > 0:
                 raise InputError(f"family {self.spec.family!r}: a({n}) = {a} is not positive")
 
-    def _records(self, lo, hi):
+    def _records(self, lo, hi, top=False):
         """w, W, q and a over lo..hi, cut before the first n where an expression
-        raises or a record is invalid: sliced from the prefix where lo..hi lies
-        in it, evaluated past it.  hi < 2**63 - 1, past which ``np.arange``
-        makes floats."""
+        raises or a record is invalid, or with ``top`` after the last such n:
+        sliced from the prefix where lo..hi lies in it, evaluated past it.
+        hi < 2**63 - 1, past which ``np.arange`` makes floats."""
         head = len(self._head)
         if hi <= head:
             return [values[lo - 1:hi] for values in self._prefix]
         if lo <= head:
-            return [np.concatenate(parts) for parts in
-                    zip(self._records(lo, head), self._records(head + 1, hi))]
-        ns = np.arange(lo, hi + 1)
+            rest = self._records(head + 1, hi, top)
+            if top and len(rest[0]) < hi - head:
+                return rest
+            return [np.concatenate(parts) for parts in zip(self._records(lo, head), rest)]
+        ns = np.arange(lo, hi + 1)[::-1 if top else 1]  # in the order the cut is looked for
         while True:
             try:
                 block = [f(ns) for f in (self._w, self._W, self._q, self._a)]
                 break
-            except ExprEvalError as exc:
-                ns = ns[:exc.n - lo]
+            except ExprEvalError as exc:  # raised at the first failing n of ns
+                ns = ns[:abs(exc.n - int(ns[0]))]
         w, _, q, a = block
         bad = np.flatnonzero(~((w > 0) & (q >= 1) & (a > 0)))
-        return [values[:bad[0]] for values in block] if len(bad) else block
+        if len(bad):
+            block = [values[:bad[0]] for values in block]
+        return [values[::-1] for values in block] if top else block
 
     def has_vertex(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1

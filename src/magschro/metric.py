@@ -24,7 +24,9 @@ Both paths settle in one order: by distance, ties by id
 distances in id order gives.  The frontier keeps it wherever each edge
 length changes the distance it is added to; one below half an ulp of it
 lets the frontier settle a tie late.  ``SearchResult.method`` says which
-path ran.
+path ran.  A ray search keeps its records and builds its window on the
+first read of ``SearchResult.window``; :func:`distance` and :func:`ball`
+never read it, so they never build it.
 """
 
 from __future__ import annotations
@@ -155,25 +157,41 @@ class SearchResult:
     (Dijkstra over the neighbor oracle) or ``"window"`` (arrays: an explicit
     graph's whole window or the span of the ray that the search evaluated).
     A window result keeps its settled vertices as the rows ``order`` of
-    ``window`` and builds ``distances`` only when it is read.
+    ``window`` and builds ``distances`` only when it is read.  A ray
+    search's ``window`` is built from its records on the first read, so
+    :func:`distance` and :func:`ball`, which read ids ``lo + order``, never
+    build it.
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
-                 window=None, order=None, settled=None):
+                 window=None, order=None, settled=None, span=None, records=None):
         self.complete = complete  # the explored region was exhausted (no open frontier left)
         self.budget_hit = budget_hit
         self.settled_radius = settled_radius  # the next frontier distance; all below are final
-        self.method = "frontier" if window is None else "window"
-        self.window = window
+        self.method = "frontier" if order is None else "window"
         self.order = order
+        self._window = window
+        self._span = span  # a ray search's ids lo..hi: row i of its window is lo + i
+        self._records = records  # and its graph and blocks of w, W, q, a, until it is built
         self._distances = distances
         self._settled = settled  # settled distances in settle order
 
     @property
+    def window(self):
+        """The window the search ran on, None for the frontier."""
+        if self._records is not None:
+            g, columns = self._records
+            for k, blocks in enumerate(columns):  # one column at a time, freeing its blocks
+                columns[k] = [np.concatenate(blocks)]
+            self._window = g._window(self._span[0], *(blocks[0] for blocks in columns))
+            self._records = None
+        return self._window
+
+    @property
     def distances(self) -> dict:
         if self._distances is None:
-            ids = self.window.ids[self.order].tolist()
-            self._distances = dict(zip(ids, self._settled.tolist()))
+            ids = self.window.ids[self.order] if self._span is None else self._span[0] + self.order
+            self._distances = dict(zip(ids.tolist(), self._settled.tolist()))
         return self._distances
 
     def settled_distances(self) -> np.ndarray:
@@ -184,13 +202,21 @@ class SearchResult:
 
     def get(self, x) -> Optional[float]:
         """The distance of ``x`` if the search settled it, else None."""
-        if self._distances is None:  # row_of gives None, which equals no row, for unknown ids
-            hit = np.flatnonzero(self.order == self.window.row_of(x))
+        if self._distances is None:  # no row, None, is equal to no entry of order
+            hit = np.flatnonzero(self.order == self._row_of(x))
             return self._settled[hit[0]].item() if len(hit) else None
         try:
             return self._distances.get(x)
         except TypeError:  # unhashable, so equal to no vertex
             return None
+
+    def _row_of(self, x):
+        """The window's ``row_of(x)``; on a ray run, without building the window."""
+        if self._span is None:
+            return self.window.row_of(x)
+        lo, hi = self._span
+        n = int_id(x)
+        return n - lo if n is not None and lo <= n <= hi else None
 
 
 #: settled vertices after which a search restarts on arrays, when the graph
@@ -285,54 +311,60 @@ def _search_window(g, x0, q_mode, budget, radius, target):
 def _ray_search(g, x0, q_mode, budget, radius, target):
     """:func:`shortest_paths` on the lazy ray ``g`` as two running sums: each
     side of ``x0`` is evaluated ``2 * WINDOW_MIN`` vertices out, then doubles
-    while the search settles its end (:func:`_grow`).  None when a length is
-    zero or infinite, an invalid record cuts a left growth or ends the right
-    side where the search settles, or ids would pass int64; the frontier then
-    goes on, and raises a record's error."""
+    while the search settles its end (:func:`_grow`).  An invalid record
+    ends a side next to it.  None when the search settles the end of a side
+    so ended, a length is zero or infinite, or ids would pass int64; the
+    frontier then goes on, and raises a record's error."""
     top = np.iinfo(np.int64).max  # np.arange makes floats past it
     if x0 + 2 * WINDOW_MIN >= top:
         return None
     n = int_id(target)
-    # the blocks of w, W, q, a and the distances over lo..hi, in id order
-    columns = [[column] for column in (*g._records(x0, x0), np.zeros(1))]
+    columns = [[column] for column in g._records(x0, x0)]  # the blocks of w, W, q, a over lo..hi
+    dist = np.zeros(1)  # the distances over lo..hi, in id order
     lo = hi = x0
-    cut, grow = False, (x0 > 1, True)  # cut: the right side ends before an invalid record
+    cut, grow = [False, False], (x0 > 1, True)  # cut: an invalid record ends the left, right side
     while True:
-        for step in [step for step, on in zip((-1, 1), grow) if on]:
-            end = hi if step > 0 else lo
+        for side in (0, 1):
+            if not grow[side]:
+                continue
+            end, step = (hi, 1) if side else (lo, -1)
             far = max(1, x0 + step * max(2 * WINDOW_MIN, 2 * abs(end - x0)))
-            added = None if far >= top or step > 0 and cut else _grow(g, columns, end, far, q_mode)
-            if added is None:
+            grown = None if far >= top or cut[side] else _grow(g, columns, dist, end, far, q_mode)
+            if grown is None:
                 return None
-            cut, lo, hi = (added < far - hi, lo, hi + added) if step > 0 else (cut, far, hi)
-        order, ds, *flags = _settle(np.concatenate(columns[4]),
-                                    n - lo if n is not None and lo <= n <= hi else None,
+            added, dist = len(grown) - len(dist), grown
+            cut[side] = added < abs(far - end)
+            lo, hi = (lo, hi + added) if side else (lo - added, hi)
+        order, ds, *flags = _settle(dist, n - lo if n is not None and lo <= n <= hi else None,
                                     budget, radius)
         grow = lo > 1 and bool(np.any(order == 0)), bool(np.any(order == hi - lo))
-        if not any(grow):  # join one column at a time, freeing its blocks
-            records = [np.concatenate(columns.pop(0)) for _ in range(4)]
-            return SearchResult(*flags, window=g._window(lo, *records), order=order, settled=ds)
+        if not any(grow):
+            return SearchResult(*flags, order=order, settled=ds, span=(lo, hi),
+                                records=(g, columns))
+        del order, ds  # not held through the next growth
 
 
-def _grow(g, columns, end, far, q_mode):
-    """Add the ray's records past ``end`` up to ``far`` and their distances to
-    ``columns``: ``np.cumsum`` adds left to right from the earlier blocks'
-    carry, as the frontier adds ``d + len``, so the bits are the frontier's.
-    Returns how many it added, fewer on the right before an invalid record,
-    or None when one cuts a left growth or a length is zero or infinite."""
+def _grow(g, columns, dist, end, far, q_mode):
+    """The distances ``dist`` over the records in ``columns`` extended past
+    ``end`` up to ``far``, adding the new records' blocks to ``columns``:
+    ``np.cumsum`` adds outwards from the distance at ``end``, as the
+    frontier adds ``d + len``, so the bits are the frontier's.  Evaluated
+    from ``end`` outwards, a side stops short of ``far`` next to an invalid
+    record.  None when a length is zero or infinite."""
     step = 1 if far > end else -1
-    new = g._records(min(end + step, far), max(end + step, far))
-    if step < 0 and len(new[0]) < end - far:
-        return None
+    new = g._records(min(end + step, far), max(end + step, far), top=step < 0)
     tip = [column[-1][-1:] if step > 0 else column[0][:1] for column in columns]
     w, q, a = (np.concatenate([tip[k], new[k]][::step]) for k in (0, 2, 3))
     lengths = _lengths(w[:-1], q[:-1], w[1:], q[1:], a[:-1], q_mode == WITH_Q)
+    del w, q, a  # the search's peak memory is this growth's
     if not np.all((lengths > 0) & (lengths < math.inf)):
         return None
-    d = np.cumsum(np.concatenate([tip[4], lengths[::step]]))[1:][::step]
-    for column, block in zip(columns, (*new, d)):
+    run = lengths[::step]  # from end outwards; the sums from end's distance overwrite it
+    run[:1] += dist[-1] if step > 0 else dist[0]
+    np.cumsum(run, out=run)
+    for column, block in zip(columns, new):
         column.insert(len(column) if step > 0 else 0, block)
-    return len(d)
+    return np.concatenate([dist, lengths] if step > 0 else [lengths, dist])
 
 
 def distance(g, x, y, *, q_mode=WITH_Q, budget=None) -> Optional[float]:
@@ -532,13 +564,14 @@ def _ramp(n, d) -> float:
 def _cutoff_ball(g, x0, n, budget, reach):
     """The unit-q distances from ``x0`` up to ``reach * n`` for the cut-off
     index ``n``, all settled; a search stopped by its radius settles nothing
-    past it, so every distance is within it."""
+    past it, so every distance is within it.  A budget that stops the search
+    first raises, naming that radius."""
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise InputError(f"cut-off index must be a positive integer, got {n!r}")
     result = shortest_paths(g, x0, q_mode=UNIT_Q, budget=budget, radius=reach * n)
     if not result.complete:
         raise BudgetExhaustedError(
-            f"the 2n-ball around {x0!r} (n={n}) was not settled within the budget")
+            f"the {reach:g}n-ball around {x0!r} (n={n}) was not settled within the budget")
     return result.distances
 
 

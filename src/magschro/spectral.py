@@ -12,14 +12,22 @@ weights) is Hermitian in the ordinary sense and shares the spectrum, so
 standard solvers apply.
 
 :func:`eigen_extremes` solves windows of up to ``DENSE_CUTOFF`` vertices
-densely and larger ones by shift-invert Lanczos from just outside the
-Gershgorin bound, in real arithmetic when all phases are real.  Each shift
-is factored once, by a sparse LU in SuperLU's symmetric mode: one minimum
-degree ordering of A + A^T applied to rows and columns alike, and the
-diagonal taken as pivot with no row exchange (``_shift_factor``).  That is
-safe because a shift outside the Gershgorin interval makes H - sigma I
-strictly diagonally dominant and definite, and then every pivot carries
-its sign.  The factor has less fill than the partially pivoted,
+densely and larger ones by shift-invert Lanczos from just outside a
+Gershgorin bound, in real arithmetic when all phases are real.  Each bound
+is the tighter of two that hold the same spectrum: the Gershgorin interval
+of the symmetrized S and that of the assembled M, which is similar to it.
+M's rows sum a(e) / w(x), so where w varies its lower bound is often the
+tighter: -3.96 against -11.71 on the 8000-vertex window of perfbench's
+seed-1 flux lattice, where the shift's Lanczos run then takes 71 solves
+against 121.  With w = 1, M and S are one matrix.  Each
+shift is factored once, by a sparse LU in SuperLU's symmetric mode: one
+minimum degree ordering of A + A^T applied to rows and columns alike, and
+the diagonal taken as pivot with no row exchange (``_shift_factor``).
+That is safe because the shift lies beyond every Gershgorin disc of M or
+of S, so beyond the spectrum of the Hermitian H: H - sigma I is definite
+(it need not be diagonally dominant), every symmetric reordering of it is
+too, and elimination without row exchange keeps each pivot's sign.  The
+factor has less fill than the partially pivoted,
 COLAMD-ordered one that ARPACK's driver would build: L + U entries
 482k -> 281k and 30.5k -> 21.3k on 8000- and 1000-vertex flux-lattice
 windows.  ARPACK gets at most ``LANCZOS_MAXITER`` restarts per shift, over
@@ -149,9 +157,9 @@ class EigenExtremes(NamedTuple):
 def _shift_factor(herm, sigma):
     """Sparse LU factor of ``herm - sigma I`` for a shift outside the spectrum.
 
-    The shift lies outside the Gershgorin interval, so the matrix is strictly
-    diagonally dominant and definite: every Schur complement keeps its
-    diagonal, and the factor takes its pivots there, with no row exchange,
+    The shift lies outside a Gershgorin interval that holds the spectrum, so
+    the Hermitian matrix is definite, and so is every Schur complement of
+    it: the factor takes its pivots on the diagonal, with no row exchange,
     after one symmetric fill-reducing ordering of the columns and rows
     (minimum degree on A + A^T).  The pivots then all carry the sign of the
     matrix, positive below the spectrum and negative above it.
@@ -159,6 +167,13 @@ def _shift_factor(herm, sigma):
     identity = sp.identity(herm.shape[0], format="csc", dtype=herm.dtype)
     return spla.splu((herm - sigma * identity).tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+def _gershgorin(matrix):
+    """The ends of the union of the Gershgorin discs of ``matrix``."""
+    diag = matrix.diagonal().real
+    offdiag = np.asarray(np.abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag - offdiag)), float(np.max(diag + offdiag))
 
 
 def _lanczos_pair(herm, sigma, v0):
@@ -233,15 +248,14 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
         else:
             rng = np.random.default_rng(seed)
             v0 = rng.standard_normal(n)
-            # the Gershgorin interval holds the spectrum, so a shift just outside
-            # it keeps the factored operator definite and makes the extreme
+            # the Gershgorin intervals of S and of M, which is similar to S,
+            # both hold the spectrum, so a shift just outside the tighter end
+            # keeps the factored operator definite and makes the extreme
             # eigenvalue the one nearest the shift; a margin on the scale of the
             # bound, not of the spread, stays above the bound's rounding error
             # and keeps the shift close to that eigenvalue
-            diag = herm.diagonal().real
-            offdiag = np.asarray(np.abs(herm).sum(axis=1)).ravel() - np.abs(diag)
-            g_lo = float(np.min(diag - offdiag))
-            g_hi = float(np.max(diag + offdiag))
+            (s_lo, s_hi), (m_lo, m_hi) = _gershgorin(herm), _gershgorin(trunc.matrix)
+            g_lo, g_hi = max(s_lo, m_lo), min(s_hi, m_hi)
             margin = 1e-8 * max(abs(g_lo), abs(g_hi), 1.0)
             shifts = (g_lo - margin, g_hi + margin)
             pairs, counts = [], []

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from loop_oracles import window_walk
 from magschro import criteria, metric
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
-from magschro.families import make_family, quadratic_well_ray
+from magschro.families import PathRayGraph, make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.metric import (
     UNIT_Q,
@@ -27,7 +29,7 @@ from magschro.metric import (
     shortest_paths,
 )
 from magschro.randomgraphs import random_connected_graph
-from search_probes import count_records
+from search_probes import count_records, frontier_only
 
 
 def unit_path(n):
@@ -246,11 +248,23 @@ def test_cutoff_function_and_check_refuse_as_one():
                 build(g, 1, n)
             assert str(info.value) == f"cut-off index must be a positive integer, got {n!r}"
     # both reach 10: 11 vertices, and the budget stops a search before the radius does
-    for build, n in ((CutoffFunction, 5), (cutoff_property_check, 4)):
+    for build, n, reach in ((CutoffFunction, 5, "2"), (cutoff_property_check, 4, "2.5")):
         with pytest.raises(BudgetExhaustedError) as info:
             build(g, 1, n, budget=11)
-        assert str(info.value) == f"the 2n-ball around 1 (n={n}) was not settled within the budget"
+        assert str(info.value) == (
+            f"the {reach}n-ball around 1 (n={n}) was not settled within the budget")
         build(g, 1, n, budget=12)
+
+
+def test_cutoff_check_names_the_ball_it_searched():
+    # the check searches to 2.5n, past the 2n-ball that CutoffFunction needs:
+    # 9 vertices within 8 and 11 within 10 on the well's unit-q metric
+    g = quadratic_well_ray()
+    assert CutoffFunction(g, 1, 4, budget=10).support() == list(range(1, 9))
+    with pytest.raises(BudgetExhaustedError) as info:
+        cutoff_property_check(g, 1, 4, budget=10)
+    assert str(info.value) == "the 2.5n-ball around 1 (n=4) was not settled within the budget"
+    assert cutoff_property_check(g, 1, 4, budget=12).ok
 
 
 def test_cutoff_check_reports_a_short_metric(monkeypatch):
@@ -570,3 +584,70 @@ def test_window_target_compares_like_the_frontier(monkeypatch, target):
         oracle.budget_hit, oracle.settled_radius, oracle.settled_distances().tolist())
     assert res.get(target) == oracle.distances.get(target)
     assert res.get(np.int64(4000)) == res.get(4000.0) == oracle.distances[4000]
+
+
+# a ray search builds its window only when .window is read: distance and
+# ball read ids lo + order and rows int_id(x) - lo from the run itself
+_RAY_STARTS = [pytest.param(1, WITH_Q, id="1-with-q"), pytest.param(1, UNIT_Q, id="1-unit-q"),
+               pytest.param(10**7, WITH_Q, id="1e7-with-q"),
+               pytest.param(10**7, UNIT_Q, id="1e7-unit-q")]
+
+
+@pytest.mark.parametrize("x0, q_mode", _RAY_STARTS)
+def test_ray_distance_and_ball_never_build_the_window(monkeypatch, x0, q_mode):
+    g = quadratic_well_ray()
+    target = x0 + 3000
+    expected = distance(g, x0, target, q_mode=q_mode, budget=10**5)
+    radius = shortest_paths(g, x0, q_mode=q_mode, budget=2000).settled_radius
+    members = ball(g, x0, radius, q_mode=q_mode).members
+
+    def refuse(*args):
+        raise AssertionError("a ray window was built")
+
+    monkeypatch.setattr(PathRayGraph, "_window", staticmethod(refuse))
+    assert shortest_paths(g, x0, q_mode=q_mode, target=target, budget=10**5).method == "window"
+    assert distance(g, x0, target, q_mode=q_mode, budget=10**5) == expected is not None
+    found = ball(g, x0, radius, q_mode=q_mode)
+    assert found.complete and list(found.members.items()) == list(members.items())
+    assert len(found) > metric.WINDOW_MIN
+    with pytest.raises(AssertionError, match="a ray window was built"):
+        shortest_paths(g, x0, q_mode=q_mode, budget=2000).window
+
+
+@pytest.mark.parametrize("x0, q_mode", _RAY_STARTS)
+def test_ray_window_is_the_window_over_its_records(x0, q_mode):
+    g = quadratic_well_ray()
+    res = shortest_paths(g, x0, q_mode=q_mode, budget=5000)
+    win = res.window
+    lo, hi = int(win.ids[0]), int(win.ids[-1])
+    want = g._window(lo, *g._records(lo, hi))
+    assert res.window is win and res.method == "window"
+    for field in dataclasses.fields(win):
+        got, ref = getattr(win, field.name), getattr(want, field.name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+    assert list(res.distances) == (lo + res.order).tolist()
+
+
+@pytest.mark.parametrize("x0, q_mode", _RAY_STARTS)
+def test_ray_get_compares_ids_like_the_frontier(x0, q_mode):
+    g = quadratic_well_ray()
+    res = shortest_paths(g, x0, q_mode=q_mode, budget=2000)
+    oracle = shortest_paths(frontier_only(g), x0, q_mode=q_mode, budget=2000).distances
+    lo, hi = res._span  # the run, whose ends the search does not settle
+    probes = [float(x0 + 5), True, np.int64(x0 + 7), Fraction(x0 + 3), Fraction(2 * x0 + 1, 2),
+              "a", [1], 10**30, 0, -3, x0, lo, hi, hi + 1, x0 + 10**6, np.float64(x0 + 9.5)]
+    assert res.method == "window" and res._records is not None
+
+    def want(x):
+        try:
+            return oracle.get(x)
+        except TypeError:  # unhashable
+            return None
+
+    assert [res.get(x) for x in probes] == [want(x) for x in probes]
+    assert res.get(x0) == 0.0 and res.get(hi) is res.get(hi + 1) is None
+    assert res.get(True) == (0.0 if x0 == 1 else None)
+    assert res._records is not None  # get built no window
+    win = res.window
+    assert [res.get(x) for x in probes] == [want(x) for x in probes]
+    assert res.window is win

@@ -276,19 +276,34 @@ def test_ties_on_the_free_ray_settle_left_first():
         assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=4001))
 
 
-@pytest.mark.parametrize("x0, method", [(2000, "window"), (4000, "frontier")])
+@pytest.mark.parametrize("x0, method", [(2000, "window"), (4000, "window")])
 def test_a_cut_record_on_either_side_of_the_start(x0, method):
-    # W raises at 3000: the right side of 2000 ends at 2999, and a search
-    # from 4000 whose left side would hold 3000 stays on the frontier
+    # W raises at 3000: the right side of 2000 ends at 2999 and the left side
+    # of 4000 at 3001, which the search does not settle
     g = make_family({"family": "path-nat", "W": "1/(n-3000)"})
     res = shortest_paths(g, x0, budget=1500)
     assert res.method == method
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=1500))
-    if method == "window":
-        assert res.window.ids[-1] == 2999 and max(res.distances) < 2999
+    end = 2999 if x0 < 3000 else 3001
+    assert end in res.window.ids[[0, -1]] and end not in res.distances
     for budget in (2500, 10**6):  # the search settles the cut end, and raises the frontier's error
         with pytest.raises(ExprEvalError, match=r"\(at n=3000\)"):
             shortest_paths(g, x0, budget=budget)
+
+
+@pytest.mark.parametrize("bad, x0", [(500, 2000), (1500, 2000), (3000, 3513)])
+def test_a_left_side_ends_above_its_last_invalid_record(bad, x0):
+    # the left side of x0 is evaluated from its top down, so it ends at
+    # bad + 1, in the ray's prefix (cut at 499) or past it; from 3513 the
+    # first growth ends at 3001 uncut, and the next one adds no record
+    g = make_family({"family": "path-nat", "W": f"1/(n-{bad})"})
+    budget = 2 * (x0 - bad - 1) - 1  # settles x0 - k..x0 + k, short of bad + 1
+    res = shortest_paths(g, x0, budget=budget)
+    assert res.method == "window" and res.window.ids[0] == bad + 1
+    assert min(res.distances) == bad + 2
+    assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=budget))
+    with pytest.raises(ExprEvalError, match=rf"\(at n={bad}\)"):
+        shortest_paths(g, x0, budget=budget + 2)
 
 
 @pytest.mark.parametrize("x0, budget, method", [

@@ -382,3 +382,25 @@ def test_flux_lattice_lanczos_agrees_with_dense_and_counts_its_solves(monkeypatc
     scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
     assert abs(ext.lambda_min - vals[0]) <= spectral.RESIDUAL_CONTRACT * scale
     assert abs(ext.lambda_max - vals[-1]) <= spectral.RESIDUAL_CONTRACT * scale
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lower_shift_comes_from_the_tighter_gershgorin_bound(seed):
+    # w varies on the lattice, so the discs of the assembled M, which is
+    # similar to S, end above those of S: the shift below them is still
+    # below the spectrum, factors with positive pivots and no row exchange,
+    # and finds the dense solver's smallest eigenvalue
+    g = flux_lattice(24, seed)
+    trunc = assemble_truncation(g, g.vertices())
+    herm = _hermitian_part(trunc)
+    dense = herm.toarray()
+    radii = np.abs(dense).sum(axis=1) - np.abs(dense.diagonal())
+    s_bound = float(np.min(dense.diagonal().real - radii))
+    ext = eigen_extremes(trunc)
+    vals = np.linalg.eigvalsh(trunc.symmetrized().toarray())
+    assert s_bound < ext.shifts[0] < vals[0]
+    lu = spectral._shift_factor(herm, ext.shifts[0])
+    assert np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0)
+    scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
+    assert abs(ext.lambda_min - vals[0]) <= spectral.RESIDUAL_CONTRACT * scale
+    assert abs(ext.lambda_max - vals[-1]) <= spectral.RESIDUAL_CONTRACT * scale
