@@ -350,7 +350,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite number ends in a typed error instead
+            return args.func(args)
     except MagschroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, BudgetExhaustedError) else 2

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, require_nonnegative
 from .exprlang import power
-from .graphs import OrientedEdge, sorted_ids, vertex_sort_key
+from .graphs import OrientedEdge, sorted_ids
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _resolve_budget,
                      shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
@@ -277,7 +277,7 @@ def semibounded_probe(g, windows) -> SemiboundedProbe:
     """
     rows = []
     for window in windows:
-        window = sorted(set(window), key=vertex_sort_key)
+        window = sorted_ids(set(window))
         trunc = assemble_truncation(g, window)
         ext = eigen_extremes(trunc)
         ray = float(trunc.matrix.diagonal().real.min())

@@ -14,7 +14,13 @@ class InputError(MagschroError):
 def require_finite(*values):
     """Refuse the non-finite floats that inputs overflowing double precision leave."""
     if not all(map(math.isfinite, values)):
-        raise InputError("non-finite value: the inputs overflow double precision")
+        raise overflow_error()
+
+
+def overflow_error() -> InputError:
+    """The error of :func:`require_finite`, also for the ``OverflowError`` that
+    Python arithmetic raises on such inputs."""
+    return InputError("non-finite value: the inputs overflow double precision")
 
 
 def require_nonnegative(name, value):

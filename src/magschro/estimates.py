@@ -42,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .criteria import lipschitz_best_constant
-from .errors import InputError, MinorantViolationError, require_finite, require_nonnegative
+from .errors import (InputError, MinorantViolationError, overflow_error, require_finite,
+                     require_nonnegative)
 from .functions import VertexFunction, support_union
 from .metric import AnchorFunction, WITH_Q
 from .operators import Patch, python_product
@@ -96,7 +97,10 @@ def _scalars(values, like=None) -> np.ndarray:
 def _squares(values, like=None) -> np.ndarray:
     """``abs(x) ** 2`` of each value as a Python scalar (``np.abs`` of a complex128
     can differ from Python's ``abs`` in the last bit), as :func:`_scalars`."""
-    return _scalars([abs(x) ** 2 for x in values.tolist()], like)
+    try:
+        return _scalars([abs(x) ** 2 for x in values.tolist()], like)
+    except OverflowError:  # abs or the square past the float range
+        raise overflow_error() from None
 
 
 def _sum(P, terms):

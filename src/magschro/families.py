@@ -79,13 +79,7 @@ class PathRayGraph(WeightedGraph):
     def _sample_check(self):
         samples = list(range(1, 33)) + [1 << k for k in range(6, 21)]
         for n in samples:  # raise the error of the first failing sample
-            w, q, a = self._w(n), self._q(n), self._a(n)
-            if not w > 0:
-                raise InputError(f"family {self.spec.family!r}: w({n}) = {w} is not positive")
-            if q < 1:
-                raise InputError(f"family {self.spec.family!r}: q({n}) = {q} is below 1")
-            if not a > 0:
-                raise InputError(f"family {self.spec.family!r}: a({n}) = {a} is not positive")
+            _require_bounds(self.spec.family, n, w=self._w(n), q=self._q(n), a=self._a(n))
 
     def _records(self, lo, hi, top=False):
         """w, W, q and a over lo..hi, cut before the first n where an expression
@@ -158,10 +152,7 @@ class PathRayGraph(WeightedGraph):
         inner, more = _ray_ids(vertices), _ray_ids(extra)
         if inner is not None and more is not None:
             ids = np.sort(np.concatenate([inner - 1, inner, inner + 1, more]))
-            keep = np.empty(len(ids), dtype=bool)  # each id once, and no id 0
-            keep[:1] = ids[:1] > 0
-            np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-            ids = ids[keep]
+            ids = ids[np.concatenate([ids[:1] > 0, ids[1:] != ids[:-1]])]  # once each, no 0
             records = self._at(ids)
             if records is not None:
                 return self._closure(ids, *records)
@@ -244,6 +235,15 @@ def _star(x, below, above):
     return out
 
 
+def _require_bounds(family, n, **values):
+    """Raise at the first of ``values``, w(n), q(n) or a(n) in the order
+    given, that is out of bounds: w and a must be positive, q not below 1."""
+    for name, value in values.items():
+        if value < 1 if name == "q" else not value > 0:
+            rule = "is below 1" if name == "q" else "is not positive"
+            raise InputError(f"family {family!r}: {name}({n}) = {value} {rule}")
+
+
 def _finite_family(spec: FamilySpec) -> ExplicitGraph:
     size = spec.size
     if size is None:
@@ -276,16 +276,10 @@ def _finite_family(spec: FamilySpec) -> ExplicitGraph:
         clean = False
     if not clean:  # raise the error of the first failing vertex or edge
         for n in range(1, size + 1):
-            wn, qn = w(n), q(n)
-            if not wn > 0:
-                raise InputError(f"family {spec.family!r}: w({n}) = {wn} is not positive")
-            if qn < 1:
-                raise InputError(f"family {spec.family!r}: q({n}) = {qn} is below 1")
+            _require_bounds(spec.family, n, w=w(n), q=q(n))
             W(n)
-        for (u, v) in pairs:
-            an = a(min(u, v))
-            if not an > 0:
-                raise InputError(f"family {spec.family!r}: a({min(u, v)}) = {an} is not positive")
+        for n in (min(u, v) for u, v in pairs):
+            _require_bounds(spec.family, n, a=a(n))
     return ExplicitGraph.from_columns(list(range(1, size + 1)), wv, Wv, qv,
                                       [u for u, _ in pairs], [v for _, v in pairs], av,
                                       np.ones(len(pairs)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
-from .graphs import OrientedEdge, as_edge, edge_sort_key, normalize_edge, vertex_sort_key
+from .graphs import OrientedEdge, as_edge, edge_sort_key, normalize_edge, sorted_ids
 
 
 def _check_finite(value):
@@ -46,7 +46,7 @@ class VertexFunction:
 
     @property
     def support(self):
-        return sorted(self._values, key=vertex_sort_key)
+        return sorted_ids(self._values)
 
     def items(self):
         return [(x, self._values[x]) for x in self.support]
@@ -177,7 +177,7 @@ class EdgeFunction:
 
 def support_union(*fs):
     """The union of the supports of vertex functions, in vertex order."""
-    return sorted(set().union(*(f._values for f in fs)), key=vertex_sort_key)
+    return sorted_ids(set().union(*(f._values for f in fs)))
 
 
 def inner_w(g, f: VertexFunction, h: VertexFunction):

@@ -66,8 +66,8 @@ def vertex_sort_key(x: VertexId):
 
 
 def sorted_ids(ids) -> list:
-    """``ids`` sorted by :func:`vertex_sort_key`, which plain comparison gives
-    unless ints and strings mix."""
+    """The collection ``ids`` sorted by :func:`vertex_sort_key`, which plain
+    comparison gives unless ints and strings mix; then ``ids`` is read twice."""
     try:
         return sorted(ids)
     except TypeError:
@@ -258,10 +258,9 @@ class Window:
 
     Vertices are numbered 0..m-1 in id order (:func:`vertex_sort_key`);
     ``ids`` is an int64 array when every id is an int, else an object array
-    that holds str and mixed ids as they are, and :meth:`row_of` finds the
-    row of an id in either.  Row i of the CSR adjacency (``indptr``,
-    ``indices``) lists the neighbors of vertex i that lie in the window, in
-    id order, and ``a`` and ``sigma`` hold the data of those oriented edges.
+    that holds str and mixed ids as they are.  Row i of the CSR adjacency
+    (``indptr``, ``indices``) lists the neighbors of vertex i in the window,
+    in id order, and ``a`` and ``sigma`` hold those oriented edges' data.
     A vertex is interior when all of its neighbors lie in the window, and
     ``row_by_id`` maps each id to its row.  The data arrays hold the graph's
     numbers as numpy infers them, over the records read or over an array
@@ -289,24 +288,14 @@ class Window:
         return np.fromiter(map(vertices.__contains__, self.ids.tolist()), bool, len(self.ids))
 
     def row_of(self, x):
-        """The row of the id that equals ``x``, or None.
-
-        Equal as the frontier compares vertices (``==``, and the hash of a
-        dict key): ``5``, ``np.int64(5)``, ``5.0`` and ``True`` for 1 all find
-        id 5.  Int ids are found by binary search, other ids by a dict built
-        on the first lookup (``row_by_id``).
-        """
-        ids = self.ids
-        if ids.dtype == object:
-            try:
-                return self.row_by_id.get(x)
-            except TypeError:  # unhashable, so equal to no id
-                return None
-        n = int_id(x)
-        if n is None or not len(ids) or not int(ids[0]) <= n <= int(ids[-1]):
+        """The row of the id that equals ``x`` as a key of ``row_by_id``, as the
+        frontier compares vertices, or None: ``5``, ``np.int64(5)``, ``5.0`` and
+        ``Fraction(5)`` find id 5 and ``True`` finds id 1; an unhashable ``x``,
+        such as ``np.array(5)`` or ``[1]``, finds none."""
+        try:
+            return self.row_by_id.get(x)
+        except TypeError:  # unhashable, so equal to no id
             return None
-        row = int(np.searchsorted(ids, n))
-        return row if ids[row] == n else None
 
     @cached_property
     def row_by_id(self) -> dict:
@@ -341,7 +330,7 @@ def validate(g: WeightedGraph, window) -> ValidationReport:
         if not g.has_vertex(x):
             raise UnknownVertexError(x)
     report = ValidationReport(window=tuple(window))
-    for x in sorted(window, key=vertex_sort_key):
+    for x in sorted_ids(window):
         rec = g.vertex(x)
         bad = [v for v in rec if not math.isfinite(v)]
         if bad:  # NaN fails every comparison, so none is made

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Hashable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, InputError, UnknownVertexError
 from .functions import VertexFunction
-from .graphs import OrientedEdge, as_edge, int_id, normalize_edge, vertex_sort_key
+from .graphs import OrientedEdge, as_edge, int_id, normalize_edge, sorted_ids, vertex_sort_key
 
 WITH_Q = "with-q"
 UNIT_Q = "unit-q"
@@ -215,7 +216,7 @@ class SearchResult:
         if self._span is None:
             return self.window.row_of(x)
         lo, hi = self._span
-        n = int_id(x)
+        n = int_id(x) if isinstance(x, Hashable) else None  # unhashable: equal to no vertex
         return n - lo if n is not None and lo <= n <= hi else None
 
 
@@ -242,6 +243,8 @@ def shortest_paths(g, x0, *, q_mode=WITH_Q, budget=None, radius=None,
     budget = _resolve_budget(budget)
     if radius is not None and radius != radius:
         raise InputError("search radius must not be NaN")
+    if not isinstance(target, Hashable):
+        target = None  # equal to no vertex, as in SearchResult.get, so never settled
     frontier = _Frontier(g, x0, q_mode)
     settled = frontier.settled
     while True:
@@ -598,8 +601,7 @@ class CutoffFunction:
     __call__ = value
 
     def support(self):
-        return sorted((x for x, d in self._distances.items() if d < 2.0 * self.n),
-                      key=vertex_sort_key)
+        return sorted_ids([x for x, d in self._distances.items() if d < 2.0 * self.n])
 
     def as_vertex_function(self):
         return VertexFunction({x: self.value(x) for x in self.support()})
@@ -655,7 +657,7 @@ def cutoff_property_check(g, x0, n, *, budget=None) -> CutoffCheckReport:
         if _ramp(m_limit, d) != 1.0:
             violations.append(("limit", x, _ramp(m_limit, d)))
 
-    support = sorted((x for x, d in dists.items() if d < 2.0 * n), key=vertex_sort_key)
+    support = sorted_ids([x for x, d in dists.items() if d < 2.0 * n])
     seen = set()
     for x in support:
         for e, _ in g.neighbors(x):

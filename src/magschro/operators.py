@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, require_finite
+from .errors import InputError, overflow_error, require_finite
 from .functions import EdgeFunction, VertexFunction, inner_w
 from .graphs import OrientedEdge
 
@@ -250,7 +250,10 @@ def python_product(x, y):
 def _moduli(values):
     """Python's ``abs`` of each value: ``np.abs`` of a complex128 can differ
     from it in the last bit."""
-    return list(map(abs, values.tolist()))
+    try:
+        return list(map(abs, values.tolist()))
+    except OverflowError:  # a modulus past the float range
+        raise overflow_error() from None
 
 
 def _vertex_function(P: Patch, values) -> VertexFunction:

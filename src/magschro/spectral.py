@@ -227,16 +227,17 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
     Windows of up to ``DENSE_CUTOFF`` vertices are solved densely, larger
     ones by shift-invert Lanczos from just outside the Gershgorin interval.
     Both run in real arithmetic when the symmetrized matrix has no imaginary
-    part.  A non-finite entry, a solver failure, a shift that ARPACK does not
-    resolve within ``LANCZOS_MAXITER`` restarts, or a pair whose residual is
-    not within ``RESIDUAL_CONTRACT`` (NaN included) raises
-    :class:`EigensolveError`.
+    part.  A non-finite entry of S or of its Hermitian part, a solver
+    failure, a shift that ARPACK does not resolve within ``LANCZOS_MAXITER``
+    restarts, or a pair whose residual is not within ``RESIDUAL_CONTRACT``
+    (NaN included) raises :class:`EigensolveError`.
     """
     S = trunc.symmetrized()
     n = trunc.size
-    if not np.all(np.isfinite(S.data)):
+    with np.errstate(over="ignore", invalid="ignore"):  # S + S^H can overflow where S does not
+        herm = ((S + S.conjugate().transpose()) / 2).tocsr()
+    if not (np.all(np.isfinite(S.data)) and np.all(np.isfinite(herm.data))):
         raise EigensolveError(f"truncation has non-finite entries (n={n})")
-    herm = ((S + S.conjugate().transpose()) / 2).tocsr()
     if not np.any(herm.data.imag):
         herm = herm.real
     shifts, polish_solves, solves = None, 0, None

@@ -304,6 +304,26 @@ def test_non_finite_expression_exits_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--family", "path", "--size", "5", "--trials", "2", "--w", "1e-300"],
+     "non-finite value: the inputs overflow double precision"),
+    (["estimate", "--family", "path", "--size", "5", "--trials", "2", "--a", "1e308"],
+     "non-finite value: the inputs overflow double precision"),
+    (["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--a", "1e308"],
+     "non-finite value: the inputs overflow double precision"),
+    (["spectrum", "--family", "path", "--size", "300", "--windows", "100", "--W=1e308"],
+     "truncation has non-finite entries (n=100)"),
+    (["spectrum", "--family", "path-nat", "--w", "1e-320", "--windows", "300"],
+     "truncation has non-finite entries (n=300)"),
+], ids=["estimate-w", "estimate-a", "estimate-ray-a", "spectrum-hermitian-part",
+        "spectrum-ray-w"])
+def test_overflowing_inputs_exit_2_with_only_their_typed_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, options", [("check", ["--x0", "a"]),
                                              ("spectrum", ["--windows", "2"])],
                          ids=["check", "spectrum"])

@@ -152,6 +152,26 @@ def test_energy_bound_requires_constant_on_infinite_graphs():
         energy_bound_check(quadratic_well_ray(), VertexFunction.delta(1))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", [{"family": "path", "size": 5, "w": "1e-300"},
+                                  {"family": "path", "size": 5, "a": "1e308"},
+                                  {"family": "path-nat", "a": "1e308"}],
+                         ids=["path-w", "path-a", "ray-a"])
+def test_energy_bound_refuses_squares_past_the_float_range(spec):
+    # abs(x) ** 2 of a finite Hu or du raises OverflowError, which is refused as
+    # require_finite refuses an overflow to inf
+    with pytest.raises(InputError, match="the inputs overflow double precision"):
+        energy_bound_check(make_family(spec), VertexFunction({2: 1.0, 3: 0.5j}),
+                           lipschitz_constant=1.0, degree_bound=2)
+
+
+@pytest.mark.parametrize("value", [1e200, 1.5e308 + 1.5e308j], ids=["power", "abs"])
+def test_squares_past_the_float_range_are_an_input_error(value):
+    with pytest.raises(InputError, match="the inputs overflow double precision"):
+        estimates._squares(np.array([1.0, value]))
+
+
 @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, -1.0])
 def test_hostile_lipschitz_constant_is_an_input_error(constant):
     with pytest.raises(InputError, match="Lipschitz constant must be finite and nonnegative"):

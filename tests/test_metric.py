@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import two_vertex_graph
 from lattices import flux_lattice
 from loop_oracles import window_walk
-from magschro import criteria, metric
+from magschro import criteria, metric, reference
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
 from magschro.families import PathRayGraph, make_family, quadratic_well_ray
@@ -584,6 +584,37 @@ def test_window_target_compares_like_the_frontier(monkeypatch, target):
         oracle.budget_hit, oracle.settled_radius, oracle.settled_distances().tolist())
     assert res.get(target) == oracle.distances.get(target)
     assert res.get(np.int64(4000)) == res.get(4000.0) == oracle.distances[4000]
+
+
+@pytest.mark.parametrize("n", [5, 400], ids=["frontier-settled", "window-settled"])
+def test_explicit_window_ray_run_and_frontier_compare_ids_alike(n):
+    # equal as a dict key: an unhashable id such as np.array(n) finds no vertex
+    probes = [np.array(n), [1], float(n), np.int64(n), True, Fraction(n), "a"]
+    for g in (unit_path(600), quadratic_well_ray()):
+        frontier = shortest_paths(frontier_only(g), 1, budget=600)
+        d = frontier.distances[n]
+        want = [frontier.get(x) for x in probes]
+        assert want == [None, None, d, d, 0.0, d, None]
+        res = shortest_paths(g, 1, budget=600)
+        assert (frontier.method, res.method) == ("frontier", "window")
+        assert [res.get(x) for x in probes] == want
+        assert list(res.distances.items()) == list(frontier.distances.items())
+        assert [res.get(x) for x in probes] == want  # now from the dict
+        for x in probes:  # a search to x stops where the frontier's does
+            found = shortest_paths(g, 1, budget=600, target=x).settled_distances()
+            oracle = shortest_paths(frontier_only(g), 1, budget=600, target=x)
+            assert found.tolist() == oracle.settled_distances().tolist()
+
+
+def test_reproduce_builds_no_distance_dict_past_the_harmonic_ladder(monkeypatch):
+    # the metric stage reads d(1, 10^6) by distance, which builds no dict
+    sizes = []
+    read = metric.SearchResult.distances.fget
+    monkeypatch.setattr(metric.SearchResult, "distances",
+                        property(lambda res: sizes.append(len(read(res))) or read(res)))
+    steps, ok = reference.run_reference_scenario(identity_graphs=1)
+    assert ok and steps[2].name == "metric"
+    assert max(sizes) == reference.ORACLE_LADDER
 
 
 # a ray search builds its window only when .window is read: distance and

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_vertex_graph
+from magschro import operators
 from magschro.errors import InputError
 from magschro.exact import FOURTH_ROOTS, ComplexRational, pythagorean_phase
 from magschro.families import make_family, quadratic_well_ray
@@ -298,3 +299,10 @@ def test_residuals_refuse_overflowing_inputs():
         for relative in (False, True):
             with pytest.raises(InputError, match="non-finite"):
                 residual(g, *args, relative=relative)
+
+
+def test_moduli_past_the_float_range_are_an_input_error():
+    # abs of a finite complex raises OverflowError when its modulus passes the float range
+    assert operators._moduli(np.array([3 + 4j, -2.0])) == [5.0, 2.0]
+    with pytest.raises(InputError, match="the inputs overflow double precision"):
+        operators._moduli(np.array([1.0, 1.5e308 + 1.5e308j]))

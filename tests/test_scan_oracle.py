@@ -200,11 +200,13 @@ def test_ray_run_cut_equals_the_oracle_read(spec, lo, length, before, extra):
     assert cut.ids[0] == max(1, lo - 1) and cut.ids[-1] == lo + length
 
 
-def test_ray_cut_stays_on_the_run():
+def test_ray_closures_of_scattered_ints_read_no_oracle(monkeypatch):
     g = quadratic_well_ray()
-    g._cut = lambda lo, hi: pytest.fail("not a run")
+    for name in ("neighbors", "vertex"):
+        monkeypatch.setattr(g, name, lambda x: pytest.fail("the closure reads the oracle"))
     assert g.closure_window([1, 3]).ids.tolist() == [1, 2, 3, 4]
     assert g.closure_window([5, 6], [9]).ids.tolist() == [4, 5, 6, 7, 9]
+    monkeypatch.undo()  # a closure with an id that is no int of the ray reads the oracle
     for vertices, extra in (([2.0], ()), ([5, 6], [True])):
         with pytest.raises(UnknownVertexError):
             g.closure_window(vertices, extra)

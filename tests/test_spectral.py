@@ -191,6 +191,16 @@ def test_nan_potential_raises_eigensolve_error(monkeypatch, size, cutoff):
         eigen_extremes(trunc)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_hermitian_part_is_a_non_finite_entry():
+    # S is finite, but (S + S^H) / 2 overflows on the diagonal W = 1e308
+    trunc = assemble_truncation(make_family({"family": "path", "size": 300, "W": "1e308"}),
+                                range(1, 101))
+    assert np.isfinite(trunc.symmetrized().data).all()
+    with pytest.raises(EigensolveError, match=r"truncation has non-finite entries \(n=100\)"):
+        eigen_extremes(trunc)
+
+
 @pytest.mark.parametrize("k", [5000, 10000])
 def test_lanczos_well_matches_tridiagonal_reference(k):
     # at K=10000 a shift 1e-3 x the Gershgorin spread out leaves the top pair
