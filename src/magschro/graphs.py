@@ -607,8 +607,10 @@ class ExplicitGraph(WeightedGraph):
         if None in more:
             raise UnknownVertexError(sorted_ids([x for x, r in zip(extra, more) if r is None])[0])
         entries, _ = self._entries(inner)
-        return self._window(np.unique(np.concatenate(
-            [inner, self._indices[entries], np.array(more, dtype=np.int64)])))
+        rows = np.sort(np.concatenate(
+            [inner, self._indices[entries], np.array(more, dtype=np.int64)]))
+        # once each, by a mask: np.unique hashes, which is slower on sorted rows
+        return self._window(rows[np.concatenate([rows[:1] >= 0, rows[1:] != rows[:-1]])])
 
     def _entries(self, rows):
         """The CSR entries of ``rows``, row after row, and their count per row."""

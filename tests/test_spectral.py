@@ -154,7 +154,13 @@ def test_lanczos_path_agrees_with_dense(rng, monkeypatch):
     assert lanczos.lambda_max == pytest.approx(dense.lambda_max, abs=1e-7 * scale)
 
 
-def test_lanczos_large_window_reference_ray():
+@pytest.fixture
+def lanczos_only(monkeypatch):
+    """Send every window above the cut-off to Lanczos, tridiagonal or not."""
+    monkeypatch.setattr(spectral, "_tridiagonal", lambda herm: None)
+
+
+def test_lanczos_large_window_reference_ray(lanczos_only):
     g = quadratic_well_ray()
     k = 2500
     ext = eigen_extremes(assemble_truncation(g, range(1, k + 1)))
@@ -202,7 +208,7 @@ def test_an_overflowing_hermitian_part_is_a_non_finite_entry():
 
 
 @pytest.mark.parametrize("k", [5000, 10000])
-def test_lanczos_well_matches_tridiagonal_reference(k):
+def test_lanczos_well_matches_tridiagonal_reference(k, lanczos_only):
     # at K=10000 a shift 1e-3 x the Gershgorin spread out leaves the top pair
     # above the contract until _polish_pair refines it
     ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, k + 1)))
@@ -258,7 +264,7 @@ def test_polish_pair_restores_the_contract_on_reference_ray(monkeypatch):
     assert residual(lam, vec) <= target
 
 
-def test_clustered_free_ray_matches_tridiagonal_reference():
+def test_clustered_free_ray_matches_tridiagonal_reference(lanczos_only):
     # on the free ray at K=10000 the eigenvalue gaps near both ends are ~1e-7
     k = 10000
     ext = eigen_extremes(assemble_truncation(make_family({"family": "path-nat"}),
@@ -271,7 +277,7 @@ def test_clustered_free_ray_matches_tridiagonal_reference():
     assert abs(ext.lambda_max - hi) <= tol
 
 
-def test_gauge_transformed_path_matches_real_path(rng, monkeypatch):
+def test_gauge_transformed_path_matches_real_path(rng, monkeypatch, lanczos_only):
     dtypes = []
     eigsh = spectral.spla.eigsh
 
@@ -346,7 +352,7 @@ def _hermitian_part(trunc):
 
 
 @pytest.mark.parametrize("case", ["well-5000", "flux-lattice-400"])
-def test_shift_factor_keeps_the_diagonal_pivots_of_a_definite_matrix(case):
+def test_shift_factor_keeps_the_diagonal_pivots_of_a_definite_matrix(case, lanczos_only):
     # the factor behind each Lanczos shift: no row exchange, and every pivot
     # carries the sign of H - sigma I (positive below the spectrum, negative
     # above), so it counts inertia as well as solving
@@ -414,3 +420,124 @@ def test_lower_shift_comes_from_the_tighter_gershgorin_bound(seed):
     scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
     assert abs(ext.lambda_min - vals[0]) <= spectral.RESIDUAL_CONTRACT * scale
     assert abs(ext.lambda_max - vals[-1]) <= spectral.RESIDUAL_CONTRACT * scale
+
+
+def _dense_extremes(trunc):
+    vals = np.linalg.eigvalsh(trunc.symmetrized().toarray())
+    return vals[0], vals[-1]
+
+
+def _assert_tridiagonal_matches_dense(trunc):
+    ext = eigen_extremes(trunc)
+    assert (ext.method, ext.shifts, ext.solves) == ("tridiagonal", None, None)
+    assert ext.residual <= spectral.RESIDUAL_CONTRACT
+    lo, hi = _dense_extremes(trunc)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= tol
+    assert abs(ext.lambda_max - hi) <= tol
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "path-nat", "W": "-(n^2)", "q": "n^2"},
+    {"family": "path-nat"},
+    {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3 + 1/3", "W": "sqrt(n) - 7"},
+], ids=["well", "free", "weighted"])
+def test_tridiagonal_path_matches_dense_on_rays(spec, monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 20)
+    _assert_tridiagonal_matches_dense(assemble_truncation(make_family(spec), range(1, 151)))
+
+
+def test_tridiagonal_path_matches_dense_on_a_path_with_random_phases(rng, monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 20)
+    path = make_family({"family": "path", "size": 150, "w": "1 + 1/n", "W": "sqrt(n) - 7"})
+    twisted = gauge_transformed(path, random_gauge(rng, path))
+    trunc = assemble_truncation(twisted, range(1, 151))
+    assert np.count_nonzero(trunc.matrix.data.imag) == 2 * 149  # every coupling has a phase
+    _assert_tridiagonal_matches_dense(trunc)
+
+
+@pytest.mark.parametrize("k", [2000, 10000, 50000])
+def test_free_ray_matches_its_closed_form(k):
+    # the truncation 1..K of the free ray has eigenvalues 2 - 2cos((2j - 1)pi / (2K + 1)),
+    # j = 1..K; Lanczos leaves lambda_min 2e-7 off, relatively, at K = 50000
+    mpmath = pytest.importorskip("mpmath")
+    ext = eigen_extremes(assemble_truncation(make_family({"family": "path-nat"}),
+                                             range(1, k + 1)))
+    assert ext.method == "tridiagonal" and ext.residual <= spectral.RESIDUAL_CONTRACT
+    with mpmath.workdps(40):
+        angle = mpmath.pi / (2 * k + 1)
+        lo, hi = 2 - 2 * mpmath.cos(angle), 2 + 2 * mpmath.cos(2 * angle)
+        assert abs((ext.lambda_min - lo) / lo) <= 1e-14
+        assert abs((ext.lambda_max - hi) / hi) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2000, 20000])
+def test_well_pairs_meet_the_contract_past_an_ulp_of_lambda(k):
+    # |lambda_min| = 4e8 at K = 20000, where an ulp of lambda is 6e-8; the
+    # quotient summed as a correction to the bisection value still meets the
+    # contract, where v^H H v / v^H v left 9.3e-10 at K = 2000 and 6.0e-8 here
+    ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, k + 1)))
+    assert ext.method == "tridiagonal" and ext.residual <= 1e-12
+    lo, hi = _ray_reference_extremes(-1.0, k)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
+
+
+@pytest.mark.parametrize("case", ["well", "free-twin-blocks", "twisted-path"])
+def test_a_scattered_window_splits_into_blocks(case, rng):
+    if case == "well":
+        g, window = quadratic_well_ray(), [*range(1, 80), *range(120, 200), 260, *range(300, 360)]
+    elif case == "free-twin-blocks":
+        # two interior runs of the free ray: the same block twice, so both ends are double
+        g, window = make_family({"family": "path-nat"}), [*range(300, 401), *range(600, 701)]
+    else:
+        path = make_family({"family": "path", "size": 400, "W": "sqrt(n)"})
+        g = gauge_transformed(path, random_gauge(rng, path))
+        window = [*range(1, 100), *range(150, 250), *range(300, 340)]
+    trunc = assemble_truncation(g, window)
+    assert trunc.size > spectral.DENSE_CUTOFF
+    _, h = spectral._tridiagonal(_hermitian_part(trunc))
+    gaps = {"well": 3, "free-twin-blocks": 1, "twisted-path": 2}[case]
+    assert np.count_nonzero(h == 0) == gaps
+    _assert_tridiagonal_matches_dense(trunc)
+
+
+def test_a_cycle_window_stays_on_lanczos():
+    g = make_family({"family": "cycle", "size": 300, "W": "sqrt(n)"})
+    trunc = assemble_truncation(g, g.vertices())
+    assert spectral._tridiagonal(_hermitian_part(trunc)) is None
+    ext = eigen_extremes(trunc)
+    assert ext.method == "lanczos" and ext.shifts is not None and ext.solves is not None
+    lo, hi = _dense_extremes(trunc)
+    tol = spectral.RESIDUAL_CONTRACT * max(abs(lo), abs(hi), 1.0)
+    assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
+
+
+@pytest.mark.parametrize("fault", ["bad-pair", "lapack-error"])
+def test_a_failed_tridiagonal_solve_falls_back_to_lanczos(fault, monkeypatch):
+    trunc = assemble_truncation(quadratic_well_ray(), range(1, 1001))
+    lanczos = spectral._lanczos_pairs
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lanczos(*args)
+
+    solve = spectral.eigh_tridiagonal
+
+    def faulty(diag, off, **kwargs):
+        if fault == "lapack-error":
+            raise np.linalg.LinAlgError("stein did not converge")
+        # the top vector comes back as NaN, which no polish solve can rescue
+        vals, vecs = solve(diag, off, **kwargs)
+        return vals, (np.full_like(vecs, math.nan) if kwargs["select_range"][0] else vecs)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", faulty)
+    monkeypatch.setattr(spectral, "_lanczos_pairs", counting)
+    ext = eigen_extremes(trunc)
+    assert len(calls) == 1
+    assert ext.method == "lanczos" and ext.shifts is not None
+    assert ext.residual <= spectral.RESIDUAL_CONTRACT
+    lo, hi = _ray_reference_extremes(-1.0, 1000)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
