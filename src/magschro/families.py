@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ExprEvalError, GraphStructureError, InputError, UnknownVertexError
+from .errors import ExprEvalError, InputError, UnknownVertexError
 from .exprlang import compile_text
 from .graphs import EdgeData, ExplicitGraph, OrientedEdge, VertexData, WeightedGraph, Window
 
@@ -116,18 +116,14 @@ class PathRayGraph(WeightedGraph):
         if not self.has_vertex(x):
             raise UnknownVertexError(x)
         w, q = self._w(x), self._q(x)
-        if not w > 0:
-            raise GraphStructureError(f"w({x}) = {w} is not positive")
-        if q < 1:
-            raise GraphStructureError(f"q({x}) = {q} is below 1")
+        _require_bounds(self.spec.family, x, w=w, q=q)
         return VertexData(w, self._W(x), q)
 
     def _edge_weight(self, lo: int) -> float:
         if lo <= len(self._head):  # a star's last entry is its edge to lo + 1
             return self._head_neighbors[lo - 1][-1][1].weight
         a = self._a(lo)
-        if not a > 0:
-            raise GraphStructureError(f"a({lo}) = {a} is not positive")
+        _require_bounds(self.spec.family, lo, a=a)
         return a
 
     def neighbors(self, x):

@@ -11,20 +11,23 @@ similarity transform S = D^(1/2) M D^(-1/2) (D the diagonal of vertex
 weights) is Hermitian in the ordinary sense and shares the spectrum, so
 standard solvers apply.
 
-:func:`eigen_extremes` solves windows of up to ``DENSE_CUTOFF`` vertices
-densely.  A larger window whose Hermitian part couples only neighbouring
-rows, as every window of a ray or a path does (on the ray the operator is a
-Jacobi operator), is solved at both ends by Sturm count bisection and
-inverse iteration after a diagonal gauge makes its couplings real: 3.3-4.2
-ms against 6.1-7.3 ms for Lanczos at K = 2000 on the quadratic well and the
-free ray, 14-16 against 22-25 ms at K = 10,000 (2-core box, medians of 15).
-Every other large window, and a tridiagonal one whose pair misses
-``RESIDUAL_CONTRACT``, is solved by shift-invert Lanczos from just outside a
-Gershgorin bound, in real arithmetic when all phases are real.  A miss is
-the float64 floor: past |lambda| = 1.3e8 half an ulp of lambda exceeds the
-contract, which a pair then meets only where the rounding of its residual
-falls its way (on the quadratic well up to K = 100,000 at least, on the ray
-w = 1, a = n^3 not from K = 500 on, where Lanczos misses it too).  Each bound
+:func:`eigen_extremes` tries three paths in turn and returns the first whose
+pairs meet ``RESIDUAL_CONTRACT``: a dense solve of a window of up to
+``DENSE_CUTOFF`` vertices; Sturm count bisection and inverse iteration at
+both ends, after a diagonal gauge makes the couplings real, of a window of
+any size whose Hermitian part couples only neighbouring rows, as every
+window of a ray or a path does (on the ray the operator is a Jacobi
+operator); and shift-invert Lanczos from just outside a Gershgorin bound, in
+real arithmetic when all phases are real, of every larger window.  Bisection
+takes 3.3-4.2 ms against 6.1-7.3 ms for Lanczos at K = 2000 on the quadratic
+well and the free ray, 14-16 against 22-25 ms at K = 10,000 (2-core box,
+medians of 15).  A miss is the float64 floor.  A dense pair can miss it from
+about |lambda| = 1.3e7 (on the ray w = n^-2.5, a = n^0.5 at K = 154, on the
+ray a = n^3 at K = 169), where bisection's pair still meets it.  Past
+|lambda| = 1.3e8 half an ulp of lambda exceeds the contract, which a pair
+then meets only where the rounding of its residual falls its way (on the
+quadratic well up to K = 100,000 at least, on the ray w = 1, a = n^3 not
+from K = 500 on, where Lanczos misses it too).  Each bound
 is the tighter of two that hold the same spectrum: the Gershgorin interval
 of the symmetrized S and that of the assembled M, which is similar to it.
 M's rows sum a(e) / w(x), so where w varies its lower bound is often the
@@ -160,7 +163,7 @@ class EigenExtremes(NamedTuple):
     lambda_min: float
     lambda_max: float
     residual: float  # max over both pairs of |S v - lambda v| / |v|
-    method: str  # "dense", "tridiagonal" or "lanczos": the path whose pairs are returned
+    method: str  # "dense", "tridiagonal" or "lanczos" (tried in that order): the one returned
     shifts: tuple | None = None  # shift-invert points (below, above); None unless "lanczos"
     polish_solves: int = 0  # inverse-iteration solves _polish_pair spent on the returned pairs
     solves: tuple | None = None  # Lanczos solves per shift (below, above); None unless "lanczos"
@@ -253,8 +256,8 @@ def _tridiagonal(herm):
 def _tridiagonal_pairs(herm, S, diag, h):
     """Both extreme eigenpairs of the tridiagonal ``herm`` by Sturm count
     bisection and inverse iteration (LAPACK's stebz and stein), each polished
-    by :func:`_polish_pair`.  Returns the pairs and the polish solves, or None
-    when LAPACK fails.
+    by :func:`_polish_pair`.  Returns the pairs and the polish solves; LAPACK's
+    ``LinAlgError`` is raised to the caller.
 
     The diagonal unitary with d_0 = 1 and d_(i+1) = d_i conj(h_i) / |h_i|, and
     d_(i+1) = d_i where h_i = 0, turns the superdiagonal h into |h|, so the
@@ -273,10 +276,7 @@ def _tridiagonal_pairs(herm, S, diag, h):
     gauge = np.concatenate([np.ones(1, h.dtype), np.cumprod(unit)])
     pairs, polish_solves = [], 0
     for i in (0, len(diag) - 1):
-        try:
-            (mu,), y = eigh_tridiagonal(diag, np.abs(h), select="i", select_range=(i, i))
-        except np.linalg.LinAlgError:
-            return None
+        (mu,), y = eigh_tridiagonal(diag, np.abs(h), select="i", select_range=(i, i))
         vec = gauge * y[:, 0]
         lam = float(mu + (vec.conj() @ (herm @ vec - mu * vec)).real / (vec.conj() @ vec).real)
         lam, vec, polished = _polish_pair(herm, S, lam, vec, RESIDUAL_CONTRACT / 2)
@@ -325,20 +325,20 @@ def _worst_residual(S, pairs):
 def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
     """Extreme eigenvalues of the truncation with a residual certificate.
 
-    Windows of up to ``DENSE_CUTOFF`` vertices are solved densely.  A larger
-    window whose Hermitian part is tridiagonal in row order (every ray
-    window, every window of a finite path) is solved by
-    :func:`_tridiagonal_pairs`; when LAPACK fails there or a pair is not
-    within ``RESIDUAL_CONTRACT``, the window goes to shift-invert Lanczos
-    from just outside the Gershgorin interval, which solves every other
-    large window.  So a window that Lanczos solves is still solved, and one
-    it cannot solve, such as a limit-circle ray's, still ends in its error.
-    The dense and Lanczos solves run in real arithmetic when the symmetrized
-    matrix has no imaginary part.  A non-finite entry of S or of its
-    Hermitian part, a solver failure, a shift that ARPACK does not resolve
-    within ``LANCZOS_MAXITER`` restarts, or a returned pair whose residual is
-    not within ``RESIDUAL_CONTRACT`` (NaN included) raises
-    :class:`EigensolveError`.
+    The paths are tried in this order, each where it applies: dense for a
+    window of up to ``DENSE_CUTOFF`` vertices, :func:`_tridiagonal_pairs`
+    for a window of any size whose Hermitian part is tridiagonal in row
+    order (every ray window, every window of a finite path), and
+    :func:`_lanczos_pairs` for a window above the cut-off.  The first path
+    whose pairs are within ``RESIDUAL_CONTRACT`` is returned.  A path fails
+    when its solver raises (LAPACK, a singular shift-invert factor, a shift
+    that ARPACK does not resolve within ``LANCZOS_MAXITER`` restarts) or a
+    pair's residual is not within the contract (NaN included); when every
+    path fails, the :class:`EigensolveError` of the last one is raised, so a
+    limit-circle ray's large window still ends at the restart cap.  A
+    non-finite entry of S or of its Hermitian part raises it before any
+    path.  The dense and Lanczos solves run in real arithmetic when the
+    symmetrized matrix has no imaginary part.
     """
     S = trunc.symmetrized()
     n = trunc.size
@@ -348,35 +348,34 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
         raise EigensolveError(f"truncation has non-finite entries (n={n})")
     if not np.any(herm.data.imag):
         herm = herm.real
-    shifts, polish_solves, solves = None, 0, None
-    try:
-        if n <= DENSE_CUTOFF:
-            vals, vecs = np.linalg.eigh(herm.toarray())
-            pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
-            method = "dense"
-        else:
-            parts = _tridiagonal(herm)
-            found = None if parts is None else _tridiagonal_pairs(herm, S, *parts)
-            if found is not None and _worst_residual(S, found[0]) <= RESIDUAL_CONTRACT:
-                (pairs, polish_solves), method = found, "tridiagonal"
+    parts = _tridiagonal(herm)
+    paths = [method for method, on in (("dense", n <= DENSE_CUTOFF),
+                                       ("tridiagonal", parts is not None),
+                                       ("lanczos", n > DENSE_CUTOFF)) if on]
+    for method in paths:
+        shifts, polish_solves, solves = None, 0, None
+        try:
+            if method == "dense":
+                vals, vecs = np.linalg.eigh(herm.toarray())
+                pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
+            elif method == "tridiagonal":
+                pairs, polish_solves = _tridiagonal_pairs(herm, S, *parts)
             else:
                 pairs, shifts, solves, polish_solves = _lanczos_pairs(trunc, herm, S, seed)
-                method = "lanczos"
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolveError(
-            f"Lanczos did not converge within LANCZOS_MAXITER={LANCZOS_MAXITER} restarts "
-            f"(n={n}): {exc}") from exc
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        # RuntimeError covers ARPACK errors and a singular shift-invert factor
-        raise EigensolveError(f"eigensolver failed (n={n}): {exc}") from exc
-
-    residual = _worst_residual(S, pairs)
-    if not residual <= RESIDUAL_CONTRACT:
-        raise EigensolveError(
-            f"eigenpair residual {residual:.3e} exceeds the contract {RESIDUAL_CONTRACT:.0e} "
-            f"({method}, n={n})")
-    return EigenExtremes(float(pairs[0][0]), float(pairs[1][0]), residual, method,
-                         shifts, polish_solves, solves)
+        except spla.ArpackNoConvergence as exc:
+            cause, message = exc, (f"Lanczos did not converge within LANCZOS_MAXITER="
+                                   f"{LANCZOS_MAXITER} restarts (n={n}): {exc}")
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            # RuntimeError covers ARPACK errors and a singular shift-invert factor
+            cause, message = exc, f"eigensolver failed (n={n}): {exc}"
+        else:
+            residual = _worst_residual(S, pairs)
+            if residual <= RESIDUAL_CONTRACT:
+                return EigenExtremes(float(pairs[0][0]), float(pairs[1][0]), residual, method,
+                                     shifts, polish_solves, solves)
+            cause, message = None, (f"eigenpair residual {residual:.3e} exceeds the contract "
+                                    f"{RESIDUAL_CONTRACT:.0e} ({method}, n={n})")
+    raise EigensolveError(message) from cause
 
 
 class TrendRow(NamedTuple):

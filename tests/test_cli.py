@@ -262,6 +262,16 @@ def test_spectrum_on_a_limit_circle_ray_exits_2_at_the_restart_cap(capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_spectrum_solves_ray_windows_that_the_dense_path_misses(capsys):
+    # windows 199 and 200 miss the contract densely and meet it by bisection
+    argv = ["spectrum", "--family", "path-nat", "--a", "n^3", "--windows", "100,199,200,201"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [100, 199, 200, 201]
+    assert all(float(row[3]) <= 1e-8 for row in rows) and captured.err == ""
+
+
 def test_estimate_budget_exhausted_exits_1(capsys):
     code = main(["estimate", "--family", "path-nat", "--q", "n^2", "--W=-(n^2)",
                  "--lipschitz-c", "1", "--trials", "2", "--window", "30", "--budget", "3"])

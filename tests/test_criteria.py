@@ -13,7 +13,7 @@ from magschro.criteria import (
     selfadjointness_criteria,
     semibounded_probe,
 )
-from magschro.errors import GraphStructureError, InputError, UnknownVertexError
+from magschro.errors import InputError, UnknownVertexError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
@@ -260,7 +260,7 @@ def test_an_invalid_record_near_the_start_costs_its_own_span(monkeypatch):
     # raises, and nothing near the budget's 5,000,000 records is evaluated
     g = make_family({"family": "path-nat", "w": "abs(n - 3000)"})
     evaluated = count_records(monkeypatch, g)
-    with pytest.raises(GraphStructureError, match=r"^w\(3000\) = 0.0 is not positive$"):
+    with pytest.raises(InputError, match=r"^family 'path-nat': w\(3000\) = 0.0 is not positive$"):
         selfadjointness_criteria(g, 1, budget=5_000_000)
     assert 0 < len(evaluated) < 10**4
 

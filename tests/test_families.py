@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magschro import metric
-from magschro.errors import ExprEvalError, GraphStructureError, InputError
+from magschro.errors import ExprEvalError, InputError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import EdgeData, OrientedEdge, VertexData
@@ -159,7 +159,7 @@ def test_prefix_stops_before_an_invalid_record():
     assert _hop_window(g, 2000, 999).w[-1] == 1.0 and _hop_window(g, 500, 500) is not None
     assert _hop_window(g, 10**6, 100) is not None
     assert g.neighbors(2999)[1] == (OrientedEdge(2999, 3000), EdgeData(1.0, 1.0))
-    with pytest.raises(GraphStructureError, match=r"w\(3000\) = 0.0 is not positive"):
+    with pytest.raises(InputError, match=r"family 'path-nat': w\(3000\) = 0.0 is not positive"):
         g.vertex(3000)
 
 

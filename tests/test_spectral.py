@@ -541,3 +541,86 @@ def test_a_failed_tridiagonal_solve_falls_back_to_lanczos(fault, monkeypatch):
     lo, hi = _ray_reference_extremes(-1.0, 1000)
     tol = 1e-12 * max(abs(lo), abs(hi))
     assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
+
+
+_RESCUED = [({"a": "n^3"}, 169), ({"a": "n^3"}, 199), ({"a": "n^3"}, 200),
+            ({"w": "n^-2.5", "a": "n^0.5"}, 154), ({"w": "n^-2.5", "a": "n^0.5"}, 200)]
+_RESCUED_IDS = [f"{'-'.join(spec.values())}-{k}" for spec, k in _RESCUED]
+
+
+def _ray_truncation(spec, k):
+    return assemble_truncation(make_family({"family": "path-nat", **spec}), range(1, k + 1))
+
+
+@pytest.mark.parametrize("spec, k", _RESCUED, ids=_RESCUED_IDS)
+def test_a_dense_miss_on_a_ray_window_is_solved_by_bisection(spec, k):
+    # the dense pair misses the contract by a few ulps of lambda_max
+    # (1.0e-8 to 1.6e-8 at 1.3e7 to 3e7), the tridiagonal pair meets it
+    _assert_tridiagonal_matches_dense(_ray_truncation(spec, k))
+
+
+def test_a_window_that_dense_solves_stays_dense(monkeypatch):
+    trunc = assemble_truncation(quadratic_well_ray(), range(1, 151))
+    monkeypatch.setattr(spectral, "_tridiagonal_pairs", None)  # any call would raise
+    ext = eigen_extremes(trunc)
+    vals = np.linalg.eigh(trunc.symmetrized().real.toarray())[0]
+    assert (ext.method, ext.shifts, ext.polish_solves, ext.solves) == ("dense", None, 0, None)
+    assert (ext.lambda_min, ext.lambda_max) == (vals[0], vals[-1])
+
+
+@pytest.mark.parametrize("graph", ["ray", "lattice"])
+def test_a_dense_failure_goes_on_to_the_next_path(graph, monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", failing)
+    if graph == "ray":
+        ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, 151)))
+        assert ext.method == "tridiagonal" and ext.residual <= spectral.RESIDUAL_CONTRACT
+        lo, hi = _ray_reference_extremes(-1.0, 150)
+        tol = 1e-12 * max(abs(lo), abs(hi))
+        assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
+    else:
+        g = flux_lattice(10, 3)
+        with pytest.raises(EigensolveError, match=r"^eigensolver failed \(n=100\): Eigenvalues"):
+            eigen_extremes(assemble_truncation(g, g.vertices()))
+
+
+def test_a_limit_circle_window_ends_in_the_last_paths_error():
+    trunc = _ray_truncation({"w": "n^-2", "a": "n^3"}, 150)
+    with pytest.raises(EigensolveError, match=r"exceeds the contract 1e-08 \(tridiagonal, n=150\)$"):
+        eigen_extremes(trunc)
+
+
+def _sturm_count(trunc, sigma):
+    """The eigenvalues of the tridiagonal truncation below ``sigma``: the
+    negative pivots of the LDL^T recurrence d_i = (m_ii - sigma) -
+    m_(i,i-1) m_(i-1,i) / d_(i-1) on the assembled M, in Python floats; a
+    zero pivot is taken as a tiny negative one."""
+    m = trunc.matrix
+    diag, lower, upper = (m.diagonal(k).tolist() for k in (0, -1, 1))
+    count, d = 0, 1.0
+    for i, mii in enumerate(diag):
+        d = (mii.real - sigma) - ((lower[i - 1] * upper[i - 1]).real / d if i else 0.0)
+        if d == 0.0:
+            d = -2.2250738585072014e-308
+        count += d < 0
+    return count
+
+
+@pytest.mark.parametrize("spec, k", [
+    *[({"W": "-(n^2)", "q": "n^2"}, k) for k in (2000, 2001, 10000)],
+    *[({}, k) for k in (2000, 2001, 10000)],
+    *_RESCUED,
+], ids=[*(f"well-{k}" for k in (2000, 2001, 10000)), *(f"free-{k}" for k in (2000, 2001, 10000)),
+        *_RESCUED_IDS])
+def test_sturm_counts_place_each_end_at_its_rank(spec, k):
+    # the pairs are the extremes, not merely eigenpairs: no eigenvalue lies
+    # more than delta beyond either, counted without LAPACK
+    trunc = _ray_truncation(spec, k)
+    ext = eigen_extremes(trunc)
+    assert ext.method == "tridiagonal"
+    for lam, below in ((ext.lambda_min, 0), (ext.lambda_max, k - 1)):
+        delta = 1e-9 * max(abs(lam), 1.0)
+        assert _sturm_count(trunc, lam - delta) == below
+        assert _sturm_count(trunc, lam + delta) == below + 1
