@@ -236,8 +236,19 @@ def _cmd_estimate(args) -> int:
     pairs = max(1, args.trials // 2)
     radii = [float(2 ** k) for k in range(0, 8)]
     sweep_reports = []
+    if not g.is_finite:
+        # the defect is nonzero where the ramp is and u sits at one end of an
+        # edge, v at the other: draw u where the widest ramp reaches and v on
+        # the window's vertices next to u's support (v on u's own vertex alone
+        # cancels, as H is real there)
+        reach = [x for x in ids if anchor_fn(x) < radii[-1]] or ids
     for _ in range(pairs):
-        u, v = draw(), draw()
+        if g.is_finite:
+            u, v = draw(), draw()
+        else:
+            u = random_function(rng, reach, max_support=cap)
+            near = {e.terminus for x in u.support for e, _ in g.neighbors(x)}
+            v = random_function(rng, sorted(near & set(ids)) or ids, max_support=cap)
         sweep_reports = list(zip(radii, tapered_defect_profile(g, u, v, x0, radii,
                                                                anchor_fn=anchor_fn)))
         sweep_failures += sum(not rep.passed for _, rep in sweep_reports)

@@ -8,13 +8,16 @@ explicit about its evidentiary scope: "exact" only for finite graphs and for
 ray families whose metric reduces to a classifiable series, "windowed"
 otherwise.
 
-The first three conditions are checked by one array scan over the rows of
-a window: the window a search ran on, or the closure of a vertex set that
-:meth:`~magschro.graphs.WeightedGraph.closure_window` reads.  On float data
-the Lipschitz ratios are bounded with numpy and decided with ``math.pow``:
-only the edges whose bounded ratio can reach the maximum are computed as
-the vertex walk computes them, which assumes that ``math.pow(x, ±0.5)`` is
-within 2**-44 of the true value, relative to it.
+The first three conditions are checked by one array scan (:func:`_checks`)
+of the vertices and edges of a walk over a vertex set: on the ray, the run
+of ids a search settled, read as slices of the search's records, so the
+check never builds a ray search's ``SearchResult.window``; else the rows
+of the whole window a search ran on, or of the closure of a vertex set
+that :meth:`~magschro.graphs.WeightedGraph.closure_window` reads.  On
+float data the Lipschitz ratios are bounded with numpy and decided with
+``math.pow``: only the edges whose bounded ratio can reach the maximum are
+computed as the vertex walk computes them, which assumes that
+``math.pow(x, ±0.5)`` is within 2**-44 of the true value, relative to it.
 """
 
 from __future__ import annotations
@@ -90,8 +93,7 @@ def _closure(g, window):
 
 def _explored(g, found):
     """The window of a search with the mask of the vertices it settled: the
-    window it ran on (a ray search's is built on this first read), else the
-    closure of the frontier's."""
+    window it ran on, else the closure of the frontier's."""
     if found.method == "window":
         member = np.zeros(len(found.window.ids), dtype=bool)
         member[found.order] = True
@@ -106,9 +108,50 @@ def _scan(g, win, member):
     all of its neighbors.  The maxima and witnesses are those of a walk over
     the members in id order and over each member's neighbors in order, which
     takes each edge where it first meets it: at its smaller end, or at its
-    member end when the other lies outside.  The float operations are the
-    walk's, and exact data run through object arrays.  An edge whose scale
-    (min(w) / a)**0.5 underflows to 0 raises :class:`InputError`.
+    member end when the other lies outside.  The checks are :func:`_checks`
+    on the arrays of that walk.
+    """
+    rows = np.flatnonzero(member)  # row order is id order
+    # each edge once, where the walk meets it; CSR order is walk order
+    src, dst = win.rows(), win.indices
+    taken = np.flatnonzero(member[src] & ((dst > src) | ~member[dst]))
+    o = np.minimum(src[taken], dst[taken])
+    t = np.maximum(src[taken], dst[taken])
+    return _checks(g, int(np.diff(win.indptr)[rows].max(initial=0)),
+                   -win.q[rows] - win.W[rows], lambda i: win.ids[rows[i:i + 1]].tolist()[0],
+                   win.q[o], win.q[t], np.minimum(win.w[o], win.w[t]) / win.a[taken],
+                   lambda i: win.ids[[o[i], t[i]]].tolist())
+
+
+def _scan_search(g, found):
+    """:func:`_scan` over the vertices a search settled.  A ray search's are
+    read from its records when they are one run of ids first..last: the
+    walk's edges are then (o, o + 1) for o from first - 1 (from first at id
+    1) to last, and :func:`_checks` runs on slices.  A stop that cut a tie
+    of distances leaves them scattered, and their closure is scanned."""
+    records = found.records()
+    if records is None:
+        return _scan(g, *_explored(g, found))
+    rows = found.order
+    start, stop = int(rows.min()), int(rows.max()) + 1
+    if stop - start != len(rows):
+        return _scan(g, *_closure(g, found.distances))
+    lo, w, W, q, a = records
+    edge = max(start - 1, 1 - lo)  # the row of the first edge's smaller end
+    return _checks(g, 2 if lo + stop > 2 else 1, -q[start:stop] - W[start:stop],
+                   lambda i: lo + start + i, q[edge:stop], q[edge + 1:stop + 1],
+                   np.minimum(w[edge:stop], w[edge + 1:stop + 1]) / a[edge:stop],
+                   lambda i: (lo + edge + i, lo + edge + i + 1))
+
+
+def _checks(g, observed, gaps, vertex, q_o, q_t, base, edge):
+    """The three checks from the arrays of a walk: the largest degree
+    ``observed``, the gaps -q - W of its vertices in id order (``vertex(i)``
+    names the i-th), and per edge in walk order the minorants ``q_o`` and
+    ``q_t`` of its ends and ``base`` = min(w) / a (``edge(i)`` names the i-th
+    as its two ids).  The float operations are the walk's, and exact data
+    run through object arrays.  An edge whose scale (min(w) / a)**0.5
+    underflows to 0 raises :class:`InputError`.
 
     On float64 data the Lipschitz ratios are bounded with numpy and decided
     with ``math.pow``.  ``1 / np.sqrt`` gives each edge an approximate ratio
@@ -123,26 +166,16 @@ def _scan(g, win, member):
     it (a correctly rounded result is within 2**-53): the widening then
     covers each ratio's error about eight times over.
     """
-    rows = np.flatnonzero(member)  # row order is id order
-    observed = int(np.diff(win.indptr)[rows].max(initial=0))
-    gaps = -win.q[rows] - win.W[rows]
     worst, vertex_witness = 0.0, None
-    if len(rows) and gaps.max() > 0:
+    if len(gaps) and gaps.max() > 0:
         at = int(np.argmax(gaps))
-        worst, vertex_witness = gaps[at:at + 1].tolist()[0], win.ids[rows[at:at + 1]].tolist()[0]
+        worst, vertex_witness = gaps[at:at + 1].tolist()[0], vertex(at)
 
-    # each edge once, where the walk meets it; CSR order is walk order
-    src, dst = win.rows(), win.indices
-    taken = np.flatnonzero(member[src] & ((dst > src) | ~member[dst]))
-    o = np.minimum(src[taken], dst[taken])
-    t = np.maximum(src[taken], dst[taken])
-    base = np.minimum(win.w[o], win.w[t]) / win.a[taken]
-    q = win.q
-    if q.dtype == base.dtype == np.float64:
-        _refuse_zero_scale(win, o, t, base == 0)
+    if q_o.dtype == base.dtype == np.float64:
+        _refuse_zero_scale(edge, base == 0)
         # the edges that can hold the largest ratio, in walk order
-        live = np.flatnonzero(q[o] != q[t])
-        root_o, root_t = 1 / np.sqrt(q[o[live]]), 1 / np.sqrt(q[t[live]])
+        live = np.flatnonzero(q_o != q_t)
+        root_o, root_t = 1 / np.sqrt(q_o[live]), 1 / np.sqrt(q_t[live])
         scale = np.sqrt(base[live])
         gap = np.abs(root_t - root_o)
         ratio = gap / scale
@@ -150,16 +183,16 @@ def _scan(g, win, member):
         edges = live[ratio + slack >= (ratio - slack).max(initial=-np.inf)]
         scale = power(base[edges], 0.5, len(edges))
     else:
-        edges = np.arange(len(taken))
+        edges = np.arange(len(base))
         scale = power(base, 0.5, len(edges))
-        _refuse_zero_scale(win, o, t, scale == 0)
-    roots = [power(q[ends[edges]], -0.5, len(edges)) for ends in (o, t)]
+        _refuse_zero_scale(edge, scale == 0)
+    roots = [power(ends[edges], -0.5, len(edges)) for ends in (q_o, q_t)]
     ratios = np.abs(roots[1] - roots[0]) / scale
     best, edge_witness = 0.0, None
     if len(ratios) and ratios.max() > 0:
         at = int(np.argmax(ratios))
         best = float(ratios[at])
-        edge_witness = OrientedEdge(*win.ids[[o[edges[at]], t[edges[at]]]].tolist())
+        edge_witness = OrientedEdge(*edge(int(edges[at])))
     declared = g.degree_bound
     return (DegreeCheck(observed=observed, declared=declared,
                         passed=declared is None or observed <= declared),
@@ -167,13 +200,11 @@ def _scan(g, win, member):
             LipschitzCheck(constant=best, witness=edge_witness))
 
 
-def _refuse_zero_scale(win, o, t, zero):
+def _refuse_zero_scale(edge, zero):
     """Raise at the first edge, in walk order, whose Lipschitz scale is 0."""
     if zero.any():
-        at = int(np.argmax(zero))
-        edge = tuple(win.ids[[o[at], t[at]]].tolist())
-        raise InputError(f"edge {edge!r}: the Lipschitz scale (min(w) / a)**0.5 "
-                         "underflows to 0")
+        raise InputError(f"edge {tuple(edge(int(np.argmax(zero))))!r}: the Lipschitz scale "
+                         "(min(w) / a)**0.5 underflows to 0")
 
 
 @dataclass
@@ -216,9 +247,7 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
     search = SearchSummary(explored.method, len(explored.settled_distances()),
                            perf_counter() - start)
     completeness = _completeness_report(g, x0, budget, explored)
-    win, member = _explored(g, explored)
-    degree, minorant, lipschitz = _scan(g, win, member)
-    window_size = int(np.count_nonzero(member))
+    degree, minorant, lipschitz = _scan_search(g, explored)
     lipschitz_passed = None
     if lipschitz_budget is not None:
         lipschitz_passed = lipschitz.constant <= lipschitz_budget + LIPSCHITZ_TOL
@@ -244,7 +273,7 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
         lipschitz_budget=lipschitz_budget,
         lipschitz_passed=lipschitz_passed,
         completeness=completeness,
-        window_size=window_size,
+        window_size=search.settled,
         scope=scope,
         overall=overall,
         search=search,

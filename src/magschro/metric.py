@@ -24,9 +24,13 @@ Both paths settle in one order: by distance, ties by id
 distances in id order gives.  The frontier keeps it wherever each edge
 length changes the distance it is added to; one below half an ulp of it
 lets the frontier settle a tie late.  ``SearchResult.method`` says which
-path ran.  A ray search keeps its records and builds its window on the
-first read of ``SearchResult.window``; :func:`distance` and :func:`ball`
-never read it, so they never build it.
+path ran.  A ray search keeps its records and builds its window only
+when ``SearchResult.window`` is read, which nothing in the library does:
+:func:`distance` and :func:`ball` read ids from the settled rows, and the
+criteria check scans the settled run's records
+(:meth:`SearchResult.records`).  Each growth of a ray search is decided
+from ranks on the two sides of x0 (:func:`_settles_ends`), and its
+distances are sorted once, when it stops.
 """
 
 from __future__ import annotations
@@ -160,8 +164,8 @@ class SearchResult:
     A window result keeps its settled vertices as the rows ``order`` of
     ``window`` and builds ``distances`` only when it is read.  A ray
     search's ``window`` is built from its records on the first read, so
-    :func:`distance` and :func:`ball`, which read ids ``lo + order``, never
-    build it.
+    :func:`distance` and :func:`ball`, which read ids ``lo + order``, and
+    the criteria check, which reads :meth:`records`, never build it.
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
@@ -173,20 +177,28 @@ class SearchResult:
         self.order = order
         self._window = window
         self._span = span  # a ray search's ids lo..hi: row i of its window is lo + i
-        self._records = records  # and its graph and blocks of w, W, q, a, until it is built
+        self._records = records  # and its graph and blocks of w, W, q, a
         self._distances = distances
         self._settled = settled  # settled distances in settle order
 
     @property
     def window(self):
         """The window the search ran on, None for the frontier."""
-        if self._records is not None:
-            g, columns = self._records
-            for k, blocks in enumerate(columns):  # one column at a time, freeing its blocks
-                columns[k] = [np.concatenate(blocks)]
-            self._window = g._window(self._span[0], *(blocks[0] for blocks in columns))
-            self._records = None
+        if self._window is None and self._span is not None:
+            self._window = self._records[0]._window(*self.records())
         return self._window
+
+    def records(self):
+        """A ray search's first id lo and its records w, W, q and a over
+        lo..hi, one array each: row i is id lo + i, and a(n) weights the edge
+        n ~ n + 1.  None for other searches."""
+        if self._span is None:
+            return None
+        columns = self._records[1]
+        for k, blocks in enumerate(columns):  # one column at a time, freeing its blocks
+            if len(blocks) > 1:
+                columns[k] = [np.concatenate(blocks)]
+        return (self._span[0], *(blocks[0] for blocks in columns))
 
     @property
     def distances(self) -> dict:
@@ -338,13 +350,38 @@ def _ray_search(g, x0, q_mode, budget, radius, target):
             added, dist = len(grown) - len(dist), grown
             cut[side] = added < abs(far - end)
             lo, hi = (lo, hi + added) if side else (lo - added, hi)
-        order, ds, *flags = _settle(dist, n - lo if n is not None and lo <= n <= hi else None,
-                                    budget, radius)
-        grow = lo > 1 and bool(np.any(order == 0)), bool(np.any(order == hi - lo))
+        row = n - lo if n is not None and lo <= n <= hi else None
+        first, last = _settles_ends(dist, x0 - lo, row, budget, radius)
+        grow = lo > 1 and first, last
         if not any(grow):
+            order, ds, *flags = _settle(dist, row, budget, radius)
             return SearchResult(*flags, order=order, settled=ds, span=(lo, hi),
                                 records=(g, columns))
-        del order, ds  # not held through the next growth
+
+
+def _settles_ends(dist, mid, row, budget, radius):
+    """Whether :func:`_settle` settles the first and the last row of
+    ``dist``, distances that do not rise up to row ``mid`` and do not fall
+    from it, as on the ray from ``mid`` out: each rank in the stable sort is
+    counted on the two sorted sides by ``np.searchsorted``, so nothing is
+    sorted."""
+    left, right = np.ascontiguousarray(dist[:mid][::-1]), dist[mid:]
+
+    def below(v, side="left"):  # the rows whose distance is below v (up to v: "right")
+        return int(np.searchsorted(left, v, side)) + int(np.searchsorted(right, v, side))
+
+    def rank(r):  # the rows of smaller id up to dist[r], then those of larger id below it
+        v = dist[r]
+        before = int(np.searchsorted(left, v, "right")) - mid + r
+        return before if r >= mid else before + below(v)
+
+    reach = below(math.inf)
+    stop = reach if radius is None else min(reach, below(radius, "right"))
+    t = reach if row is None else rank(row)
+    k = min(budget, stop)
+    if t < k:
+        k = t + 1
+    return rank(0) < k, rank(len(dist) - 1) < k
 
 
 def _grow(g, columns, dist, end, far, q_mode):

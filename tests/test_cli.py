@@ -247,10 +247,22 @@ def test_json_reports_meet_no_type_but_complex(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
     written = [point["value"] for point in sweep if point["value"] != 0]  # 0 is the int 0
-    assert len(sweep) == 8 and len(written) == 7 and met == [complex] * 7
+    assert len(sweep) == 8 and len(written) == 6 and met == [complex] * 6
     assert all(sorted(value) == ["im", "re"] for value in written)
     with pytest.raises(TypeError, match="not JSON serializable: InputError"):
         default(InputError("x"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_estimate_sweeps_a_nonzero_defect_on_the_ray(tmp_path, capsys, seed):
+    # u within the widest ramp and v next to u's support, so that some edge
+    # carries u at one end and v at the other inside the ramp
+    target = tmp_path / "out.json"
+    assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--seed", str(seed),
+                 "--json", str(target)]) == 0
+    capsys.readouterr()
+    sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
+    assert len(sweep) == 8 and isinstance(sweep[-1]["value"], dict)
 
 
 def test_spectrum_on_a_limit_circle_ray_exits_2_at_the_restart_cap(capsys):
