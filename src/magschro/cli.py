@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .criteria import selfadjointness_criteria
+from .criteria import lipschitz_best_constant, selfadjointness_criteria
 from .errors import BudgetExhaustedError, InputError, MagschroError
 from .estimates import energy_bound_check, tapered_defect_profile
 from .families import FamilySpec, make_family
@@ -212,10 +212,13 @@ def _cmd_estimate(args) -> int:
     g = _graph_from_args(args)
     x0 = _resolve_vertex(g, args.x0)
     rng = np.random.default_rng(args.seed)
+    lipschitz = args.lipschitz_c
     if g.is_finite:
         ids, cap = g.vertices(), None
+        if lipschitz is None:  # the measured best constant, which each check would rescan
+            lipschitz = lipschitz_best_constant(g, ids).constant
     else:
-        ids, cap = list(range(1, args.window + 1)), 12
+        ids, cap = list(range(x0, x0 + args.window)), 12
 
     def draw():
         return random_function(rng, ids, max_support=cap)
@@ -224,7 +227,7 @@ def _cmd_estimate(args) -> int:
     worst_slack = float("inf")
     breakdown = None
     for _ in range(args.trials):
-        breakdown = energy_bound_check(g, draw(), lipschitz_constant=args.lipschitz_c)
+        breakdown = energy_bound_check(g, draw(), lipschitz_constant=lipschitz)
         worst_slack = min(worst_slack, breakdown.slack)
         if not breakdown.passed:
             energy_failures += 1
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--window", type=int, default=200,
-                   help="support window size on infinite families")
+                   help="support window size on infinite families, from --x0")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--lipschitz-c", type=float, default=None, dest="lipschitz_c",
                    help="Lipschitz constant (required on infinite families)")

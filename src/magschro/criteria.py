@@ -10,13 +10,13 @@ otherwise.
 
 The first three conditions are checked by one array scan (:func:`_checks`)
 of the vertices and edges of a walk over a vertex set: on the ray, the run
-of ids a search settled, read as slices of the search's records, so the
-check never builds a ray search's ``SearchResult.window``; else the rows
-of the whole window a search ran on, or of the closure of a vertex set
-that :meth:`~magschro.graphs.WeightedGraph.closure_window` reads.  On
-float data the Lipschitz ratios are bounded with numpy and decided with
-``math.pow``: only the edges whose bounded ratio can reach the maximum are
-computed as the vertex walk computes them, which assumes that
+of ids a search settled, read as slices of the search's records
+(``SearchResult.records``); else the rows of an explicit graph's whole
+window that a search ran on (``SearchResult.window``), or of the closure
+of a vertex set that :meth:`~magschro.graphs.WeightedGraph.closure_window`
+reads.  On float data the Lipschitz ratios are bounded with numpy and
+decided with ``math.pow``: only the edges whose bounded ratio can reach the
+maximum are computed as the vertex walk computes them, which assumes that
 ``math.pow(x, ±0.5)`` is within 2**-44 of the true value, relative to it.
 """
 
@@ -93,8 +93,9 @@ def _closure(g, window):
 
 def _explored(g, found):
     """The window of a search with the mask of the vertices it settled: the
-    window it ran on, else the closure of the frontier's."""
-    if found.method == "window":
+    explicit graph's whole window it ran on, else the closure of its
+    settled set."""
+    if found.window is not None:
         member = np.zeros(len(found.window.ids), dtype=bool)
         member[found.order] = True
         return found.window, member
@@ -135,7 +136,7 @@ def _scan_search(g, found):
     rows = found.order
     start, stop = int(rows.min()), int(rows.max()) + 1
     if stop - start != len(rows):
-        return _scan(g, *_closure(g, found.distances))
+        return _scan(g, *_explored(g, found))
     lo, w, W, q, a = records
     edge = max(start - 1, 1 - lo)  # the row of the first edge's smaller end
     return _checks(g, 2 if lo + stop > 2 else 1, -q[start:stop] - W[start:stop],

@@ -193,25 +193,6 @@ class PathRayGraph(WeightedGraph):
                       a=weights[near], sigma=np.ones(int(indptr[-1])),
                       interior=(near[:, 0] | (ids == 1)) & near[:, 1])
 
-    @staticmethod
-    def _window(lo, w, W, q, a):
-        """The window over the run from lo with these records, a(n) weighting
-        n ~ n + 1: its last row is not interior, nor its first unless lo is 1."""
-        m = len(w)
-        # row i holds i - 1 (if i > 0) and i + 1 (if i < m - 1), so each edge
-        # weight a(lo + i) appears twice in a row, as i -> i + 1 then i + 1 -> i
-        indptr = np.arange(-1, 2 * m, 2, dtype=np.int32)
-        indptr[0], indptr[-1] = 0, 2 * m - 2
-        indices = np.empty(2 * m, dtype=np.int32)
-        indices[0::2] = np.arange(-1, m - 1, dtype=np.int32)
-        indices[1::2] = np.arange(1, m + 1, dtype=np.int32)
-        interior = np.ones(m, dtype=bool)
-        interior[-1] = False
-        interior[0] = lo == 1
-        return Window(ids=np.arange(lo, lo + m), indptr=indptr, indices=indices[1:-1],
-                      w=w, W=W, q=q, a=np.repeat(a[:m - 1], 2),
-                      sigma=np.broadcast_to(1.0 + 0j, (2 * m - 2,)), interior=interior)
-
 
 def _ray_ids(xs):
     """``xs`` as an int64 array, or None unless each is an int of 1.._ID_LIMIT - 1."""

@@ -24,13 +24,12 @@ Both paths settle in one order: by distance, ties by id
 distances in id order gives.  The frontier keeps it wherever each edge
 length changes the distance it is added to; one below half an ulp of it
 lets the frontier settle a tie late.  ``SearchResult.method`` says which
-path ran.  A ray search keeps its records and builds its window only
-when ``SearchResult.window`` is read, which nothing in the library does:
-:func:`distance` and :func:`ball` read ids from the settled rows, and the
-criteria check scans the settled run's records
-(:meth:`SearchResult.records`).  Each growth of a ray search is decided
-from ranks on the two sides of x0 (:func:`_settles_ends`), and its
-distances are sorted once, when it stops.
+path ran.  A ray search keeps no window: :func:`distance` and :func:`ball`
+read ids from the settled rows, and the criteria check scans the settled
+run's records (:meth:`SearchResult.records`).  Each growth of a ray search
+is decided from ranks on the two sides of x0 (:func:`_settles_ends`), and
+its distances are sorted once, when it stops; both stop by one rule
+(:func:`_stop`).
 """
 
 from __future__ import annotations
@@ -161,11 +160,10 @@ class SearchResult:
     it.  ``method`` names the path that produced it: ``"frontier"``
     (Dijkstra over the neighbor oracle) or ``"window"`` (arrays: an explicit
     graph's whole window or the span of the ray that the search evaluated).
-    A window result keeps its settled vertices as the rows ``order`` of
-    ``window`` and builds ``distances`` only when it is read.  A ray
-    search's ``window`` is built from its records on the first read, so
-    :func:`distance` and :func:`ball`, which read ids ``lo + order``, and
-    the criteria check, which reads :meth:`records`, never build it.
+    An array result keeps its settled vertices as rows ``order`` and builds
+    ``distances`` only when it is read.  ``window`` is the explicit graph's
+    whole window when the search ran on it, else None.  A ray result's rows
+    are ids ``lo + order``, and its records are read by :meth:`records`.
     """
 
     def __init__(self, complete, budget_hit, settled_radius, *, distances=None,
@@ -175,18 +173,11 @@ class SearchResult:
         self.settled_radius = settled_radius  # the next frontier distance; all below are final
         self.method = "frontier" if order is None else "window"
         self.order = order
-        self._window = window
-        self._span = span  # a ray search's ids lo..hi: row i of its window is lo + i
-        self._records = records  # and its graph and blocks of w, W, q, a
+        self.window = window  # the explicit graph's whole window it ran on, else None
+        self._span = span  # a ray search's ids lo..hi: row i is id lo + i
+        self._records = records  # and its blocks of w, W, q, a over lo..hi
         self._distances = distances
         self._settled = settled  # settled distances in settle order
-
-    @property
-    def window(self):
-        """The window the search ran on, None for the frontier."""
-        if self._window is None and self._span is not None:
-            self._window = self._records[0]._window(*self.records())
-        return self._window
 
     def records(self):
         """A ray search's first id lo and its records w, W, q and a over
@@ -194,7 +185,7 @@ class SearchResult:
         n ~ n + 1.  None for other searches."""
         if self._span is None:
             return None
-        columns = self._records[1]
+        columns = self._records
         for k, blocks in enumerate(columns):  # one column at a time, freeing its blocks
             if len(blocks) > 1:
                 columns[k] = [np.concatenate(blocks)]
@@ -224,7 +215,7 @@ class SearchResult:
             return None
 
     def _row_of(self, x):
-        """The window's ``row_of(x)``; on a ray run, without building the window."""
+        """The row of ``x``: the window's ``row_of(x)``, on a ray run int_id(x) - lo."""
         if self._span is None:
             return self.window.row_of(x)
         lo, hi = self._span
@@ -284,21 +275,30 @@ def _lengths(w, q, w_to, q_to, a, with_q):
         return np.sqrt(np.minimum(w, w_to)) / np.sqrt(a * np.maximum(q, q_to) if with_q else a)
 
 
+def _stop(below, t, budget, radius):
+    """The frontier's stop rule on distances in settle order: ``below(v,
+    side)`` counts those below v (up to v with side "right") and ``t`` is
+    the target's rank, or None.  Budget, radius and exhaustion stop before a
+    settle, the target after it.  Returns how many settle, then ``complete``
+    and ``budget_hit``."""
+    reach = below(math.inf, "left")
+    stop = reach if radius is None else min(reach, below(radius, "right"))
+    if t is not None and t < min(budget, stop):  # stop <= reach
+        return t + 1, False, False
+    return min(budget, stop), budget > stop, budget <= stop
+
+
 def _settle(dist, row, budget, radius):
     """The frontier loop replayed on the distances of a window's rows, in id
     order, with the target at ``row`` (or None): a stable sort settles by
-    distance, ties by id; budget, radius and exhaustion stop before a
-    settle, the target after it.  Returns the settled rows and distances in
-    settle order, then ``complete``, ``budget_hit`` and the settled radius."""
+    distance, ties by id, and :func:`_stop` says where it stops.  Returns
+    the settled rows and distances in settle order, then ``complete``,
+    ``budget_hit`` and the settled radius."""
     order = np.argsort(dist, kind="stable")
     ds = dist[order]
-    reach = int(np.searchsorted(ds, math.inf))
-    stop = reach if radius is None else min(reach, int(np.searchsorted(ds, radius, side="right")))
-    t = reach if row is None else int(np.flatnonzero(order == row)[0])
-    k, complete, budget_hit = min(budget, stop), budget > stop, budget <= stop
-    if t < k:  # stop <= reach
-        k, complete, budget_hit = t + 1, False, False
-    return order[:k], ds[:k], complete, budget_hit, float(ds[k]) if k < reach else math.inf
+    t = None if row is None else int(np.flatnonzero(order == row)[0])
+    k, *flags = _stop(lambda v, side: int(np.searchsorted(ds, v, side)), t, budget, radius)
+    return order[:k], ds[:k], *flags, float(ds[k]) if k < len(ds) else math.inf
 
 
 def _search_window(g, x0, q_mode, budget, radius, target):
@@ -355,8 +355,7 @@ def _ray_search(g, x0, q_mode, budget, radius, target):
         grow = lo > 1 and first, last
         if not any(grow):
             order, ds, *flags = _settle(dist, row, budget, radius)
-            return SearchResult(*flags, order=order, settled=ds, span=(lo, hi),
-                                records=(g, columns))
+            return SearchResult(*flags, order=order, settled=ds, span=(lo, hi), records=columns)
 
 
 def _settles_ends(dist, mid, row, budget, radius):
@@ -375,12 +374,7 @@ def _settles_ends(dist, mid, row, budget, radius):
         before = int(np.searchsorted(left, v, "right")) - mid + r
         return before if r >= mid else before + below(v)
 
-    reach = below(math.inf)
-    stop = reach if radius is None else min(reach, below(radius, "right"))
-    t = reach if row is None else rank(row)
-    k = min(budget, stop)
-    if t < k:
-        k = t + 1
+    k = _stop(below, None if row is None else rank(row), budget, radius)[0]
     return rank(0) < k, rank(len(dist) - 1) < k
 
 

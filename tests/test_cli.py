@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from magschro import cli, criteria
 from magschro.cli import main
+from magschro.criteria import lipschitz_best_constant
 from magschro.errors import InputError
+from magschro.families import make_family
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -263,6 +266,37 @@ def test_estimate_sweeps_a_nonzero_defect_on_the_ray(tmp_path, capsys, seed):
     capsys.readouterr()
     sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
     assert len(sweep) == 8 and isinstance(sweep[-1]["value"], dict)
+
+
+def test_estimate_draws_its_functions_from_x0(monkeypatch, tmp_path, capsys):
+    # on the ray the test functions live on --x0 .. --x0 + --window - 1, so a
+    # far start sweeps a nonzero defect there instead of running out of budget
+    drawn = []
+    draw = cli.random_function
+    monkeypatch.setattr(cli, "random_function",
+                        lambda rng, ids, **kw: drawn.append(ids) or draw(rng, ids, **kw))
+    target = tmp_path / "out.json"
+    assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--x0", "10000000",
+                 "--json", str(target)]) == 0
+    capsys.readouterr()
+    sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
+    assert len(sweep) == 8 and isinstance(sweep[-1]["value"], dict)
+    assert min(map(min, drawn)) == 10**7 and max(map(max, drawn)) == 10**7 + 199
+
+
+def test_estimate_scans_a_finite_graph_once_for_its_lipschitz_constant(monkeypatch, tmp_path,
+                                                                      capsys):
+    scans = []
+    scan = criteria._scan
+    monkeypatch.setattr(criteria, "_scan", lambda *args: scans.append(1) or scan(*args))
+    target = tmp_path / "out.json"
+    argv = ["estimate", "--family", "path", "--size", "25", "--q", "1 + n/5", "--trials", "10"]
+    assert main(argv + ["--json", str(target)]) == 0
+    capsys.readouterr()
+    assert len(scans) == 1
+    g = make_family({"family": "path", "size": 25, "q": "1 + n/5"})
+    constant = json.loads(target.read_text())["energy"]["last_breakdown"]["lipschitz_constant"]
+    assert constant == lipschitz_best_constant(g, g.vertices()).constant > 0
 
 
 def test_spectrum_on_a_limit_circle_ray_exits_2_at_the_restart_cap(capsys):

@@ -587,8 +587,10 @@ def test_tapered_defect_is_the_int_0_when_every_ramp_vanishes(capsys):
     for rep in (tapered_defect_bound(g, u, v, 1, 1e-3),
                 *tapered_defect_profile(g, u, v, 1, [1e-3, 0.5])):
         assert type(rep.value) is int and rep.value == 0 and rep.passed
+    # the CLI writes that int 0: a one-vertex window draws u and v on x0
+    # alone, whose defect cancels exactly on the free ray, so no term is left
     assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--x0", "500",
-                 "--window", "20", "--trials", "2", "--json", "-"]) == 0
+                 "--window", "1", "--trials", "2", "--json", "-"]) == 0
     sweep = json.loads(capsys.readouterr().out.split("PASS\n", 1)[1])["tapered_defect"]
     assert [point["value"] for point in sweep["last_sweep"]] == [0] * 8
 

@@ -7,19 +7,21 @@ import pytest
 from magschro import metric
 from magschro.errors import ExprEvalError, InputError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
-from magschro.families import make_family, quadratic_well_ray
+from magschro.families import PathRayGraph, make_family, quadratic_well_ray
 from magschro.graphs import EdgeData, OrientedEdge, VertexData
 from magschro.metric import shortest_paths
 from search_probes import count_records
 
 
 def _run_window(g, lo, hi):
-    """The window over lo..hi cut from the ray's records, as a search's window
+    """The window over lo..hi cut from the ray's records, as a closure window
     is, or None when an n in it is invalid or hi reaches 2**63 - 1."""
     if hi >= np.iinfo(np.int64).max:
         return None
     records = g._records(lo, hi)
-    return g._window(lo, *records) if len(records[0]) > hi - lo else None
+    if len(records[0]) <= hi - lo:
+        return None
+    return PathRayGraph._closure(np.arange(lo, hi + 1), *records)
 
 
 def _hop_window(g, x0, hops):
@@ -52,7 +54,7 @@ def test_windows_inside_the_prefix_evaluate_nothing(monkeypatch):
     assert g.closure_window(range(10, 20)).ids.tolist() == list(range(9, 21))
     # a search whose sums end inside the prefix reads them there
     res = shortest_paths(g, 300, budget=700)
-    assert res.method == "window" and res.window.ids[-1] == 300 + 2 * metric.WINDOW_MIN
+    assert res.method == "window" and res._span[1] == 300 + 2 * metric.WINDOW_MIN
     # the records of 1..1024 are read as kept tuples
     assert g.vertex(7) == VertexData(1.0, -49.0, 49.0)
     assert evaluated == [] and vars(g) == held
@@ -76,7 +78,7 @@ def test_windows_past_the_prefix_evaluate_their_range_once(monkeypatch):
     for _ in range(2):  # a search evaluates each block past the prefix once: 1..513
         evaluated.clear()  # and 514..1024 are sliced, 1025 and 1026..2049 evaluated
         res = shortest_paths(g, 1, budget=2000)
-        assert res.window.ids.tolist() == list(range(1, 2050))
+        assert res._span == (1, 2049)
         assert evaluated == list(range(1025, 2050))
     assert vars(g) == held
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from loop_oracles import window_walk
 from magschro import criteria, metric, reference
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
-from magschro.families import PathRayGraph, make_family, quadratic_well_ray
+from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.metric import (
     UNIT_Q,
@@ -476,7 +475,7 @@ def test_a_target_behind_cheap_edges_retries_wider(monkeypatch):
     spec = {"family": "path-nat", "a": "n^3"}
     g = make_family(spec)
     res = shortest_paths(g, 2000, target=1000)
-    assert res.method == "window" and res.window.ids[[0, -1]].tolist() == [976, 6096]
+    assert res.method == "window" and res._span == (976, 6096)
     assert max(res.distances) - 2000 > 1001
     windowed, _ = _outcome(spec, 2000, frontier_only=False, target=1000)
     assert windowed == _outcome(spec, 2000, frontier_only=True, target=1000)[0]
@@ -495,7 +494,7 @@ def test_search_reports_its_path():
     assert res.method == "window"
     assert list(res.distances)[:5] == [50, 49, 51, 48, 52]
     # the left side is 1..49; the right one doubles until its end is not settled
-    assert res.window.ids[[0, -1]].tolist() == [1, 50 + 8192] and max(res.distances) == 5000
+    assert res._span == (1, 50 + 8192) and max(res.distances) == 5000
     # an explicit graph cuts its windows from its arrays; exact data stay on the frontier
     explicit = random_connected_graph(np.random.default_rng(3), min_vertices=300,
                                       max_vertices=300)
@@ -617,8 +616,8 @@ def test_reproduce_builds_no_distance_dict_past_the_harmonic_ladder(monkeypatch)
     assert max(sizes) == reference.ORACLE_LADDER
 
 
-# a ray search builds its window only when .window is read: distance and
-# ball read ids lo + order and rows int_id(x) - lo from the run itself
+# a ray search keeps no window: distance and ball read ids lo + order and
+# rows int_id(x) - lo from the run itself, and never join its record blocks
 _RAY_STARTS = [pytest.param(1, WITH_Q, id="1-with-q"), pytest.param(1, UNIT_Q, id="1-unit-q"),
                pytest.param(10**7, WITH_Q, id="1e7-with-q"),
                pytest.param(10**7, UNIT_Q, id="1e7-unit-q")]
@@ -633,30 +632,40 @@ def test_ray_distance_and_ball_never_build_the_window(monkeypatch, x0, q_mode):
     members = ball(g, x0, radius, q_mode=q_mode).members
 
     def refuse(*args):
-        raise AssertionError("a ray window was built")
+        raise AssertionError("a ray search's records were joined")
 
-    monkeypatch.setattr(PathRayGraph, "_window", staticmethod(refuse))
+    monkeypatch.setattr(metric.SearchResult, "records", refuse)
     assert shortest_paths(g, x0, q_mode=q_mode, target=target, budget=10**5).method == "window"
     assert distance(g, x0, target, q_mode=q_mode, budget=10**5) == expected is not None
     found = ball(g, x0, radius, q_mode=q_mode)
     assert found.complete and list(found.members.items()) == list(members.items())
     assert len(found) > metric.WINDOW_MIN
-    with pytest.raises(AssertionError, match="a ray window was built"):
-        shortest_paths(g, x0, q_mode=q_mode, budget=2000).window
+    with pytest.raises(AssertionError, match="a ray search's records were joined"):
+        shortest_paths(g, x0, q_mode=q_mode, budget=2000).records()
 
 
 @pytest.mark.parametrize("x0, q_mode", _RAY_STARTS)
-def test_ray_window_is_the_window_over_its_records(x0, q_mode):
+def test_ray_records_are_the_records_over_its_span(x0, q_mode):
     g = quadratic_well_ray()
     res = shortest_paths(g, x0, q_mode=q_mode, budget=5000)
-    win = res.window
-    lo, hi = int(win.ids[0]), int(win.ids[-1])
-    want = g._window(lo, *g._records(lo, hi))
-    assert res.window is win and res.method == "window"
-    for field in dataclasses.fields(win):
-        got, ref = getattr(win, field.name), getattr(want, field.name)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+    assert res.method == "window" and res.window is None
+    lo, hi = res._span
+    got, want = res.records(), g._records(lo, hi)
+    assert got[0] == lo and len(got) == 5
+    for name, column, ref in zip("wWqa", got[1:], want):
+        assert column.dtype == ref.dtype and np.array_equal(column, ref), name
     assert list(res.distances) == (lo + res.order).tolist()
+
+
+def test_only_a_search_on_an_explicit_graph_keeps_a_window():
+    explicit = unit_path(600)
+    frontier = shortest_paths(explicit, 1, budget=10)
+    whole = shortest_paths(explicit, 1)
+    ray = shortest_paths(quadratic_well_ray(), 1, budget=2000)
+    assert (frontier.method, whole.method, ray.method) == ("frontier", "window", "window")
+    assert frontier.window is None and frontier.records() is None
+    assert whole.window is explicit.whole_window() and whole.records() is None
+    assert ray.window is None and ray.records()[0] == 1
 
 
 @pytest.mark.parametrize("x0, q_mode", _RAY_STARTS)

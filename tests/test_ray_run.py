@@ -1,10 +1,10 @@
 """A ray search's settled run: the check's scan of its records against the
-window scan and the vertex walk, and the growth decision against the sort.
+closure scan and the vertex walk, and the growth decision against the sort.
 
 A ray search settles one run of ids, and the check reads the degree,
 minorant and Lipschitz checks from slices of the search's records.  Those
-must equal :func:`criteria._scan` on the search's own window and
-``window_walk`` over what it settled, witnesses and errors included.  The
+must equal :func:`criteria._scan`, the CSR walk of the closure of what it
+settled, and ``window_walk`` over it, witnesses and errors included.  The
 search decides each growth from ranks on the two monotone sides of its
 distances; that must be the decision of sorting them all.
 """
@@ -52,10 +52,8 @@ def _assert_same_checks(new, old):
 
 
 def _window_scan(g, res):
-    """``_scan`` on the search's own window, over the rows it settled."""
-    member = np.zeros(len(res.window.ids), dtype=bool)
-    member[res.order] = True
-    return criteria._scan(g, res.window, member)
+    """``_scan`` on the closure window of what the search settled."""
+    return criteria._scan(g, *criteria._explored(g, res))
 
 
 def _outcome(scan, *args):
@@ -132,7 +130,7 @@ def test_the_check_builds_no_window_and_reads_no_csr(monkeypatch):
     def refuse(*args):
         raise AssertionError("the check built a window")
 
-    monkeypatch.setattr(PathRayGraph, "_window", staticmethod(refuse))
+    monkeypatch.setattr(PathRayGraph, "_closure", staticmethod(refuse))
     monkeypatch.setattr(Window, "rows", refuse)
     for x0 in (1, 10**7):
         report = criteria.selfadjointness_criteria(quadratic_well_ray(), x0)

@@ -285,7 +285,7 @@ def test_a_cut_record_on_either_side_of_the_start(x0, method):
     assert res.method == method
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=1500))
     end = 2999 if x0 < 3000 else 3001
-    assert end in res.window.ids[[0, -1]] and end not in res.distances
+    assert end in res._span and end not in res.distances
     for budget in (2500, 10**6):  # the search settles the cut end, and raises the frontier's error
         with pytest.raises(ExprEvalError, match=r"\(at n=3000\)"):
             shortest_paths(g, x0, budget=budget)
@@ -299,7 +299,7 @@ def test_a_left_side_ends_above_its_last_invalid_record(bad, x0):
     g = make_family({"family": "path-nat", "W": f"1/(n-{bad})"})
     budget = 2 * (x0 - bad - 1) - 1  # settles x0 - k..x0 + k, short of bad + 1
     res = shortest_paths(g, x0, budget=budget)
-    assert res.method == "window" and res.window.ids[0] == bad + 1
+    assert res.method == "window" and res._span[0] == bad + 1
     assert min(res.distances) == bad + 2
     assert _summary(res) == _summary(shortest_paths(_frontier_only(g), x0, budget=budget))
     with pytest.raises(ExprEvalError, match=rf"\(at n={bad}\)"):
