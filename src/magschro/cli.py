@@ -113,20 +113,21 @@ def _cmd_check(args) -> int:
     x0 = _resolve_vertex(g, args.x0)
     report = selfadjointness_criteria(g, x0, budget=args.budget,
                                       lipschitz_budget=args.lipschitz_c)
-    print(f"window: {report.window_size} vertices, scope {report.scope}")
-    print(f"degree bound: observed {report.degree.observed}, declared "
-          f"{report.degree.declared}, pass={report.degree.passed}")
-    print(f"minorant W >= -q: worst violation {report.minorant.worst_violation:g}, "
-          f"pass={report.minorant.passed}")
+    out = sys.stderr if args.json == "-" else sys.stdout  # stdout is then JSON alone
     witness = tuple(report.lipschitz.witness) if report.lipschitz.witness else None
     budget_note = ""
     if args.lipschitz_c is not None:
         budget_note = f" (budget C = {args.lipschitz_c:g}, pass={report.lipschitz_passed})"
-    print(f"lipschitz: C_best = {report.lipschitz.constant:.12g}, witness {witness}{budget_note}")
-    print(f"completeness: {report.completeness.verdict} "
+    print(f"window: {report.window_size} vertices, scope {report.scope}\n"
+          f"degree bound: observed {report.degree.observed}, declared "
+          f"{report.degree.declared}, pass={report.degree.passed}\n"
+          f"minorant W >= -q: worst violation {report.minorant.worst_violation:g}, "
+          f"pass={report.minorant.passed}\n"
+          f"lipschitz: C_best = {report.lipschitz.constant:.12g}, witness {witness}{budget_note}\n"
+          f"completeness: {report.completeness.verdict} "
           f"(settled {report.completeness.settled_count} vertices, "
-          f"radius {report.completeness.settled_radius:.6g})")
-    print(f"overall: {report.overall}")
+          f"radius {report.completeness.settled_radius:.6g})\n"
+          f"overall: {report.overall}", file=out)
     if args.json:
         _emit_json(args.json, dataclasses.asdict(report))
     return 0 if report.overall != "fail" else 1
@@ -231,8 +232,9 @@ def _cmd_estimate(args) -> int:
         worst_slack = min(worst_slack, breakdown.slack)
         if not breakdown.passed:
             energy_failures += 1
+    out = sys.stderr if args.json == "-" else sys.stdout  # stdout is then JSON alone
     print(f"energy bound: {energy_failures} violations over {args.trials} trials "
-          f"(smallest slack {worst_slack:.6g})")
+          f"(smallest slack {worst_slack:.6g})", file=out)
 
     anchor_fn = AnchorFunction(g, x0, budget=args.budget)
     sweep_failures = 0
@@ -256,9 +258,9 @@ def _cmd_estimate(args) -> int:
                                                                anchor_fn=anchor_fn)))
         sweep_failures += sum(not rep.passed for _, rep in sweep_reports)
     print(f"tapered defect bound: {sweep_failures} violations over {pairs} pairs "
-          f"x {len(radii)} radii")
+          f"x {len(radii)} radii", file=out)
     ok = energy_failures == 0 and sweep_failures == 0
-    print("PASS" if ok else "FAIL")
+    print("PASS" if ok else "FAIL", file=out)
     if args.json:
         _emit_json(args.json, {
             "energy": {"trials": args.trials, "violations": energy_failures,

@@ -34,7 +34,7 @@ from .graphs import OrientedEdge, sorted_ids
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _resolve_budget,
                      shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
-from .spectral import assemble_truncation, eigen_extremes
+from .spectral import _window_extremes
 
 LIPSCHITZ_TOL = 1e-12
 
@@ -305,13 +305,8 @@ def semibounded_probe(g, windows) -> SemiboundedProbe:
     truncation applies H to functions supported in the window, so its
     diagonal holds the delta-function Rayleigh quotients (H d_x, d_x) / (d_x, d_x).
     """
-    rows = []
-    for window in windows:
-        window = sorted_ids(set(window))
-        trunc = assemble_truncation(g, window)
-        ext = eigen_extremes(trunc)
-        ray = float(trunc.matrix.diagonal().real.min())
-        rows.append(SemiboundedRow(len(window), ext.lambda_min, ray))
+    rows = [SemiboundedRow(trunc.size, ext.lambda_min, float(trunc.matrix.diagonal().real.min()))
+            for trunc, ext in _window_extremes(g, windows)]
 
     mins = [r.lambda_min for r in rows]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))

@@ -21,13 +21,16 @@ operator); and shift-invert Lanczos from just outside a Gershgorin bound, in
 real arithmetic when all phases are real, of every larger window.  Bisection
 takes 3.3-4.2 ms against 6.1-7.3 ms for Lanczos at K = 2000 on the quadratic
 well and the free ray, 14-16 against 22-25 ms at K = 10,000 (2-core box,
-medians of 15).  A miss is the float64 floor.  A dense pair can miss it from
-about |lambda| = 1.3e7 (on the ray w = n^-2.5, a = n^0.5 at K = 154, on the
-ray a = n^3 at K = 169), where bisection's pair still meets it.  Past
-|lambda| = 1.3e8 half an ulp of lambda exceeds the contract, which a pair
-then meets only where the rounding of its residual falls its way (on the
-quadratic well up to K = 100,000 at least, on the ray w = 1, a = n^3 not
-from K = 500 on, where Lanczos misses it too).  Each bound
+medians of 15).  :func:`eigen_extremes` polishes the tridiagonal and Lanczos
+pairs, not the dense ones, by inverse iteration where a pair is above half
+the contract; one Rayleigh correction, :func:`_rayleigh`, gives both the
+bisection eigenvalue and each polished one.  A miss is the float64 floor.
+A dense pair can miss it from about |lambda| = 1.3e7 (on the ray w = n^-2.5,
+a = n^0.5 at K = 154, on the ray a = n^3 at K = 169), where bisection's pair
+still meets it.  Past |lambda| = 1.3e8 half an ulp of lambda exceeds the
+contract, which a pair then meets only where the rounding of its residual
+falls its way (on the quadratic well up to K = 100,000 at least, on the ray
+w = 1, a = n^3 not from K = 500 on, where Lanczos misses it too).  Each bound
 is the tighter of two that hold the same spectrum: the Gershgorin interval
 of the symmetrized S and that of the assembled M, which is similar to it.
 M's rows sum a(e) / w(x), so where w varies its lower bound is often the
@@ -71,6 +74,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import EigensolveError, InputError
 from .functions import VertexFunction
 from .graphs import sorted_ids
+from .operators import python_product
 
 DENSE_CUTOFF = 200
 RESIDUAL_CONTRACT = 1e-8
@@ -143,19 +147,17 @@ def assemble_truncation(g, window) -> TruncatedOperator:
     degree = np.zeros(size)
     np.add.at(degree, src, a)  # in neighbor order, from 0.0
     # (-a + 0j) * conj(sigma), then over (w + 0j), as complex_mul and _Py_c_quot do
-    sigma = win.sigma[entries].astype(complex)
-    br, bi = sigma.real, -sigma.imag
-    pr = -a * br - 0.0 * bi
-    pi = -a * bi + 0.0 * br
     inside = dst >= 0
-    coupling = np.empty(np.count_nonzero(inside), dtype=complex)
-    coupling.real = ((pr + pi * 0.0) / w[src])[inside]
-    coupling.imag = ((pi - pr * 0.0) / w[src])[inside]
+    src, dst, entries = src[inside], dst[inside], entries[inside]
+    p = python_product((-a[inside]).astype(complex), win.sigma[entries].astype(complex).conj())
+    coupling = np.empty(len(src), dtype=complex)
+    coupling.real = (p.real + p.imag * 0.0) / w[src]
+    coupling.imag = (p.imag - p.real * 0.0) / w[src]
     diagonal = (degree / w + win.W[rows].astype(float)).astype(complex)
     span = np.arange(size)
     matrix = sp.csr_matrix((np.concatenate([coupling, diagonal]),
-                            (np.concatenate([src[inside], span]),
-                             np.concatenate([dst[inside], span]))), shape=(size, size))
+                            (np.concatenate([src, span]), np.concatenate([dst, span]))),
+                           shape=(size, size))
     return TruncatedOperator(tuple(ordered), {x: i for i, x in enumerate(ordered)}, matrix, w)
 
 
@@ -209,6 +211,15 @@ def _lanczos_pair(herm, sigma, v0):
     return val[0], vec[:, 0], solves
 
 
+def _rayleigh(herm, mu, vec):
+    """mu + v^H (H v - mu v) / v^H v: the Rayleigh quotient of ``vec`` as a
+    correction to the estimate mu.  H v - mu v cancels entry by entry, so the
+    correction carries rounding of its own size, where v^H H v / v^H v carries
+    that of lambda: on the quadratic well's tridiagonal pairs the residual is
+    1.1e-13 against 9.3e-10 at K = 2000, 2.8e-17 against 6.0e-8 at 20,000."""
+    return float(mu + (vec.conj() @ (herm @ vec - mu * vec)).real / (vec.conj() @ vec).real)
+
+
 def _polish_pair(herm, S, lam, vec, target):
     """Inverse-iteration refinement of a nearly converged eigenpair.
 
@@ -232,7 +243,7 @@ def _polish_pair(herm, S, lam, vec, target):
         if not np.isfinite(norm) or norm == 0:
             break
         vec = w / norm
-        lam = float((vec.conj() @ (herm @ vec)).real)
+        lam = _rayleigh(herm, lam, vec)
     return lam, vec, solves
 
 
@@ -247,48 +258,36 @@ def _tridiagonal(herm):
     rows = np.repeat(np.arange(n), np.diff(herm.indptr))
     if not np.all(np.abs(herm.indices - rows) <= 1):
         return None
-    upper = herm.indices == rows + 1
-    h = np.zeros(n - 1, dtype=herm.dtype)
-    h[rows[upper]] = herm.data[upper]
-    return herm.diagonal().real, h
+    return herm.diagonal().real, herm.diagonal(1)
 
 
-def _tridiagonal_pairs(herm, S, diag, h):
+def _tridiagonal_pairs(herm, diag, h):
     """Both extreme eigenpairs of the tridiagonal ``herm`` by Sturm count
-    bisection and inverse iteration (LAPACK's stebz and stein), each polished
-    by :func:`_polish_pair`.  Returns the pairs and the polish solves; LAPACK's
-    ``LinAlgError`` is raised to the caller.
+    bisection and inverse iteration (LAPACK's stebz and stein), each
+    eigenvalue taken as the :func:`_rayleigh` correction of the bisection
+    value to its vector.  LAPACK's ``LinAlgError`` is raised to the caller.
 
     The diagonal unitary with d_0 = 1 and d_(i+1) = d_i conj(h_i) / |h_i|, and
     d_(i+1) = d_i where h_i = 0, turns the superdiagonal h into |h|, so the
     real solver applies and each of its vectors y maps back to d y; a zero
-    h_i splits the matrix into blocks.  Each eigenvalue is taken as the
-    Rayleigh quotient of its vector, summed as a correction to the bisection
-    value mu: mu + v^H (H v - mu v) / v^H v.  The residual H v - mu v cancels
-    entry by entry, so the correction carries the rounding of its own size;
-    v^H H v / v^H v would carry that of lambda, and on the quadratic well at
-    K = 2000 its residual is 9.3e-10 against 1.1e-13, at K = 20,000 6.0e-8
-    against 2.8e-17.
+    h_i splits the matrix into blocks.
     """
     unit = np.ones_like(h)
     coupled = h != 0
     unit[coupled] = h[coupled].conj() / np.abs(h[coupled])
     gauge = np.concatenate([np.ones(1, h.dtype), np.cumprod(unit)])
-    pairs, polish_solves = [], 0
+    pairs = []
     for i in (0, len(diag) - 1):
         (mu,), y = eigh_tridiagonal(diag, np.abs(h), select="i", select_range=(i, i))
         vec = gauge * y[:, 0]
-        lam = float(mu + (vec.conj() @ (herm @ vec - mu * vec)).real / (vec.conj() @ vec).real)
-        lam, vec, polished = _polish_pair(herm, S, lam, vec, RESIDUAL_CONTRACT / 2)
-        pairs.append((lam, vec))
-        polish_solves += polished
-    return pairs, polish_solves
+        pairs.append((_rayleigh(herm, mu, vec), vec))
+    return pairs
 
 
-def _lanczos_pairs(trunc, herm, S, seed):
+def _lanczos_pairs(trunc, herm, seed):
     """Both extreme eigenpairs by shift-invert Lanczos from just outside the
-    tighter Gershgorin interval, each polished by :func:`_polish_pair`.
-    Returns the pairs, the shifts, the solves per shift and the polish solves.
+    tighter Gershgorin interval.  Returns the pairs, the shifts and the
+    solves per shift.
     """
     v0 = np.random.default_rng(seed).standard_normal(herm.shape[0])
     # the Gershgorin intervals of S and of M, which is similar to S, both hold
@@ -300,14 +299,8 @@ def _lanczos_pairs(trunc, herm, S, seed):
     g_lo, g_hi = max(s_lo, m_lo), min(s_hi, m_hi)
     margin = 1e-8 * max(abs(g_lo), abs(g_hi), 1.0)
     shifts = (g_lo - margin, g_hi + margin)
-    pairs, counts, polish_solves = [], [], 0
-    for sigma in shifts:
-        lam, vec, count = _lanczos_pair(herm, sigma, v0)
-        lam, vec, polished = _polish_pair(herm, S, lam, vec, RESIDUAL_CONTRACT / 2)
-        pairs.append((lam, vec))
-        counts.append(count)
-        polish_solves += polished
-    return pairs, shifts, tuple(counts), polish_solves
+    solved = [_lanczos_pair(herm, sigma, v0) for sigma in shifts]
+    return [(lam, vec) for lam, vec, _ in solved], shifts, tuple(n for *_, n in solved)
 
 
 def _worst_residual(S, pairs):
@@ -329,8 +322,9 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
     window of up to ``DENSE_CUTOFF`` vertices, :func:`_tridiagonal_pairs`
     for a window of any size whose Hermitian part is tridiagonal in row
     order (every ray window, every window of a finite path), and
-    :func:`_lanczos_pairs` for a window above the cut-off.  The first path
-    whose pairs are within ``RESIDUAL_CONTRACT`` is returned.  A path fails
+    :func:`_lanczos_pairs` for a window above the cut-off.  The pairs of the
+    last two are polished here, by :func:`_polish_pair`, and the first path
+    whose pairs are then within ``RESIDUAL_CONTRACT`` is returned.  A path fails
     when its solver raises (LAPACK, a singular shift-invert factor, a shift
     that ARPACK does not resolve within ``LANCZOS_MAXITER`` restarts) or a
     pair's residual is not within the contract (NaN included); when every
@@ -359,9 +353,13 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
                 vals, vecs = np.linalg.eigh(herm.toarray())
                 pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
             elif method == "tridiagonal":
-                pairs, polish_solves = _tridiagonal_pairs(herm, S, *parts)
+                pairs = _tridiagonal_pairs(herm, *parts)
             else:
-                pairs, shifts, solves, polish_solves = _lanczos_pairs(trunc, herm, S, seed)
+                pairs, shifts, solves = _lanczos_pairs(trunc, herm, seed)
+            if method != "dense":
+                polished = [_polish_pair(herm, S, *pair, RESIDUAL_CONTRACT / 2) for pair in pairs]
+                pairs = [(lam, vec) for lam, vec, _ in polished]
+                polish_solves = sum(count for *_, count in polished)
         except spla.ArpackNoConvergence as exc:
             cause, message = exc, (f"Lanczos did not converge within LANCZOS_MAXITER="
                                    f"{LANCZOS_MAXITER} restarts (n={n}): {exc}")
@@ -385,11 +383,14 @@ class TrendRow(NamedTuple):
     residual: float
 
 
-def spectral_trend(g, windows, *, seed=0) -> list:
-    """Extreme eigenvalues across a sequence of (typically nested) windows."""
-    rows = []
+def _window_extremes(g, windows, seed=0):
+    """Each window's truncation and its :class:`EigenExtremes`, in order."""
     for window in windows:
         trunc = assemble_truncation(g, window)
-        ext = eigen_extremes(trunc, seed=seed)
-        rows.append(TrendRow(trunc.size, ext.lambda_min, ext.lambda_max, ext.residual))
-    return rows
+        yield trunc, eigen_extremes(trunc, seed=seed)
+
+
+def spectral_trend(g, windows, *, seed=0) -> list:
+    """Extreme eigenvalues across a sequence of (typically nested) windows."""
+    return [TrendRow(trunc.size, ext.lambda_min, ext.lambda_max, ext.residual)
+            for trunc, ext in _window_extremes(g, windows, seed)]

@@ -66,6 +66,37 @@ def test_check_json_reports_the_search(tmp_path, capsys):
     assert search["wall_s"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "path-nat", "--budget", "1000"],
+    ["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--trials", "4"],
+], ids=["check", "estimate"])
+def test_json_to_stdout_is_json_alone(argv, tmp_path, capsys):
+    """With ``--json -`` stdout carries the JSON alone and the text report
+    goes to stderr; a file target keeps the text on stdout."""
+    assert main(argv + ["--json", "-"]) == 0
+    piped = capsys.readouterr()
+    payload = json.loads(piped.out)
+    target = tmp_path / "report.json"
+    assert main(argv + ["--json", str(target)]) == 0
+    filed = capsys.readouterr()
+    assert piped.err == filed.out != "" and filed.err == ""
+    written = json.loads(target.read_text())
+    if argv[0] == "check":  # the search's wall time differs between the runs
+        assert payload.pop("search")["wall_s"] > 0 and written.pop("search")["wall_s"] > 0
+    assert written == payload
+
+
+def test_ball_truncated_by_the_budget_prints_its_settled_rows(capsys):
+    code = main(["ball", "--family", "path-nat", "--radius", "1e9", "--budget", "50"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "warning: ball truncated by the budget; members may be missing\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "vertex,distance"
+    # the 50 settled vertices 1..50 of the unit ray, at distances 0..49
+    assert lines[1:] == [f"{k},{k - 1}" for k in range(1, 51)]
+
+
 def test_ball_csv_output(capsys):
     code = main(["ball", "--family", "path-nat", "--q", "n^2", "--x0", "1",
                  "--radius", "0.6"])

@@ -17,6 +17,7 @@ from magschro.errors import InputError, UnknownVertexError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
+from magschro.spectral import spectral_trend
 from search_probes import count_records
 
 
@@ -171,6 +172,30 @@ def test_semibounded_probe_constant_shift():
     probe = semibounded_probe(g, [range(1, k + 1) for k in (10, 20, 30)])
     for row in probe.rows:
         assert row.lambda_min >= -1.0 - 1e-12
+
+
+def test_semibounded_probe_stable_minimum():
+    # the same window twice, and nested windows around a ground state held at
+    # one vertex by W = -1e6 there: on each window the minimum lies about
+    # 2e-6 below that vertex's diagonal entry 2 - 1e6
+    path = make_family({"family": "path", "size": 30, "W": "0 - 1"})
+    probe = semibounded_probe(path, [range(1, 21), range(1, 21)])
+    low = probe.rows[0].lambda_min
+    assert probe.rows[1].lambda_min == low and probe.nonincreasing
+    assert probe.verdict == f"minimum stable near {low:.6g} on the tested windows"
+    well = ExplicitGraph({k: (1.0, -1e6 if k == 10 else 0.0, 1e6) for k in range(1, 20)},
+                         {(k, k + 1): (1.0, 1) for k in range(1, 19)})
+    probe = semibounded_probe(well, [range(9, 12), range(5, 16), range(1, 20)])
+    mins = [row.lambda_min for row in probe.rows]
+    assert all(2 - 1e6 - 3e-6 < low < 2 - 1e6 - 1e-6 for low in mins)
+    assert probe.verdict == f"minimum stable near {mins[-1]:.6g} on the tested windows"
+
+
+def test_the_probe_and_the_trend_read_the_same_minima():
+    g = quadratic_well_ray()
+    windows = [range(1, k + 1) for k in (5, 150, 201, 2000)]
+    assert ([row.lambda_min for row in semibounded_probe(g, windows).rows]
+            == [row.lambda_min for row in spectral_trend(g, windows)])
 
 
 def test_lambda_min_monotone_under_window_growth(rng):

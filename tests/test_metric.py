@@ -280,6 +280,29 @@ def test_cutoff_check_reports_a_short_metric(monkeypatch):
         assert all(excess == pytest.approx(0.5 / n) for *_, excess in report.violations)
 
 
+_RAMP = metric._ramp
+
+
+@pytest.mark.parametrize("broken, found", [
+    (lambda n, d: 1.5 if d == 0 else _RAMP(n, d),
+     [("range", 1, 1.5), ("plateau", 1, 1.5), ("limit", 1, 1.5)]),
+    (lambda n, d: 0.5 if d == 1 else _RAMP(n, d), [("plateau", 2, 0.5), ("limit", 2, 0.5)]),
+    (lambda n, d: 0.25 if (n, d) == (2, 4) else _RAMP(n, d), [("support", 5, 0.25)]),
+    (lambda n, d: 0.0 if (n, d) == (4, 3) else _RAMP(n, d), [("monotone", 4, -0.5)]),
+    (lambda n, d: 0.5 if (n, d) == (6, 5) else _RAMP(n, d), [("limit", 6, 0.5)]),
+], ids=["range", "plateau", "support", "monotone", "limit"])
+def test_cutoff_check_reports_a_broken_ramp_where_it_breaks(monkeypatch, broken, found):
+    """n = 2 on the well: the check settles 1..6 at unit-q distances 0..5,
+    reads the ramp at n and at 3, 4, 8 (monotone) and 6 (the limit), and
+    reports each property the broken ramp fails at the vertex that fails it.
+    The gradient bound is broken through the metric instead, in
+    ``test_cutoff_check_reports_a_short_metric``."""
+    g = quadratic_well_ray()
+    assert cutoff_property_check(g, 1, 2).ok
+    monkeypatch.setattr(metric, "_ramp", broken)
+    assert cutoff_property_check(g, 1, 2).violations == found
+
+
 def test_cutoff_gradient_equality_case():
     # on a unit path with x0 = 1 and n = 1 the edge (2, 3) straddles the ramp:
     # chi(2) = 1, chi(3) = 0 and d(2, 3) = 1, so the gradient bound is tight
