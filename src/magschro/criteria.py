@@ -305,11 +305,16 @@ def semibounded_probe(g, windows) -> SemiboundedProbe:
     truncation applies H to functions supported in the window, so its
     diagonal holds the delta-function Rayleigh quotients (H d_x, d_x) / (d_x, d_x).
     """
-    rows = [SemiboundedRow(trunc.size, ext.lambda_min, float(trunc.matrix.diagonal().real.min()))
-            for trunc, ext in _window_extremes(g, windows)]
+    rows, res = [], []
+    for trunc, ext in _window_extremes(g, windows):
+        rows.append(SemiboundedRow(trunc.size, ext.lambda_min,
+                                   float(trunc.matrix.diagonal().real.min())))
+        res.append(ext.residual)
 
     mins = [r.lambda_min for r in rows]
-    nonincreasing = all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))
+    # each lambda_min lies within its residual of an eigenvalue, so only a
+    # rise beyond the sum of the two residuals counts
+    nonincreasing = all(b - a <= ra + rb for a, b, ra, rb in zip(mins, mins[1:], res, res[1:]))
     if len(mins) >= 2 and all(b < a for a, b in zip(mins, mins[1:])):
         span = mins[0] - mins[-1]
         if span > 0.1 * max(abs(mins[-1]), 1.0):

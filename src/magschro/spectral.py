@@ -11,54 +11,45 @@ similarity transform S = D^(1/2) M D^(-1/2) (D the diagonal of vertex
 weights) is Hermitian in the ordinary sense and shares the spectrum, so
 standard solvers apply.
 
-:func:`eigen_extremes` tries three paths in turn and returns the first whose
-pairs meet ``RESIDUAL_CONTRACT``: a dense solve of a window of up to
-``DENSE_CUTOFF`` vertices; Sturm count bisection and inverse iteration at
-both ends, after a diagonal gauge makes the couplings real, of a window of
-any size whose Hermitian part couples only neighbouring rows, as every
+:func:`eigen_extremes` tries two paths in turn and returns the first whose
+pairs meet ``RESIDUAL_CONTRACT``: Sturm count bisection and inverse
+iteration at both ends, after a diagonal gauge makes the couplings real, of
+a window whose Hermitian part couples only neighbouring rows, as every
 window of a ray or a path does (on the ray the operator is a Jacobi
-operator); and shift-invert Lanczos from just outside a Gershgorin bound, in
-real arithmetic when all phases are real, of every larger window.  Bisection
-takes 3.3-4.2 ms against 6.1-7.3 ms for Lanczos at K = 2000 on the quadratic
-well and the free ray, 14-16 against 22-25 ms at K = 10,000 (2-core box,
-medians of 15).  :func:`eigen_extremes` polishes the tridiagonal and Lanczos
-pairs, not the dense ones, by inverse iteration where a pair is above half
-the contract; one Rayleigh correction, :func:`_rayleigh`, gives both the
-bisection eigenvalue and each polished one.  A miss is the float64 floor.
-A dense pair can miss it from about |lambda| = 1.3e7 (on the ray w = n^-2.5,
-a = n^0.5 at K = 154, on the ray a = n^3 at K = 169), where bisection's pair
-still meets it.  Past |lambda| = 1.3e8 half an ulp of lambda exceeds the
-contract, which a pair then meets only where the rounding of its residual
-falls its way (on the quadratic well up to K = 100,000 at least, on the ray
-w = 1, a = n^3 not from K = 500 on, where Lanczos misses it too).  Each bound
-is the tighter of two that hold the same spectrum: the Gershgorin interval
-of the symmetrized S and that of the assembled M, which is similar to it.
-M's rows sum a(e) / w(x), so where w varies its lower bound is often the
-tighter: -3.96 against -11.71 on the 8000-vertex window of perfbench's
-seed-1 flux lattice, where the shift's Lanczos run then takes 71 solves
-against 121.  With w = 1, M and S are one matrix.  Each
-shift is factored once, by a sparse LU in SuperLU's symmetric mode: one
-minimum degree ordering of A + A^T applied to rows and columns alike, and
-the diagonal taken as pivot with no row exchange (``_shift_factor``).
+operator) and as a single vertex does; and shift-invert Lanczos from just
+outside a Gershgorin bound, in real arithmetic when all phases are real, of
+every other window and of any window of 2 or more vertices that bisection
+fails on.  Bisection takes 3.3-4.2 ms against 6.1-7.3 ms for Lanczos at
+K = 2000 on the quadratic well and the free ray, 14-16 against 22-25 ms at
+K = 10,000 (2-core box, medians of 15).  :func:`eigen_extremes` polishes
+each pair by inverse iteration where it is above half the contract; one
+Rayleigh correction, :func:`_rayleigh`, gives both the bisection eigenvalue
+and each polished one.  A miss is the float64 floor: past |lambda| = 1.3e8
+half an ulp of lambda exceeds the contract, which a pair then meets only
+where the rounding of its residual falls its way (on the quadratic well up
+to K = 100,000 at least, on the ray w = 1, a = n^3 not from K = 500 on,
+where Lanczos misses it too).
+
+Each Gershgorin bound is the tighter of two that hold the same spectrum:
+the Gershgorin interval of the symmetrized S and that of the assembled M,
+which is similar to it.  M's rows sum a(e) / w(x), so where w varies its
+lower bound is often the tighter: -3.96 against -11.71 on the 8000-vertex
+window of perfbench's seed-1 flux lattice, where the shift's Lanczos run
+then takes 71 solves against 121.  With w = 1, M and S are one matrix.
+Each shift is factored once, by a sparse LU in SuperLU's symmetric mode:
+one minimum degree ordering of A + A^T applied to rows and columns alike,
+and the diagonal taken as pivot with no row exchange (``_shift_factor``).
 That is safe because the shift lies beyond every Gershgorin disc of M or
 of S, so beyond the spectrum of the Hermitian H: H - sigma I is definite
 (it need not be diagonally dominant), every symmetric reordering of it is
 too, and elimination without row exchange keeps each pivot's sign.  The
-factor has less fill than the partially pivoted,
-COLAMD-ordered one that ARPACK's driver would build: L + U entries
-482k -> 281k and 30.5k -> 21.3k on 8000- and 1000-vertex flux-lattice
-windows.  ARPACK gets at most ``LANCZOS_MAXITER`` restarts per shift, over
-20 times what any window of the tests or benchmark needs (at most 11), so
-a spectrum it cannot resolve, such as that of a limit-circle ray, ends in
+factor has less fill than the partially pivoted, COLAMD-ordered one that
+ARPACK's driver would build: L + U entries 482k -> 281k and 30.5k -> 21.3k
+on 8000- and 1000-vertex flux-lattice windows.  ARPACK gets at most
+``LANCZOS_MAXITER`` restarts per shift, over 20 times what any window of
+the tests or benchmark needs (at most 11), so a spectrum it cannot
+resolve, such as that of a limit-circle ray, ends in
 :class:`EigensolveError` within a second rather than minutes.
-
-The cut-off sits one step above the measured crossover of the two paths
-(2-core OpenBLAS box, medians of 15, windows in steps of 20).  With this
-factor, Lanczos overtakes the dense solve between 160 and 180 vertices,
-the same step as with the pivoted factor.  On the quadratic well Lanczos
-takes 1.63 ms against 1.51 ms dense at 160 and 1.64 against 1.81 ms at 180;
-on a complex flux lattice, 4.03 against 3.95 ms and 4.17 against 5.57 ms.
-Quartiles lie within 0.05 ms of these medians.
 """
 
 from __future__ import annotations
@@ -76,7 +67,6 @@ from .functions import VertexFunction
 from .graphs import sorted_ids
 from .operators import python_product
 
-DENSE_CUTOFF = 200
 RESIDUAL_CONTRACT = 1e-8
 LANCZOS_MAXITER = 300  # ARPACK restarts per shift
 
@@ -165,7 +155,7 @@ class EigenExtremes(NamedTuple):
     lambda_min: float
     lambda_max: float
     residual: float  # max over both pairs of |S v - lambda v| / |v|
-    method: str  # "dense", "tridiagonal" or "lanczos" (tried in that order): the one returned
+    method: str  # "tridiagonal" or "lanczos" (tried in that order): the one returned
     shifts: tuple | None = None  # shift-invert points (below, above); None unless "lanczos"
     polish_solves: int = 0  # inverse-iteration solves _polish_pair spent on the returned pairs
     solves: tuple | None = None  # Lanczos solves per shift (below, above); None unless "lanczos"
@@ -318,21 +308,21 @@ def _worst_residual(S, pairs):
 def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
     """Extreme eigenvalues of the truncation with a residual certificate.
 
-    The paths are tried in this order, each where it applies: dense for a
-    window of up to ``DENSE_CUTOFF`` vertices, :func:`_tridiagonal_pairs`
-    for a window of any size whose Hermitian part is tridiagonal in row
-    order (every ray window, every window of a finite path), and
-    :func:`_lanczos_pairs` for a window above the cut-off.  The pairs of the
-    last two are polished here, by :func:`_polish_pair`, and the first path
-    whose pairs are then within ``RESIDUAL_CONTRACT`` is returned.  A path fails
-    when its solver raises (LAPACK, a singular shift-invert factor, a shift
-    that ARPACK does not resolve within ``LANCZOS_MAXITER`` restarts) or a
-    pair's residual is not within the contract (NaN included); when every
-    path fails, the :class:`EigensolveError` of the last one is raised, so a
-    limit-circle ray's large window still ends at the restart cap.  A
-    non-finite entry of S or of its Hermitian part raises it before any
-    path.  The dense and Lanczos solves run in real arithmetic when the
-    symmetrized matrix has no imaginary part.
+    The paths are tried in this order, each where it applies:
+    :func:`_tridiagonal_pairs` for a window whose Hermitian part is
+    tridiagonal in row order (every ray window, every window of a finite
+    path, a single vertex), and :func:`_lanczos_pairs` for a window of 2 or
+    more vertices (ARPACK needs more vertices than pairs).  The pairs of
+    either are polished here, by :func:`_polish_pair`, and the first path
+    whose pairs are then within ``RESIDUAL_CONTRACT`` is returned.  A path
+    fails when its solver raises (LAPACK, a singular shift-invert factor, a
+    shift that ARPACK does not resolve within ``LANCZOS_MAXITER`` restarts)
+    or a pair's residual is not within the contract (NaN included); when
+    every path fails, the :class:`EigensolveError` of the last one is
+    raised, so a limit-circle ray's window still ends at the restart cap.
+    A non-finite entry of S or of its Hermitian part raises it before any
+    path.  The Lanczos solves run in real arithmetic when the symmetrized
+    matrix has no imaginary part.
     """
     S = trunc.symmetrized()
     n = trunc.size
@@ -343,23 +333,16 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
     if not np.any(herm.data.imag):
         herm = herm.real
     parts = _tridiagonal(herm)
-    paths = [method for method, on in (("dense", n <= DENSE_CUTOFF),
-                                       ("tridiagonal", parts is not None),
-                                       ("lanczos", n > DENSE_CUTOFF)) if on]
+    paths = [method for method, on in (("tridiagonal", parts is not None),
+                                       ("lanczos", n > 1)) if on]
     for method in paths:
-        shifts, polish_solves, solves = None, 0, None
+        shifts, solves = None, None
         try:
-            if method == "dense":
-                vals, vecs = np.linalg.eigh(herm.toarray())
-                pairs = [(vals[0], vecs[:, 0]), (vals[-1], vecs[:, -1])]
-            elif method == "tridiagonal":
+            if method == "tridiagonal":
                 pairs = _tridiagonal_pairs(herm, *parts)
             else:
                 pairs, shifts, solves = _lanczos_pairs(trunc, herm, seed)
-            if method != "dense":
-                polished = [_polish_pair(herm, S, *pair, RESIDUAL_CONTRACT / 2) for pair in pairs]
-                pairs = [(lam, vec) for lam, vec, _ in polished]
-                polish_solves = sum(count for *_, count in polished)
+            polished = [_polish_pair(herm, S, *pair, RESIDUAL_CONTRACT / 2) for pair in pairs]
         except spla.ArpackNoConvergence as exc:
             cause, message = exc, (f"Lanczos did not converge within LANCZOS_MAXITER="
                                    f"{LANCZOS_MAXITER} restarts (n={n}): {exc}")
@@ -367,10 +350,11 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
             # RuntimeError covers ARPACK errors and a singular shift-invert factor
             cause, message = exc, f"eigensolver failed (n={n}): {exc}"
         else:
+            pairs = [(lam, vec) for lam, vec, _ in polished]
             residual = _worst_residual(S, pairs)
             if residual <= RESIDUAL_CONTRACT:
                 return EigenExtremes(float(pairs[0][0]), float(pairs[1][0]), residual, method,
-                                     shifts, polish_solves, solves)
+                                     shifts, sum(count for *_, count in polished), solves)
             cause, message = None, (f"eigenpair residual {residual:.3e} exceeds the contract "
                                     f"{RESIDUAL_CONTRACT:.0e} ({method}, n={n})")
     raise EigensolveError(message) from cause

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -531,3 +533,52 @@ def test_reproduce_lines_carry_stage_times(capsys, monkeypatch):
         "[FAIL] metric: d = 13 (0.50 s)",
         "summary: FAILURES PRESENT",
     ]
+
+
+def _failing(check):
+    """``check`` with every report it returns marked failed."""
+    return lambda *args, **kwargs: dataclasses.replace(check(*args, **kwargs), passed=False)
+
+
+def test_estimate_prints_fail_when_an_energy_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "energy_bound_check", _failing(cli.energy_bound_check))
+    assert main(["estimate", "--family", "path", "--size", "12", "--trials", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("energy bound: 3 violations over 3 trials") and out[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("stage", ["energy", "energy-localization", "tapered-defect"])
+def test_reproduce_reports_a_failing_stage(stage, capsys, monkeypatch):
+    from magschro import reference
+
+    if stage == "energy":
+        monkeypatch.setattr(reference, "energy_bound_check",
+                            _failing(reference.energy_bound_check))
+    elif stage == "energy-localization":
+        monkeypatch.setattr(reference, "gradient_energy_inequality",
+                            _failing(reference.gradient_energy_inequality))
+    else:  # every large-radius limit then exceeds its tolerance
+        monkeypatch.setattr(reference, "DEFECT_TOL", -1.0)
+    assert main(["reproduce", "paper-example", "--graphs", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line.split(":")[0] for line in out if line.startswith("[FAIL]")]
+    assert failed == [f"[FAIL] {stage}"] and out[-1] == "summary: FAILURES PRESENT"
+    detail = {"energy": r"; 100 violations over 100 random u ",
+              "energy-localization": r"^100 violations over 100 random \(u, taper\) pairs",
+              "tapered-defect": r"; [1-9][0-9]* large-radius limits above -1 x scale"}[stage]
+    assert re.search(detail, next(line for line in out if line.startswith(f"[FAIL] {stage}:"))
+                     .split(": ", 1)[1])
+
+
+def test_check_fails_a_graph_past_its_declared_degree_bound(capsys, monkeypatch):
+    from magschro.graphs import ExplicitGraph, validate
+
+    g = ExplicitGraph({x: (1.0, 0.0, 1.0) for x in (1, 2, 3)},
+                      {(1, 2): (1.0, 1), (2, 3): (1.0, 1)}, degree_bound=1)
+    assert [(v.kind, v.location, v.measured) for v in validate(g, [1, 2, 3]).violations] == [
+        ("degree-bound-exceeded", 2, 2.0)]
+    monkeypatch.setattr(cli, "load_graph", lambda path: g)
+    assert main(["check", "--graph-file", "path3.json"]) == 1
+    out = capsys.readouterr().out
+    assert "degree bound: observed 2, declared 1, pass=False" in out
+    assert "overall: fail" in out

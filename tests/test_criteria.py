@@ -17,7 +17,7 @@ from magschro.errors import InputError, UnknownVertexError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph
 from magschro.randomgraphs import random_connected_graph
-from magschro.spectral import spectral_trend
+from magschro.spectral import EigenExtremes, assemble_truncation, spectral_trend
 from search_probes import count_records
 
 
@@ -189,6 +189,18 @@ def test_semibounded_probe_stable_minimum():
     mins = [row.lambda_min for row in probe.rows]
     assert all(2 - 1e6 - 3e-6 < low < 2 - 1e6 - 1e-6 for low in mins)
     assert probe.verdict == f"minimum stable near {mins[-1]:.6g} on the tested windows"
+    assert probe.nonincreasing  # Cauchy interlacing, and no rounding read as a rise
+
+
+@pytest.mark.parametrize("rise, expected", [(2.9e-9, True), (3.1e-9, False)])
+def test_a_rise_counts_only_beyond_the_two_residuals(rise, expected, monkeypatch):
+    # each minimum lies within its residual, 1e-9 and 2e-9, of an eigenvalue
+    trunc = assemble_truncation(make_family({"family": "path", "size": 5}), range(1, 6))
+    exts = [EigenExtremes(-1e3, 1.0, 1e-9, "tridiagonal"),
+            EigenExtremes(-1e3 + rise, 1.0, 2e-9, "tridiagonal")]
+    monkeypatch.setattr(criteria, "_window_extremes",
+                        lambda g, windows: [(trunc, ext) for ext in exts])
+    assert semibounded_probe(None, [None, None]).nonincreasing is expected
 
 
 def test_the_probe_and_the_trend_read_the_same_minima():

@@ -13,7 +13,7 @@ from magschro import criteria, metric, reference
 from magschro.criteria import selfadjointness_criteria
 from magschro.errors import BudgetExhaustedError, InputError, MagschroError
 from magschro.families import make_family, quadratic_well_ray
-from magschro.graphs import ExplicitGraph
+from magschro.graphs import ExplicitGraph, OrientedEdge
 from magschro.metric import (
     UNIT_Q,
     WITH_Q,
@@ -167,6 +167,29 @@ def test_completeness_probe_finite_graph():
     report = completeness_probe(unit_path(30), 1, budget=1000)
     assert report.verdict == "complete (exact)"
     assert not report.frontier_open
+
+
+def test_zero_edge_lengths_give_the_classifier_no_evidence():
+    # with a = q = 1e200 every checkpoint's edge length underflows to 0
+    g = make_family({"family": "path-nat", "a": "1e200", "q": "1e200"})
+    assert edge_length(g, OrientedEdge(256, 257), WITH_Q) == 0.0
+    assert metric._classify_ray_series(g, WITH_Q) == metric.SeriesEvidence(None, None, None)
+
+
+def test_a_tail_exponent_near_one_without_a_harmonic_limit_is_undecided():
+    # len(n) ~ n^-1.0000005 reads as exponent 1, but n len(n) still drifts
+    series = metric._classify_ray_series(make_family({"family": "path-nat", "a": "n^2.000001"}),
+                                         WITH_Q)
+    assert abs(series.exponent - 1) <= 1e-6
+    assert (series.harmonic_limit, series.classification) == (None, None)
+
+
+def test_a_radius_between_growth_and_stall_is_inconclusive():
+    # the settled radius grows by between 0.2% and 2% over the second half of the budget
+    report = completeness_probe(make_family({"family": "path", "size": 100_000, "a": "n^2.6"}),
+                                1, budget=20_000)
+    assert report.series is None and report.frontier_open
+    assert report.verdict == "inconclusive"
 
 
 def test_cutoff_values():

@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from lattices import flux_lattice
 from loop_oracles import loop_truncation
 from magschro import spectral
+from magschro.cli import main
 from magschro.errors import EigensolveError, InputError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.functions import VertexFunction
@@ -35,7 +36,7 @@ def test_single_vertex_window():
     assert trunc.dense() == np.array([[-23.0 + 0.0j]])
     ext = eigen_extremes(trunc)
     assert ext.lambda_min == ext.lambda_max == -23.0
-    assert (ext.method, ext.shifts, ext.polish_solves) == ("dense", None, 0)
+    assert (ext.method, ext.shifts, ext.polish_solves) == ("tridiagonal", None, 0)
 
 
 def test_window_validation():
@@ -142,22 +143,26 @@ def test_hermitian_defect_random(rng):
         assert trunc.hermitian_defect() <= 1e-12
 
 
-def test_lanczos_path_agrees_with_dense(rng, monkeypatch):
-    g = random_connected_graph(rng, min_vertices=12, max_vertices=16)
-    trunc = assemble_truncation(g, g.vertices())
-    dense = eigen_extremes(trunc)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 4)
-    lanczos = eigen_extremes(trunc)
-    assert lanczos.method == "lanczos"
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max), 1.0)
-    assert lanczos.lambda_min == pytest.approx(dense.lambda_min, abs=1e-7 * scale)
-    assert lanczos.lambda_max == pytest.approx(dense.lambda_max, abs=1e-7 * scale)
-
-
 @pytest.fixture
 def lanczos_only(monkeypatch):
-    """Send every window above the cut-off to Lanczos, tridiagonal or not."""
+    """Send every window to Lanczos, tridiagonal or not."""
     monkeypatch.setattr(spectral, "_tridiagonal", lambda herm: None)
+
+
+def _dense_extremes(trunc):
+    vals = np.linalg.eigvalsh(trunc.symmetrized().toarray())
+    return vals[0], vals[-1]
+
+
+def test_lanczos_path_agrees_with_dense(rng, lanczos_only):
+    g = random_connected_graph(rng, min_vertices=12, max_vertices=16)
+    trunc = assemble_truncation(g, g.vertices())
+    lo, hi = _dense_extremes(trunc)
+    lanczos = eigen_extremes(trunc)
+    assert lanczos.method == "lanczos"
+    scale = max(abs(lo), abs(hi), 1.0)
+    assert lanczos.lambda_min == pytest.approx(lo, abs=1e-7 * scale)
+    assert lanczos.lambda_max == pytest.approx(hi, abs=1e-7 * scale)
 
 
 def test_lanczos_large_window_reference_ray(lanczos_only):
@@ -185,12 +190,11 @@ def _ray_reference_extremes(c, k):
     return float(lo[0]), float(hi[0])
 
 
-@pytest.mark.parametrize("size, cutoff", [(30, 30), (5, 30), (30, 4)],
-                         ids=["dense-30", "dense-5", "lanczos-30"])
-def test_nan_potential_raises_eigensolve_error(monkeypatch, size, cutoff):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+@pytest.mark.parametrize("family, size", [("path", 30), ("path", 5), ("cycle", 30)],
+                         ids=["tridiagonal-30", "tridiagonal-5", "lanczos-30"])
+def test_nan_potential_raises_eigensolve_error(family, size):
     # graphs reject non-finite data, so the NaN goes into the assembled matrix
-    trunc = assemble_truncation(make_family({"family": "path", "size": size}),
+    trunc = assemble_truncation(make_family({"family": family, "size": size}),
                                 range(1, size + 1))
     trunc.matrix[1, 1] = math.nan
     with pytest.raises(EigensolveError, match="non-finite"):
@@ -304,16 +308,15 @@ def test_gauge_transformed_path_matches_real_path(rng, monkeypatch, lanczos_only
 def test_lanczos_agrees_with_dense_on_random_graphs(seed):
     g = random_connected_graph(np.random.default_rng(seed), min_vertices=5, max_vertices=40)
     trunc = assemble_truncation(g, g.vertices())
-    dense = eigen_extremes(trunc)
+    lo, hi = _dense_extremes(trunc)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "DENSE_CUTOFF", 4)
+        mp.setattr(spectral, "_tridiagonal", lambda herm: None)
         lanczos = eigen_extremes(trunc)
-    assert (dense.method, lanczos.method) == ("dense", "lanczos")
+    assert lanczos.method == "lanczos"
     # a residual certificate puts a Hermitian eigenvalue within the residual
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max), 1.0)
-    tol = spectral.RESIDUAL_CONTRACT * scale
-    assert abs(lanczos.lambda_min - dense.lambda_min) <= tol
-    assert abs(lanczos.lambda_max - dense.lambda_max) <= tol
+    tol = spectral.RESIDUAL_CONTRACT * max(abs(lo), abs(hi), 1.0)
+    assert abs(lanczos.lambda_min - lo) <= tol
+    assert abs(lanczos.lambda_max - hi) <= tol
 
 
 @pytest.mark.parametrize("spec, window", [
@@ -361,7 +364,6 @@ def test_shift_factor_keeps_the_diagonal_pivots_of_a_definite_matrix(case, lancz
     else:
         g = flux_lattice(20, 1)
         trunc = assemble_truncation(g, g.vertices())
-    assert trunc.size > spectral.DENSE_CUTOFF
     herm = _hermitian_part(trunc)
     assert herm.dtype == (np.float64 if case == "well-5000" else np.complex128)
     shifts = eigen_extremes(trunc).shifts
@@ -422,11 +424,6 @@ def test_lower_shift_comes_from_the_tighter_gershgorin_bound(seed):
     assert abs(ext.lambda_max - vals[-1]) <= spectral.RESIDUAL_CONTRACT * scale
 
 
-def _dense_extremes(trunc):
-    vals = np.linalg.eigvalsh(trunc.symmetrized().toarray())
-    return vals[0], vals[-1]
-
-
 def _assert_tridiagonal_matches_dense(trunc):
     ext = eigen_extremes(trunc)
     assert (ext.method, ext.shifts, ext.solves) == ("tridiagonal", None, None)
@@ -442,13 +439,11 @@ def _assert_tridiagonal_matches_dense(trunc):
     {"family": "path-nat"},
     {"family": "path-nat", "w": "1 + 1/n", "a": "n^0.3 + 1/3", "W": "sqrt(n) - 7"},
 ], ids=["well", "free", "weighted"])
-def test_tridiagonal_path_matches_dense_on_rays(spec, monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 20)
+def test_tridiagonal_path_matches_dense_on_rays(spec):
     _assert_tridiagonal_matches_dense(assemble_truncation(make_family(spec), range(1, 151)))
 
 
-def test_tridiagonal_path_matches_dense_on_a_path_with_random_phases(rng, monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 20)
+def test_tridiagonal_path_matches_dense_on_a_path_with_random_phases(rng):
     path = make_family({"family": "path", "size": 150, "w": "1 + 1/n", "W": "sqrt(n) - 7"})
     twisted = gauge_transformed(path, random_gauge(rng, path))
     trunc = assemble_truncation(twisted, range(1, 151))
@@ -495,7 +490,6 @@ def test_a_scattered_window_splits_into_blocks(case, rng):
         g = gauge_transformed(path, random_gauge(rng, path))
         window = [*range(1, 100), *range(150, 250), *range(300, 340)]
     trunc = assemble_truncation(g, window)
-    assert trunc.size > spectral.DENSE_CUTOFF
     _, h = spectral._tridiagonal(_hermitian_part(trunc))
     gaps = {"well": 3, "free-twin-blocks": 1, "twisted-path": 2}[case]
     assert np.count_nonzero(h == 0) == gaps
@@ -559,36 +553,69 @@ def test_a_dense_miss_on_a_ray_window_is_solved_by_bisection(spec, k):
     _assert_tridiagonal_matches_dense(_ray_truncation(spec, k))
 
 
-def test_a_window_that_dense_solves_stays_dense(monkeypatch):
-    trunc = assemble_truncation(quadratic_well_ray(), range(1, 151))
-    monkeypatch.setattr(spectral, "_tridiagonal_pairs", None)  # any call would raise
-    ext = eigen_extremes(trunc)
-    vals = np.linalg.eigh(trunc.symmetrized().real.toarray())[0]
-    assert (ext.method, ext.shifts, ext.polish_solves, ext.solves) == ("dense", None, 0, None)
-    assert (ext.lambda_min, ext.lambda_max) == (vals[0], vals[-1])
-
-
-@pytest.mark.parametrize("graph", ["ray", "lattice"])
+@pytest.mark.parametrize("graph", ["ray"])
 def test_a_dense_failure_goes_on_to_the_next_path(graph, monkeypatch):
     def failing(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(spectral.np.linalg, "eigh", failing)
-    if graph == "ray":
-        ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, 151)))
-        assert ext.method == "tridiagonal" and ext.residual <= spectral.RESIDUAL_CONTRACT
-        lo, hi = _ray_reference_extremes(-1.0, 150)
-        tol = 1e-12 * max(abs(lo), abs(hi))
+    ext = eigen_extremes(assemble_truncation(quadratic_well_ray(), range(1, 151)))
+    assert ext.method == "tridiagonal" and ext.residual <= spectral.RESIDUAL_CONTRACT
+    lo, hi = _ray_reference_extremes(-1.0, 150)
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
+
+
+def test_eigen_extremes_never_calls_a_dense_eigensolver(rng, monkeypatch):
+    g = random_connected_graph(rng, min_vertices=20, max_vertices=40)
+    lattice = flux_lattice(10, 3)
+    truncs = [assemble_truncation(quadratic_well_ray(), [5]),
+              assemble_truncation(quadratic_well_ray(), range(1, 151)),
+              assemble_truncation(make_family({"family": "cycle", "size": 3}), [1, 2, 3]),
+              assemble_truncation(g, g.vertices()),
+              assemble_truncation(lattice, lattice.vertices())]
+    expected = [_dense_extremes(trunc) for trunc in truncs]
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: pytest.fail("dense solve"))
+    for trunc, (lo, hi) in zip(truncs, expected):
+        ext = eigen_extremes(trunc)
+        tol = spectral.RESIDUAL_CONTRACT * max(abs(lo), abs(hi), 1.0)
         assert abs(ext.lambda_min - lo) <= tol and abs(ext.lambda_max - hi) <= tol
-    else:
-        g = flux_lattice(10, 3)
-        with pytest.raises(EigensolveError, match=r"^eigensolver failed \(n=100\): Eigenvalues"):
-            eigen_extremes(assemble_truncation(g, g.vertices()))
+
+
+def test_a_failed_single_vertex_window_ends_in_the_tridiagonal_error(monkeypatch):
+    # Lanczos needs 2 or more vertices, so bisection is the only path here
+    def failing(diag, off, **kwargs):
+        raise np.linalg.LinAlgError("stein did not converge")
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", failing)
+    monkeypatch.setattr(spectral, "_lanczos_pairs", lambda *args: pytest.fail("Lanczos on n=1"))
+    with pytest.raises(EigensolveError, match=r"^eigensolver failed \(n=1\): stein"):
+        eigen_extremes(assemble_truncation(quadratic_well_ray(), [5]))
+
+
+@pytest.mark.parametrize("spec, k", [
+    ({"family": "star", "size": 200, "W": "1e6*sqrt(n)"}, 200),
+    ({"family": "cycle", "size": 200, "a": "n^3"}, 200),
+    ({"family": "cycle", "size": 200, "w": "n^-2.5", "a": "n^0.5"}, 200),
+    ({"family": "binary-tree", "size": 60, "w": "n^-2", "a": "n^3", "W": "-(n^2)",
+      "q": "1 + n^2"}, 60),
+], ids=["star", "cycle-a", "cycle-w-a", "binary-tree"])
+def test_a_small_window_that_dense_missed_meets_the_contract(spec, k, capsys):
+    # a dense eigh pair misses the contract on each, at 1.04e-8 to 2.44e-8
+    args = [f"--{key}={value}" for key, value in spec.items()]
+    assert main(["spectrum", *args, "--windows", str(k)]) == 0
+    size, lam_min, lam_max, residual = capsys.readouterr().out.splitlines()[1].split(",")
+    assert int(size) == k and float(residual) <= spectral.RESIDUAL_CONTRACT
+    g = make_family(spec)
+    lo, hi = _dense_extremes(assemble_truncation(g, g.vertices()[:k]))
+    tol = spectral.RESIDUAL_CONTRACT * max(abs(lo), abs(hi), 1.0)
+    assert abs(float(lam_min) - lo) <= tol and abs(float(lam_max) - hi) <= tol
 
 
 def test_a_limit_circle_window_ends_in_the_last_paths_error():
     trunc = _ray_truncation({"w": "n^-2", "a": "n^3"}, 150)
-    with pytest.raises(EigensolveError, match=r"exceeds the contract 1e-08 \(tridiagonal, n=150\)$"):
+    with pytest.raises(EigensolveError, match=r"exceeds the contract 1e-08 \(lanczos, n=150\)$"):
         eigen_extremes(trunc)
 
 
