@@ -30,7 +30,7 @@ from .estimates import energy_bound_check, tapered_defect_profile
 from .families import FamilySpec, make_family
 from .graphio import load_graph
 from .metric import WITH_Q, UNIT_Q, AnchorFunction, ball, distance
-from .randomgraphs import random_function
+from .randomgraphs import random_function, random_neighbor_function
 from .reference import run_reference_scenario
 from .spectral import spectral_trend
 from .suites import identity_suite, square_average_suite
@@ -172,7 +172,7 @@ def _cmd_spectrum(args) -> int:
         raise InputError("--windows must list at least one window size")
     rows = spectral_trend(g, _windows_for(g, sizes), seed=args.seed)
     _emit_csv(args.csv, ("window_size", "lambda_min", "lambda_max", "residual"),
-              [tuple(row) for row in rows])
+              [(row.size, row.lambda_min, row.lambda_max, row.residual) for row in rows])
     return 0
 
 
@@ -243,17 +243,14 @@ def _cmd_estimate(args) -> int:
     sweep_reports = []
     if not g.is_finite:
         # the defect is nonzero where the ramp is and u sits at one end of an
-        # edge, v at the other: draw u where the widest ramp reaches and v on
-        # the window's vertices next to u's support (v on u's own vertex alone
-        # cancels, as H is real there)
+        # edge, v at the other: draw u where the widest ramp reaches and v next to it
         reach = [x for x in ids if anchor_fn(x) < radii[-1]] or ids
     for _ in range(pairs):
         if g.is_finite:
             u, v = draw(), draw()
         else:
             u = random_function(rng, reach, max_support=cap)
-            near = {e.terminus for x in u.support for e, _ in g.neighbors(x)}
-            v = random_function(rng, sorted(near & set(ids)) or ids, max_support=cap)
+            v = random_neighbor_function(rng, g, u, ids, max_support=cap)
         sweep_reports = list(zip(radii, tapered_defect_profile(g, u, v, x0, radii,
                                                                anchor_fn=anchor_fn)))
         sweep_failures += sum(not rep.passed for _, rep in sweep_reports)
@@ -278,8 +275,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.scenario != "paper-example":
-        raise InputError(f"unknown scenario {args.scenario!r}")
     steps, ok = run_reference_scenario(seed=args.seed, identity_graphs=args.graphs)
     for step in steps:
         print(f"[{'PASS' if step.ok else 'FAIL'}] {step.name}: {step.detail} "

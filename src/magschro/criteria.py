@@ -34,7 +34,7 @@ from .graphs import OrientedEdge, sorted_ids
 from .metric import (CompletenessReport, WITH_Q, _completeness_report, _resolve_budget,
                      shortest_paths)
 from .metric import completeness_probe  # noqa: F401 -- unused; perfbench/layertrace.py patches it
-from .spectral import _window_extremes
+from .spectral import spectral_trend
 
 LIPSCHITZ_TOL = 1e-12
 
@@ -282,15 +282,8 @@ def selfadjointness_criteria(g, x0, *, budget=None, lipschitz_budget=None) -> Cr
 
 
 @dataclass
-class SemiboundedRow:
-    size: int
-    lambda_min: float
-    rayleigh_min: float  # smallest delta-function Rayleigh quotient in the window
-
-
-@dataclass
 class SemiboundedProbe:
-    rows: list
+    rows: list  # the EigenExtremes of each window, in order
     nonincreasing: bool
     verdict: str
 
@@ -301,17 +294,13 @@ def semibounded_probe(g, windows) -> SemiboundedProbe:
     A lower bound k with (Hu, u) >= k (u, u) for all finitely supported u
     must lie below the smallest truncation eigenvalue of every window, so a
     minimum that keeps falling rules out every candidate above it.  A
-    falling-but-bounded trend is reported without a verdict.  Row x of a
-    truncation applies H to functions supported in the window, so its
-    diagonal holds the delta-function Rayleigh quotients (H d_x, d_x) / (d_x, d_x).
+    falling-but-bounded trend is reported without a verdict.  The rows are
+    those of :func:`~magschro.spectral.spectral_trend`, each with its
+    smallest delta-function Rayleigh quotient (``rayleigh_min``).
     """
-    rows, res = [], []
-    for trunc, ext in _window_extremes(g, windows):
-        rows.append(SemiboundedRow(trunc.size, ext.lambda_min,
-                                   float(trunc.matrix.diagonal().real.min())))
-        res.append(ext.residual)
-
+    rows = spectral_trend(g, windows)
     mins = [r.lambda_min for r in rows]
+    res = [r.residual for r in rows]
     # each lambda_min lies within its residual of an eigenvalue, so only a
     # rise beyond the sum of the two residuals counts
     nonincreasing = all(b - a <= ra + rb for a, b, ra, rb in zip(mins, mins[1:], res, res[1:]))

@@ -122,6 +122,15 @@ def random_function(rng: np.random.Generator, ids, *, max_support=None,
     return VertexFunction(random_values(rng, ids, max_support=max_support, real=real))
 
 
+def random_neighbor_function(rng: np.random.Generator, g, u: VertexFunction, ids, *,
+                             max_support=None) -> VertexFunction:
+    """A random function on the sorted ``ids`` next to the support of ``u`` in
+    ``g``, or on all of them when none is: some edge then carries u at one end
+    and this function at the other, so the pair's symmetry defect need not vanish."""
+    near = {e.terminus for x in u.support for e, _ in g.neighbors(x)}
+    return random_function(rng, sorted(near & set(ids)) or ids, max_support=max_support)
+
+
 def random_vertex_function(rng: np.random.Generator, g, *, max_support=None,
                            real=False) -> VertexFunction:
     return random_function(rng, list(g.vertices()), max_support=max_support, real=real)

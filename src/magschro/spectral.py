@@ -11,6 +11,10 @@ similarity transform S = D^(1/2) M D^(-1/2) (D the diagonal of vertex
 weights) is Hermitian in the ordinary sense and shares the spectrum, so
 standard solvers apply.
 
+Each solve yields one :class:`EigenExtremes`, the record that
+:func:`spectral_trend` returns per window and that ``semibounded_probe``,
+``spectrum`` and ``reproduce`` read.
+
 :func:`eigen_extremes` tries two paths in turn and returns the first whose
 pairs meet ``RESIDUAL_CONTRACT``: Sturm count bisection and inverse
 iteration at both ends, after a diagonal gauge makes the couplings real, of
@@ -159,6 +163,10 @@ class EigenExtremes(NamedTuple):
     shifts: tuple | None = None  # shift-invert points (below, above); None unless "lanczos"
     polish_solves: int = 0  # inverse-iteration solves _polish_pair spent on the returned pairs
     solves: tuple | None = None  # Lanczos solves per shift (below, above); None unless "lanczos"
+    size: int | None = None  # vertices in the window
+    # least diagonal entry of the truncation, which is the least delta-function
+    # Rayleigh quotient (H d_x, d_x)_w / (d_x, d_x)_w over the window's vertices x
+    rayleigh_min: float | None = None
 
 
 def _shift_factor(herm, sigma):
@@ -354,27 +362,14 @@ def eigen_extremes(trunc: TruncatedOperator, *, seed=0) -> EigenExtremes:
             residual = _worst_residual(S, pairs)
             if residual <= RESIDUAL_CONTRACT:
                 return EigenExtremes(float(pairs[0][0]), float(pairs[1][0]), residual, method,
-                                     shifts, sum(count for *_, count in polished), solves)
+                                     shifts, sum(count for *_, count in polished), solves, n,
+                                     float(trunc.matrix.diagonal().real.min()))
             cause, message = None, (f"eigenpair residual {residual:.3e} exceeds the contract "
                                     f"{RESIDUAL_CONTRACT:.0e} ({method}, n={n})")
     raise EigensolveError(message) from cause
 
 
-class TrendRow(NamedTuple):
-    size: int
-    lambda_min: float
-    lambda_max: float
-    residual: float
-
-
-def _window_extremes(g, windows, seed=0):
-    """Each window's truncation and its :class:`EigenExtremes`, in order."""
-    for window in windows:
-        trunc = assemble_truncation(g, window)
-        yield trunc, eigen_extremes(trunc, seed=seed)
-
-
 def spectral_trend(g, windows, *, seed=0) -> list:
-    """Extreme eigenvalues across a sequence of (typically nested) windows."""
-    return [TrendRow(trunc.size, ext.lambda_min, ext.lambda_max, ext.residual)
-            for trunc, ext in _window_extremes(g, windows, seed)]
+    """The :class:`EigenExtremes` of each window's truncation, in order,
+    across a sequence of (typically nested) windows."""
+    return [eigen_extremes(assemble_truncation(g, window), seed=seed) for window in windows]

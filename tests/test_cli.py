@@ -565,7 +565,7 @@ def test_reproduce_reports_a_failing_stage(stage, capsys, monkeypatch):
     assert failed == [f"[FAIL] {stage}"] and out[-1] == "summary: FAILURES PRESENT"
     detail = {"energy": r"; 100 violations over 100 random u ",
               "energy-localization": r"^100 violations over 100 random \(u, taper\) pairs",
-              "tapered-defect": r"; [1-9][0-9]* large-radius limits above -1 x scale"}[stage]
+              "tapered-defect": r"; 50 large-radius limits above -1 x scale"}[stage]
     assert re.search(detail, next(line for line in out if line.startswith(f"[FAIL] {stage}:"))
                      .split(": ", 1)[1])
 
@@ -582,3 +582,61 @@ def test_check_fails_a_graph_past_its_declared_degree_bound(capsys, monkeypatch)
     out = capsys.readouterr().out
     assert "degree bound: observed 2, declared 1, pass=False" in out
     assert "overall: fail" in out
+
+
+def test_reproduce_solves_each_spectrum_window_once(monkeypatch, capsys):
+    from magschro import spectral
+
+    sizes = []
+    solve = spectral.eigen_extremes
+    monkeypatch.setattr(spectral, "eigen_extremes",
+                        lambda trunc, **kw: sizes.append(trunc.size) or solve(trunc, **kw))
+    assert main(["reproduce", "paper-example", "--graphs", "1"]) == 0
+    capsys.readouterr()
+    assert sizes == [10, 20, 40]
+
+
+def test_an_unknown_scenario_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "other"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'other'" in capsys.readouterr().err
+
+
+_NESTED = "(" * 3000 + "n" + ")" * 3000
+_GRAPH_FILES = {
+    "no-vertices": ('{"vertices": []}', "$.vertices: at least one vertex is required"),
+    "unknown-top-key": ('{"vertices": [{"id": 1}], "extra": 1}', "$: unknown key 'extra'"),
+    "vertex-without-id": ('{"vertices": [{"w": 2}]}', "$.vertices[0]: missing id"),
+    "unknown-edge-key": ('{"vertices": [{"id": 1}, {"id": 2}],'
+                         ' "edges": [{"u": 1, "v": 2, "b": 1}]}', "$.edges[0]: unknown key 'b'"),
+    "edge-to-unknown-vertex": ('{"vertices": [{"id": 1}], "edges": [{"u": 1, "v": 2}]}',
+                               "$.edges[0].v: unknown vertex '2'"),
+    "vertices-object": ('{"vertices": {}}', "$.vertices: expected list, got dict"),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--family", "path", "--size", "3", "--graph-file", "g.json"],
+     "give either --family or --graph-file, not both"),
+    (["check", "--family", "path-nat", "--x0", "abc"], "unknown vertex 'abc'"),
+    (["spectrum", "--family", "path-nat", "--windows", ","],
+     "--windows must list at least one window size"),
+    (["spectrum", "--family", "path", "--windows", "10"], "family 'path' requires a size"),
+    (["spectrum", "--family", "path", "--size", "1", "--windows", "10"],
+     "family 'path' requires size >= 2"),
+    *[(["check", "--graph-file", name], message) for name, (_, message) in _GRAPH_FILES.items()],
+    (["check", "--family", "path-nat", "--w", "sqrt(1, 2)"],
+     "sqrt takes 1 argument(s) (at position 0)"),
+    (["check", "--family", "path-nat", "--w", _NESTED],
+     "expression nested too deeply (at position 0)"),
+], ids=["family-and-graph-file", "unknown-x0", "empty-windows", "finite-family-without-size",
+        "finite-family-size-1", *_GRAPH_FILES, "sqrt-arity", "nested-3000"])
+def test_refused_inputs_exit_2_with_their_message(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('{"vertices": [{"id": 1}]}')
+    for name, (text, _) in _GRAPH_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

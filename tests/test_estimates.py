@@ -636,3 +636,21 @@ def test_gradient_energy_inequality_checks_phi_once(monkeypatch, rng):
     phi = CutoffFunction(g, 1, 4).tapered_profile()
     gradient_energy_inequality(g, random_ray_function(rng), phi)
     assert calls == [phi]
+
+
+def test_a_graph_that_declares_no_degree_bound():
+    # a finite graph is then held to its largest observed degree, 4 at the
+    # star's hub, and an infinite one is refused
+    star = make_family({"family": "star", "size": 5})
+    star.degree_bound = None
+    u, v = VertexFunction({1: 1.0, 2: 2j}), VertexFunction({3: -1.5})
+    assert energy_bound_check(star, u) == energy_bound_check(star, u, degree_bound=4)
+    assert (tapered_defect_profile(star, u, v, 1, [1.0, 2.0])
+            == tapered_defect_profile(star, u, v, 1, [1.0, 2.0], degree_bound=4))
+    ray = quadratic_well_ray()
+    ray.degree_bound = None
+    message = "a degree bound is required for graphs without a declared one"
+    with pytest.raises(InputError, match=message):
+        energy_bound_check(ray, VertexFunction.delta(1), lipschitz_constant=1.0)
+    with pytest.raises(InputError, match=message):
+        tapered_defect_profile(ray, VertexFunction.delta(1), VertexFunction.delta(2), 1, [1.0])

@@ -651,3 +651,67 @@ def test_sturm_counts_place_each_end_at_its_rank(spec, k):
         delta = 1e-9 * max(abs(lam), 1.0)
         assert _sturm_count(trunc, lam - delta) == below
         assert _sturm_count(trunc, lam + delta) == below + 1
+
+
+def _assert_rayleigh_min_bounds_lambda_min(trunc, ext):
+    assert ext.rayleigh_min == float(np.min(trunc.dense().diagonal().real))
+    # min-max: lambda_min is at most the Rayleigh quotient of every delta,
+    # and the returned value lies within its residual of lambda_min
+    assert ext.lambda_min <= ext.rayleigh_min + ext.residual
+
+
+def _trend_window(case):
+    if case == "tree-300-a-n3":
+        g = make_family({"family": "binary-tree", "size": 300, "a": "n^3"})
+        return g, g.vertices()
+    if case == "flux-lattice":
+        g = flux_lattice(20, 1)
+        return g, g.vertices()[40:360]
+    family, k = case.split("-")
+    g = quadratic_well_ray() if family == "well" else make_family({"family": "path-nat"})
+    return g, range(1, int(k) + 1)
+
+
+@pytest.mark.parametrize("case", ["well-10", "well-2000", "free-2001", "tree-300-a-n3",
+                                  "flux-lattice"])
+def test_each_trend_row_is_the_eigen_extremes_of_its_window(case):
+    g, window = _trend_window(case)
+    trunc = assemble_truncation(g, window)
+    for seed in (3, 0):  # the Lanczos start vector's seed reaches the solve
+        (row,) = spectral_trend(g, [window], seed=seed)
+        assert row == eigen_extremes(trunc, seed=seed)
+    assert row.size == trunc.size == len(window)
+    lanczos = case in ("tree-300-a-n3", "flux-lattice")
+    assert row.method == ("lanczos" if lanczos else "tridiagonal")
+    if case == "tree-300-a-n3":
+        assert row.polish_solves == 1  # at seed 0
+    if case == "flux-lattice":
+        assert np.any(trunc.matrix.data.imag)
+    _assert_rayleigh_min_bounds_lambda_min(trunc, row)
+
+
+def test_rayleigh_min_bounds_lambda_min_on_random_graphs():
+    for seed in range(20):
+        g = random_connected_graph(np.random.default_rng(seed), min_vertices=5, max_vertices=40)
+        trunc = assemble_truncation(g, g.vertices())
+        _assert_rayleigh_min_bounds_lambda_min(trunc, eigen_extremes(trunc))
+
+
+def test_a_zero_inverse_iteration_vector_ends_the_polish_and_the_solve(monkeypatch):
+    # on the ray w = 1, a = n^3 at K = 300 the top pair takes 3 polish solves;
+    # each solve of the polish factor here returns zeros, so no pair is refined
+    splu = spectral.spla.splu
+    zeros = []
+
+    class Zero:
+        def solve(self, rhs):
+            zeros.append(rhs.shape)
+            return np.zeros_like(rhs)
+
+    # the Lanczos shift factor passes options; the polish factor does not
+    monkeypatch.setattr(spectral.spla, "splu",
+                        lambda matrix, **kwargs: splu(matrix, **kwargs) if kwargs else Zero())
+    trunc = _ray_truncation({"a": "n^3"}, 300)
+    with pytest.raises(EigensolveError, match=r"exceeds the contract 1e-08 \(lanczos, n=300\)$"):
+        eigen_extremes(trunc)
+    assert zeros == [(300,), (300,)]  # one per path, each ending its polish
