@@ -193,18 +193,6 @@ def _cmd_verify_identities(args) -> int:
     return 0 if ok else 1
 
 
-def _breakdown_payload(b) -> dict:
-    return {
-        "energy_sq": b.energy_sq,
-        "bound": b.bound,
-        "lipschitz_constant": b.lipschitz_constant,
-        "degree_bound": b.degree_bound,
-        "slack": b.slack,
-        "passed": b.passed,
-        "contributions": {f"{o}->{t}": val for (o, t), val in b.contributions.items()},
-    }
-
-
 def _cmd_estimate(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
@@ -226,7 +214,6 @@ def _cmd_estimate(args) -> int:
 
     energy_failures = 0
     worst_slack = float("inf")
-    breakdown = None
     for _ in range(args.trials):
         breakdown = energy_bound_check(g, draw(), lipschitz_constant=lipschitz)
         worst_slack = min(worst_slack, breakdown.slack)
@@ -259,15 +246,13 @@ def _cmd_estimate(args) -> int:
     ok = energy_failures == 0 and sweep_failures == 0
     print("PASS" if ok else "FAIL", file=out)
     if args.json:
+        last = dataclasses.asdict(breakdown)  # --trials >= 1, so there is one
+        last["contributions"] = {f"{o}->{t}": x for (o, t), x in breakdown.contributions.items()}
         _emit_json(args.json, {
             "energy": {"trials": args.trials, "violations": energy_failures,
-                       "worst_slack": worst_slack,
-                       "last_breakdown": _breakdown_payload(breakdown) if breakdown else None},
-            "tapered_defect": {"pairs": pairs, "radii": radii,
-                               "violations": sweep_failures,
-                               "last_sweep": [{"radius": s, "value": rep.value,
-                                               "bound": rep.bound, "slack": rep.slack,
-                                               "passed": rep.passed}
+                       "worst_slack": worst_slack, "last_breakdown": last},
+            "tapered_defect": {"pairs": pairs, "radii": radii, "violations": sweep_failures,
+                               "last_sweep": [{"radius": s, **dataclasses.asdict(rep)}
                                               for s, rep in sweep_reports]},
             "passed": ok,
         })

@@ -24,8 +24,8 @@ at once, its types checked as a set, its values as numpy masks, and ids,
 ends and unordered pairs as sets.  Only when a column check fails does a
 walk over the records run, and its one job is to raise the first
 :class:`SchemaError` with the path of the element at fault.  A parsed file,
-:class:`GraphFile`, holds the eight columns as lists; its ``vertices`` and
-``edges`` read them as :class:`VertexRecord` and :class:`EdgeRecord` views.
+:class:`GraphFile`, is its eight columns as lists, in file order; a record is
+a ``zip`` of them.
 """
 
 from __future__ import annotations
@@ -46,22 +46,6 @@ _EDGE_KEYS = {"u", "v", "a", "sigma"}
 _UNIT = {"re": 1.0, "im": 0.0}  # an omitted sigma; it renormalizes to 1 + 0j
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    id: str
-    w: float
-    W: float
-    q: float
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    u: str
-    v: str
-    a: float
-    sigma: complex
-
-
 @dataclass
 class GraphFile:
     """A parsed graph file as columns in file order: the vertex ids with w, W
@@ -75,14 +59,6 @@ class GraphFile:
     v: list
     a: list
     sigma: list
-
-    @property
-    def vertices(self) -> list:
-        return list(map(VertexRecord, self.ids, self.w, self.W, self.q))
-
-    @property
-    def edges(self) -> list:
-        return list(map(EdgeRecord, self.u, self.v, self.a, self.sigma))
 
     def to_graph(self) -> ExplicitGraph:
         """The graph of these columns; a duplicate vertex id or edge record is a

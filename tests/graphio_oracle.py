@@ -9,10 +9,27 @@ builds the graph from them as ``GraphFile.to_graph`` did.
 
 import json
 import math
+from dataclasses import dataclass
 
 from magschro.errors import SchemaError
-from magschro.graphio import SIGMA_PARSE_TOL, EdgeRecord, VertexRecord
+from magschro.graphio import SIGMA_PARSE_TOL
 from magschro.graphs import ExplicitGraph
+
+
+@dataclass(frozen=True)
+class VertexRecord:
+    id: str
+    w: float
+    W: float
+    q: float
+
+
+@dataclass(frozen=True)
+class EdgeRecord:
+    u: str
+    v: str
+    a: float
+    sigma: complex
 
 
 def oracle_graph(vertices, edges, *, check=True) -> ExplicitGraph:

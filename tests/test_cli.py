@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from magschro import cli, criteria
+from magschro import cli, criteria, randomgraphs
 from magschro.cli import main
-from magschro.criteria import lipschitz_best_constant
+from magschro.criteria import CriteriaReport, lipschitz_best_constant
 from magschro.errors import InputError
+from magschro.estimates import EnergyBreakdown, TaperedDefectReport
 from magschro.families import make_family
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -50,6 +51,52 @@ def test_check_json_report(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["overall"] == "pass"
     assert payload["completeness"]["verdict"] == "complete (exact)"
+
+
+def _fields(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _with_extra_field(record):
+    """``record`` as an instance of a subclass with one more field, ``extra = 7``."""
+    cls = dataclasses.make_dataclass(f"Extended{type(record).__name__}",
+                                     [("extra", int, dataclasses.field(default=7))],
+                                     bases=(type(record),))
+    return cls(**{name: getattr(record, name) for name in _fields(type(record))})
+
+
+def _json_reports(tmp_path, capsys) -> tuple:
+    """The ``estimate --json`` and ``check --json`` documents on a 12-vertex path."""
+    est, chk = tmp_path / "estimate.json", tmp_path / "check.json"
+    graph = ["--family", "path", "--size", "12"]
+    assert main(["estimate", *graph, "--trials", "4", "--json", str(est)]) == 0
+    assert main(["check", *graph, "--json", str(chk)]) == 0
+    capsys.readouterr()
+    return json.loads(est.read_text()), json.loads(chk.read_text())
+
+
+def test_json_reports_are_their_records_field_by_field(tmp_path, capsys):
+    estimate, check = _json_reports(tmp_path, capsys)
+    assert set(estimate["energy"]["last_breakdown"]) == _fields(EnergyBreakdown)
+    sweep = estimate["tapered_defect"]["last_sweep"]
+    assert [set(point) for point in sweep] == [{"radius"} | _fields(TaperedDefectReport)] * 8
+    assert set(check) == _fields(CriteriaReport)
+
+
+def test_a_field_added_to_a_record_reaches_json(monkeypatch, tmp_path, capsys):
+    # each record is written whole, so no serializer edit is needed for a new field
+    energy, profile = cli.energy_bound_check, cli.tapered_defect_profile
+    criteria_report = cli.selfadjointness_criteria
+    monkeypatch.setattr(cli, "energy_bound_check",
+                        lambda *args, **kw: _with_extra_field(energy(*args, **kw)))
+    monkeypatch.setattr(cli, "tapered_defect_profile",
+                        lambda *args, **kw: list(map(_with_extra_field, profile(*args, **kw))))
+    monkeypatch.setattr(cli, "selfadjointness_criteria",
+                        lambda *args, **kw: _with_extra_field(criteria_report(*args, **kw)))
+    estimate, check = _json_reports(tmp_path, capsys)
+    assert estimate["energy"]["last_breakdown"]["extra"] == 7
+    assert [point["extra"] for point in estimate["tapered_defect"]["last_sweep"]] == [7] * 8
+    assert check["extra"] == 7
 
 
 def test_check_json_reports_the_search(tmp_path, capsys):
@@ -303,11 +350,14 @@ def test_estimate_sweeps_a_nonzero_defect_on_the_ray(tmp_path, capsys, seed):
 
 def test_estimate_draws_its_functions_from_x0(monkeypatch, tmp_path, capsys):
     # on the ray the test functions live on --x0 .. --x0 + --window - 1, so a
-    # far start sweeps a nonzero defect there instead of running out of budget
-    drawn = []
+    # far start sweeps a nonzero defect there instead of running out of budget;
+    # v is drawn inside randomgraphs, so its own random_function is stubbed too
+    drawn, drawn_v = [], []
     draw = cli.random_function
     monkeypatch.setattr(cli, "random_function",
                         lambda rng, ids, **kw: drawn.append(ids) or draw(rng, ids, **kw))
+    monkeypatch.setattr(randomgraphs, "random_function",
+                        lambda rng, ids, **kw: drawn_v.append(ids) or draw(rng, ids, **kw))
     target = tmp_path / "out.json"
     assert main(["estimate", "--family", "path-nat", "--lipschitz-c", "1", "--x0", "10000000",
                  "--json", str(target)]) == 0
@@ -315,6 +365,7 @@ def test_estimate_draws_its_functions_from_x0(monkeypatch, tmp_path, capsys):
     sweep = json.loads(target.read_text())["tapered_defect"]["last_sweep"]
     assert len(sweep) == 8 and isinstance(sweep[-1]["value"], dict)
     assert min(map(min, drawn)) == 10**7 and max(map(max, drawn)) == 10**7 + 199
+    assert drawn_v and min(map(min, drawn_v)) >= 10**7 and max(map(max, drawn_v)) <= 10**7 + 199
 
 
 def test_estimate_scans_a_finite_graph_once_for_its_lipschitz_constant(monkeypatch, tmp_path,

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -8,7 +9,7 @@ from magschro import metric
 from magschro.errors import ExprEvalError, InputError
 from magschro.exprlang import compile_text, eval_expr, parse_expr
 from magschro.families import PathRayGraph, make_family, quadratic_well_ray
-from magschro.graphs import EdgeData, OrientedEdge, VertexData
+from magschro.graphs import EdgeData, OrientedEdge, VertexData, WeightedGraph
 from magschro.metric import shortest_paths
 from search_probes import count_records
 
@@ -248,3 +249,20 @@ def test_finite_family_records():
     assert g.vertex(6) == VertexData(6.0, 6 ** 0.5, 7.0)
     assert g.edge_data((3, 6)).weight == 1 / 3
     assert type(g.vertex(6).weight) is float and np.ndim(g.vertex(6).weight) == 0
+
+
+def test_an_edge_that_skips_a_vertex_is_no_edge():
+    with pytest.raises(InputError, match="^no edge 1 -> 3$"):
+        quadratic_well_ray().edge_data((1, 3))
+
+
+def test_an_id_past_int64_reads_its_closure_from_the_oracle():
+    g = quadratic_well_ray()
+    window = g.closure_window([2**63])
+    assert window.ids.dtype == object
+    assert window.ids.tolist() == [2**63 - 1, 2**63, 2**63 + 1]
+    assert window.interior.tolist() == [False, True, False]
+    oracle = WeightedGraph.closure_window(g, [2**63])
+    for field in dataclasses.fields(window):
+        mine, theirs = getattr(window, field.name), getattr(oracle, field.name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field.name

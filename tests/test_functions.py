@@ -171,3 +171,8 @@ def test_edge_function_rejects_unknown_edge():
     g = make_family({"family": "path", "size": 4})
     with pytest.raises(InputError, match="no edge"):
         EdgeFunction(g, {(1, 3): 1.0})
+
+
+def test_an_edge_function_refuses_a_twist_outside_minus_one_to_one():
+    with pytest.raises(InputError, match=r"^twist must be -1, 0 or 1, got 2$"):
+        EdgeFunction(make_family({"family": "path", "size": 3}), {}, twist=2)

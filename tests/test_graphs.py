@@ -12,6 +12,7 @@ from magschro.graphs import (
     ExplicitGraph,
     OrientedEdge,
     VertexData,
+    WeightedGraph,
     edge_sort_key,
     normalize_edge,
     validate,
@@ -107,6 +108,37 @@ def test_validate_non_unit_phase():
     report = validate(g, ["x"])
     bad = [v for v in report.violations if v.kind == "non-unit-phase"]
     assert bad and bad[0].measured == pytest.approx(2.0)
+
+
+class _ListedGraph(WeightedGraph):
+    """A graph read from neighbor lists as given: no builder dedupes an entry or
+    derives a missing reverse, so these lists can hold a doubled edge 1 -> 2
+    and a one-way edge 2 -> 3."""
+
+    is_finite = True
+    _LISTS = {1: [(2, 1.0), (2, 1.0)], 2: [(1, 1.0), (3, 1.0)], 3: []}
+
+    def has_vertex(self, x):
+        return x in self._LISTS
+
+    def vertex(self, x):
+        return VertexData(1.0, 0.0, 1.0)
+
+    def neighbors(self, x):
+        return [(OrientedEdge(x, t), EdgeData(a, 1.0 + 0j)) for t, a in self._LISTS[x]]
+
+
+def test_validate_reports_a_multi_edge_and_a_missing_reverse():
+    report = validate(_ListedGraph(), [1, 2, 3])
+    assert report.violations == [("multi-edge", (1, 2), 1.0),
+                                 ("missing-reverse-edge", (2, 3), 0.0)]
+
+
+@pytest.mark.parametrize("g", [quadratic_well_ray(), unit_path(3)], ids=["well", "path"])
+def test_an_unknown_vertex_has_no_edge_and_no_star(g):
+    assert g.has_edge(("x", 1)) is False
+    with pytest.raises(UnknownVertexError, match="unknown vertex: 'x'"):
+        g.star_edges("x")
 
 
 def test_validate_unknown_vertex_raises():

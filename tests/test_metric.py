@@ -11,7 +11,7 @@ from lattices import flux_lattice
 from loop_oracles import window_walk
 from magschro import criteria, metric, reference
 from magschro.criteria import selfadjointness_criteria
-from magschro.errors import BudgetExhaustedError, InputError, MagschroError
+from magschro.errors import BudgetExhaustedError, InputError, MagschroError, UnknownVertexError
 from magschro.families import make_family, quadratic_well_ray
 from magschro.graphs import ExplicitGraph, OrientedEdge
 from magschro.metric import (
@@ -737,3 +737,11 @@ def test_ray_get_compares_ids_like_the_frontier(x0, q_mode):
     win = res.window
     assert [res.get(x) for x in probes] == [want(x) for x in probes]
     assert res.window is win
+
+
+@pytest.mark.parametrize("read", [lambda g: distance(g, 1, "x"),
+                                  lambda g: AnchorFunction(g, 1)("x")],
+                         ids=["distance", "anchor"])
+def test_an_unknown_target_is_an_unknown_vertex(read):
+    with pytest.raises(UnknownVertexError, match="^unknown vertex: 'x'$"):
+        read(quadratic_well_ray())

@@ -306,3 +306,16 @@ def test_moduli_past_the_float_range_are_an_input_error():
     assert operators._moduli(np.array([3 + 4j, -2.0])) == [5.0, 2.0]
     with pytest.raises(InputError, match="the inputs overflow double precision"):
         operators._moduli(np.array([1.0, 1.5e308 + 1.5e308j]))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda g, P: symmetry_residual(g, VertexFunction({5: 1.0}), VertexFunction({1: 1.0}),
+                                   patch=P),
+    lambda g, P: schrodinger_apply(g, VertexFunction({5: 1.0}), patch=P),
+], ids=["symmetry_residual", "schrodinger_apply"])
+def test_a_shared_patch_too_small_for_the_support_is_refused(apply):
+    # the closure of vertex 1 does not hold vertex 5, so no number may come out
+    g = quadratic_well_ray()
+    with pytest.raises(InputError, match="^the window does not hold the one-hop closure "
+                                         "of the support$"):
+        apply(g, Patch.closure(g, [1]))
